@@ -48,11 +48,8 @@ def covariance_consistency():
         ss = np.random.SeedSequence(entropy=0, spawn_key=(n,))
         for rep in ss.spawn(10):
             x = npt.sample_adjacency(gt.h, np.random.default_rng(rep))
-            spec = npt.top_eigenpairs(x, 3)
-            w0 = npt.residual_matrix(x, spec, 3)
-            rr = npt.refined_residual(
-                x, spec, npt.refine_eigenvalues(spec, w0, 3), 3)
-            s_hat = npt.estimate_sigma1(spec, rr, i, j, 3).matrix
+            fitted = npt.fit(x, 3, spectrum=npt.top_eigenpairs(x, 3))
+            s_hat = npt.estimate_sigma1(fitted, i, j).matrix
             s_true = npt.true_sigma1(gt, i, j).matrix
             errs.append(n**2 * 0.9 * np.linalg.norm(s_hat - s_true, 2))
         print(f"{n:>6}  {np.mean(errs):.3f}")

@@ -17,13 +17,13 @@ from .models import (
 from .spectra import Spectrum, orient_signs, ratio_rows, top_eigenpairs
 from .estimation import (
     CovarianceEstimate,
+    Fit,
     KEstimate,
-    RefinedResidual,
     estimate_k,
     estimate_sigma1,
     estimate_sigma2,
+    fit,
     refine_eigenvalues,
-    refined_residual,
     residual_matrix,
 )
 from .inference import (

@@ -2,7 +2,8 @@
 
 Subcommands: simulate, test-pair, pvalue-matrix, estimate-k, spectrum, mc,
 oracle-check. Exit codes: 0 success, 1 usage error, 2 data error,
-3 numerical error. Seeded invocations are deterministic end to end.
+3 numerical error (including a censored community-count estimate).
+Seeded invocations are deterministic end to end.
 """
 
 from __future__ import annotations
@@ -13,17 +14,16 @@ import sys
 import numpy as np
 
 from . import __version__
-from .estimation import estimate_k
+from .estimation import (
+    CensoredSpectrumError,
+    estimate_k,
+    estimate_sigma1,
+    estimate_sigma2,
+    fit,
+)
 from .graph_io import GraphFormatError, adjacency, load_edge_list, max_degree
 from .harness import ExperimentConfig, null_histogram, run_k_accuracy, run_size_power
 from .inference import SingularCovarianceError, pvalue_matrix, test_G, test_T
-from .estimation import (
-    estimate_sigma1,
-    estimate_sigma2,
-    refine_eigenvalues,
-    refined_residual,
-    residual_matrix,
-)
 from .models import (
     build_mean_matrix,
     model1_params,
@@ -298,14 +298,12 @@ def _cmd_oracle_check(args) -> int:
         rng = np.random.SeedSequence(entropy=args.seed, spawn_key=(n,))
         for rep_ss in rng.spawn(args.reps):
             x = sample_adjacency(gt.h, np.random.default_rng(rep_ss))
-            spec = top_eigenpairs(x, 3)
-            w0 = residual_matrix(x, spec, 3)
-            rr = refined_residual(x, spec, refine_eigenvalues(spec, w0, 3), 3)
+            fitted = fit(x, 3, spectrum=top_eigenpairs(x, 3))
             if args.model == 1:
-                s_hat = estimate_sigma1(spec, rr, i, j, 3).matrix
+                s_hat = estimate_sigma1(fitted, i, j).matrix
                 s_true = true_sigma1(gt, i, j).matrix
             else:
-                s_hat = estimate_sigma2(spec, rr, i, j, 3).matrix
+                s_hat = estimate_sigma2(fitted, i, j).matrix
                 s_true = true_sigma2(gt, i, j).matrix
             errs.append(scale * np.linalg.norm(s_hat - s_true, 2))
         metric = "sigma1_trend" if args.model == 1 else "sigma2_trend"
@@ -333,7 +331,8 @@ def main(argv=None) -> int:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (SingularCovarianceError, DegenerateNodeError,
-            ZeroDivisionError, np.linalg.LinAlgError) as exc:
+            CensoredSpectrumError, ZeroDivisionError,
+            np.linalg.LinAlgError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as exc:

@@ -6,6 +6,11 @@ The community count is estimated by counting eigenvalues whose square exceeds
 refinement: deflate the adjacency matrix by its leading eigenpairs, shrink the
 eigenvalues using the diagonal of the squared residual, deflate again with the
 shrunken eigenvalues, and square the result entrywise.
+
+Everything up to the shrunken eigenvalues depends on the graph, not on the
+pair, so :func:`fit` computes it once; the covariance of a pair (i, j) then
+reads only rows i and j of the squared residual, which :class:`Fit` forms on
+demand.
 """
 
 from __future__ import annotations
@@ -15,17 +20,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph_io import max_degree
-from .spectra import Spectrum, degeneracy_threshold, DegenerateNodeError
+from .spectra import (
+    DegenerateNodeError,
+    Spectrum,
+    degeneracy_threshold,
+    top_eigenpairs,
+)
 
 __all__ = [
     "KEstimate",
-    "RefinedResidual",
+    "Fit",
     "CovarianceEstimate",
     "CensoredSpectrumError",
     "estimate_k",
     "residual_matrix",
     "refine_eigenvalues",
-    "refined_residual",
+    "fit",
     "estimate_sigma1",
     "estimate_sigma2",
 ]
@@ -45,22 +55,46 @@ class KEstimate:
     threshold: float
     eigenvalues: np.ndarray
 
-    @property
-    def k_for_T(self) -> int:
-        return max(self.k_hat, 1)
-
-    @property
-    def k_for_G(self) -> int:
-        return max(self.k_hat, 2)
-
 
 @dataclass(frozen=True)
-class RefinedResidual:
-    """Refined noise-matrix estimate and entrywise variance estimates."""
+class Fit:
+    """A graph fitted once for any number of pair tests.
 
-    w_hat: np.ndarray
+    ``k`` is the community count in use and ``k_estimate`` the thresholding
+    estimate it came from (None when ``k`` was fixed by the caller);
+    ``d_tilde`` holds the refined top-``k`` eigenvalues. The variance
+    estimate is sigma2 = W_hat * W_hat (entrywise) with the symmetrized
+    refined residual W_hat = (R + R^T) / 2, R = X - V diag(d_tilde) V^T.
+    """
+
+    x: np.ndarray
+    spectrum: Spectrum
+    k: int
     d_tilde: np.ndarray
-    sigma2: np.ndarray
+    k_estimate: KEstimate | None = None
+
+    @property
+    def k_source(self) -> str:
+        return "override" if self.k_estimate is None else "estimated"
+
+    @property
+    def vectors(self) -> np.ndarray:
+        return self.spectrum.vectors[:, :self.k]
+
+    @property
+    def values(self) -> np.ndarray:
+        return self.spectrum.values[:self.k]
+
+    def sigma2_rows(self, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+        """Rows i and j of sigma2, in O(n k) time and memory: the rank-k
+        part V diag(d_tilde) V^T is symmetric, so row i of W_hat is
+        (X[i, :] + X[:, i]) / 2 - (v_i * d_tilde) V^T."""
+        v = self.vectors
+        rows = [i, j]
+        w = (self.x[rows] + self.x[:, rows].T) / 2.0 \
+            - (v[rows] * self.d_tilde) @ v.T
+        w *= w
+        return w[0], w[1]
 
 
 @dataclass(frozen=True)
@@ -126,15 +160,37 @@ def refine_eigenvalues(spec: Spectrum, w0: np.ndarray, k: int) -> np.ndarray:
     return 1.0 / (1.0 / d + quad / d**3)
 
 
-def refined_residual(x: np.ndarray, spec: Spectrum, d_tilde: np.ndarray,
-                     k: int) -> RefinedResidual:
-    """Deflate with the shrunken eigenvalues and square entrywise to get
-    variance estimates."""
-    v = spec.vectors[:, :k]
-    w_hat = x - (v * np.asarray(d_tilde)[None, :]) @ v.T
-    w_hat = (w_hat + w_hat.T) / 2.0
-    return RefinedResidual(w_hat=w_hat, d_tilde=np.asarray(d_tilde),
-                           sigma2=w_hat * w_hat)
+def fit(x: np.ndarray, k: int | None = None, *,
+        spectrum: Spectrum | None = None, floor: int = 1) -> Fit:
+    """Fit ``x`` once for many pair tests.
+
+    ``k`` fixes the community count; when omitted it is estimated by
+    thresholding the spectrum and floored at ``floor`` (1 for the T test,
+    2 for the G test). ``spectrum`` may supply precomputed eigenpairs of
+    ``x``; by default the top min(n, 50) are computed. The n x n initial
+    residual is built once, to refine the eigenvalues.
+
+    Raises
+    ------
+    CensoredSpectrumError
+        If K is estimated and every retained eigenvalue clears the
+        threshold.
+    ZeroDivisionError
+        If one of the top ``k`` eigenvalues is exactly zero.
+    """
+    x = np.asarray(x, dtype=float)
+    if spectrum is None:
+        spectrum = top_eigenpairs(x, min(x.shape[0],
+                                         DEFAULT_EIGENVALUE_BUDGET))
+    est = None
+    if k is None:
+        est = estimate_k(x, spectrum)
+        k = max(est.k_hat, floor)
+    elif k < 0:
+        raise ValueError(f"k must be nonnegative, got {k}")
+    w0 = residual_matrix(x, spectrum, k)
+    d_tilde = refine_eigenvalues(spectrum, w0, k)
+    return Fit(x=x, spectrum=spectrum, k=k, d_tilde=d_tilde, k_estimate=est)
 
 
 def _condition(mat: np.ndarray) -> float:
@@ -152,25 +208,25 @@ def sigma1_matrix(vectors: np.ndarray, values: np.ndarray, sigma2: np.ndarray,
     Entry (a, b) is [ sum_{t in {i,j}} sum_l sigma2[t,l] v_a(l) v_b(l)
     - sigma2[i,j] (v_a(j) v_b(i) + v_a(i) v_b(j)) ] / (d_a d_b).
     """
-    v = vectors
-    d = values
-    w = sigma2[i] + sigma2[j]
-    core = (v * w[:, None]).T @ v
-    cross = sigma2[i, j] * (np.outer(v[j], v[i]) + np.outer(v[i], v[j]))
+    return _sigma1(vectors, values, sigma2[i], sigma2[j], i, j)
+
+
+def _sigma1(v: np.ndarray, d: np.ndarray, s_i: np.ndarray, s_j: np.ndarray,
+            i: int, j: int) -> np.ndarray:
+    # s_i, s_j: rows i and j of the variance matrix
+    core = (v * (s_i + s_j)[:, None]).T @ v
+    cross = s_i[j] * (np.outer(v[j], v[i]) + np.outer(v[i], v[j]))
     return (core - cross) / np.outer(d, d)
 
 
-def estimate_sigma1(spec: Spectrum, rr: RefinedResidual, i: int, j: int,
-                    k: int) -> CovarianceEstimate:
+def estimate_sigma1(fitted: Fit, i: int, j: int) -> CovarianceEstimate:
     """Plug-in estimate of the row-difference covariance, dimensions k x k."""
     if i == j:
         raise ValueError("nodes must be distinct")
-    if k < 1:
+    if fitted.k < 1:
         raise ValueError("k must be >= 1")
-    d = spec.values[:k]
-    if np.any(d == 0):
-        raise ZeroDivisionError("zero eigenvalue in covariance plug-in")
-    mat = sigma1_matrix(spec.vectors[:, :k], d, rr.sigma2, i, j)
+    mat = _sigma1(fitted.vectors, fitted.values, *fitted.sigma2_rows(i, j),
+                  i, j)
     return CovarianceEstimate(matrix=mat, condition_estimate=_condition(mat))
 
 
@@ -185,6 +241,12 @@ def sigma2_matrix(vectors: np.ndarray, values: np.ndarray, t: np.ndarray,
     2..k). The first sum skips l = j, the second skips l = i, and the
     (i, j) variance enters through a rank-one cross term.
     """
+    return _sigma2(vectors, values, t, sigma2[i], sigma2[j], i, j)
+
+
+def _sigma2(vectors: np.ndarray, values: np.ndarray, t: np.ndarray,
+            s_i: np.ndarray, s_j: np.ndarray, i: int, j: int) -> np.ndarray:
+    # s_i, s_j: rows i and j of the variance matrix
     k = len(values)
     t1 = t[0]
     trest = t[1:]
@@ -195,33 +257,30 @@ def sigma2_matrix(vectors: np.ndarray, values: np.ndarray, t: np.ndarray,
     a = (t1 / trest)[None, :] * vrest / v1i - np.outer(v1, vectors[i, 1:k]) / v1i**2
     b = (t1 / trest)[None, :] * vrest / v1j - np.outer(v1, vectors[j, 1:k]) / v1j**2
 
-    s2i = sigma2[i].copy()
+    s2i = s_i.copy()
     s2i[j] = 0.0
-    s2j = sigma2[j].copy()
+    s2j = s_j.copy()
     s2j[i] = 0.0
     term_i = (a * s2i[:, None]).T @ a
     term_j = (b * s2j[:, None]).T @ b
     c = a[j] - b[i]
-    return (term_i + term_j + sigma2[i, j] * np.outer(c, c)) / t1**2
+    return (term_i + term_j + s_i[j] * np.outer(c, c)) / t1**2
 
 
-def estimate_sigma2(spec: Spectrum, rr: RefinedResidual, i: int, j: int,
-                    k: int) -> CovarianceEstimate:
+def estimate_sigma2(fitted: Fit, i: int, j: int) -> CovarianceEstimate:
     """Plug-in estimate of the ratio-difference covariance, dimensions
     (k-1) x (k-1); eigenvalue locations are estimated by the empirical
     eigenvalues themselves."""
     if i == j:
         raise ValueError("nodes must be distinct")
-    if k < 2:
+    if fitted.k < 2:
         raise ValueError("k must be >= 2 for the ratio covariance")
-    d = spec.values[:k]
-    if np.any(d == 0):
-        raise ZeroDivisionError("zero eigenvalue in covariance plug-in")
-    eps = degeneracy_threshold(spec)
+    eps = degeneracy_threshold(fitted.spectrum)
     for node in (i, j):
-        if abs(spec.vectors[node, 0]) < eps:
+        if abs(fitted.spectrum.vectors[node, 0]) < eps:
             raise DegenerateNodeError(
                 f"leading-eigenvector entry at node {node} is degenerate"
             )
-    mat = sigma2_matrix(spec.vectors[:, :k], d, d, rr.sigma2, i, j)
+    d = fitted.values
+    mat = _sigma2(fitted.vectors, d, d, *fitted.sigma2_rows(i, j), i, j)
     return CovarianceEstimate(matrix=mat, condition_estimate=_condition(mat))

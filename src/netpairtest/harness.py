@@ -14,7 +14,7 @@ from time import perf_counter
 import numpy as np
 import scipy.stats
 
-from .estimation import estimate_k_from_values
+from .estimation import estimate_k_from_values, fit
 from .graph_io import max_degree
 from .inference import SingularCovarianceError, reject, test_G, test_T
 from .models import (
@@ -24,7 +24,7 @@ from .models import (
     pure_and_mixed_indices,
     sample_adjacency,
 )
-from .spectra import DegenerateNodeError, top_eigenpairs
+from .spectra import DegenerateNodeError, _sort_order, top_eigenpairs
 
 __all__ = [
     "ExperimentConfig",
@@ -118,34 +118,32 @@ def _rep_rng(cfg: ExperimentConfig, grid_idx: int, rep: int, stream: int = 0):
     return np.random.default_rng(ss)
 
 
-def _replicate(cfg: ExperimentConfig, grid_idx: int, signal: float, rep: int,
-               i: int, j: int, collect_k: bool):
-    """One replication: sample a network, run the matching test, and return
-    (statistic or None, rejected or None, k_hat or None)."""
+def _sample(cfg: ExperimentConfig, grid_idx: int, signal: float,
+            rep: int) -> np.ndarray:
+    """The network of replication ``rep`` at grid point ``grid_idx``."""
     if cfg.model == 1:
         params = model1_params(cfg.n, cfg.n0, cfg.rho, signal)
     else:
         params = model2_params(cfg.n, cfg.n0, cfg.rho, np.sqrt(signal),
                                _rep_rng(cfg, grid_idx, rep, stream=1))
     h = build_mean_matrix(params)
-    x = sample_adjacency(h, _rep_rng(cfg, grid_idx, rep), cfg.self_loops)
+    return sample_adjacency(h, _rep_rng(cfg, grid_idx, rep), cfg.self_loops)
 
-    budget = TRUE_K if cfg.k_mode == "true_k" and not collect_k \
-        else min(cfg.n, 50)
-    spec = top_eigenpairs(x, budget)
 
-    k_hat = None
-    if collect_k or cfg.k_mode == "estimated_k":
-        est = estimate_k_from_values(spec.values, cfg.n, max_degree(x))
-        k_hat = est.k_hat
-
-    runner = test_T if cfg.model == 1 else test_G
+def _replicate(cfg: ExperimentConfig, grid_idx: int, signal: float, rep: int,
+               i: int, j: int):
+    """One replication: sample a network, run the matching test, and return
+    (statistic or None, rejected or None, k_hat or None)."""
+    x = _sample(cfg, grid_idx, signal, rep)
     if cfg.k_mode == "true_k":
-        k_used = TRUE_K
+        fitted = fit(x, TRUE_K, spectrum=top_eigenpairs(x, TRUE_K))
+        k_hat = None
     else:
-        k_used = max(k_hat, 1) if cfg.model == 1 else max(k_hat, 2)
+        fitted = fit(x, floor=1 if cfg.model == 1 else 2)
+        k_hat = fitted.k_estimate.k_hat
+    runner = test_T if cfg.model == 1 else test_G
     try:
-        res = runner(x, i, j, k_override=k_used, spectrum=spec)
+        res = runner(fitted, i, j)
     except (SingularCovarianceError, DegenerateNodeError):
         return None, None, k_hat
     return res.statistic, reject(res, cfg.alpha), k_hat
@@ -163,8 +161,7 @@ def run_size_power(cfg: ExperimentConfig) -> ExperimentReport:
         stats, rejects, failures = [], [], 0
         k_counts: dict[int, int] = {}
         for rep in range(cfg.replications):
-            stat, rej, k_hat = _replicate(cfg, gi, signal, rep, i, j,
-                                          collect_k=False)
+            stat, rej, k_hat = _replicate(cfg, gi, signal, rep, i, j)
             if k_hat is not None:
                 k_counts[k_hat] = k_counts.get(k_hat, 0) + 1
             if stat is None:
@@ -190,16 +187,10 @@ def run_k_accuracy(cfg: ExperimentConfig) -> ExperimentReport:
     for gi, signal in enumerate(cfg.signal_grid):
         k_counts: dict[int, int] = {}
         for rep in range(cfg.replications):
-            if cfg.model == 1:
-                params = model1_params(cfg.n, cfg.n0, cfg.rho, signal)
-            else:
-                params = model2_params(cfg.n, cfg.n0, cfg.rho,
-                                       np.sqrt(signal),
-                                       _rep_rng(cfg, gi, rep, stream=1))
-            h = build_mean_matrix(params)
-            x = sample_adjacency(h, _rep_rng(cfg, gi, rep), cfg.self_loops)
+            x = _sample(cfg, gi, signal, rep)
+            # eigenvalues only: eigenvectors at n=3000 cost several times more
             vals = np.linalg.eigvalsh(x)
-            top = vals[np.argsort(-np.abs(vals), kind="stable")[:min(cfg.n, 50)]]
+            top = vals[_sort_order(vals, min(cfg.n, 50))]
             est = estimate_k_from_values(top, cfg.n, max_degree(x))
             k_counts[est.k_hat] = k_counts.get(est.k_hat, 0) + 1
         points.append(GridPointReport(

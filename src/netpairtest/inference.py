@@ -11,6 +11,8 @@ nodes share the same membership profile:
 
 Covariance matrices are plugged in from the one-step refined noise estimate;
 a numerically singular plug-in raises instead of being silently regularized.
+Both tests take either an adjacency matrix or a :class:`~.estimation.Fit`
+of one, so that many pairs of one graph share a single fit.
 """
 
 from __future__ import annotations
@@ -24,15 +26,12 @@ import scipy.stats
 
 from .estimation import (
     CovarianceEstimate,
-    DEFAULT_EIGENVALUE_BUDGET,
-    estimate_k,
+    Fit,
     estimate_sigma1,
     estimate_sigma2,
-    refine_eigenvalues,
-    refined_residual,
-    residual_matrix,
+    fit,
 )
-from .spectra import DegenerateNodeError, Spectrum, ratio_rows, top_eigenpairs
+from .spectra import DegenerateNodeError, Spectrum, ratio_rows
 
 __all__ = [
     "TestResult",
@@ -66,7 +65,8 @@ class TestResult:
 class PValueMatrix:
     """Symmetric matrix of pairwise p-values with unit diagonal.
 
-    Failed pairs (degenerate node, singular covariance) are NaN.
+    Failed pairs (degenerate node, singular covariance, zero eigenvalue
+    among the top K) are NaN.
     """
 
     nodes: tuple
@@ -103,56 +103,61 @@ def _quadratic_form(diff: np.ndarray, cov: CovarianceEstimate) -> float:
     return float(diff @ sol)
 
 
-def _prepare(x: np.ndarray, spectrum: Spectrum | None) -> Spectrum:
-    if spectrum is not None:
-        return spectrum
-    n = x.shape[0]
-    return top_eigenpairs(x, min(n, DEFAULT_EIGENVALUE_BUDGET))
+def _fitted(x, k_override: int | None, spectrum: Spectrum | None,
+            floor: int) -> Fit:
+    if not isinstance(x, Fit):
+        return fit(x, k_override, spectrum=spectrum, floor=floor)
+    if k_override is not None or spectrum is not None:
+        raise ValueError("a Fit already fixes k and the spectrum")
+    return x
 
 
-def test_T(x: np.ndarray, i: int, j: int, k_override: int | None = None,
+def _check_ratio_k(k: int | None) -> None:
+    if k is not None and k < 2:
+        raise ValueError("the ratio test needs k >= 2")
+
+
+def test_T(x: np.ndarray | Fit, i: int, j: int,
+           k_override: int | None = None,
            spectrum: Spectrum | None = None) -> TestResult:
     """Row-difference test of whether nodes ``i`` and ``j`` share a
     membership profile.
 
-    When ``k_override`` is omitted, K is estimated from the spectrum by
-    thresholding (floored at 1). A precomputed ``spectrum`` of ``x`` may be
-    supplied to amortize the eigendecomposition across pairs.
+    ``x`` is an adjacency matrix, or a :class:`Fit` from :func:`fit` to
+    share one fit across many pairs (then ``k_override`` and ``spectrum``
+    must be omitted). When ``k_override`` is omitted, K is estimated from
+    the spectrum by thresholding (floored at 1). A precomputed ``spectrum``
+    of ``x`` may be supplied to amortize the eigendecomposition.
     """
     if i == j:
         raise ValueError("nodes must be distinct")
-    spec = _prepare(x, spectrum)
-    k = k_override if k_override is not None else estimate_k(x, spec).k_for_T
-    w0 = residual_matrix(x, spec, k)
-    d_tilde = refine_eigenvalues(spec, w0, k)
-    rr = refined_residual(x, spec, d_tilde, k)
-    cov = estimate_sigma1(spec, rr, i, j, k)
-    diff = spec.vectors[i, :k] - spec.vectors[j, :k]
+    fitted = _fitted(x, k_override, spectrum, floor=1)
+    k = fitted.k
+    cov = estimate_sigma1(fitted, i, j)
+    diff = fitted.vectors[i] - fitted.vectors[j]
     stat = _quadratic_form(diff, cov)
     return TestResult(method="T", statistic=stat, df=k,
                       p_value=chi2_sf(max(stat, 0.0), k), k_used=k,
                       condition_estimate=cov.condition_estimate)
 
 
-def test_G(x: np.ndarray, i: int, j: int, k_override: int | None = None,
+def test_G(x: np.ndarray | Fit, i: int, j: int,
+           k_override: int | None = None,
            spectrum: Spectrum | None = None) -> TestResult:
     """Ratio-difference test of whether nodes ``i`` and ``j`` share a
     membership profile under degree heterogeneity.
 
+    ``x`` is an adjacency matrix or a :class:`Fit`, as for :func:`test_T`.
     K defaults to the thresholding estimate floored at 2; degrees of freedom
     are K-1.
     """
     if i == j:
         raise ValueError("nodes must be distinct")
-    spec = _prepare(x, spectrum)
-    k = k_override if k_override is not None else estimate_k(x, spec).k_for_G
-    if k < 2:
-        raise ValueError("the ratio test needs k >= 2")
-    w0 = residual_matrix(x, spec, k)
-    d_tilde = refine_eigenvalues(spec, w0, k)
-    rr = refined_residual(x, spec, d_tilde, k)
-    cov = estimate_sigma2(spec, rr, i, j, k)
-    diff = ratio_rows(spec, i, k) - ratio_rows(spec, j, k)
+    _check_ratio_k(k_override)
+    fitted = _fitted(x, k_override, spectrum, floor=2)
+    k = fitted.k
+    cov = estimate_sigma2(fitted, i, j)
+    diff = ratio_rows(fitted.spectrum, i, k) - ratio_rows(fitted.spectrum, j, k)
     stat = _quadratic_form(diff, cov)
     return TestResult(method="G", statistic=stat, df=k - 1,
                       p_value=chi2_sf(max(stat, 0.0), k - 1), k_used=k,
@@ -170,24 +175,32 @@ def reject(result: TestResult, alpha: float) -> bool:
 
 def pvalue_matrix(x: np.ndarray, nodes, method: str = "T",
                   k_override: int | None = None) -> PValueMatrix:
-    """Pairwise p-value matrix over ``nodes``; the spectral decomposition is
-    computed once and shared across pairs."""
+    """Pairwise p-value matrix over ``nodes``; the graph is fitted once
+    (spectrum, K, refined eigenvalues) and the fit is shared across pairs."""
     nodes = list(nodes)
     if len(nodes) < 2 or len(set(nodes)) != len(nodes):
         raise ValueError("need at least two distinct nodes")
     method = method.upper()
     if method not in ("T", "G"):
         raise ValueError(f"unknown method {method!r}")
-    spec = _prepare(x, None)
-    runner = test_T if method == "T" else test_G
+    if method == "T":
+        runner, floor = test_T, 1
+    else:
+        runner, floor = test_G, 2
+        _check_ratio_k(k_override)
     m = len(nodes)
     out = np.ones((m, m))
+    try:
+        fitted = fit(x, k_override, floor=floor)
+    except ZeroDivisionError:
+        # a zero eigenvalue among the top K fails every pair alike
+        out[~np.eye(m, dtype=bool)] = np.nan
+        return PValueMatrix(nodes=tuple(nodes), matrix=out, method=method)
     for s in range(m):
         for t in range(s + 1, m):
             try:
-                res = runner(x, nodes[s], nodes[t], k_override=k_override,
-                             spectrum=spec)
-                out[s, t] = out[t, s] = res.p_value
+                out[s, t] = out[t, s] = runner(fitted, nodes[s],
+                                               nodes[t]).p_value
             except (SingularCovarianceError, DegenerateNodeError):
                 out[s, t] = out[t, s] = np.nan
     return PValueMatrix(nodes=tuple(nodes), matrix=out, method=method)

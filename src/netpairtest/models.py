@@ -28,7 +28,6 @@ __all__ = [
 ]
 
 SIMPLEX_TOL = 1e-12
-RANK_TOL = 1e-8
 
 # mixed-group membership vectors, fixed across both simulation models
 MIXED_GROUPS = (
@@ -99,14 +98,6 @@ def build_mean_matrix(params: DCMMParams) -> np.ndarray:
         )
     np.clip(h, 0.0, 1.0, out=h)
     return h
-
-
-def numerical_rank(h: np.ndarray, rel_tol: float = RANK_TOL) -> int:
-    """Number of singular values above ``rel_tol`` times the largest."""
-    s = np.linalg.svd(h, compute_uv=False)
-    if s[0] == 0:
-        return 0
-    return int(np.sum(s > rel_tol * s[0]))
 
 
 def sample_adjacency(h: np.ndarray, seed, self_loops: bool = False) -> np.ndarray:

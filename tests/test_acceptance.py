@@ -164,15 +164,12 @@ def _covariance_trend(model, sizes, reps, seed=0):
         ss = np.random.SeedSequence(entropy=seed, spawn_key=(n,))
         for rep_ss in ss.spawn(reps):
             x = npt.sample_adjacency(gt.h, np.random.default_rng(rep_ss))
-            spec = npt.top_eigenpairs(x, 3)
-            w0 = npt.residual_matrix(x, spec, 3)
-            rr = npt.refined_residual(
-                x, spec, npt.refine_eigenvalues(spec, w0, 3), 3)
+            fitted = npt.fit(x, 3, spectrum=npt.top_eigenpairs(x, 3))
             if model == 1:
-                s_hat = npt.estimate_sigma1(spec, rr, i, j, 3).matrix
+                s_hat = npt.estimate_sigma1(fitted, i, j).matrix
                 s_true = npt.true_sigma1(gt, i, j).matrix
             else:
-                s_hat = npt.estimate_sigma2(spec, rr, i, j, 3).matrix
+                s_hat = npt.estimate_sigma2(fitted, i, j).matrix
                 s_true = npt.true_sigma2(gt, i, j).matrix
             errs.append(scale * np.linalg.norm(s_hat - s_true, 2))
         means.append(float(np.mean(errs)))
@@ -249,8 +246,7 @@ def test_criterion_8_property_suite(karate):
         and np.array_equal(np.diag(pm.matrix), np.ones(len(NODES))))
 
     # refinement never inflates eigenvalue magnitudes
-    w0 = npt.residual_matrix(karate, spec, 3)
-    d_tilde = npt.refine_eigenvalues(spec, w0, 3)
+    d_tilde = npt.fit(karate, 3, spectrum=spec).d_tilde
     results["shrinkage"] = bool(
         np.all(np.abs(d_tilde) <= np.abs(spec.values[:3])))
 

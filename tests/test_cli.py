@@ -124,6 +124,23 @@ def test_numeric_error_exit_code(tmp_path, capsys):
     assert "numerical error" in err
 
 
+def test_censored_k_estimate_is_numeric_error(tmp_path, capsys):
+    # 52 disjoint 16-cliques (n=832): all 50 retained eigenvalues equal 15,
+    # and 15^2 clears the threshold 2.01 * log(832) * 15, so the K estimate
+    # is censored
+    path = tmp_path / "cliques.txt"
+    path.write_text("".join(f"{16 * c + a} {16 * c + b}\n"
+                            for c in range(52)
+                            for a in range(16) for b in range(a + 1, 16)))
+    for argv in (["estimate-k"],
+                 ["test-pair", "--method", "t", "--i", "0", "--j", "1"],
+                 ["pvalue-matrix", "--method", "g", "--nodes", "0,1,16"]):
+        code, _, err = run(argv + ["--graph", str(path)], capsys)
+        assert code == cli.EXIT_NUMERIC, argv
+        assert "numerical error" in err
+        assert "Traceback" not in err
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["test-pair", "--method", "t", "--i", "0", "--j", "1"])

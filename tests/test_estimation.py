@@ -28,15 +28,22 @@ def test_estimate_k_complete_graph():
     spec = npt.top_eigenpairs(x, 10)
     est = npt.estimate_k(x, spec)
     assert est.k_hat == 1
-    assert est.k_for_T == 1
-    assert est.k_for_G == 2
+    assert npt.fit(x, spectrum=spec, floor=1).k == 1
+    assert npt.fit(x, spectrum=spec, floor=2).k == 2
 
 
-def test_estimate_k_floors():
+def test_estimate_k_floors(karate):
     est = estimate_k_from_values(np.array([0.5, 0.1]), n=50, dmax=3)
     assert est.k_hat == 0
-    assert est.k_for_T == 1
-    assert est.k_for_G == 2
+    # no karate eigenvalue clears the threshold, so the fit floors K
+    for floor in (1, 2):
+        fitted = npt.fit(karate, floor=floor)
+        assert fitted.k_estimate.k_hat == 0
+        assert fitted.k == floor
+        assert fitted.k_source == "estimated"
+    fixed = npt.fit(karate, 3)
+    assert fixed.k == 3 and fixed.k_estimate is None
+    assert fixed.k_source == "override"
 
 
 def test_estimate_k_censored():
@@ -89,15 +96,43 @@ def test_refine_shrinks_magnitude():
         assert np.all(np.sign(d_tilde) == np.sign(spec.values[:3]))
 
 
-def test_refined_residual_symmetric_and_squared():
-    x = npt.adjacency(npt.load_edge_list(npt.karate_club_path(),
-                                         indexing="one_based"))
-    spec = npt.top_eigenpairs(x, 3)
-    w0 = npt.residual_matrix(x, spec, 2)
-    d_tilde = npt.refine_eigenvalues(spec, w0, 2)
-    rr = npt.refined_residual(x, spec, d_tilde, 2)
-    assert np.array_equal(rr.w_hat, rr.w_hat.T)
-    assert np.array_equal(rr.sigma2, rr.w_hat**2)
+def test_fit_refines_once_from_the_initial_residual(karate):
+    spec = npt.top_eigenpairs(karate, 3)
+    fitted = npt.fit(karate, 2, spectrum=spec)
+    w0 = npt.residual_matrix(karate, spec, 2)
+    assert np.array_equal(fitted.d_tilde,
+                          npt.refine_eigenvalues(spec, w0, 2))
+    assert fitted.vectors.shape == (34, 2)
+    assert np.array_equal(fitted.values, spec.values[:2])
+    with pytest.raises(ValueError):
+        npt.fit(karate, -1, spectrum=spec)
+    with pytest.raises(ValueError):
+        npt.fit(karate, 4, spectrum=spec)
+
+
+def _full_sigma2(fitted):
+    # reference: the whole n x n refined residual, symmetrized and squared
+    v = fitted.vectors
+    w_hat = fitted.x - (v * fitted.d_tilde[None, :]) @ v.T
+    w_hat = (w_hat + w_hat.T) / 2.0
+    return w_hat * w_hat
+
+
+def test_refined_residual_symmetric_and_squared(karate):
+    # Fit.sigma2_rows forms rows i, j of ((W_hat + W_hat^T) / 2)^2 without
+    # the n x n matrix
+    params = npt.model2_params(300, 60, 0.2, 0.9, seed=1)
+    simulated = npt.sample_adjacency(npt.build_mean_matrix(params), seed=2)
+    for x, k, pairs in ((karate, 2, [(6, 12), (0, 33), (2, 26)]),
+                        (simulated, 3, [(0, 1), (180, 181), (5, 250)])):
+        fitted = npt.fit(x, k)
+        full = _full_sigma2(fitted)
+        scale = np.max(full)
+        for i, j in pairs:
+            s_i, s_j = fitted.sigma2_rows(i, j)
+            assert np.allclose(s_i, full[i], rtol=1e-12, atol=1e-14 * scale)
+            assert np.allclose(s_j, full[j], rtol=1e-12, atol=1e-14 * scale)
+            assert s_i[j] == pytest.approx(s_j[i], rel=1e-12)
 
 
 # ------------------------------------------------- covariance assembly
@@ -136,16 +171,14 @@ def test_sigma2_matches_brute_force(seed):
 
 def test_estimate_sigma_validation(karate, karate_spectrum):
     spec = karate_spectrum
-    w0 = npt.residual_matrix(karate, spec, 2)
-    rr = npt.refined_residual(karate, spec,
-                              npt.refine_eigenvalues(spec, w0, 2), 2)
+    fitted = npt.fit(karate, 2, spectrum=spec)
     with pytest.raises(ValueError):
-        npt.estimate_sigma1(spec, rr, 3, 3, 2)
+        npt.estimate_sigma1(fitted, 3, 3)
     with pytest.raises(ValueError):
-        npt.estimate_sigma1(spec, rr, 0, 1, 0)
+        npt.estimate_sigma1(npt.fit(karate, 0, spectrum=spec), 0, 1)
     with pytest.raises(ValueError):
-        npt.estimate_sigma2(spec, rr, 0, 1, 1)
-    cov = npt.estimate_sigma1(spec, rr, 6, 12, 2)
+        npt.estimate_sigma2(npt.fit(karate, 1, spectrum=spec), 0, 1)
+    cov = npt.estimate_sigma1(fitted, 6, 12)
     assert cov.dim == 2
     assert np.isfinite(cov.condition_estimate)
 
@@ -156,8 +189,6 @@ def test_estimate_sigma2_degenerate_node():
     x = np.zeros((7, 7))
     x[:4, :4] = 1.0 - np.eye(4)
     x[4:, 4:] = 1.0 - np.eye(3)
-    spec = npt.top_eigenpairs(x, 3)
-    w0 = npt.residual_matrix(x, spec, 2)
-    rr = npt.refined_residual(x, spec, npt.refine_eigenvalues(spec, w0, 2), 2)
+    fitted = npt.fit(x, 2, spectrum=npt.top_eigenpairs(x, 3))
     with pytest.raises(DegenerateNodeError):
-        npt.estimate_sigma2(spec, rr, 4, 5, 2)
+        npt.estimate_sigma2(fitted, 4, 5)

@@ -1,12 +1,15 @@
 import math
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import netpairtest as npt
-from netpairtest.estimation import CovarianceEstimate
+from netpairtest.estimation import CovarianceEstimate, sigma1_matrix, sigma2_matrix
 from netpairtest.inference import SingularCovarianceError, _quadratic_form
-from netpairtest.spectra import Spectrum
+from netpairtest.spectra import Spectrum, ratio_rows
 
 
 # ---------------------------------------------------------------- chi2_sf
@@ -61,6 +64,57 @@ def test_default_k_paths(karate):
     assert res_t.k_used == 1
     res_g = npt.test_G(karate, 6, 12)
     assert res_g.k_used == 2
+
+
+def _per_pair_statistic(x, i, j, k, method):
+    """The statistic with everything rebuilt for the pair, as before the
+    fit was shared: K, the full n x n residuals W0 and W_hat, and the
+    covariance from the whole variance matrix."""
+    spec = npt.top_eigenpairs(x, min(x.shape[0], 50))
+    if k is None:
+        k = max(npt.estimate_k(x, spec).k_hat, 1 if method == "T" else 2)
+    v, d = spec.vectors[:, :k], spec.values[:k]
+    w0 = x - (v * d[None, :]) @ v.T
+    quad = np.einsum("ik,i,ik->k", v, np.sum(w0 * w0, axis=1), v)
+    d_tilde = 1.0 / (1.0 / d + quad / d**3)
+    w_hat = x - (v * d_tilde[None, :]) @ v.T
+    w_hat = (w_hat + w_hat.T) / 2.0
+    sigma2 = w_hat * w_hat
+    if method == "T":
+        cov = sigma1_matrix(v, d, sigma2, i, j)
+        diff = v[i] - v[j]
+    else:
+        cov = sigma2_matrix(v, d, d, sigma2, i, j)
+        diff = ratio_rows(spec, i, k) - ratio_rows(spec, j, k)
+    return float(diff @ scipy.linalg.solve(cov, diff, assume_a="sym")), k
+
+
+@pytest.fixture(scope="module")
+def model2_graph():
+    params = npt.model2_params(300, 60, 0.2, 0.9, seed=3)
+    return npt.sample_adjacency(npt.build_mean_matrix(params), seed=4)
+
+
+@pytest.mark.parametrize("method", ["T", "G"])
+def test_fit_matches_per_pair_statistic(karate, model2_graph, method):
+    runner = npt.test_T if method == "T" else npt.test_G
+    cases = [(karate, 6, 12, 2), (karate, 2, 26, 3), (karate, 6, 12, None),
+             (model2_graph, 180, 181, 3), (model2_graph, 0, 120, None)]
+    for x, i, j, k in cases:
+        ref, k_ref = _per_pair_statistic(x, i, j, k, method)
+        res = runner(x, i, j, k_override=k)
+        assert res.k_used == k_ref
+        assert res.statistic == pytest.approx(ref, rel=1e-12)
+        shared = runner(npt.fit(x, k, floor=1 if method == "T" else 2), i, j)
+        assert shared.statistic == res.statistic
+
+
+def test_fit_argument_fixes_k_and_spectrum(karate):
+    fitted = npt.fit(karate, 2)
+    with pytest.raises(ValueError, match="already fixes"):
+        npt.test_T(fitted, 6, 12, k_override=2)
+    with pytest.raises(ValueError, match="already fixes"):
+        npt.test_G(fitted, 6, 12, spectrum=fitted.spectrum)
 
 
 def test_distinct_nodes_required(karate):
@@ -145,6 +199,41 @@ def test_pvalue_matrix_nan_for_failed_pairs(karate):
     assert np.isnan(pm.matrix[0, 2]) and np.isnan(pm.matrix[2, 0])
     assert np.isfinite(pm.matrix[0, 1])
     assert pm.matrix[2, 2] == 1.0
+
+
+def test_pvalue_matrix_fits_once(karate, monkeypatch):
+    # every binding of each counted function, in every package module
+    calls = Counter()
+    for name in ("top_eigenpairs", "estimate_k", "max_degree",
+                 "residual_matrix"):
+        original = getattr(npt, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for key, module in list(sys.modules.items()):
+            if key.startswith("netpairtest") and \
+                    getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    nodes = [2, 6, 7, 8, 12]
+    pm = npt.pvalue_matrix(karate, nodes, method="G")
+    assert calls == {"top_eigenpairs": 1, "estimate_k": 1, "max_degree": 1,
+                     "residual_matrix": 1}
+    assert pm.matrix[1, 4] == npt.test_G(karate, 6, 12).p_value
+
+
+def test_pvalue_matrix_zero_eigenvalue_is_nan():
+    # one edge among isolated nodes: eigenvalues 1, -1, then exact zeros,
+    # so K=3 cannot be refined and no pair has a p-value
+    x = np.zeros((6, 6))
+    x[0, 1] = x[1, 0] = 1.0
+    assert npt.top_eigenpairs(x, 3).values[2] == 0.0
+    with pytest.raises(ZeroDivisionError):
+        npt.fit(x, 3)
+    pm = npt.pvalue_matrix(x, [0, 2, 3], method="T", k_override=3)
+    assert np.array_equal(np.isnan(pm.matrix), ~np.eye(3, dtype=bool))
+    assert np.array_equal(np.diag(pm.matrix), np.ones(3))
 
 
 def test_pvalue_matrix_csv(tmp_path, karate):

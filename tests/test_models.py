@@ -6,7 +6,6 @@ from netpairtest.models import (
     MIXED_GROUPS,
     DCMMParams,
     load_params,
-    numerical_rank,
     pure_and_mixed_indices,
     save_params,
 )
@@ -35,7 +34,8 @@ def test_model1_mean_matrix_entries():
     assert h[0, 20] == pytest.approx(0.8 * 0.3)
     assert h[0, 40] == pytest.approx(0.8 * 0.3 / 2)
     assert np.array_equal(h, h.T)
-    assert numerical_rank(h) == 3
+    # rank 3 at relative tolerance 1e-8 of the largest singular value
+    assert np.linalg.matrix_rank(h, tol=1e-8 * np.linalg.norm(h, 2)) == 3
 
 
 def test_model1_validation():

@@ -19,12 +19,13 @@ from .estimation import (
     CovarianceEstimate,
     Fit,
     KEstimate,
+    diag_residual_square,
     estimate_k,
     estimate_sigma1,
     estimate_sigma2,
     fit,
+    grow_spectrum,
     refine_eigenvalues,
-    residual_matrix,
 )
 from .inference import (
     PValueMatrix,

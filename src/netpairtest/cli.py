@@ -15,8 +15,9 @@ import numpy as np
 
 from . import __version__
 from .estimation import (
+    DEFAULT_EIGENVALUE_BUDGET,
     CensoredSpectrumError,
-    estimate_k,
+    estimate_k_from_values,
     estimate_sigma1,
     estimate_sigma2,
     fit,
@@ -206,11 +207,13 @@ def _cmd_pvalue_matrix(args) -> int:
 def _cmd_estimate_k(args) -> int:
     x = _load_graph(args)
     n = x.shape[0]
-    spec = top_eigenpairs(x, min(n, 50))
-    est = estimate_k(x, spec)
+    # all min(n, 50) magnitudes are printed, not only those K needs
+    spec = top_eigenpairs(x, min(n, DEFAULT_EIGENVALUE_BUDGET))
+    dmax = max_degree(x)
+    est = estimate_k_from_values(spec.values, n, dmax)
     print(f"k_hat {est.k_hat}")
     print(f"threshold {est.threshold:.6f}")
-    print(f"max_degree {max_degree(x)}")
+    print(f"max_degree {dmax}")
     print("eigenvalue_magnitudes " +
           ",".join(f"{abs(v):.4f}" for v in est.eigenvalues))
     return EXIT_OK
@@ -298,7 +301,7 @@ def _cmd_oracle_check(args) -> int:
         rng = np.random.SeedSequence(entropy=args.seed, spawn_key=(n,))
         for rep_ss in rng.spawn(args.reps):
             x = sample_adjacency(gt.h, np.random.default_rng(rep_ss))
-            fitted = fit(x, 3, spectrum=top_eigenpairs(x, 3))
+            fitted = fit(x, 3)
             if args.model == 1:
                 s_hat = estimate_sigma1(fitted, i, j).matrix
                 s_true = true_sigma1(gt, i, j).matrix

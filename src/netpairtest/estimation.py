@@ -10,7 +10,9 @@ shrunken eigenvalues, and square the result entrywise.
 Everything up to the shrunken eigenvalues depends on the graph, not on the
 pair, so :func:`fit` computes it once; the covariance of a pair (i, j) then
 reads only rows i and j of the squared residual, which :class:`Fit` forms on
-demand.
+demand. No step forms an n x n matrix: the adjacency matrix may be a dense
+array or a sparse matrix, and only products of it with n x k blocks are
+taken.
 """
 
 from __future__ import annotations
@@ -18,8 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
-from .graph_io import max_degree
+from .graph_io import as_matrix, max_degree
 from .spectra import (
     DegenerateNodeError,
     Spectrum,
@@ -33,7 +36,8 @@ __all__ = [
     "CovarianceEstimate",
     "CensoredSpectrumError",
     "estimate_k",
-    "residual_matrix",
+    "grow_spectrum",
+    "diag_residual_square",
     "refine_eigenvalues",
     "fit",
     "estimate_sigma1",
@@ -42,6 +46,8 @@ __all__ = [
 
 K_THRESHOLD_CONSTANT = 2.01
 DEFAULT_EIGENVALUE_BUDGET = 50
+# pairs first requested when K is estimated; the budget doubles from here
+INITIAL_EIGENVALUE_BUDGET = 3
 
 
 class CensoredSpectrumError(RuntimeError):
@@ -67,7 +73,7 @@ class Fit:
     refined residual W_hat = (R + R^T) / 2, R = X - V diag(d_tilde) V^T.
     """
 
-    x: np.ndarray
+    x: np.ndarray | scipy.sparse.sparray | scipy.sparse.spmatrix
     spectrum: Spectrum
     k: int
     d_tilde: np.ndarray
@@ -91,10 +97,14 @@ class Fit:
         (X[i, :] + X[:, i]) / 2 - (v_i * d_tilde) V^T."""
         v = self.vectors
         rows = [i, j]
-        w = (self.x[rows] + self.x[:, rows].T) / 2.0 \
+        w = (_dense(self.x[rows]) + _dense(self.x[:, rows]).T) / 2.0 \
             - (v[rows] * self.d_tilde) @ v.T
         w *= w
         return w[0], w[1]
+
+
+def _dense(a) -> np.ndarray:
+    return a.toarray() if scipy.sparse.issparse(a) else a
 
 
 @dataclass(frozen=True)
@@ -129,67 +139,109 @@ def estimate_k_from_values(values: np.ndarray, n: int, dmax: int) -> KEstimate:
     return KEstimate(k_hat=k_hat, threshold=thr, eigenvalues=np.asarray(values))
 
 
-def estimate_k(x: np.ndarray, spec: Spectrum) -> KEstimate:
+def estimate_k(x, spec: Spectrum) -> KEstimate:
     """Community-count estimate from a matrix and its retained spectrum."""
     return estimate_k_from_values(spec.values, x.shape[0], max_degree(x))
 
 
-def residual_matrix(x: np.ndarray, spec: Spectrum, k: int) -> np.ndarray:
-    """X minus its rank-``k`` spectral truncation."""
-    if k > spec.m:
-        raise ValueError(f"k={k} exceeds retained spectrum size {spec.m}")
-    if k == 0:
-        return np.asarray(x, dtype=float).copy()
-    v = spec.vectors[:, :k]
-    return x - (v * spec.values[:k][None, :]) @ v.T
+def grow_spectrum(x) -> tuple[Spectrum, KEstimate]:
+    """Top eigenpairs of ``x``, just enough of them to estimate K.
 
-
-def refine_eigenvalues(spec: Spectrum, w0: np.ndarray, k: int) -> np.ndarray:
-    """Shrink the leading eigenvalues using the diagonal of the squared
-    initial residual: d~ = [1/d + v^T diag(W0^2) v / d^3]^(-1).
-
-    diag(W0^2) is the diagonal of the full matrix square, i.e. the row sums
-    of squared residual entries.
-    """
-    d = spec.values[:k]
-    if np.any(d == 0):
-        raise ZeroDivisionError("cannot refine a zero eigenvalue")
-    diag_w0sq = np.sum(w0 * w0, axis=1)
-    v = spec.vectors[:, :k]
-    quad = np.einsum("ik,i,ik->k", v, diag_w0sq, v)
-    return 1.0 / (1.0 / d + quad / d**3)
-
-
-def fit(x: np.ndarray, k: int | None = None, *,
-        spectrum: Spectrum | None = None, floor: int = 1) -> Fit:
-    """Fit ``x`` once for many pair tests.
-
-    ``k`` fixes the community count; when omitted it is estimated by
-    thresholding the spectrum and floored at ``floor`` (1 for the T test,
-    2 for the G test). ``spectrum`` may supply precomputed eigenpairs of
-    ``x``; by default the top min(n, 50) are computed. The n x n initial
-    residual is built once, to refine the eigenvalues.
+    The budget grows 3, 6, 12, ... up to min(n, 50) pairs until one retained
+    eigenvalue falls below the counting threshold. Only that first pair
+    below the threshold decides the count, so the estimate equals the one
+    from the top min(n, 50) pairs.
 
     Raises
     ------
     CensoredSpectrumError
-        If K is estimated and every retained eigenvalue clears the
+        If all min(n, 50) retained eigenvalues clear the threshold.
+    """
+    n = x.shape[0]
+    dmax = max_degree(x)
+    cap = min(n, DEFAULT_EIGENVALUE_BUDGET)
+    m = min(INITIAL_EIGENVALUE_BUDGET, cap)
+    while True:
+        spec = top_eigenpairs(x, m)
+        try:
+            return spec, estimate_k_from_values(spec.values, n, dmax)
+        except CensoredSpectrumError:
+            if m == cap:
+                raise
+        m = min(2 * m, cap)
+
+
+def diag_residual_square(x, spec: Spectrum, k: int) -> np.ndarray:
+    """diag(W0^2) of the initial residual W0 = X - V diag(d) V^T over the top
+    ``k`` pairs of symmetric ``x``, without forming W0.
+
+    With orthonormal V, row i of W0 has squared norm
+    sum_l x_il^2 - 2 sum_k d_k (X V)_ik v_ik + sum_k d_k^2 v_ik^2, which
+    costs one product of ``x`` with an n x k block.
+    """
+    if k > spec.m:
+        raise ValueError(f"k={k} exceeds retained spectrum size {spec.m}")
+    v, d = spec.vectors[:, :k], spec.values[:k]
+    if scipy.sparse.issparse(x):  # CSR: square the stored entries only
+        row_sq = scipy.sparse.csr_array((x.data * x.data, x.indices, x.indptr),
+                                        shape=x.shape) @ np.ones(x.shape[0])
+    else:
+        row_sq = np.einsum("ij,ij->i", x, x)
+    return row_sq - 2.0 * np.einsum("ik,ik->i", x @ v, v * d) \
+        + (v * v) @ (d * d)
+
+
+def refine_eigenvalues(spec: Spectrum, w0_sq_diag: np.ndarray,
+                       k: int) -> np.ndarray:
+    """Shrink the leading eigenvalues using the diagonal of the squared
+    initial residual: d~ = [1/d + v^T diag(W0^2) v / d^3]^(-1).
+
+    ``w0_sq_diag`` is diag(W0^2), the row sums of squared residual entries
+    (see :func:`diag_residual_square`). An eigenvalue of magnitude at most
+    n * eps * |d_1| is zero to working precision and cannot be refined.
+    """
+    d = spec.values[:k]
+    n = spec.vectors.shape[0]
+    if np.any(np.abs(d) <= n * np.finfo(float).eps * abs(spec.values[0])):
+        raise ZeroDivisionError("cannot refine a zero eigenvalue")
+    v = spec.vectors[:, :k]
+    quad = np.einsum("ik,i,ik->k", v, w0_sq_diag, v)
+    return 1.0 / (1.0 / d + quad / d**3)
+
+
+def fit(x, k: int | None = None, *, spectrum: Spectrum | None = None,
+        floor: int = 1) -> Fit:
+    """Fit ``x``, a dense array or a sparse matrix, once for many pair tests.
+
+    ``k`` fixes the community count; when omitted it is estimated by
+    thresholding the spectrum and floored at ``floor`` (1 for the T test,
+    2 for the G test). ``spectrum`` may supply precomputed eigenpairs of
+    ``x``. By default the top max(k, 1) pairs are computed for a fixed
+    ``k``, and for an estimated K the budget of :func:`grow_spectrum`. The
+    refinement costs O(nnz k); no n x n matrix is formed.
+
+    Raises
+    ------
+    CensoredSpectrumError
+        If K is estimated and all min(n, 50) retained eigenvalues clear the
         threshold.
     ZeroDivisionError
-        If one of the top ``k`` eigenvalues is exactly zero.
+        If one of the top ``k`` eigenvalues is zero to working precision.
     """
-    x = np.asarray(x, dtype=float)
-    if spectrum is None:
-        spectrum = top_eigenpairs(x, min(x.shape[0],
-                                         DEFAULT_EIGENVALUE_BUDGET))
+    x = as_matrix(x)
+    if k is not None and k < 0:
+        raise ValueError(f"k must be nonnegative, got {k}")
     est = None
     if k is None:
-        est = estimate_k(x, spectrum)
+        if spectrum is None:
+            spectrum, est = grow_spectrum(x)
+        else:
+            est = estimate_k(x, spectrum)
         k = max(est.k_hat, floor)
-    elif k < 0:
-        raise ValueError(f"k must be nonnegative, got {k}")
-    w0 = residual_matrix(x, spectrum, k)
-    d_tilde = refine_eigenvalues(spectrum, w0, k)
+    elif spectrum is None:
+        spectrum = top_eigenpairs(x, max(k, 1))
+    d_tilde = refine_eigenvalues(spectrum, diag_residual_square(x, spectrum, k),
+                                 k)
     return Fit(x=x, spectrum=spectrum, k=k, d_tilde=d_tilde, k_estimate=est)
 
 

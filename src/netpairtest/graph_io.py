@@ -1,21 +1,26 @@
 """Loading and validation of undirected binary graphs.
 
 Graphs are stored as deduplicated sets of undirected edges with 0-based
-node indices internally; edge-list files may use 0- or 1-based labels.
+node indices internally; edge-list files may use 0- or 1-based labels. The
+adjacency matrix of a graph is a sparse CSR array; the rest of the library
+takes it, or any dense symmetric array, as it is.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse
 
 __all__ = [
     "Graph",
     "GraphFormatError",
     "load_edge_list",
     "adjacency",
+    "as_matrix",
     "max_degree",
 ]
 
@@ -134,19 +139,33 @@ def load_edge_list(
                  allows_self_loops=self_loops)
 
 
-def adjacency(g: Graph) -> np.ndarray:
-    """Symmetric 0/1 adjacency matrix of ``g`` (dtype float64)."""
-    x = np.zeros((g.n, g.n))
-    for u, v in g.edges:
-        x[u, v] = 1.0
-        x[v, u] = 1.0
+def adjacency(g: Graph) -> scipy.sparse.csr_array:
+    """Symmetric 0/1 adjacency matrix of ``g`` as a float64 CSR array with
+    sorted indices."""
+    ends = np.fromiter(itertools.chain.from_iterable(g.edges), dtype=np.int64,
+                       count=2 * len(g.edges)).reshape(-1, 2)
+    u, v = ends[:, 0], ends[:, 1]
+    off = u != v  # a self loop is one entry, not two
+    rows = np.concatenate([u, v[off]])
+    cols = np.concatenate([v, u[off]])
+    x = scipy.sparse.csr_array((np.ones(len(rows)), (rows, cols)),
+                               shape=(g.n, g.n))
+    x.sort_indices()
     return x
 
 
-def max_degree(x: np.ndarray) -> int:
-    """Maximum row sum of a symmetric binary matrix."""
+def as_matrix(x):
+    """``x`` as a float64 CSR matrix if it is sparse, else as a float64
+    dense array."""
+    if scipy.sparse.issparse(x):
+        return x.tocsr().astype(float, copy=False)
+    return np.asarray(x, dtype=float)
+
+
+def max_degree(x) -> int:
+    """Maximum row sum of a symmetric binary matrix, dense or sparse."""
     if x.ndim != 2 or x.shape[0] != x.shape[1]:
         raise ValueError("adjacency matrix must be square")
-    if x.size == 0:
+    if x.shape[0] == 0:
         return 0
-    return int(x.sum(axis=1).max())
+    return int(np.max(x.sum(axis=1)))

@@ -14,8 +14,7 @@ from time import perf_counter
 import numpy as np
 import scipy.stats
 
-from .estimation import estimate_k_from_values, fit
-from .graph_io import max_degree
+from .estimation import fit, grow_spectrum
 from .inference import SingularCovarianceError, reject, test_G, test_T
 from .models import (
     build_mean_matrix,
@@ -24,7 +23,7 @@ from .models import (
     pure_and_mixed_indices,
     sample_adjacency,
 )
-from .spectra import DegenerateNodeError, _sort_order, top_eigenpairs
+from .spectra import DegenerateNodeError
 
 __all__ = [
     "ExperimentConfig",
@@ -136,7 +135,7 @@ def _replicate(cfg: ExperimentConfig, grid_idx: int, signal: float, rep: int,
     (statistic or None, rejected or None, k_hat or None)."""
     x = _sample(cfg, grid_idx, signal, rep)
     if cfg.k_mode == "true_k":
-        fitted = fit(x, TRUE_K, spectrum=top_eigenpairs(x, TRUE_K))
+        fitted = fit(x, TRUE_K)
         k_hat = None
     else:
         fitted = fit(x, floor=1 if cfg.model == 1 else 2)
@@ -187,11 +186,7 @@ def run_k_accuracy(cfg: ExperimentConfig) -> ExperimentReport:
     for gi, signal in enumerate(cfg.signal_grid):
         k_counts: dict[int, int] = {}
         for rep in range(cfg.replications):
-            x = _sample(cfg, gi, signal, rep)
-            # eigenvalues only: eigenvectors at n=3000 cost several times more
-            vals = np.linalg.eigvalsh(x)
-            top = vals[_sort_order(vals, min(cfg.n, 50))]
-            est = estimate_k_from_values(top, cfg.n, max_degree(x))
+            est = grow_spectrum(_sample(cfg, gi, signal, rep))[1]
             k_counts[est.k_hat] = k_counts.get(est.k_hat, 0) + 1
         points.append(GridPointReport(
             signal=signal, rejection_rate=np.nan,

@@ -1,10 +1,13 @@
 """Leading eigenpairs of the adjacency matrix and componentwise ratios.
 
-Eigenpairs are sorted by eigenvalue magnitude and carry a deterministic,
-data-only sign convention: in every eigenvector the entry of largest absolute
-value is positive (ties broken by smallest index). Both downstream test
-statistics are invariant to column sign flips, so any fixed convention works;
-this one needs no ground truth.
+The top eigenpairs come from restarted Lanczos (ARPACK, through
+``scipy.sparse.linalg.eigsh``) on a dense array or a sparse matrix, with a
+fixed start vector and a fixed generator for restarts, so results are
+bit-reproducible. Eigenpairs are sorted by eigenvalue magnitude and carry a
+deterministic, data-only sign convention: in every eigenvector the entry of
+largest absolute value is positive (ties broken by smallest index). Both
+downstream test statistics are invariant to column sign flips, so any fixed
+convention works; this one needs no ground truth.
 """
 
 from __future__ import annotations
@@ -12,6 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
+import scipy.sparse.linalg
+
+from .graph_io import as_matrix
 
 __all__ = [
     "Spectrum",
@@ -24,6 +31,11 @@ __all__ = [
 ORTHONORMALITY_TOL = 1e-8
 RESIDUAL_TOL = 1e-6
 DEGENERACY_REL_TOL = 1e-10
+# magnitudes this close (relative) are tied; ARPACK returns the two members
+# of a +/- pair with magnitudes that differ in the last bits
+TIE_REL_TOL = 1e-12
+# seed of the ARPACK start vector and of its restart vectors
+START_SEED = 0
 
 
 class DegenerateNodeError(ValueError):
@@ -51,7 +63,7 @@ class Spectrum:
         """Assert the structural invariants (ordering, orthonormality,
         residual bounds, sign convention)."""
         mags = np.abs(self.values)
-        if np.any(np.diff(mags) > 1e-12):
+        if self.m and np.any(np.diff(mags) > TIE_REL_TOL * max(1.0, mags[0])):
             raise AssertionError("eigenvalue magnitudes not nonincreasing")
         gram = self.vectors.T @ self.vectors
         if np.max(np.abs(gram - np.eye(self.m))) > ORTHONORMALITY_TOL:
@@ -67,23 +79,45 @@ class Spectrum:
 
 
 def _sort_order(values: np.ndarray, m: int) -> np.ndarray:
-    # magnitude descending, ties by descending signed value, then index
+    # magnitude descending; magnitudes within TIE_REL_TOL of the largest one
+    # of their run are tied and put the larger signed value first, so a +/-
+    # pair comes out positive first from any solver; then by index
+    mags = np.abs(values)
+    tie = np.empty(len(values), dtype=np.int64)
+    group, lead = -1, np.inf
+    for pos in np.argsort(-mags, kind="stable"):
+        if mags[pos] < lead * (1.0 - TIE_REL_TOL):
+            group, lead = group + 1, mags[pos]
+        tie[pos] = group
     idx = np.arange(len(values))
-    order = np.lexsort((idx, -values, -np.abs(values)))
-    return order[:m]
+    return np.lexsort((idx, -values, tie))[:m]
 
 
-def top_eigenpairs(x: np.ndarray, m: int) -> Spectrum:
-    """The ``m`` eigenpairs of largest eigenvalue magnitude of symmetric ``x``.
+def top_eigenpairs(x, m: int) -> Spectrum:
+    """The ``m`` eigenpairs of largest eigenvalue magnitude of symmetric
+    ``x``, a dense array or a scipy sparse matrix.
 
-    Uses a full dense symmetric eigendecomposition, which is robust at the
-    matrix sizes this library targets (n up to a few thousand).
+    ARPACK (implicitly restarted Lanczos) computes them to machine
+    precision from a fixed start vector. A dense symmetric eigendecomposition
+    stands in only where ARPACK cannot run: for ``m >= n - 1``, or when ARPACK
+    fails (for instance on the zero matrix, where every start vector maps to
+    zero).
     """
-    x = np.asarray(x, dtype=float)
+    x = as_matrix(x)
     n = x.shape[0]
     if not 1 <= m <= n:
         raise ValueError(f"m must lie in [1, {n}], got {m}")
-    vals, vecs = np.linalg.eigh(x)
+    vals = None
+    if m < n - 1:
+        rng = np.random.default_rng(START_SEED)
+        try:
+            vals, vecs = scipy.sparse.linalg.eigsh(
+                x, k=m, which="LM", tol=0, v0=rng.standard_normal(n), rng=rng)
+        except scipy.sparse.linalg.ArpackError:
+            pass
+    if vals is None:
+        vals, vecs = np.linalg.eigh(x.toarray() if scipy.sparse.issparse(x)
+                                    else x)
     order = _sort_order(vals, m)
     values = vals[order]
     vectors = vecs[:, order]

@@ -1,10 +1,21 @@
-"""Brute-force reference implementations of the covariance formulas.
+"""Brute-force reference implementations of the covariance formulas and of
+the n x n initial residual.
 
-Written as plain triple loops straight from the definitions so they share no
-code (and no vectorization mistakes) with the package implementations.
+Written as plain loops or dense products straight from the definitions so
+they share no code (and no vectorization mistakes) with the package
+implementations.
 """
 
 import numpy as np
+
+
+def residual_matrix(x, spec, k):
+    """X minus its rank-``k`` spectral truncation, as a dense n x n array."""
+    if k > spec.m:
+        raise ValueError(f"k={k} exceeds retained spectrum size {spec.m}")
+    x = x.toarray() if hasattr(x, "toarray") else np.asarray(x, dtype=float)
+    v = spec.vectors[:, :k]
+    return x - (v * spec.values[:k][None, :]) @ v.T
 
 
 def brute_sigma1(vectors, values, sigma2, i, j):

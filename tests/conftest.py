@@ -10,8 +10,13 @@ def karate_graph():
 
 
 @pytest.fixture(scope="session")
-def karate(karate_graph):
+def karate_csr(karate_graph):
     return npt.adjacency(karate_graph)
+
+
+@pytest.fixture(scope="session")
+def karate(karate_csr):
+    return karate_csr.toarray()
 
 
 @pytest.fixture(scope="session")

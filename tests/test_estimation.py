@@ -1,8 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse
 
 import netpairtest as npt
 from netpairtest.estimation import (
+    DEFAULT_EIGENVALUE_BUDGET,
     CensoredSpectrumError,
     estimate_k_from_values,
     k_threshold,
@@ -11,7 +15,7 @@ from netpairtest.estimation import (
 )
 from netpairtest.spectra import DegenerateNodeError
 
-from brute import brute_sigma1, brute_sigma2
+from brute import brute_sigma1, brute_sigma2, residual_matrix
 
 
 # ---------------------------------------------------------------- K estimate
@@ -58,16 +62,43 @@ def test_estimate_k_on_simulated_block_model():
     assert npt.estimate_k(x, spec).k_hat == 3
 
 
+def test_grow_spectrum_matches_the_full_budget(karate):
+    # the growing budget stops at the first pair below the threshold, so it
+    # finds the K of the top 50 pairs from fewer of them
+    model1 = npt.sample_adjacency(npt.build_mean_matrix(
+        npt.model1_params(400, 80, 0.2, 0.9)), seed=0)
+    model2 = npt.sample_adjacency(npt.build_mean_matrix(
+        npt.model2_params(300, 60, 0.2, 0.3, seed=1)), seed=2)
+    for x in (karate, model1, model2, scipy.sparse.csr_array(model2)):
+        spec, est = npt.grow_spectrum(x)
+        full = npt.top_eigenpairs(x, min(x.shape[0],
+                                          DEFAULT_EIGENVALUE_BUDGET))
+        assert est.k_hat == npt.estimate_k(x, full).k_hat
+        assert est.k_hat < spec.m < DEFAULT_EIGENVALUE_BUDGET
+        assert spec.m in (3, 6, 12, 24, 48)
+    # 52 disjoint 16-cliques: eigenvalue 15 has multiplicity 52, so even
+    # the full budget of 50 pairs is censored
+    cliques = scipy.sparse.block_diag([np.ones((16, 16)) - np.eye(16)] * 52,
+                                      format="csr")
+    with pytest.raises(CensoredSpectrumError):
+        npt.grow_spectrum(cliques)
+
+
 # ------------------------------------------------------------ refinement
 
 def test_residual_matrix_rank_removal():
+    # the package never forms W0 = X - V_k D_k V_k^T, only diag(W0^2)
     x = np.diag([5.0, 3.0, 1.0])
     spec = npt.top_eigenpairs(x, 3)
-    w0 = npt.residual_matrix(x, spec, 2)
+    w0 = residual_matrix(x, spec, 2)
     assert np.allclose(w0, np.diag([0.0, 0.0, 1.0]), atol=1e-12)
-    assert np.array_equal(npt.residual_matrix(x, spec, 0), x)
+    assert np.allclose(npt.diag_residual_square(x, spec, 2), [0.0, 0.0, 1.0],
+                       atol=1e-12)
+    assert np.array_equal(residual_matrix(x, spec, 0), x)
+    assert np.array_equal(npt.diag_residual_square(x, spec, 0),
+                          [25.0, 9.0, 1.0])
     with pytest.raises(ValueError):
-        npt.residual_matrix(x, spec, 4)
+        npt.diag_residual_square(x, spec, 4)
 
 
 def test_refine_eigenvalues_closed_form():
@@ -77,7 +108,7 @@ def test_refine_eigenvalues_closed_form():
     spec = npt.top_eigenpairs(x, 1)
     w0 = np.array([[1.0, 2.0], [2.0, 0.0]])
     s = 1.0 + 4.0
-    d_tilde = npt.refine_eigenvalues(spec, w0, 1)
+    d_tilde = npt.refine_eigenvalues(spec, np.sum(w0 * w0, axis=1), 1)
     assert d_tilde[0] == pytest.approx(1.0 / (0.5 + s / 8.0), rel=1e-12)
 
 
@@ -88,42 +119,106 @@ def test_refine_shrinks_magnitude():
         x = ((a + a.T) > 1.0).astype(float)
         np.fill_diagonal(x, 0)
         spec = npt.top_eigenpairs(x, 3)
-        if np.any(spec.values[:3] == 0):
+        if np.any(np.abs(spec.values[:3])
+                  <= 12 * np.finfo(float).eps * abs(spec.values[0])):
             continue
-        w0 = npt.residual_matrix(x, spec, 3)
-        d_tilde = npt.refine_eigenvalues(spec, w0, 3)
+        d_tilde = npt.refine_eigenvalues(
+            spec, npt.diag_residual_square(x, spec, 3), 3)
         assert np.all(np.abs(d_tilde) <= np.abs(spec.values[:3]) + 1e-12)
         assert np.all(np.sign(d_tilde) == np.sign(spec.values[:3]))
 
 
-def test_fit_refines_once_from_the_initial_residual(karate):
+def test_fit_refines_once_from_the_initial_residual(karate, karate_csr):
+    # d_tilde from diag(W0^2) in O(nnz k) equals the one from the n x n W0
+    params = npt.model2_params(300, 60, 0.2, 0.9, seed=1)
+    simulated = npt.sample_adjacency(npt.build_mean_matrix(params), seed=2)
+    for x, m, k in ((karate, 3, 2), (karate_csr, 3, 2), (simulated, 6, 3),
+                    (scipy.sparse.csr_array(simulated), 6, 3)):
+        spec = npt.top_eigenpairs(x, m)
+        fitted = npt.fit(x, k, spectrum=spec)
+        w0 = residual_matrix(x, spec, k)
+        diag_ref = np.sum(w0 * w0, axis=1)
+        assert np.allclose(npt.diag_residual_square(x, spec, k), diag_ref,
+                           rtol=1e-12, atol=0)
+        ref = npt.refine_eigenvalues(spec, diag_ref, k)
+        assert np.allclose(fitted.d_tilde, ref, rtol=1e-12, atol=0)
+        assert fitted.vectors.shape == (x.shape[0], k)
+        assert np.array_equal(fitted.values, spec.values[:k])
     spec = npt.top_eigenpairs(karate, 3)
-    fitted = npt.fit(karate, 2, spectrum=spec)
-    w0 = npt.residual_matrix(karate, spec, 2)
-    assert np.array_equal(fitted.d_tilde,
-                          npt.refine_eigenvalues(spec, w0, 2))
-    assert fitted.vectors.shape == (34, 2)
-    assert np.array_equal(fitted.values, spec.values[:2])
     with pytest.raises(ValueError):
         npt.fit(karate, -1, spectrum=spec)
     with pytest.raises(ValueError):
         npt.fit(karate, 4, spectrum=spec)
 
 
+def test_fit_requests_only_the_pairs_it_uses(karate):
+    assert npt.fit(karate, 3).spectrum.m == 3
+    assert npt.fit(karate, 0).spectrum.m == 1
+    # k_hat = 0 on karate: the first budget of 3 pairs already decides it
+    assert npt.fit(karate).spectrum.m == 3
+
+
+def _one_edge(n):
+    x = np.zeros((n, n))
+    x[0, 1] = x[1, 0] = 1.0
+    return x
+
+
+@pytest.mark.parametrize("n", [6, 60])
+def test_zero_eigenvalue_guard_is_relative(n, monkeypatch):
+    # eigenvalues 1, -1, then zeros; ARPACK returns a zero as a tiny
+    # nonzero number, which must not be refined into garbage
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("dense eigh called")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    x = _one_edge(n)
+    values = npt.top_eigenpairs(x, 3).values
+    assert np.allclose(values[:2], [1.0, -1.0], rtol=1e-14)
+    assert abs(values[2]) <= n * np.finfo(float).eps
+    with pytest.raises(ZeroDivisionError):
+        npt.fit(x, 3)
+    with pytest.raises(ZeroDivisionError):
+        npt.fit(scipy.sparse.csr_array(x), 3)
+    assert npt.fit(x, 2).d_tilde.shape == (2,)
+
+
+def test_fit_on_csr_allocates_no_n_by_n_array():
+    # a sparse graph as the edge-list path produces it: n = 3000, about
+    # 60 neighbours per node
+    n = 3000
+    x = npt.sample_adjacency(npt.build_mean_matrix(
+        npt.model2_params(n, 500, 0.2, 0.3, seed=0)), seed=0)
+    csr = scipy.sparse.csr_array(x)
+    del x
+    npt.fit(csr, floor=2)  # warm caches outside the measurement
+    tracemalloc.start()
+    try:
+        fitted = npt.fit(csr, floor=2)
+        pm = npt.pvalue_matrix(csr, [0, 1, 600, 2900], method="G")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert fitted.k >= 2 and np.isfinite(pm.matrix).all()
+    assert peak < n * n * 8 / 20
+
+
 def _full_sigma2(fitted):
     # reference: the whole n x n refined residual, symmetrized and squared
     v = fitted.vectors
-    w_hat = fitted.x - (v * fitted.d_tilde[None, :]) @ v.T
+    x = fitted.x.toarray() if scipy.sparse.issparse(fitted.x) else fitted.x
+    w_hat = x - (v * fitted.d_tilde[None, :]) @ v.T
     w_hat = (w_hat + w_hat.T) / 2.0
     return w_hat * w_hat
 
 
-def test_refined_residual_symmetric_and_squared(karate):
+def test_refined_residual_symmetric_and_squared(karate, karate_csr):
     # Fit.sigma2_rows forms rows i, j of ((W_hat + W_hat^T) / 2)^2 without
     # the n x n matrix
     params = npt.model2_params(300, 60, 0.2, 0.9, seed=1)
     simulated = npt.sample_adjacency(npt.build_mean_matrix(params), seed=2)
     for x, k, pairs in ((karate, 2, [(6, 12), (0, 33), (2, 26)]),
+                        (karate_csr, 2, [(6, 12), (0, 33)]),
                         (simulated, 3, [(0, 1), (180, 181), (5, 250)])):
         fitted = npt.fit(x, k)
         full = _full_sigma2(fitted)

@@ -128,3 +128,21 @@ def test_roundtrip_through_file(tmp_path_factory, edges):
     assert g.n == max(max(e) for e in expected) + 1
     x = npt.adjacency(g)
     assert x.sum() == 2 * len(expected)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 15).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+            max_size=30))))
+def test_adjacency_matches_the_edge_loop(case):
+    n, edges = case
+    g = Graph(n=n, edges=frozenset(edges), allows_self_loops=True)
+    expected = np.zeros((n, n))
+    for u, v in g.edges:
+        expected[u, v] = expected[v, u] = 1.0
+    x = npt.adjacency(g)
+    assert x.format == "csr" and x.dtype == np.float64
+    assert x.has_sorted_indices
+    assert np.array_equal(x.toarray(), expected)
+    assert npt.max_degree(x) == npt.max_degree(expected)

@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 import netpairtest as npt
 from netpairtest.estimation import CovarianceEstimate, sigma1_matrix, sigma2_matrix
@@ -109,6 +110,28 @@ def test_fit_matches_per_pair_statistic(karate, model2_graph, method):
         assert shared.statistic == res.statistic
 
 
+def _close(a, b):
+    return np.allclose(a, b, rtol=1e-12, atol=0, equal_nan=True) and \
+        np.array_equal(np.isnan(a), np.isnan(b))
+
+
+def test_dense_and_csr_input_agree(karate, karate_csr, model2_graph):
+    simulated = (model2_graph, scipy.sparse.csr_array(model2_graph))
+    for (dense, csr), nodes in (((karate, karate_csr), [0, 2, 6, 12, 26, 33]),
+                                (simulated, [0, 1, 120, 180, 181, 299])):
+        for k in (None, 2, 3):
+            a, b = npt.fit(dense, k, floor=2), npt.fit(csr, k, floor=2)
+            assert a.k == b.k
+            assert _close(a.d_tilde, b.d_tilde)
+            for runner in (npt.test_T, npt.test_G):
+                i, j = nodes[1], nodes[3]
+                assert _close(runner(dense, i, j, k_override=k).statistic,
+                              runner(csr, i, j, k_override=k).statistic)
+            for method in ("T", "G"):
+                assert _close(npt.pvalue_matrix(dense, nodes, method, k).matrix,
+                              npt.pvalue_matrix(csr, nodes, method, k).matrix)
+
+
 def test_fit_argument_fixes_k_and_spectrum(karate):
     fitted = npt.fit(karate, 2)
     with pytest.raises(ValueError, match="already fixes"):
@@ -201,11 +224,13 @@ def test_pvalue_matrix_nan_for_failed_pairs(karate):
     assert pm.matrix[2, 2] == 1.0
 
 
-def test_pvalue_matrix_fits_once(karate, monkeypatch):
-    # every binding of each counted function, in every package module
+def test_pvalue_matrix_fits_once(karate, karate_csr, monkeypatch):
+    # every binding of each counted function, in every package module; the
+    # fit reads diag(W0^2) from products with n x k blocks, and no
+    # n x n residual exists in the package to build
     calls = Counter()
-    for name in ("top_eigenpairs", "estimate_k", "max_degree",
-                 "residual_matrix"):
+    for name in ("fit", "top_eigenpairs", "max_degree",
+                 "diag_residual_square"):
         original = getattr(npt, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
@@ -216,11 +241,14 @@ def test_pvalue_matrix_fits_once(karate, monkeypatch):
             if key.startswith("netpairtest") and \
                     getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counted)
+    assert not hasattr(npt.estimation, "residual_matrix")
     nodes = [2, 6, 7, 8, 12]
-    pm = npt.pvalue_matrix(karate, nodes, method="G")
-    assert calls == {"top_eigenpairs": 1, "estimate_k": 1, "max_degree": 1,
-                     "residual_matrix": 1}
-    assert pm.matrix[1, 4] == npt.test_G(karate, 6, 12).p_value
+    for x in (karate, karate_csr):
+        calls.clear()
+        pm = npt.pvalue_matrix(x, nodes, method="G")
+        assert calls == {"fit": 1, "top_eigenpairs": 1, "max_degree": 1,
+                         "diag_residual_square": 1}
+        assert pm.matrix[1, 4] == npt.test_G(x, 6, 12).p_value
 
 
 def test_pvalue_matrix_zero_eigenvalue_is_nan():
@@ -228,7 +256,7 @@ def test_pvalue_matrix_zero_eigenvalue_is_nan():
     # so K=3 cannot be refined and no pair has a p-value
     x = np.zeros((6, 6))
     x[0, 1] = x[1, 0] = 1.0
-    assert npt.top_eigenpairs(x, 3).values[2] == 0.0
+    assert abs(npt.top_eigenpairs(x, 3).values[2]) <= 6 * np.finfo(float).eps
     with pytest.raises(ZeroDivisionError):
         npt.fit(x, 3)
     pm = npt.pvalue_matrix(x, [0, 2, 3], method="T", k_override=3)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -8,6 +9,7 @@ import netpairtest as npt
 from netpairtest.spectra import (
     DegenerateNodeError,
     Spectrum,
+    _sort_order,
     degeneracy_threshold,
     orient_signs,
     ratio_rows,
@@ -44,6 +46,69 @@ def test_full_reconstruction():
     spec = npt.top_eigenpairs(x, 15)
     recon = (spec.vectors * spec.values[None, :]) @ spec.vectors.T
     assert np.allclose(recon, x, atol=1e-10)
+
+
+def test_top_eigenpairs_is_bit_identical_across_calls(karate_csr):
+    simulated = npt.sample_adjacency(npt.build_mean_matrix(
+        npt.model2_params(300, 60, 0.2, 0.9, seed=1)), seed=2)
+    # eigenvalue 15 of multiplicity 52: Lanczos breaks down and ARPACK
+    # draws restart vectors, from a fixed generator
+    cliques = scipy.sparse.block_diag([np.ones((16, 16)) - np.eye(16)] * 52,
+                                      format="csr")
+    for x in (karate_csr, simulated, cliques):
+        a, b = npt.top_eigenpairs(x, 12), npt.top_eigenpairs(x, 12)
+        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a.vectors, b.vectors)
+        assert np.array_equal(a.residuals, b.residuals)
+
+
+def test_dense_and_sparse_input_agree(karate, karate_csr):
+    a, b = npt.top_eigenpairs(karate, 6), npt.top_eigenpairs(karate_csr, 6)
+    assert np.allclose(a.values, b.values, rtol=1e-13, atol=0)
+    assert np.allclose(a.vectors, b.vectors, rtol=0, atol=1e-12)
+    # ARPACK agrees with the dense eigendecomposition (m = n)
+    full = npt.top_eigenpairs(karate, 34)
+    assert np.allclose(a.values, full.values[:6], rtol=1e-13, atol=0)
+    assert np.allclose(a.vectors, full.vectors[:, :6], rtol=0, atol=1e-12)
+
+
+def test_sort_order_ties_put_the_positive_value_first():
+    eps = np.finfo(float).eps
+    # magnitudes tied to the last bits, the negative one larger
+    assert list(_sort_order(np.array([0.0, -(1.0 + 2 * eps), 1.0]), 3)) == \
+        [2, 1, 0]
+    # a real gap stays a gap
+    assert list(_sort_order(np.array([1.0 - 1e-9, -1.0]), 2)) == [1, 0]
+
+
+@pytest.mark.parametrize("graph", ["star", "cycle"])
+def test_plus_minus_pair_order_matches_eigh(graph, monkeypatch):
+    # bipartite graphs have eigenvalues in +/- pairs; both solvers must
+    # put the positive member first, as v_1 is the G test's denominator
+    n = 60
+    x = np.zeros((n, n))
+    if graph == "star":
+        x[0, 1:] = x[1:, 0] = 1.0
+        m = 3
+    else:
+        idx = np.arange(n)
+        x[idx, (idx + 1) % n] = x[(idx + 1) % n, idx] = 1.0
+        m = 2
+    dense = npt.top_eigenpairs(x, n)  # m >= n - 1: dense eigh
+
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("dense eigh called")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    for operand in (x, scipy.sparse.csr_array(x)):
+        spec = npt.top_eigenpairs(operand, m)
+        assert spec.values[0] > 0 > spec.values[1]
+        assert np.allclose(spec.values, dense.values[:m], rtol=1e-13,
+                           atol=1e-13)
+        # the same eigenvectors up to sign (entries tie in magnitude, so
+        # the sign convention may pick either)
+        overlap = np.abs(spec.vectors[:, :2].T @ dense.vectors[:, :2])
+        assert np.allclose(overlap, np.eye(2), rtol=0, atol=1e-12)
 
 
 def test_m_bounds():

@@ -18,9 +18,8 @@ def print_matrix(pm, labels):
 
 
 def main():
-    graph = npt.load_edge_list(npt.karate_club_path(), indexing="one_based")
-    x = npt.adjacency(graph)
-    print(f"karate club: {graph.n} nodes, {len(graph.edges)} edges, "
+    x = npt.load_edge_list(npt.karate_club_path(), indexing="one_based")
+    print(f"karate club: {x.shape[0]} nodes, {x.nnz // 2} edges, "
           f"max degree {npt.max_degree(x)}")
 
     spec = npt.top_eigenpairs(x, 10)

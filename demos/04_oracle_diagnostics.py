@@ -48,7 +48,7 @@ def covariance_consistency():
         ss = np.random.SeedSequence(entropy=0, spawn_key=(n,))
         for rep in ss.spawn(10):
             x = npt.sample_adjacency(gt.h, np.random.default_rng(rep))
-            fitted = npt.fit(x, 3, spectrum=npt.top_eigenpairs(x, 3))
+            fitted = npt.fit(x, 3)
             s_hat = npt.estimate_sigma1(fitted, i, j).matrix
             s_true = npt.true_sigma1(gt, i, j).matrix
             errs.append(n**2 * 0.9 * np.linalg.norm(s_hat - s_true, 2))

@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 
 from importlib import resources as _resources
 
-from .graph_io import Graph, adjacency, load_edge_list, max_degree
+from .graph_io import load_edge_list, max_degree
 from .models import (
     DCMMParams,
     build_mean_matrix,

@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: simulate, test-pair, pvalue-matrix, estimate-k, spectrum, mc,
-oracle-check. Exit codes: 0 success, 1 usage error, 2 data error,
-3 numerical error (including a censored community-count estimate).
+oracle-check. Exit codes: 0 success, 1 usage error, 2 data error (a
+malformed or unreadable file), 3 numerical error (including a censored
+community-count estimate).
 Seeded invocations are deterministic end to end.
 """
 
@@ -22,7 +23,7 @@ from .estimation import (
     estimate_sigma2,
     fit,
 )
-from .graph_io import GraphFormatError, adjacency, load_edge_list, max_degree
+from .graph_io import GraphFormatError, load_edge_list, max_degree
 from .harness import ExperimentConfig, null_histogram, run_k_accuracy, run_size_power
 from .inference import SingularCovarianceError, pvalue_matrix, test_G, test_T
 from .models import (
@@ -136,10 +137,9 @@ def _build_parser() -> _Parser:
 
 
 def _load_graph(args):
-    indexing = "one_based" if args.one_based else "zero_based"
-    g = load_edge_list(args.graph, indexing=indexing,
-                       self_loops=args.self_loops)
-    return adjacency(g)
+    return load_edge_list(args.graph,
+                          "one_based" if args.one_based else "zero_based",
+                          args.self_loops)
 
 
 def _node(label: int, args) -> int:
@@ -235,13 +235,16 @@ def _cmd_mc(args) -> int:
     kind = preset.get("kind", "size_power")
     header = (f"# netpairtest {__version__} preset={args.preset} "
               f"seed={args.seed} reps={args.reps}\n")
-    if kind == "null_histogram":
-        cfg = ExperimentConfig(
+
+    def config(pair_mode, k_mode=args.k_mode):
+        return ExperimentConfig(
             model=preset["model"], n=preset["n"], n0=preset["n0"],
             rho=preset["rho"], signal_grid=preset["grid"],
-            replications=args.reps, alpha=args.alpha, k_mode=args.k_mode,
-            master_seed=args.seed, pair_mode="size")
-        out = null_histogram(cfg)
+            replications=args.reps, alpha=args.alpha, k_mode=k_mode,
+            master_seed=args.seed, pair_mode=pair_mode)
+
+    if kind == "null_histogram":
+        out = null_histogram(config("size"))
         lines = [header.rstrip(), f"# ks_distance={out['ks_distance']:.6f} "
                                   f"df={out['df']}", "statistic"]
         lines += [f"{s:.8f}" for s in out["samples"]]
@@ -251,11 +254,7 @@ def _cmd_mc(args) -> int:
     rows = [header.rstrip(),
             "model,n,signal,metric,value,replications,failures"]
     if kind == "k_accuracy":
-        cfg = ExperimentConfig(
-            model=preset["model"], n=preset["n"], n0=preset["n0"],
-            rho=preset["rho"], signal_grid=preset["grid"],
-            replications=args.reps, alpha=args.alpha, k_mode="estimated_k",
-            master_seed=args.seed, pair_mode="size")
+        cfg = config("size", k_mode="estimated_k")
         report = run_k_accuracy(cfg)
         for pt in report.points:
             correct = pt.k_hat_counts.get(3, 0)
@@ -265,15 +264,11 @@ def _cmd_mc(args) -> int:
             rows.append(f"{cfg.model},{cfg.n},{pt.signal},p_k_at_most,"
                         f"{under / pt.replications:.6f},{pt.replications},0")
     else:
-        for pair_mode, metric in (("size", "size"), ("power", "power")):
-            cfg = ExperimentConfig(
-                model=preset["model"], n=preset["n"], n0=preset["n0"],
-                rho=preset["rho"], signal_grid=preset["grid"],
-                replications=args.reps, alpha=args.alpha, k_mode=args.k_mode,
-                master_seed=args.seed, pair_mode=pair_mode)
+        for pair_mode in ("size", "power"):
+            cfg = config(pair_mode)
             report = run_size_power(cfg)
             for pt in report.points:
-                rows.append(f"{cfg.model},{cfg.n},{pt.signal},{metric},"
+                rows.append(f"{cfg.model},{cfg.n},{pt.signal},{pair_mode},"
                             f"{pt.rejection_rate:.6f},{pt.replications},"
                             f"{pt.failures}")
     _emit("\n".join(rows) + "\n", args.out)
@@ -330,7 +325,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (GraphFormatError, FileNotFoundError) as exc:
+    except (GraphFormatError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (SingularCovarianceError, DegenerateNodeError,

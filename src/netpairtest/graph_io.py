@@ -1,25 +1,22 @@
-"""Loading and validation of undirected binary graphs.
+"""Loading of undirected binary graphs from edge-list files.
 
-Graphs are stored as deduplicated sets of undirected edges with 0-based
-node indices internally; edge-list files may use 0- or 1-based labels. The
-adjacency matrix of a graph is a sparse CSR array; the rest of the library
-takes it, or any dense symmetric array, as it is.
+An edge-list file may use 0- or 1-based node labels; the loader checks every
+line and returns the symmetric 0/1 adjacency matrix with 0-based indices as
+a sparse CSR array. The rest of the library takes that array, or any dense
+symmetric array, as it is.
 """
 
 from __future__ import annotations
 
-import itertools
 import os
-from dataclasses import dataclass, field
+from array import array
 
 import numpy as np
 import scipy.sparse
 
 __all__ = [
-    "Graph",
     "GraphFormatError",
     "load_edge_list",
-    "adjacency",
     "as_matrix",
     "max_degree",
 ]
@@ -28,49 +25,16 @@ _COMMENT_PREFIXES = ("#", "%")
 
 
 class GraphFormatError(ValueError):
-    """Raised when an edge-list file or edge set is malformed."""
+    """Raised when an edge-list file is malformed."""
 
 
-@dataclass(frozen=True)
-class Graph:
-    """Undirected binary graph.
-
-    Attributes
-    ----------
-    n : int
-        Number of nodes; node indices are 0..n-1.
-    edges : frozenset of (int, int)
-        Unordered node pairs stored as (min, max) tuples, each pair once.
-    allows_self_loops : bool
-        Whether (u, u) pairs are permitted.
-    """
-
-    n: int
-    edges: frozenset = field(default_factory=frozenset)
-    allows_self_loops: bool = False
-
-    def __post_init__(self):
-        if self.n <= 0:
-            raise GraphFormatError(f"node count must be positive, got {self.n}")
-        canonical = set()
-        for u, v in self.edges:
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise GraphFormatError(
-                    f"edge ({u}, {v}) outside node range [0, {self.n - 1}]"
-                )
-            if u == v and not self.allows_self_loops:
-                raise GraphFormatError(f"self loop at node {u} not allowed")
-            canonical.add((min(u, v), max(u, v)))
-        object.__setattr__(self, "edges", frozenset(canonical))
-
-    def degrees(self) -> np.ndarray:
-        """Vertex degrees by direct edge counting (self loop counts once)."""
-        deg = np.zeros(self.n, dtype=np.int64)
-        for u, v in self.edges:
-            deg[u] += 1
-            if v != u:
-                deg[v] += 1
-        return deg
+def _text_lines(fh, path):
+    """The lines of ``fh``; a file that is not UTF-8 text is malformed."""
+    try:
+        yield from fh
+    except UnicodeDecodeError as exc:
+        raise GraphFormatError(f"{path}: not UTF-8 text ({exc.reason})") \
+            from exc
 
 
 def load_edge_list(
@@ -78,11 +42,13 @@ def load_edge_list(
     indexing: str = "zero_based",
     self_loops: bool = False,
     n: int | None = None,
-) -> Graph:
-    """Parse a whitespace-separated edge-list file into a :class:`Graph`.
+) -> scipy.sparse.csr_array:
+    """Parse a whitespace-separated edge-list file into its adjacency matrix.
 
     Lines starting with ``#`` or ``%`` and blank lines are skipped.
     Duplicate edges (in either order) collapse to a single undirected edge.
+    The result is the symmetric 0/1 adjacency matrix as a float64 CSR array
+    with sorted indices; a self loop is one diagonal entry.
 
     Parameters
     ----------
@@ -95,15 +61,20 @@ def load_edge_list(
     n : int, optional
         Declared node count. When omitted, inferred as ``max index + 1``
         after conversion to 0-based indices.
+
+    Raises
+    ------
+    GraphFormatError
+        If a line is malformed, the file holds no edge, or it is not UTF-8
+        text. Messages name the file and, for a line, its number.
     """
     if indexing not in ("zero_based", "one_based"):
         raise ValueError(f"unknown indexing convention {indexing!r}")
     offset = 1 if indexing == "one_based" else 0
 
-    edges = set()
-    max_idx = -1
+    ends = array("q")  # u, v of each edge line in file order
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
+        for lineno, raw in enumerate(_text_lines(fh, path), start=1):
             line = raw.strip()
             if not line or line.startswith(_COMMENT_PREFIXES):
                 continue
@@ -129,28 +100,22 @@ def load_edge_list(
                 raise GraphFormatError(
                     f"{path}:{lineno}: node index exceeds declared n={n}"
                 )
-            edges.add((min(u, v), max(u, v)))
-            max_idx = max(max_idx, u, v)
+            ends.append(u)
+            ends.append(v)
 
-    if max_idx < 0:
+    if not ends:
         raise GraphFormatError(f"{path}: no edges found")
-    return Graph(n=n if n is not None else max_idx + 1,
-                 edges=frozenset(edges),
-                 allows_self_loops=self_loops)
-
-
-def adjacency(g: Graph) -> scipy.sparse.csr_array:
-    """Symmetric 0/1 adjacency matrix of ``g`` as a float64 CSR array with
-    sorted indices."""
-    ends = np.fromiter(itertools.chain.from_iterable(g.edges), dtype=np.int64,
-                       count=2 * len(g.edges)).reshape(-1, 2)
-    u, v = ends[:, 0], ends[:, 1]
+    ends = np.frombuffer(ends, dtype=np.int64)
+    if n is None:
+        n = int(ends.max()) + 1
+    u, v = ends[0::2], ends[1::2]
     off = u != v  # a self loop is one entry, not two
     rows = np.concatenate([u, v[off]])
     cols = np.concatenate([v, u[off]])
     x = scipy.sparse.csr_array((np.ones(len(rows)), (rows, cols)),
-                               shape=(g.n, g.n))
-    x.sort_indices()
+                               shape=(n, n))
+    x.sum_duplicates()  # also sorts the indices
+    x.data[:] = 1.0
     return x
 
 

@@ -31,7 +31,7 @@ from .estimation import (
     estimate_sigma2,
     fit,
 )
-from .spectra import DegenerateNodeError, Spectrum, ratio_rows
+from .spectra import DegenerateNodeError, ratio_rows
 
 __all__ = [
     "TestResult",
@@ -103,13 +103,23 @@ def _quadratic_form(diff: np.ndarray, cov: CovarianceEstimate) -> float:
     return float(diff @ sol)
 
 
-def _fitted(x, k_override: int | None, spectrum: Spectrum | None,
-            floor: int) -> Fit:
+def _fitted(x, k_override: int | None, floor: int) -> Fit:
     if not isinstance(x, Fit):
-        return fit(x, k_override, spectrum=spectrum, floor=floor)
-    if k_override is not None or spectrum is not None:
-        raise ValueError("a Fit already fixes k and the spectrum")
+        return fit(x, k_override, floor=floor)
+    if k_override is not None:
+        raise ValueError("a Fit already fixes k")
     return x
+
+
+def _check_nodes(x, nodes) -> None:
+    """``nodes`` must be distinct node indices of ``x``, a matrix or a
+    :class:`Fit`."""
+    if len(set(nodes)) != len(nodes):
+        raise ValueError("nodes must be distinct")
+    n = np.shape(x.x if isinstance(x, Fit) else x)[0]
+    for node in nodes:
+        if not 0 <= node < n:
+            raise ValueError(f"node {node} outside the node range [0, {n})")
 
 
 def _check_ratio_k(k: int | None) -> None:
@@ -118,20 +128,18 @@ def _check_ratio_k(k: int | None) -> None:
 
 
 def test_T(x: np.ndarray | Fit, i: int, j: int,
-           k_override: int | None = None,
-           spectrum: Spectrum | None = None) -> TestResult:
+           k_override: int | None = None) -> TestResult:
     """Row-difference test of whether nodes ``i`` and ``j`` share a
     membership profile.
 
     ``x`` is an adjacency matrix, or a :class:`Fit` from :func:`fit` to
-    share one fit across many pairs (then ``k_override`` and ``spectrum``
-    must be omitted). When ``k_override`` is omitted, K is estimated from
-    the spectrum by thresholding (floored at 1). A precomputed ``spectrum``
-    of ``x`` may be supplied to amortize the eigendecomposition.
+    share one fit across many pairs (then ``k_override`` must be omitted).
+    When ``k_override`` is omitted, K is estimated from the spectrum by
+    thresholding (floored at 1). ``i`` and ``j`` are distinct 0-based node
+    indices.
     """
-    if i == j:
-        raise ValueError("nodes must be distinct")
-    fitted = _fitted(x, k_override, spectrum, floor=1)
+    _check_nodes(x, (i, j))
+    fitted = _fitted(x, k_override, floor=1)
     k = fitted.k
     cov = estimate_sigma1(fitted, i, j)
     diff = fitted.vectors[i] - fitted.vectors[j]
@@ -142,8 +150,7 @@ def test_T(x: np.ndarray | Fit, i: int, j: int,
 
 
 def test_G(x: np.ndarray | Fit, i: int, j: int,
-           k_override: int | None = None,
-           spectrum: Spectrum | None = None) -> TestResult:
+           k_override: int | None = None) -> TestResult:
     """Ratio-difference test of whether nodes ``i`` and ``j`` share a
     membership profile under degree heterogeneity.
 
@@ -151,10 +158,9 @@ def test_G(x: np.ndarray | Fit, i: int, j: int,
     K defaults to the thresholding estimate floored at 2; degrees of freedom
     are K-1.
     """
-    if i == j:
-        raise ValueError("nodes must be distinct")
+    _check_nodes(x, (i, j))
     _check_ratio_k(k_override)
-    fitted = _fitted(x, k_override, spectrum, floor=2)
+    fitted = _fitted(x, k_override, floor=2)
     k = fitted.k
     cov = estimate_sigma2(fitted, i, j)
     diff = ratio_rows(fitted.spectrum, i, k) - ratio_rows(fitted.spectrum, j, k)
@@ -178,8 +184,9 @@ def pvalue_matrix(x: np.ndarray, nodes, method: str = "T",
     """Pairwise p-value matrix over ``nodes``; the graph is fitted once
     (spectrum, K, refined eigenvalues) and the fit is shared across pairs."""
     nodes = list(nodes)
-    if len(nodes) < 2 or len(set(nodes)) != len(nodes):
+    if len(nodes) < 2:
         raise ValueError("need at least two distinct nodes")
+    _check_nodes(x, nodes)
     method = method.upper()
     if method not in ("T", "G"):
         raise ValueError(f"unknown method {method!r}")

@@ -5,13 +5,8 @@ import netpairtest as npt
 
 
 @pytest.fixture(scope="session")
-def karate_graph():
+def karate_csr():
     return npt.load_edge_list(npt.karate_club_path(), indexing="one_based")
-
-
-@pytest.fixture(scope="session")
-def karate_csr(karate_graph):
-    return npt.adjacency(karate_graph)
 
 
 @pytest.fixture(scope="session")

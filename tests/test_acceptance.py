@@ -164,7 +164,7 @@ def _covariance_trend(model, sizes, reps, seed=0):
         ss = np.random.SeedSequence(entropy=seed, spawn_key=(n,))
         for rep_ss in ss.spawn(reps):
             x = npt.sample_adjacency(gt.h, np.random.default_rng(rep_ss))
-            fitted = npt.fit(x, 3, spectrum=npt.top_eigenpairs(x, 3))
+            fitted = npt.fit(x, 3)
             if model == 1:
                 s_hat = npt.estimate_sigma1(fitted, i, j).matrix
                 s_true = npt.true_sigma1(gt, i, j).matrix
@@ -222,9 +222,8 @@ def test_criterion_8_property_suite(karate):
                        residuals=spec.residuals)
     ok = True
     for runner in (npt.test_T, npt.test_G):
-        base = runner(karate, 6, 12, k_override=3, spectrum=spec).statistic
-        alt = runner(karate, 6, 12, k_override=3,
-                     spectrum=flipped).statistic
+        base = runner(npt.fit(karate, 3, spectrum=spec), 6, 12).statistic
+        alt = runner(npt.fit(karate, 3, spectrum=flipped), 6, 12).statistic
         ok &= abs(alt - base) <= 1e-10 * abs(base)
     results["sign-flip"] = ok
 

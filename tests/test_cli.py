@@ -1,5 +1,10 @@
+import contextlib
+import io
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import netpairtest as npt
 from netpairtest import cli
@@ -28,8 +33,7 @@ def test_simulate_model1(tmp_path, capsys):
         "--theta", "0.9", "--seed", "5", "--out", str(out)], capsys)
     assert code == 0
     assert "wrote" in stdout
-    g = npt.load_edge_list(out)
-    assert g.n <= 120
+    assert npt.load_edge_list(out).shape[0] <= 120
     assert (tmp_path / "net.txt.params").exists()
     # deterministic: same seed, identical file
     out2 = tmp_path / "net2.txt"
@@ -104,6 +108,17 @@ def test_missing_graph_is_data_error(capsys):
     assert "data error" in err
 
 
+def test_unreadable_graph_is_data_error(tmp_path, capsys):
+    binary = tmp_path / "graph.bin"
+    binary.write_bytes(bytes(range(256)))
+    for path, reason in ((tmp_path, "directory"), (binary, "UTF-8")):
+        code, _, err = run([
+            "test-pair", "--graph", str(path), "--method", "t",
+            "--i", "0", "--j", "1"], capsys)
+        assert code == cli.EXIT_DATA
+        assert "data error" in err and reason in err
+
+
 def test_malformed_graph_is_data_error(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("0 1 2\n")
@@ -111,6 +126,20 @@ def test_malformed_graph_is_data_error(tmp_path, capsys):
         "test-pair", "--graph", str(bad), "--method", "t",
         "--i", "0", "--j", "1"], capsys)
     assert code == cli.EXIT_DATA
+
+
+@pytest.mark.parametrize("argv", [
+    ["test-pair", "--method", "t", "--i", "0", "--j", "13"],
+    ["test-pair", "--method", "g", "--i", "7", "--j", "99"],
+    ["pvalue-matrix", "--method", "t", "--nodes", "1,2,40"],
+])
+def test_node_label_outside_graph_is_usage_error(karate_path, capsys, argv):
+    # with --one-based, label 0 would otherwise wrap around to node 34
+    code, stdout, err = run(argv + ["--graph", karate_path, "--one-based"],
+                            capsys)
+    assert code == cli.EXIT_USAGE
+    assert err.startswith("error:") and "outside the node range" in err
+    assert stdout == ""
 
 
 def test_numeric_error_exit_code(tmp_path, capsys):
@@ -255,3 +284,49 @@ def test_oracle_check_small(tmp_path, capsys):
     assert lines[1] == "n,metric,value"
     assert lines[2].startswith("80,sigma1_trend,")
     assert lines[3].startswith("120,sigma1_trend,")
+
+
+# ------------------------------------------------------ exit-code property
+
+_LABELS = st.integers(-1, 16)
+
+
+@settings(max_examples=150, deadline=None)
+@given(edges=st.lists(st.tuples(st.integers(0, 14), st.integers(0, 14))
+                      .filter(lambda e: e[0] != e[1]), max_size=25),
+       loop=st.none() | st.integers(0, 14), zero_label=st.booleans(),
+       one_based=st.booleans(), self_loops=st.booleans(),
+       command=st.sampled_from(["estimate-k", "spectrum", "test-pair",
+                                "pvalue-matrix"]),
+       method=st.sampled_from(["t", "g"]), i=_LABELS, j=_LABELS,
+       nodes=st.lists(_LABELS, min_size=1, max_size=5),
+       k=st.none() | st.integers(-1, 16), m=st.integers(-1, 16))
+def test_every_input_maps_to_an_exit_code(tmp_path_factory, edges, loop,
+                                          zero_label, one_based, self_loops,
+                                          command, method, i, j, nodes, k, m):
+    # n <= 15; a self loop without --self-loops, and with --one-based a "0"
+    # label, are malformed input
+    offset = 1 if one_based else 0
+    if loop is not None:
+        edges = edges + [(loop, loop)]
+    lines = [f"{u + offset} {v + offset}" for u, v in edges]
+    if zero_label:
+        lines.append("0 1")
+    path = tmp_path_factory.mktemp("exit") / "g.txt"
+    path.write_text("\n".join(lines) + "\n")
+    argv = [command, "--graph", str(path)]
+    argv += ["--one-based"] * one_based + ["--self-loops"] * self_loops
+    if command == "spectrum":
+        argv.append(f"--m={m}")
+    if command == "test-pair":
+        argv += ["--method", method, f"--i={i}", f"--j={j}"]
+    if command == "pvalue-matrix":
+        argv += ["--method", method, "--nodes=" + ",".join(map(str, nodes))]
+    if k is not None and command in ("test-pair", "pvalue-matrix"):
+        argv.append(f"--k={k}")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_DATA,
+                    cli.EXIT_NUMERIC), argv
+    assert "Traceback" not in out.getvalue() + err.getvalue()

@@ -1,30 +1,51 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import netpairtest as npt
-from netpairtest.graph_io import Graph, GraphFormatError
+from netpairtest.graph_io import GraphFormatError
 
 
-def test_karate_shape(karate_graph):
-    assert karate_graph.n == 34
-    assert len(karate_graph.edges) == 78
+def _file_degrees(path, n):
+    """Degrees counted from the raw 1-based karate file, each unordered pair
+    once."""
+    pairs = set()
+    for line in Path(path).read_text().splitlines():
+        if line.strip() and not line.startswith(("#", "%")):
+            u, v = (int(tok) - 1 for tok in line.split())
+            pairs.add(frozenset((u, v)))
+    deg = np.zeros(n, dtype=np.int64)
+    for pair in pairs:
+        for node in pair:
+            deg[node] += 1
+    return deg
 
 
-def test_karate_degrees(karate_graph):
-    deg = karate_graph.degrees()
+def test_karate_shape(karate_csr):
+    assert karate_csr.shape == (34, 34)
+    assert karate_csr.format == "csr" and karate_csr.dtype == np.float64
+    assert karate_csr.has_sorted_indices
+    assert karate_csr.nnz == 2 * 78
+
+
+def test_karate_degrees(karate_csr):
+    deg = _file_degrees(npt.karate_club_path(), 34)
+    assert np.array_equal(karate_csr.sum(axis=1), deg)
     assert deg.sum() == 2 * 78
     assert deg[33] == 17  # node 34 in 1-based labels
     assert deg[0] == 16
 
 
-def test_adjacency_matches_degrees(karate_graph, karate):
+def test_adjacency_matches_degrees(karate):
     assert karate.shape == (34, 34)
     assert set(np.unique(karate)) <= {0.0, 1.0}
     assert np.array_equal(karate, karate.T)
     assert np.all(np.diag(karate) == 0)
-    assert np.array_equal(karate.sum(axis=1), karate_graph.degrees())
+    assert np.array_equal(karate.sum(axis=1),
+                          _file_degrees(npt.karate_club_path(), 34))
 
 
 def test_max_degree(karate):
@@ -37,25 +58,24 @@ def test_max_degree(karate):
 def test_load_dedup_and_comments(tmp_path):
     p = tmp_path / "g.txt"
     p.write_text("# comment\n% other comment\n0 1\n1 0\n0 1\n\n2 0\n")
-    g = npt.load_edge_list(p)
-    assert g.n == 3
-    assert g.edges == frozenset({(0, 1), (0, 2)})
+    x = npt.load_edge_list(p)
+    assert np.array_equal(x.toarray(), [[0, 1, 1], [1, 0, 0], [1, 0, 0]])
 
 
 def test_one_based_offset(tmp_path):
     p = tmp_path / "g.txt"
     p.write_text("1 2\n2 3\n")
-    g = npt.load_edge_list(p, indexing="one_based")
-    assert g.n == 3
-    assert g.edges == frozenset({(0, 1), (1, 2)})
+    x = npt.load_edge_list(p, indexing="one_based")
+    assert np.array_equal(x.toarray(), [[0, 1, 0], [1, 0, 1], [0, 1, 0]])
 
 
 def test_declared_n(tmp_path):
     p = tmp_path / "g.txt"
     p.write_text("0 1\n")
-    assert npt.load_edge_list(p, n=5).n == 5
-    with pytest.raises(GraphFormatError, match="declared n"):
-        npt.load_edge_list(p, n=1)
+    assert npt.load_edge_list(p, n=5).shape == (5, 5)
+    for n in (0, 1):
+        with pytest.raises(GraphFormatError, match=f"declared n={n}"):
+            npt.load_edge_list(p, n=n)
 
 
 @pytest.mark.parametrize("content,message", [
@@ -70,6 +90,42 @@ def test_malformed_files(tmp_path, content, message):
     p.write_text(content)
     with pytest.raises(GraphFormatError, match=message):
         npt.load_edge_list(p)
+
+
+def test_error_messages_name_file_and_line(tmp_path):
+    p = tmp_path / "bad.txt"
+    for content, indexing, message in [
+        ("0 1\n\n# c\n1 2 3\n", "zero_based",
+         "4: expected two integer tokens, got '1 2 3'"),
+        ("0 1\n1 x\n", "zero_based", "2: non-integer token in '1 x'"),
+        ("0 -1\n", "zero_based", "1: node index below 0 with zero_based indexing"),
+        ("1 2\n0 1\n", "one_based", "2: node index below 1 with one_based indexing"),
+        ("1 2\n3 3\n", "one_based", "2: self loop at node 3"),
+        # the checks apply in this order
+        ("1 2\n0 0\n", "one_based", "2: node index below 1 with one_based indexing"),
+    ]:
+        p.write_text(content)
+        with pytest.raises(GraphFormatError) as exc:
+            npt.load_edge_list(p, indexing=indexing)
+        assert str(exc.value) == f"{p}:{message}"
+    for content, message in [("0 1\n0 7\n", "2: node index exceeds declared n=4"),
+                             ("0 1\n9 9\n", "2: self loop at node 9")]:
+        p.write_text(content)
+        with pytest.raises(GraphFormatError) as exc:
+            npt.load_edge_list(p, n=4)
+        assert str(exc.value) == f"{p}:{message}"
+    p.write_text("# nothing\n")
+    with pytest.raises(GraphFormatError) as exc:
+        npt.load_edge_list(p)
+    assert str(exc.value) == f"{p}: no edges found"
+
+
+def test_not_utf8_is_format_error(tmp_path):
+    p = tmp_path / "bad.bin"
+    p.write_bytes(b"0 1\n\xff\xfe 2\n")
+    with pytest.raises(GraphFormatError, match="not UTF-8") as exc:
+        npt.load_edge_list(p)
+    assert str(p) in str(exc.value)
 
 
 def test_error_reports_line_number(tmp_path):
@@ -89,10 +145,9 @@ def test_one_based_zero_label_rejected(tmp_path):
 def test_self_loops_flag(tmp_path):
     p = tmp_path / "g.txt"
     p.write_text("0 0\n0 1\n")
-    g = npt.load_edge_list(p, self_loops=True)
-    assert (0, 0) in g.edges
-    x = npt.adjacency(g)
+    x = npt.load_edge_list(p, self_loops=True)
     assert x[0, 0] == 1.0
+    assert x.nnz == 3  # one diagonal entry for the loop, two for the edge
 
 
 def test_unknown_indexing(tmp_path):
@@ -100,18 +155,6 @@ def test_unknown_indexing(tmp_path):
     p.write_text("0 1\n")
     with pytest.raises(ValueError, match="indexing"):
         npt.load_edge_list(p, indexing="two_based")
-
-
-def test_graph_validation():
-    with pytest.raises(GraphFormatError):
-        Graph(n=0)
-    with pytest.raises(GraphFormatError, match="outside node range"):
-        Graph(n=2, edges=frozenset({(0, 5)}))
-    with pytest.raises(GraphFormatError, match="self loop"):
-        Graph(n=2, edges=frozenset({(1, 1)}))
-    # edges are canonicalized to (min, max)
-    g = Graph(n=3, edges=frozenset({(2, 0)}))
-    assert g.edges == frozenset({(0, 2)})
 
 
 @settings(max_examples=50, deadline=None)
@@ -122,27 +165,34 @@ def test_graph_validation():
 def test_roundtrip_through_file(tmp_path_factory, edges):
     p = tmp_path_factory.mktemp("rt") / "g.txt"
     p.write_text("".join(f"{u} {v}\n" for u, v in edges))
-    g = npt.load_edge_list(p)
+    x = npt.load_edge_list(p)
     expected = {(min(u, v), max(u, v)) for u, v in edges}
-    assert g.edges == frozenset(expected)
-    assert g.n == max(max(e) for e in expected) + 1
-    x = npt.adjacency(g)
+    rows, cols = x.nonzero()
+    assert set(zip(rows.tolist(), cols.tolist())) == \
+        expected | {(v, u) for u, v in expected}
+    assert x.shape[0] == max(max(e) for e in expected) + 1
     assert x.sum() == 2 * len(expected)
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.integers(1, 15).flatmap(lambda n: st.tuples(
     st.just(n),
-    st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
-            max_size=30))))
-def test_adjacency_matches_the_edge_loop(case):
-    n, edges = case
-    g = Graph(n=n, edges=frozenset(edges), allows_self_loops=True)
+    st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+             min_size=1, max_size=30),
+    st.randoms(use_true_random=False))))
+def test_adjacency_matches_the_edge_loop(tmp_path_factory, case):
+    n, edges, rnd = case
+    # each pair once more in reversed order or as written, then shuffled
+    lines = edges + [(v, u) if rnd.random() < 0.5 else (u, v)
+                     for u, v in edges]
+    rnd.shuffle(lines)
+    p = tmp_path_factory.mktemp("adj") / "g.txt"
+    p.write_text("".join(f"{u} {v}\n" for u, v in lines))
     expected = np.zeros((n, n))
-    for u, v in g.edges:
+    for u, v in edges:
         expected[u, v] = expected[v, u] = 1.0
-    x = npt.adjacency(g)
+    x = npt.load_edge_list(p, self_loops=True, n=n)
     assert x.format == "csr" and x.dtype == np.float64
-    assert x.has_sorted_indices
+    assert x.has_sorted_indices and x.has_canonical_format
     assert np.array_equal(x.toarray(), expected)
     assert npt.max_degree(x) == npt.max_degree(expected)

@@ -137,7 +137,7 @@ def test_fit_argument_fixes_k_and_spectrum(karate):
     with pytest.raises(ValueError, match="already fixes"):
         npt.test_T(fitted, 6, 12, k_override=2)
     with pytest.raises(ValueError, match="already fixes"):
-        npt.test_G(fitted, 6, 12, spectrum=fitted.spectrum)
+        npt.test_G(fitted, 6, 12, k_override=2)
 
 
 def test_distinct_nodes_required(karate):
@@ -147,6 +147,18 @@ def test_distinct_nodes_required(karate):
         npt.test_G(karate, 4, 4)
     with pytest.raises(ValueError, match="k >= 2"):
         npt.test_G(karate, 0, 1, k_override=1)
+
+
+@pytest.mark.parametrize("i,j", [(-1, 12), (6, 34), (34, 6), (6, 99)])
+def test_nodes_outside_the_graph_rejected(karate, i, j):
+    # a negative index would otherwise wrap to the last node
+    fitted = npt.fit(karate, 2)
+    for x in (karate, fitted):
+        for runner in (npt.test_T, npt.test_G):
+            with pytest.raises(ValueError, match="outside the node range"):
+                runner(x, i, j)
+    with pytest.raises(ValueError, match="outside the node range"):
+        npt.pvalue_matrix(karate, [0, i, j], k_override=2)
 
 
 # ------------------------------------------------------------- invariances
@@ -162,8 +174,8 @@ def test_sign_flip_invariance(karate):
     for signs in ([-1, 1, 1], [1, -1, 1], [-1, -1, -1]):
         flipped = _flip_columns(spec, signs)
         for runner in (npt.test_T, npt.test_G):
-            base = runner(karate, 6, 12, k_override=3, spectrum=spec)
-            alt = runner(karate, 6, 12, k_override=3, spectrum=flipped)
+            base = runner(npt.fit(karate, 3, spectrum=spec), 6, 12)
+            alt = runner(npt.fit(karate, 3, spectrum=flipped), 6, 12)
             assert alt.statistic == pytest.approx(base.statistic,
                                                   rel=1e-10)
 

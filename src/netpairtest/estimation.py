@@ -225,12 +225,15 @@ def fit(x, k: int | None = None, *, spectrum: Spectrum | None = None,
     CensoredSpectrumError
         If K is estimated and all min(n, 50) retained eigenvalues clear the
         threshold.
+    ValueError
+        If ``k`` lies outside [0, n].
     ZeroDivisionError
         If one of the top ``k`` eigenvalues is zero to working precision.
     """
     x = as_matrix(x)
-    if k is not None and k < 0:
-        raise ValueError(f"k must be nonnegative, got {k}")
+    n = x.shape[0]
+    if k is not None and not 0 <= k <= n:
+        raise ValueError(f"k must lie in [0, {n}], got {k}")
     est = None
     if k is None:
         if spectrum is None:

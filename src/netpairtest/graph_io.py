@@ -22,6 +22,8 @@ __all__ = [
 ]
 
 _COMMENT_PREFIXES = ("#", "%")
+# largest 0-based index whose node count, index + 1, fits in an int64
+_MAX_INDEX = np.iinfo(np.int64).max - 1
 
 
 class GraphFormatError(ValueError):
@@ -65,7 +67,8 @@ def load_edge_list(
     Raises
     ------
     GraphFormatError
-        If a line is malformed, the file holds no edge, or it is not UTF-8
+        If a line is malformed (including a label whose node count would
+        not fit in an int64), the file holds no edge, or it is not UTF-8
         text. Messages name the file and, for a line, its number.
     """
     if indexing not in ("zero_based", "one_based"):
@@ -99,6 +102,10 @@ def load_edge_list(
             if n is not None and (u >= n or v >= n):
                 raise GraphFormatError(
                     f"{path}:{lineno}: node index exceeds declared n={n}"
+                )
+            if u > _MAX_INDEX or v > _MAX_INDEX:
+                raise GraphFormatError(
+                    f"{path}:{lineno}: node label {max(u, v) + offset} too large"
                 )
             ends.append(u)
             ends.append(v)

@@ -2,12 +2,18 @@
 accuracy, and null-distribution sampling.
 
 Replication r at grid point g always draws its randomness from the seed
-sequence (master_seed, spawn_key=(g, r)), so reports are bit-reproducible
-and independent of execution order.
+sequence (master_seed, spawn_key=(g, r, 0)), so reports are bit-reproducible
+and independent of execution order. That draw is one (n, n) block of
+uniforms, of which the sampler uses only the upper triangle (and the
+diagonal when self loops are sampled); model 2 draws its degree parameters
+from a second stream, spawn_key=(g, r, 1). Model 1's mean matrix is the same
+for every replication and is built once per grid point, so a replication
+costs its draw, its fit and its test.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from time import perf_counter
 
@@ -36,6 +42,8 @@ __all__ = [
 
 TRUE_K = 3
 FAILURE_FRACTION_LIMIT = 0.01
+# where a replication's time goes; the K estimate counts as part of the fit
+STAGES = ("sample", "fit", "test")
 
 
 @dataclass(frozen=True)
@@ -95,9 +103,14 @@ class GridPointReport:
 
 @dataclass(frozen=True)
 class ExperimentReport:
+    """Per-grid-point results of a study. ``stage_seconds`` maps each of
+    :data:`STAGES` to the seconds spent in it, summed over all replications;
+    the rest of ``wall_seconds`` is bookkeeping."""
+
     config: ExperimentConfig
     points: tuple
     wall_seconds: float
+    stage_seconds: dict
 
     def to_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -117,35 +130,55 @@ def _rep_rng(cfg: ExperimentConfig, grid_idx: int, rep: int, stream: int = 0):
     return np.random.default_rng(ss)
 
 
-def _sample(cfg: ExperimentConfig, grid_idx: int, signal: float,
-            rep: int) -> np.ndarray:
-    """The network of replication ``rep`` at grid point ``grid_idx``."""
+def _samples(cfg: ExperimentConfig, grid_idx: int, signal: float):
+    """The networks of replications 0, 1, ... at grid point ``grid_idx``.
+
+    Model 1's mean matrix does not depend on the replication, so it is built
+    once per grid point; model 2 draws its degree parameters per replication
+    (stream 1) and builds its mean matrix each time."""
     if cfg.model == 1:
-        params = model1_params(cfg.n, cfg.n0, cfg.rho, signal)
-    else:
-        params = model2_params(cfg.n, cfg.n0, cfg.rho, np.sqrt(signal),
-                               _rep_rng(cfg, grid_idx, rep, stream=1))
-    h = build_mean_matrix(params)
-    return sample_adjacency(h, _rep_rng(cfg, grid_idx, rep), cfg.self_loops)
+        h = build_mean_matrix(model1_params(cfg.n, cfg.n0, cfg.rho, signal))
+    for rep in range(cfg.replications):
+        if cfg.model == 2:
+            h = build_mean_matrix(model2_params(
+                cfg.n, cfg.n0, cfg.rho, np.sqrt(signal),
+                _rep_rng(cfg, grid_idx, rep, stream=1)))
+        yield sample_adjacency(h, _rep_rng(cfg, grid_idx, rep), cfg.self_loops)
 
 
-def _replicate(cfg: ExperimentConfig, grid_idx: int, signal: float, rep: int,
-               i: int, j: int):
-    """One replication: sample a network, run the matching test, and return
-    (statistic or None, rejected or None, k_hat or None)."""
-    x = _sample(cfg, grid_idx, signal, rep)
-    if cfg.k_mode == "true_k":
-        fitted = fit(x, TRUE_K)
-        k_hat = None
-    else:
-        fitted = fit(x, floor=1 if cfg.model == 1 else 2)
-        k_hat = fitted.k_estimate.k_hat
+class _StageClock:
+    """Seconds spent per stage, summed over every ``with clock(stage):``."""
+
+    def __init__(self):
+        self.seconds = dict.fromkeys(STAGES, 0.0)
+
+    @contextmanager
+    def __call__(self, stage: str):
+        start = perf_counter()
+        try:
+            yield
+        finally:
+            self.seconds[stage] += perf_counter() - start
+
+
+def _replicate(cfg: ExperimentConfig, x: np.ndarray, i: int, j: int,
+               clock: _StageClock):
+    """One replication on the sampled network ``x``: run the matching test
+    and return (statistic or None, rejected or None, k_hat or None)."""
+    with clock("fit"):
+        if cfg.k_mode == "true_k":
+            fitted = fit(x, TRUE_K)
+            k_hat = None
+        else:
+            fitted = fit(x, floor=1 if cfg.model == 1 else 2)
+            k_hat = fitted.k_estimate.k_hat
     runner = test_T if cfg.model == 1 else test_G
-    try:
-        res = runner(fitted, i, j)
-    except (SingularCovarianceError, DegenerateNodeError):
-        return None, None, k_hat
-    return res.statistic, reject(res, cfg.alpha), k_hat
+    with clock("test"):
+        try:
+            res = runner(fitted, i, j)
+        except (SingularCovarianceError, DegenerateNodeError):
+            return None, None, k_hat
+        return res.statistic, reject(res, cfg.alpha), k_hat
 
 
 def run_size_power(cfg: ExperimentConfig) -> ExperimentReport:
@@ -154,13 +187,18 @@ def run_size_power(cfg: ExperimentConfig) -> ExperimentReport:
     excluded from the denominator; a grid point with more than 1% failures
     is flagged invalid."""
     start = perf_counter()
+    clock = _StageClock()
     i, j = cfg.node_pair()
     points = []
     for gi, signal in enumerate(cfg.signal_grid):
         stats, rejects, failures = [], [], 0
         k_counts: dict[int, int] = {}
-        for rep in range(cfg.replications):
-            stat, rej, k_hat = _replicate(cfg, gi, signal, rep, i, j)
+        samples = _samples(cfg, gi, signal)
+        for _ in range(cfg.replications):
+            with clock("sample"):
+                x = next(samples)
+            stat, rej, k_hat = _replicate(cfg, x, i, j, clock)
+            del x  # free this network before the next one is drawn
             if k_hat is not None:
                 k_counts[k_hat] = k_counts.get(k_hat, 0) + 1
             if stat is None:
@@ -175,25 +213,33 @@ def run_size_power(cfg: ExperimentConfig) -> ExperimentReport:
             replications=cfg.replications, failures=failures,
             statistics=np.asarray(stats), k_hat_counts=k_counts, valid=valid))
     return ExperimentReport(config=cfg, points=tuple(points),
-                            wall_seconds=perf_counter() - start)
+                            wall_seconds=perf_counter() - start,
+                            stage_seconds=clock.seconds)
 
 
 def run_k_accuracy(cfg: ExperimentConfig) -> ExperimentReport:
     """Frequency table of the community-count estimate at every grid point
     (eigenvalues only; no tests are run)."""
     start = perf_counter()
+    clock = _StageClock()
     points = []
     for gi, signal in enumerate(cfg.signal_grid):
         k_counts: dict[int, int] = {}
-        for rep in range(cfg.replications):
-            est = grow_spectrum(_sample(cfg, gi, signal, rep))[1]
+        samples = _samples(cfg, gi, signal)
+        for _ in range(cfg.replications):
+            with clock("sample"):
+                x = next(samples)
+            with clock("fit"):
+                est = grow_spectrum(x)[1]
+            del x  # free this network before the next one is drawn
             k_counts[est.k_hat] = k_counts.get(est.k_hat, 0) + 1
         points.append(GridPointReport(
             signal=signal, rejection_rate=np.nan,
             replications=cfg.replications, failures=0,
             statistics=np.empty(0), k_hat_counts=k_counts))
     return ExperimentReport(config=cfg, points=tuple(points),
-                            wall_seconds=perf_counter() - start)
+                            wall_seconds=perf_counter() - start,
+                            stage_seconds=clock.seconds)
 
 
 def null_histogram(cfg: ExperimentConfig) -> dict:

@@ -105,7 +105,10 @@ def sample_adjacency(h: np.ndarray, seed, self_loops: bool = False) -> np.ndarra
     upper-triangle entries of success probability ``h[i, j]``.
 
     ``seed`` may be anything accepted by :func:`numpy.random.default_rng`.
-    The same seed reproduces the sample bit for bit.
+    The same seed reproduces the sample bit for bit. The draw is one
+    (n, n) block of uniforms, of which only the strict upper triangle (and
+    the diagonal, with ``self_loops``) is used, so a generator passed as
+    ``seed`` always advances by n * n uniforms.
     """
     h = np.asarray(h, dtype=float)
     n = h.shape[0]
@@ -113,9 +116,9 @@ def sample_adjacency(h: np.ndarray, seed, self_loops: bool = False) -> np.ndarra
         raise ValueError("mean matrix entries must lie in [0, 1]")
     rng = np.random.default_rng(seed)
     u = rng.random((n, n))
-    x = (u < h).astype(float)
-    upper = np.triu(x, k=1)
-    x = upper + upper.T
+    upper = np.triu(u < h, 1)
+    upper |= upper.T
+    x = upper.astype(float)
     if self_loops:
         x[np.diag_indices(n)] = (np.diag(u) < np.diag(h)).astype(float)
     return x

@@ -170,6 +170,30 @@ def test_censored_k_estimate_is_numeric_error(tmp_path, capsys):
         assert "Traceback" not in err
 
 
+def test_huge_node_label_is_data_error(tmp_path, capsys):
+    path = tmp_path / "huge.txt"
+    path.write_text("0 1\n1 9223372036854775808\n")
+    code, _, err = run(["estimate-k", "--graph", str(path)], capsys)
+    assert code == cli.EXIT_DATA
+    assert err == (f"data error: {path}:2: node label 9223372036854775808 "
+                   "too large\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["test-pair", "--method", "t", "--i", "0", "--j", "1", "--k=16"],
+    ["test-pair", "--method", "g", "--i", "0", "--j", "1", "--k=6"],
+    ["pvalue-matrix", "--method", "t", "--nodes", "0,1,2", "--k=16"],
+])
+def test_k_above_the_node_count_is_usage_error(tmp_path, capsys, argv):
+    path = tmp_path / "five.txt"
+    path.write_text("0 1\n1 2\n2 3\n3 4\n0 4\n")
+    code, stdout, err = run(argv + ["--graph", str(path)], capsys)
+    assert code == cli.EXIT_USAGE
+    k = argv[-1].split("=")[1]
+    assert err == f"error: k must lie in [0, 5], got {k}\n"
+    assert stdout == ""
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["test-pair", "--method", "t", "--i", "0", "--j", "1"])
@@ -300,18 +324,22 @@ _LABELS = st.integers(-1, 16)
                                 "pvalue-matrix"]),
        method=st.sampled_from(["t", "g"]), i=_LABELS, j=_LABELS,
        nodes=st.lists(_LABELS, min_size=1, max_size=5),
-       k=st.none() | st.integers(-1, 16), m=st.integers(-1, 16))
+       k=st.none() | st.integers(-1, 16), m=st.integers(-1, 16),
+       huge_label=st.none() | st.integers(2**63, 2**70))
 def test_every_input_maps_to_an_exit_code(tmp_path_factory, edges, loop,
                                           zero_label, one_based, self_loops,
-                                          command, method, i, j, nodes, k, m):
-    # n <= 15; a self loop without --self-loops, and with --one-based a "0"
-    # label, are malformed input
+                                          command, method, i, j, nodes, k, m,
+                                          huge_label):
+    # n <= 15; a self loop without --self-loops, with --one-based a "0"
+    # label, and a label of 2^63 or more are malformed input
     offset = 1 if one_based else 0
     if loop is not None:
         edges = edges + [(loop, loop)]
     lines = [f"{u + offset} {v + offset}" for u, v in edges]
     if zero_label:
         lines.append("0 1")
+    if huge_label is not None:
+        lines.append(f"1 {huge_label}")
     path = tmp_path_factory.mktemp("exit") / "g.txt"
     path.write_text("\n".join(lines) + "\n")
     argv = [command, "--graph", str(path)]

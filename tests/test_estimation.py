@@ -158,6 +158,18 @@ def test_fit_requests_only_the_pairs_it_uses(karate):
     assert npt.fit(karate).spectrum.m == 3
 
 
+def test_fit_rejects_k_outside_the_node_range(karate, karate_csr):
+    for x in (karate, karate_csr):
+        for k in (-1, 35, 100):
+            with pytest.raises(ValueError) as exc:
+                npt.fit(x, k)
+            assert str(exc.value) == f"k must lie in [0, 34], got {k}"
+    with pytest.raises(ValueError, match=r"k must lie in \[0, 34\], got 35"):
+        npt.test_T(karate, 0, 1, k_override=35)
+    with pytest.raises(ValueError, match=r"k must lie in \[0, 34\], got 40"):
+        npt.pvalue_matrix(karate, [0, 1, 2], method="G", k_override=40)
+
+
 def _one_edge(n):
     x = np.zeros((n, n))
     x[0, 1] = x[1, 0] = 1.0

@@ -120,6 +120,27 @@ def test_error_messages_name_file_and_line(tmp_path):
     assert str(exc.value) == f"{p}: no edges found"
 
 
+def test_huge_node_label_rejected(tmp_path):
+    # the node count, largest index + 1, must fit in an int64
+    p = tmp_path / "huge.txt"
+    big = np.iinfo(np.int64).max
+    for content, indexing, message in [
+        (f"0 1\n1 {big + 1}\n", "zero_based",
+         f"2: node label {big + 1} too large"),
+        (f"{big} 1\n", "zero_based", f"1: node label {big} too large"),
+        (f"1 2\n{big + 1} 2\n", "one_based", f"2: node label {big + 1} too large"),
+        (f"0 1\n{2**80} {2**90}\n", "zero_based", f"2: node label {2**90} too large"),
+    ]:
+        p.write_text(content)
+        with pytest.raises(GraphFormatError) as exc:
+            npt.load_edge_list(p, indexing=indexing)
+        assert str(exc.value) == f"{p}:{message}"
+    # a declared n is checked first
+    p.write_text(f"0 1\n1 {big + 1}\n")
+    with pytest.raises(GraphFormatError, match="exceeds declared n=4"):
+        npt.load_edge_list(p, n=4)
+
+
 def test_not_utf8_is_format_error(tmp_path):
     p = tmp_path / "bad.bin"
     p.write_bytes(b"0 1\n\xff\xfe 2\n")

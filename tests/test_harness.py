@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import netpairtest as npt
+from netpairtest import harness
 from netpairtest.harness import GridPointReport
 
 
@@ -107,3 +108,70 @@ def test_gridpoint_invalid_flag():
     pt = GridPointReport(signal=0.5, rejection_rate=0.1, replications=10,
                          failures=5, statistics=np.empty(0), valid=False)
     assert not pt.valid
+
+
+def _counting_build(monkeypatch):
+    calls = []
+    build = harness.build_mean_matrix
+
+    def counted(params):
+        calls.append(params.meta["model"])
+        return build(params)
+
+    monkeypatch.setattr(harness, "build_mean_matrix", counted)
+    return calls
+
+
+@pytest.mark.parametrize("run", [npt.run_size_power, npt.run_k_accuracy])
+def test_mean_matrix_built_once_per_grid_point_for_model_1(monkeypatch, run):
+    calls = _counting_build(monkeypatch)
+    run(npt.ExperimentConfig(**{**TINY1, "signal_grid": (0.9, 0.5),
+                                "replications": 3}))
+    assert calls == [1, 1]
+    calls.clear()
+    run(npt.ExperimentConfig(**{**TINY2, "signal_grid": (0.9, 0.5),
+                                "replications": 3}))
+    assert calls == [2] * 6
+
+
+def _per_replication_statistics(cfg):
+    """Statistics and failure count of the first grid point, each
+    replication sampled from its own freshly built mean matrix."""
+    i, j = cfg.node_pair()
+    signal = cfg.signal_grid[0]
+    runner = npt.test_T if cfg.model == 1 else npt.test_G
+    stats, failures = [], 0
+    for rep in range(cfg.replications):
+        if cfg.model == 1:
+            params = npt.model1_params(cfg.n, cfg.n0, cfg.rho, signal)
+        else:
+            params = npt.model2_params(cfg.n, cfg.n0, cfg.rho, np.sqrt(signal),
+                                       harness._rep_rng(cfg, 0, rep, stream=1))
+        x = npt.sample_adjacency(npt.build_mean_matrix(params),
+                                 harness._rep_rng(cfg, 0, rep), cfg.self_loops)
+        try:
+            stats.append(runner(npt.fit(x, 3), i, j).statistic)
+        except (harness.SingularCovarianceError, harness.DegenerateNodeError):
+            failures += 1
+    return np.asarray(stats), failures
+
+
+@pytest.mark.parametrize("tiny", [TINY1, TINY2], ids=["model1", "model2"])
+@pytest.mark.parametrize("self_loops", [False, True])
+def test_statistics_equal_a_per_replication_loop(tiny, self_loops):
+    cfg = npt.ExperimentConfig(**{**tiny, "self_loops": self_loops})
+    point = npt.run_size_power(cfg).points[0]
+    stats, failures = _per_replication_statistics(cfg)
+    assert point.statistics.tobytes() == stats.tobytes()
+    assert point.failures == failures
+
+
+@pytest.mark.parametrize("run", [npt.run_size_power, npt.run_k_accuracy])
+def test_stage_seconds_add_up_to_the_wall_time(run):
+    report = run(npt.ExperimentConfig(**TINY1))
+    stages = report.stage_seconds
+    assert set(stages) == {"sample", "fit", "test"}
+    assert all(s >= 0 for s in stages.values())
+    assert stages["sample"] > 0 and stages["fit"] > 0
+    assert abs(sum(stages.values()) - report.wall_seconds) \
+        <= 0.1 * report.wall_seconds

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import netpairtest as npt
 from netpairtest.models import (
@@ -80,6 +82,58 @@ def test_sample_adjacency_mean():
     x = npt.sample_adjacency(h, seed=3)
     mask = ~np.eye(400, dtype=bool)
     assert abs(x[mask].mean() - h[mask].mean()) < 0.005
+
+
+def _float_sample(h, rng, self_loops):
+    """Reference sampler: one (n, n) uniform draw, compared, symmetrised and
+    given its diagonal in floating point."""
+    n = h.shape[0]
+    u = rng.random((n, n))
+    x = (u < h).astype(float)
+    upper = np.triu(x, k=1)
+    x = upper + upper.T
+    if self_loops:
+        x[np.diag_indices(n)] = (np.diag(u) < np.diag(h)).astype(float)
+    return x
+
+
+def _assert_same_arrays(a, b):
+    assert a.dtype == b.dtype == np.float64
+    assert a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("self_loops", [False, True])
+def test_sample_adjacency_matches_the_float_reference(self_loops):
+    h = npt.build_mean_matrix(npt.model1_params(200, 40, 0.2, 0.7))
+    for seed in (0, 7):
+        _assert_same_arrays(
+            npt.sample_adjacency(h, seed, self_loops),
+            _float_sample(h, np.random.default_rng(seed), self_loops))
+    # a generator shared across samples advances exactly as the reference's
+    rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+    for _ in range(3):
+        _assert_same_arrays(npt.sample_adjacency(h, rng, self_loops),
+                            _float_sample(h, ref_rng, self_loops))
+        assert rng.random() == ref_rng.random()
+
+
+_PROBABILITIES = st.one_of(st.just(0.0), st.just(1.0),
+                           st.floats(0.0, 1.0, allow_nan=False))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(1, 9), seed=st.integers(0, 2**32 - 1),
+       self_loops=st.booleans())
+def test_sample_adjacency_matches_the_float_reference_on_any_h(
+        data, n, seed, self_loops):
+    h = np.array(data.draw(st.lists(_PROBABILITIES, min_size=n * n,
+                                    max_size=n * n)), dtype=float)
+    h = h.reshape(n, n)
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    _assert_same_arrays(npt.sample_adjacency(h, rng, self_loops),
+                        _float_sample(h, ref_rng, self_loops))
+    assert rng.random() == ref_rng.random()
 
 
 def test_sample_adjacency_rejects_bad_probabilities():

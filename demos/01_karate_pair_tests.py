@@ -22,8 +22,7 @@ def main():
     print(f"karate club: {x.shape[0]} nodes, {x.nnz // 2} edges, "
           f"max degree {npt.max_degree(x)}")
 
-    spec = npt.top_eigenpairs(x, 10)
-    est = npt.estimate_k(x, spec)
+    est = npt.grow_spectrum(x)[1]
     print(f"\nestimated community count: {est.k_hat} "
           f"(threshold {est.threshold:.1f} vs top |eigenvalue|^2 "
           f"{est.eigenvalues[0] ** 2:.1f})")

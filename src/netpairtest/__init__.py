@@ -20,7 +20,6 @@ from .estimation import (
     Fit,
     KEstimate,
     diag_residual_square,
-    estimate_k,
     estimate_sigma1,
     estimate_sigma2,
     fit,

@@ -2,8 +2,8 @@
 
 Subcommands: simulate, test-pair, pvalue-matrix, estimate-k, spectrum, mc,
 oracle-check. Exit codes: 0 success, 1 usage error, 2 data error (a
-malformed or unreadable file), 3 numerical error (including a censored
-community-count estimate).
+malformed or unreadable file), 3 numerical error (a singular covariance, a
+degenerate node or a zero eigenvalue).
 Seeded invocations are deterministic end to end.
 """
 
@@ -15,16 +15,15 @@ import sys
 import numpy as np
 
 from . import __version__
-from .estimation import (
-    DEFAULT_EIGENVALUE_BUDGET,
-    CensoredSpectrumError,
-    estimate_k_from_values,
-    estimate_sigma1,
-    estimate_sigma2,
-    fit,
-)
+from .estimation import estimate_sigma1, estimate_sigma2, fit, grow_spectrum
 from .graph_io import GraphFormatError, load_edge_list, max_degree
-from .harness import ExperimentConfig, null_histogram, run_k_accuracy, run_size_power
+from .harness import (
+    TRUE_K,
+    ExperimentConfig,
+    null_histogram,
+    run_k_accuracy,
+    run_size_power,
+)
 from .inference import SingularCovarianceError, pvalue_matrix, test_G, test_T
 from .models import (
     build_mean_matrix,
@@ -206,14 +205,11 @@ def _cmd_pvalue_matrix(args) -> int:
 
 def _cmd_estimate_k(args) -> int:
     x = _load_graph(args)
-    n = x.shape[0]
-    # all min(n, 50) magnitudes are printed, not only those K needs
-    spec = top_eigenpairs(x, min(n, DEFAULT_EIGENVALUE_BUDGET))
-    dmax = max_degree(x)
-    est = estimate_k_from_values(spec.values, n, dmax)
+    # at least min(n, 50) magnitudes are printed, not only those K needs
+    est = grow_spectrum(x, 50)[1]
     print(f"k_hat {est.k_hat}")
     print(f"threshold {est.threshold:.6f}")
-    print(f"max_degree {dmax}")
+    print(f"max_degree {max_degree(x)}")
     print("eigenvalue_magnitudes " +
           ",".join(f"{abs(v):.4f}" for v in est.eigenvalues))
     return EXIT_OK
@@ -257,8 +253,8 @@ def _cmd_mc(args) -> int:
         cfg = config("size", k_mode="estimated_k")
         report = run_k_accuracy(cfg)
         for pt in report.points:
-            correct = pt.k_hat_counts.get(3, 0)
-            under = sum(c for k, c in pt.k_hat_counts.items() if k <= 3)
+            correct = pt.k_hat_counts.get(TRUE_K, 0)
+            under = sum(c for k, c in pt.k_hat_counts.items() if k <= TRUE_K)
             rows.append(f"{cfg.model},{cfg.n},{pt.signal},p_k_correct,"
                         f"{correct / pt.replications:.6f},{pt.replications},0")
             rows.append(f"{cfg.model},{cfg.n},{pt.signal},p_k_at_most,"
@@ -276,6 +272,8 @@ def _cmd_mc(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
+    if args.reps < 1:
+        raise ValueError("--reps must be at least 1")
     sizes = [int(tok) for tok in args.sizes.split(",")]
     rows = [f"# netpairtest {__version__} oracle-check model={args.model} "
             f"seed={args.seed}", "n,metric,value"]
@@ -328,8 +326,7 @@ def main(argv=None) -> int:
     except (GraphFormatError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (SingularCovarianceError, DegenerateNodeError,
-            CensoredSpectrumError, ZeroDivisionError,
+    except (SingularCovarianceError, DegenerateNodeError, ZeroDivisionError,
             np.linalg.LinAlgError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -34,8 +34,6 @@ __all__ = [
     "KEstimate",
     "Fit",
     "CovarianceEstimate",
-    "CensoredSpectrumError",
-    "estimate_k",
     "grow_spectrum",
     "diag_residual_square",
     "refine_eigenvalues",
@@ -45,14 +43,6 @@ __all__ = [
 ]
 
 K_THRESHOLD_CONSTANT = 2.01
-DEFAULT_EIGENVALUE_BUDGET = 50
-# pairs first requested when K is estimated; the budget doubles from here
-INITIAL_EIGENVALUE_BUDGET = 3
-
-
-class CensoredSpectrumError(RuntimeError):
-    """All retained eigenvalues exceed the counting threshold, so the
-    community-count estimate would be censored; retry with a larger m."""
 
 
 @dataclass(frozen=True)
@@ -112,10 +102,6 @@ class CovarianceEstimate:
     matrix: np.ndarray
     condition_estimate: float
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
 
 def k_threshold(n: int, dmax: int) -> float:
     return K_THRESHOLD_CONSTANT * np.log(n) * dmax
@@ -124,51 +110,33 @@ def k_threshold(n: int, dmax: int) -> float:
 def estimate_k_from_values(values: np.ndarray, n: int, dmax: int) -> KEstimate:
     """Count eigenvalues with square above the degree-based threshold.
 
-    ``values`` are the retained largest-magnitude eigenvalues; if every one
-    of them clears the threshold the count is censored and an error is
-    raised so the caller can retain more pairs.
+    ``values`` are the retained largest-magnitude eigenvalues; the count is
+    the community-count estimate only if it stops short of ``len(values)``
+    or ``values`` is the whole spectrum (see :func:`grow_spectrum`).
     """
     thr = k_threshold(n, dmax)
-    above = np.abs(values) ** 2 > thr
-    k_hat = int(np.sum(above))
-    if k_hat == len(values) and k_hat < n:
-        raise CensoredSpectrumError(
-            f"all {len(values)} retained eigenvalues exceed the threshold "
-            f"{thr:.4g}; raise the eigenvalue budget"
-        )
+    k_hat = int(np.sum(np.abs(values) ** 2 > thr))
     return KEstimate(k_hat=k_hat, threshold=thr, eigenvalues=np.asarray(values))
 
 
-def estimate_k(x, spec: Spectrum) -> KEstimate:
-    """Community-count estimate from a matrix and its retained spectrum."""
-    return estimate_k_from_values(spec.values, x.shape[0], max_degree(x))
+def grow_spectrum(x, m: int = 3) -> tuple[Spectrum, KEstimate]:
+    """Top eigenpairs of ``x``, at least min(m, n) of them and just enough
+    to estimate K.
 
-
-def grow_spectrum(x) -> tuple[Spectrum, KEstimate]:
-    """Top eigenpairs of ``x``, just enough of them to estimate K.
-
-    The budget grows 3, 6, 12, ... up to min(n, 50) pairs until one retained
-    eigenvalue falls below the counting threshold. Only that first pair
-    below the threshold decides the count, so the estimate equals the one
-    from the top min(n, 50) pairs.
-
-    Raises
-    ------
-    CensoredSpectrumError
-        If all min(n, 50) retained eigenvalues clear the threshold.
+    The top ``m`` pairs are solved, then 2m, 4m, ... up to n, until one
+    retained eigenvalue falls below the counting threshold. Only that first
+    pair below the threshold decides the count, so the estimate equals the
+    one from the whole spectrum.
     """
     n = x.shape[0]
     dmax = max_degree(x)
-    cap = min(n, DEFAULT_EIGENVALUE_BUDGET)
-    m = min(INITIAL_EIGENVALUE_BUDGET, cap)
+    m = min(m, n)
     while True:
         spec = top_eigenpairs(x, m)
-        try:
-            return spec, estimate_k_from_values(spec.values, n, dmax)
-        except CensoredSpectrumError:
-            if m == cap:
-                raise
-        m = min(2 * m, cap)
+        est = estimate_k_from_values(spec.values, n, dmax)
+        if est.k_hat < m or m == n:
+            return spec, est
+        m = min(2 * m, n)
 
 
 def diag_residual_square(x, spec: Spectrum, k: int) -> np.ndarray:
@@ -214,19 +182,17 @@ def fit(x, k: int | None = None, *, spectrum: Spectrum | None = None,
     """Fit ``x``, a dense array or a sparse matrix, once for many pair tests.
 
     ``k`` fixes the community count; when omitted it is estimated by
-    thresholding the spectrum and floored at ``floor`` (1 for the T test,
-    2 for the G test). ``spectrum`` may supply precomputed eigenpairs of
-    ``x``. By default the top max(k, 1) pairs are computed for a fixed
-    ``k``, and for an estimated K the budget of :func:`grow_spectrum`. The
-    refinement costs O(nnz k); no n x n matrix is formed.
+    thresholding the spectrum with :func:`grow_spectrum` and floored at
+    ``floor`` (1 for the T test, 2 for the G test). For a fixed ``k``,
+    ``spectrum`` may supply precomputed eigenpairs of ``x``; by default the
+    top max(k, 1) pairs are computed. The refinement costs O(nnz k); no
+    n x n matrix is formed.
 
     Raises
     ------
-    CensoredSpectrumError
-        If K is estimated and all min(n, 50) retained eigenvalues clear the
-        threshold.
     ValueError
-        If ``k`` lies outside [0, n].
+        If ``k`` lies outside [0, n], or ``spectrum`` is given without
+        ``k``.
     ZeroDivisionError
         If one of the top ``k`` eigenvalues is zero to working precision.
     """
@@ -236,10 +202,9 @@ def fit(x, k: int | None = None, *, spectrum: Spectrum | None = None,
         raise ValueError(f"k must lie in [0, {n}], got {k}")
     est = None
     if k is None:
-        if spectrum is None:
-            spectrum, est = grow_spectrum(x)
-        else:
-            est = estimate_k(x, spectrum)
+        if spectrum is not None:
+            raise ValueError("a supplied spectrum needs a fixed k")
+        spectrum, est = grow_spectrum(x)
         k = max(est.k_hat, floor)
     elif spectrum is None:
         spectrum = top_eigenpairs(x, max(k, 1))

@@ -153,21 +153,25 @@ def test_numeric_error_exit_code(tmp_path, capsys):
     assert "numerical error" in err
 
 
-def test_censored_k_estimate_is_numeric_error(tmp_path, capsys):
-    # 52 disjoint 16-cliques (n=832): all 50 retained eigenvalues equal 15,
-    # and 15^2 clears the threshold 2.01 * log(832) * 15, so the K estimate
-    # is censored
+def test_repeated_top_eigenvalue_gets_a_k_estimate(tmp_path, capsys):
+    # 52 disjoint 16-cliques (n=832): eigenvalue 15 has multiplicity 52 and
+    # 15^2 clears the threshold 2.01 * log(832) * 15, so K needs more than
+    # 50 pairs
     path = tmp_path / "cliques.txt"
     path.write_text("".join(f"{16 * c + a} {16 * c + b}\n"
                             for c in range(52)
                             for a in range(16) for b in range(a + 1, 16)))
-    for argv in (["estimate-k"],
-                 ["test-pair", "--method", "t", "--i", "0", "--j", "1"],
-                 ["pvalue-matrix", "--method", "g", "--nodes", "0,1,16"]):
-        code, _, err = run(argv + ["--graph", str(path)], capsys)
-        assert code == cli.EXIT_NUMERIC, argv
-        assert "numerical error" in err
-        assert "Traceback" not in err
+    code, stdout, _ = run(["estimate-k", "--graph", str(path)], capsys)
+    assert code == cli.EXIT_OK
+    vals = _parse_kv(stdout)
+    assert vals["k_hat"] == "52"
+    assert len(vals["eigenvalue_magnitudes"].split(",")) >= 50
+    # the 52-fold eigenvalue makes the T covariance singular
+    code, _, err = run(["test-pair", "--method", "t", "--i", "0", "--j", "1",
+                        "--graph", str(path)], capsys)
+    assert code == cli.EXIT_NUMERIC
+    assert err.startswith("numerical error")
+    assert "Traceback" not in err
 
 
 def test_huge_node_label_is_data_error(tmp_path, capsys):
@@ -308,6 +312,15 @@ def test_oracle_check_small(tmp_path, capsys):
     assert lines[1] == "n,metric,value"
     assert lines[2].startswith("80,sigma1_trend,")
     assert lines[3].startswith("120,sigma1_trend,")
+
+
+@pytest.mark.parametrize("reps", ["-3", "0"])
+def test_oracle_check_needs_a_replication(reps, capsys):
+    code, stdout, err = run(["oracle-check", "--sizes", "80",
+                             f"--reps={reps}"], capsys)
+    assert code == cli.EXIT_USAGE
+    assert err == "error: --reps must be at least 1\n"
+    assert stdout == ""
 
 
 # ------------------------------------------------------ exit-code property

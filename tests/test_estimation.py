@@ -6,8 +6,6 @@ import scipy.sparse
 
 import netpairtest as npt
 from netpairtest.estimation import (
-    DEFAULT_EIGENVALUE_BUDGET,
-    CensoredSpectrumError,
     estimate_k_from_values,
     k_threshold,
     sigma1_matrix,
@@ -29,11 +27,10 @@ def test_estimate_k_complete_graph():
     # clears the threshold 2.01 * log(20) * 19
     n = 20
     x = np.ones((n, n)) - np.eye(n)
-    spec = npt.top_eigenpairs(x, 10)
-    est = npt.estimate_k(x, spec)
-    assert est.k_hat == 1
-    assert npt.fit(x, spectrum=spec, floor=1).k == 1
-    assert npt.fit(x, spectrum=spec, floor=2).k == 2
+    spec, est = npt.grow_spectrum(x, 10)
+    assert est.k_hat == 1 and spec.m == 10
+    assert npt.fit(x, floor=1).k == 1
+    assert npt.fit(x, floor=2).k == 2
 
 
 def test_estimate_k_floors(karate):
@@ -50,38 +47,48 @@ def test_estimate_k_floors(karate):
     assert fixed.k_source == "override"
 
 
-def test_estimate_k_censored():
-    with pytest.raises(CensoredSpectrumError):
-        estimate_k_from_values(np.array([100.0]), n=100, dmax=1)
+def test_estimate_k_counts_every_value_above_the_threshold():
+    est = estimate_k_from_values(np.array([100.0, 90.0]), n=100, dmax=1)
+    assert est.k_hat == 2
 
 
 def test_estimate_k_on_simulated_block_model():
     params = npt.model1_params(400, 80, 0.2, 0.9)
     x = npt.sample_adjacency(npt.build_mean_matrix(params), seed=0)
-    spec = npt.top_eigenpairs(x, 50)
-    assert npt.estimate_k(x, spec).k_hat == 3
+    spec, est = npt.grow_spectrum(x, 50)
+    assert est.k_hat == 3 and spec.m == 50
 
 
-def test_grow_spectrum_matches_the_full_budget(karate):
-    # the growing budget stops at the first pair below the threshold, so it
-    # finds the K of the top 50 pairs from fewer of them
+def _dense_k_hat(x):
+    dense = x.toarray() if scipy.sparse.issparse(x) else x
+    return int(np.sum(np.linalg.eigvalsh(dense) ** 2
+                      > k_threshold(x.shape[0], npt.max_degree(x))))
+
+
+def test_grow_spectrum_matches_the_full_spectrum(karate):
+    # the spectrum grows until the first pair below the threshold, so it
+    # finds the K of the whole spectrum from fewer pairs
     model1 = npt.sample_adjacency(npt.build_mean_matrix(
         npt.model1_params(400, 80, 0.2, 0.9)), seed=0)
     model2 = npt.sample_adjacency(npt.build_mean_matrix(
         npt.model2_params(300, 60, 0.2, 0.3, seed=1)), seed=2)
     for x in (karate, model1, model2, scipy.sparse.csr_array(model2)):
         spec, est = npt.grow_spectrum(x)
-        full = npt.top_eigenpairs(x, min(x.shape[0],
-                                          DEFAULT_EIGENVALUE_BUDGET))
-        assert est.k_hat == npt.estimate_k(x, full).k_hat
-        assert est.k_hat < spec.m < DEFAULT_EIGENVALUE_BUDGET
-        assert spec.m in (3, 6, 12, 24, 48)
-    # 52 disjoint 16-cliques: eigenvalue 15 has multiplicity 52, so even
-    # the full budget of 50 pairs is censored
+        assert est.k_hat == _dense_k_hat(x)
+        assert est.k_hat < spec.m
+        assert spec.m in (3, 6)
+    # 52 disjoint 16-cliques: eigenvalue 15 has multiplicity 52 and clears
+    # the threshold, so the spectrum grows past 50 pairs to 96
     cliques = scipy.sparse.block_diag([np.ones((16, 16)) - np.eye(16)] * 52,
                                       format="csr")
-    with pytest.raises(CensoredSpectrumError):
-        npt.grow_spectrum(cliques)
+    spec, est = npt.grow_spectrum(cliques)
+    assert est.k_hat == _dense_k_hat(cliques) == 52
+    assert spec.m == 96
+    assert npt.fit(cliques).k == 52
+    # every eigenvalue clears the threshold 2.01 * log(3) * 30 ~ 66: the
+    # count is the whole spectrum
+    spec, est = npt.grow_spectrum(np.diag([30.0, 20.0, 10.0]), 2)
+    assert est.k_hat == spec.m == 3
 
 
 # ------------------------------------------------------------ refinement
@@ -149,6 +156,8 @@ def test_fit_refines_once_from_the_initial_residual(karate, karate_csr):
         npt.fit(karate, -1, spectrum=spec)
     with pytest.raises(ValueError):
         npt.fit(karate, 4, spectrum=spec)
+    with pytest.raises(ValueError, match="fixed k"):
+        npt.fit(karate, spectrum=spec)
 
 
 def test_fit_requests_only_the_pairs_it_uses(karate):
@@ -286,7 +295,7 @@ def test_estimate_sigma_validation(karate, karate_spectrum):
     with pytest.raises(ValueError):
         npt.estimate_sigma2(npt.fit(karate, 1, spectrum=spec), 0, 1)
     cov = npt.estimate_sigma1(fitted, 6, 12)
-    assert cov.dim == 2
+    assert cov.matrix.shape == (2, 2)
     assert np.isfinite(cov.condition_estimate)
 
 

@@ -8,7 +8,12 @@ import scipy.linalg
 import scipy.sparse
 
 import netpairtest as npt
-from netpairtest.estimation import CovarianceEstimate, sigma1_matrix, sigma2_matrix
+from netpairtest.estimation import (
+    CovarianceEstimate,
+    estimate_k_from_values,
+    sigma1_matrix,
+    sigma2_matrix,
+)
 from netpairtest.inference import SingularCovarianceError, _quadratic_form
 from netpairtest.spectra import Spectrum, ratio_rows
 
@@ -73,7 +78,9 @@ def _per_pair_statistic(x, i, j, k, method):
     covariance from the whole variance matrix."""
     spec = npt.top_eigenpairs(x, min(x.shape[0], 50))
     if k is None:
-        k = max(npt.estimate_k(x, spec).k_hat, 1 if method == "T" else 2)
+        est = estimate_k_from_values(spec.values, x.shape[0],
+                                     npt.max_degree(x))
+        k = max(est.k_hat, 1 if method == "T" else 2)
     v, d = spec.vectors[:, :k], spec.values[:k]
     w0 = x - (v * d[None, :]) @ v.T
     quad = np.einsum("ik,i,ik->k", v, np.sum(w0 * w0, axis=1), v)

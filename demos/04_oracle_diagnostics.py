@@ -13,7 +13,7 @@ Three checks that back the test statistics' asymptotic theory:
 import numpy as np
 
 import netpairtest as npt
-from netpairtest.oracle import with_tk
+from netpairtest.oracle import covariance_trend, with_tk
 
 
 def eigenvalue_locations():
@@ -39,20 +39,9 @@ def covariance_consistency():
     print("\nplug-in covariance consistency (model 1, theta=0.9, "
           "10 replications per size)")
     print(f"{'n':>6}  scaled error n^2 theta ||Sigma1_hat - Sigma1||")
-    for n in (300, 600, 1200):
-        n0 = n // 5
-        params = npt.model1_params(n, n0, 0.2, 0.9)
-        gt = npt.ground_truth(params)
-        i, j = 3 * n0, 3 * n0 + 1
-        errs = []
-        ss = np.random.SeedSequence(entropy=0, spawn_key=(n,))
-        for rep in ss.spawn(10):
-            x = npt.sample_adjacency(gt.h, np.random.default_rng(rep))
-            fitted = npt.fit(x, 3)
-            s_hat = npt.estimate_sigma1(fitted, i, j).matrix
-            s_true = npt.true_sigma1(gt, i, j).matrix
-            errs.append(n**2 * 0.9 * np.linalg.norm(s_hat - s_true, 2))
-        print(f"{n:>6}  {np.mean(errs):.3f}")
+    sizes = (300, 600, 1200)
+    for n, err in zip(sizes, covariance_trend(1, 0.9, sizes, reps=10)):
+        print(f"{n:>6}  {err:.3f}")
 
 
 def expansion_check():

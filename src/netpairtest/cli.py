@@ -3,7 +3,9 @@
 Subcommands: simulate, test-pair, pvalue-matrix, estimate-k, spectrum, mc,
 oracle-check. Exit codes: 0 success, 1 usage error, 2 data error (a
 malformed or unreadable file), 3 numerical error (a singular covariance, a
-degenerate node or a zero eigenvalue).
+degenerate node, a zero eigenvalue, or an eigenvalue-location equation with
+no root on its bracket). oracle-check only checks its arguments and
+formats :func:`~.oracle.covariance_trend` as CSV.
 Seeded invocations are deterministic end to end.
 """
 
@@ -15,7 +17,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .estimation import estimate_sigma1, estimate_sigma2, fit, grow_spectrum
+from .estimation import grow_spectrum
 from .graph_io import GraphFormatError, load_edge_list, max_degree
 from .harness import (
     TRUE_K,
@@ -32,7 +34,7 @@ from .models import (
     sample_adjacency,
     save_params,
 )
-from .oracle import ground_truth, true_sigma1, true_sigma2, with_tk
+from .oracle import RootBracketError, covariance_trend
 from .spectra import DegenerateNodeError, top_eigenpairs
 
 EXIT_OK = 0
@@ -275,35 +277,12 @@ def _cmd_oracle_check(args) -> int:
     if args.reps < 1:
         raise ValueError("--reps must be at least 1")
     sizes = [int(tok) for tok in args.sizes.split(",")]
+    trend = covariance_trend(args.model, args.signal, sizes, args.reps,
+                             args.seed)
+    metric = "sigma1_trend" if args.model == 1 else "sigma2_trend"
     rows = [f"# netpairtest {__version__} oracle-check model={args.model} "
             f"seed={args.seed}", "n,metric,value"]
-    for n in sizes:
-        n0 = n // 5
-        if args.model == 1:
-            params = model1_params(n, n0, 0.2, args.signal)
-            scale = n**2 * args.signal
-        else:
-            params = model2_params(n, n0, 0.2, float(np.sqrt(args.signal)),
-                                   args.seed)
-            scale = n * float(params.theta.min()) ** 2
-        gt = ground_truth(params)
-        if args.model == 2:
-            gt = with_tk(gt, moment_samples=100, seed=args.seed)
-        i, j = 3 * n0, 3 * n0 + 1
-        errs = []
-        rng = np.random.SeedSequence(entropy=args.seed, spawn_key=(n,))
-        for rep_ss in rng.spawn(args.reps):
-            x = sample_adjacency(gt.h, np.random.default_rng(rep_ss))
-            fitted = fit(x, 3)
-            if args.model == 1:
-                s_hat = estimate_sigma1(fitted, i, j).matrix
-                s_true = true_sigma1(gt, i, j).matrix
-            else:
-                s_hat = estimate_sigma2(fitted, i, j).matrix
-                s_true = true_sigma2(gt, i, j).matrix
-            errs.append(scale * np.linalg.norm(s_hat - s_true, 2))
-        metric = "sigma1_trend" if args.model == 1 else "sigma2_trend"
-        rows.append(f"{n},{metric},{float(np.mean(errs)):.6f}")
+    rows += [f"{n},{metric},{err:.6f}" for n, err in zip(sizes, trend)]
     _emit("\n".join(rows) + "\n", args.out)
     return EXIT_OK
 
@@ -327,7 +306,7 @@ def main(argv=None) -> int:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (SingularCovarianceError, DegenerateNodeError, ZeroDivisionError,
-            np.linalg.LinAlgError) as exc:
+            RootBracketError, np.linalg.LinAlgError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as exc:

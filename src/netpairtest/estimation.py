@@ -183,7 +183,8 @@ def fit(x, k: int | None = None, *, spectrum: Spectrum | None = None,
 
     ``k`` fixes the community count; when omitted it is estimated by
     thresholding the spectrum with :func:`grow_spectrum` and floored at
-    ``floor`` (1 for the T test, 2 for the G test). For a fixed ``k``,
+    ``floor``; the tests pass the least K they accept,
+    ``inference.MIN_K[method]``. For a fixed ``k``,
     ``spectrum`` may supply precomputed eigenpairs of ``x``; by default the
     top max(k, 1) pairs are computed. The refinement costs O(nnz k); no
     n x n matrix is formed.

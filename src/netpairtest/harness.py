@@ -21,7 +21,7 @@ import numpy as np
 import scipy.stats
 
 from .estimation import fit, grow_spectrum
-from .inference import SingularCovarianceError, reject, test_G, test_T
+from .inference import MIN_K, TEST_FAILURES, _pair_test, reject
 from .models import (
     build_mean_matrix,
     model1_params,
@@ -29,7 +29,6 @@ from .models import (
     pure_and_mixed_indices,
     sample_adjacency,
 )
-from .spectra import DegenerateNodeError
 
 __all__ = [
     "ExperimentConfig",
@@ -81,6 +80,11 @@ class ExperimentConfig:
             raise ValueError("k_mode must be true_k or estimated_k")
         if self.pair_mode not in ("size", "power"):
             raise ValueError("pair_mode must be size or power")
+
+    @property
+    def method(self) -> str:
+        """The test that matches the model: T for model 1, G for model 2."""
+        return "T" if self.model == 1 else "G"
 
     def node_pair(self) -> tuple[int, int]:
         layout = pure_and_mixed_indices(self.n, self.n0)
@@ -164,21 +168,22 @@ class _StageClock:
 def _replicate(cfg: ExperimentConfig, x: np.ndarray, i: int, j: int,
                clock: _StageClock):
     """One replication on the sampled network ``x``: run the matching test
-    and return (statistic or None, rejected or None, k_hat or None)."""
-    with clock("fit"):
-        if cfg.k_mode == "true_k":
-            fitted = fit(x, TRUE_K)
-            k_hat = None
-        else:
-            fitted = fit(x, floor=1 if cfg.model == 1 else 2)
-            k_hat = fitted.k_estimate.k_hat
-    runner = test_T if cfg.model == 1 else test_G
-    with clock("test"):
-        try:
-            res = runner(fitted, i, j)
-        except (SingularCovarianceError, DegenerateNodeError):
-            return None, None, k_hat
-        return res.statistic, reject(res, cfg.alpha), k_hat
+    and return (statistic or None, rejected or None, k_hat or None). A fit
+    or test that raises one of ``TEST_FAILURES`` gives no statistic, and a
+    failed fit no k_hat either."""
+    k_hat = None
+    try:
+        with clock("fit"):
+            if cfg.k_mode == "true_k":
+                fitted = fit(x, TRUE_K)
+            else:
+                fitted = fit(x, floor=MIN_K[cfg.method])
+                k_hat = fitted.k_estimate.k_hat
+        with clock("test"):
+            res = _pair_test(fitted, i, j, cfg.method)
+    except TEST_FAILURES:
+        return None, None, k_hat
+    return res.statistic, reject(res, cfg.alpha), k_hat
 
 
 def run_size_power(cfg: ExperimentConfig) -> ExperimentReport:
@@ -249,7 +254,7 @@ def null_histogram(cfg: ExperimentConfig) -> dict:
         raise ValueError("null sampling requires pair_mode='size'")
     report = run_size_power(cfg)
     samples = report.points[0].statistics
-    df = TRUE_K if cfg.model == 1 else TRUE_K - 1
+    df = TRUE_K - MIN_K[cfg.method] + 1
     ks = scipy.stats.kstest(samples, scipy.stats.chi2(df).cdf)
     return {
         "samples": samples,

@@ -34,6 +34,8 @@ from .estimation import (
 from .spectra import DegenerateNodeError, ratio_rows
 
 __all__ = [
+    "MIN_K",
+    "TEST_FAILURES",
     "TestResult",
     "PValueMatrix",
     "SingularCovarianceError",
@@ -49,6 +51,14 @@ CONDITION_LIMIT = 1e12
 
 class SingularCovarianceError(np.linalg.LinAlgError):
     """Plug-in covariance too ill-conditioned to invert meaningfully."""
+
+
+# least K of each test: the floor of an estimated K, the least k_override;
+# the test has K - MIN_K + 1 degrees of freedom
+MIN_K = {"T": 1, "G": 2}
+# errors of a fit or a test that fail it instead of stopping a study
+TEST_FAILURES = (SingularCovarianceError, DegenerateNodeError,
+                 ZeroDivisionError)
 
 
 @dataclass(frozen=True)
@@ -103,9 +113,11 @@ def _quadratic_form(diff: np.ndarray, cov: CovarianceEstimate) -> float:
     return float(diff @ sol)
 
 
-def _fitted(x, k_override: int | None, floor: int) -> Fit:
+def _fitted(x, k_override: int | None, method: str) -> Fit:
+    if k_override is not None and k_override < MIN_K[method]:
+        raise ValueError(f"the {method} test needs k >= {MIN_K[method]}")
     if not isinstance(x, Fit):
-        return fit(x, k_override, floor=floor)
+        return fit(x, k_override, floor=MIN_K[method])
     if k_override is not None:
         raise ValueError("a Fit already fixes k")
     return x
@@ -122,9 +134,23 @@ def _check_nodes(x, nodes) -> None:
             raise ValueError(f"node {node} outside the node range [0, {n})")
 
 
-def _check_ratio_k(k: int | None) -> None:
-    if k is not None and k < 2:
-        raise ValueError("the ratio test needs k >= 2")
+def _pair_test(fitted: Fit, i: int, j: int, method: str) -> TestResult:
+    """The ``method`` test of nodes ``i`` and ``j`` on a shared fit. The
+    covariance estimators are read from the module globals at each call, so
+    a replaced binding takes effect."""
+    k = fitted.k
+    if method == "T":
+        cov = estimate_sigma1(fitted, i, j)
+        diff = fitted.vectors[i] - fitted.vectors[j]
+    else:
+        cov = estimate_sigma2(fitted, i, j)
+        diff = ratio_rows(fitted.spectrum, i, k) - \
+            ratio_rows(fitted.spectrum, j, k)
+    stat = _quadratic_form(diff, cov)
+    df = k - MIN_K[method] + 1
+    return TestResult(method=method, statistic=stat, df=df,
+                      p_value=chi2_sf(max(stat, 0.0), df), k_used=k,
+                      condition_estimate=cov.condition_estimate)
 
 
 def test_T(x: np.ndarray | Fit, i: int, j: int,
@@ -135,18 +161,11 @@ def test_T(x: np.ndarray | Fit, i: int, j: int,
     ``x`` is an adjacency matrix, or a :class:`Fit` from :func:`fit` to
     share one fit across many pairs (then ``k_override`` must be omitted).
     When ``k_override`` is omitted, K is estimated from the spectrum by
-    thresholding (floored at 1). ``i`` and ``j`` are distinct 0-based node
-    indices.
+    thresholding (floored at ``MIN_K["T"]`` = 1). ``i`` and ``j`` are
+    distinct 0-based node indices.
     """
     _check_nodes(x, (i, j))
-    fitted = _fitted(x, k_override, floor=1)
-    k = fitted.k
-    cov = estimate_sigma1(fitted, i, j)
-    diff = fitted.vectors[i] - fitted.vectors[j]
-    stat = _quadratic_form(diff, cov)
-    return TestResult(method="T", statistic=stat, df=k,
-                      p_value=chi2_sf(max(stat, 0.0), k), k_used=k,
-                      condition_estimate=cov.condition_estimate)
+    return _pair_test(_fitted(x, k_override, "T"), i, j, "T")
 
 
 def test_G(x: np.ndarray | Fit, i: int, j: int,
@@ -155,19 +174,11 @@ def test_G(x: np.ndarray | Fit, i: int, j: int,
     membership profile under degree heterogeneity.
 
     ``x`` is an adjacency matrix or a :class:`Fit`, as for :func:`test_T`.
-    K defaults to the thresholding estimate floored at 2; degrees of freedom
-    are K-1.
+    K defaults to the thresholding estimate floored at ``MIN_K["G"]`` = 2;
+    degrees of freedom are K-1.
     """
     _check_nodes(x, (i, j))
-    _check_ratio_k(k_override)
-    fitted = _fitted(x, k_override, floor=2)
-    k = fitted.k
-    cov = estimate_sigma2(fitted, i, j)
-    diff = ratio_rows(fitted.spectrum, i, k) - ratio_rows(fitted.spectrum, j, k)
-    stat = _quadratic_form(diff, cov)
-    return TestResult(method="G", statistic=stat, df=k - 1,
-                      p_value=chi2_sf(max(stat, 0.0), k - 1), k_used=k,
-                      condition_estimate=cov.condition_estimate)
+    return _pair_test(_fitted(x, k_override, "G"), i, j, "G")
 
 
 def reject(result: TestResult, alpha: float) -> bool:
@@ -188,26 +199,21 @@ def pvalue_matrix(x: np.ndarray, nodes, method: str = "T",
         raise ValueError("need at least two distinct nodes")
     _check_nodes(x, nodes)
     method = method.upper()
-    if method not in ("T", "G"):
+    if method not in MIN_K:
         raise ValueError(f"unknown method {method!r}")
-    if method == "T":
-        runner, floor = test_T, 1
-    else:
-        runner, floor = test_G, 2
-        _check_ratio_k(k_override)
     m = len(nodes)
     out = np.ones((m, m))
     try:
-        fitted = fit(x, k_override, floor=floor)
-    except ZeroDivisionError:
+        fitted = _fitted(x, k_override, method)
+    except TEST_FAILURES:
         # a zero eigenvalue among the top K fails every pair alike
         out[~np.eye(m, dtype=bool)] = np.nan
         return PValueMatrix(nodes=tuple(nodes), matrix=out, method=method)
     for s in range(m):
         for t in range(s + 1, m):
             try:
-                out[s, t] = out[t, s] = runner(fitted, nodes[s],
-                                               nodes[t]).p_value
-            except (SingularCovarianceError, DegenerateNodeError):
+                out[s, t] = out[t, s] = _pair_test(fitted, nodes[s], nodes[t],
+                                                   method).p_value
+            except TEST_FAILURES:
                 out[s, t] = out[t, s] = np.nan
     return PValueMatrix(nodes=tuple(nodes), matrix=out, method=method)

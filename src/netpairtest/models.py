@@ -125,6 +125,8 @@ def sample_adjacency(h: np.ndarray, seed, self_loops: bool = False) -> np.ndarra
 
 
 def _model_memberships(n: int, n0: int) -> np.ndarray:
+    if n < 1 or n0 < 0:
+        raise ValueError(f"need n >= 1 and n0 >= 0, got n={n}, n0={n0}")
     if n - 3 * n0 < 0 or (n - 3 * n0) % 4 != 0:
         raise ValueError(
             f"n - 3*n0 = {n - 3 * n0} must be nonnegative and divisible by 4"

@@ -15,8 +15,21 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.optimize
 
-from .estimation import CovarianceEstimate, sigma1_matrix, sigma2_matrix
-from .models import DCMMParams, build_mean_matrix, sample_adjacency
+from .estimation import (
+    CovarianceEstimate,
+    estimate_sigma1,
+    estimate_sigma2,
+    fit,
+    sigma1_matrix,
+    sigma2_matrix,
+)
+from .models import (
+    DCMMParams,
+    build_mean_matrix,
+    model1_params,
+    model2_params,
+    sample_adjacency,
+)
 from .spectra import top_eigenpairs
 
 __all__ = [
@@ -25,12 +38,18 @@ __all__ = [
     "true_sigma1",
     "true_sigma2",
     "compute_tk",
+    "covariance_trend",
     "expansion_residual",
+    "RootBracketError",
 ]
 
 RANK_REL_TOL = 1e-8
 DEFAULT_MOMENT_SAMPLES = 200
 SERIES_LENGTH_CAP = 12
+
+
+class RootBracketError(ArithmeticError):
+    """The eigenvalue-location equation has no sign change on its bracket."""
 
 
 @dataclass(frozen=True)
@@ -83,13 +102,12 @@ def ground_truth(params: DCMMParams, self_loops: bool = False) -> GroundTruth:
 
 
 def with_tk(gt: GroundTruth, moment_samples: int = DEFAULT_MOMENT_SAMPLES,
-            seed=0, c0: float | None = None) -> GroundTruth:
+            seed=0) -> GroundTruth:
     """Return a copy of ``gt`` with all deterministic eigenvalue locations
-    attached."""
-    moments = noise_moment_tables(gt, moment_samples, seed,
-                                  series_length(gt, c0))
-    t = np.array([compute_tk(gt, k, moment_samples, c0, _moments=moments)
-                  for k in range(gt.k)])
+    attached; the noise moments come from ``moment_samples`` draws seeded
+    by ``seed``."""
+    moments = noise_moment_tables(gt, moment_samples, seed, series_length(gt))
+    t = np.array([compute_tk(gt, k, moments) for k in range(gt.k)])
     return replace(gt, t=t)
 
 
@@ -145,11 +163,11 @@ def noise_amplitude(gt: GroundTruth) -> float:
     return float(np.sqrt(gt.var_w.sum(axis=0).max()))
 
 
-def series_length(gt: GroundTruth, c0: float | None = None) -> int:
+def series_length(gt: GroundTruth) -> int:
     """Truncation length of the resolvent moment series: the smallest L with
     (alpha/|z|)^L below min(n^-4, |z|^-4) over every bracket, capped at
     ``SERIES_LENGTH_CAP`` for small instances."""
-    c0 = eigen_gap_constant(gt) if c0 is None else c0
+    c0 = eigen_gap_constant(gt)
     alpha = noise_amplitude(gt)
     if alpha == 0.0:
         return 2
@@ -197,28 +215,25 @@ def _resolvent_series(moments: dict[int, np.ndarray], k_dim: int, z: float
     return r
 
 
-def compute_tk(gt: GroundTruth, k: int, moment_samples: int = DEFAULT_MOMENT_SAMPLES,
-               c0: float | None = None, seed=0,
-               _moments: dict[int, np.ndarray] | None = None) -> float:
+def compute_tk(gt: GroundTruth, k: int,
+               moments: dict[int, np.ndarray]) -> float:
     """Deterministic location of the k-th empirical eigenvalue: the root of
     the truncated resolvent-series equation on the bracket around d_k.
 
-    Noise-moment terms are estimated by Monte Carlo averaging of matrix
-    powers (``moment_samples`` draws). With zero noise the equation reduces
-    to 1 - d_k/z = 0 and the root is d_k itself.
+    ``moments`` are the tables of :func:`noise_moment_tables`. With zero
+    noise the equation reduces to 1 - d_k/z = 0 and the root is d_k itself.
+    Raises :class:`RootBracketError` when the equation has no sign change on
+    the bracket, as when the noise is large against the eigen-gap.
     """
     if gt.d[k] == 0:
         raise ZeroDivisionError("zero population eigenvalue")
-    c0 = eigen_gap_constant(gt) if c0 is None else c0
-    if _moments is None:
-        _moments = noise_moment_tables(gt, moment_samples, seed,
-                                       series_length(gt, c0))
+    c0 = eigen_gap_constant(gt)
     a, b = _bracket(gt.d[k], c0)
     rest = [m for m in range(gt.k) if m != k]
     d_rest = gt.d[rest]
 
     def objective(z: float) -> float:
-        r = _resolvent_series(_moments, gt.k, z)
+        r = _resolvent_series(moments, gt.k, z)
         r_kk = r[k, k]
         if rest:
             r_kr = r[k, rest]
@@ -233,13 +248,58 @@ def compute_tk(gt: GroundTruth, k: int, moment_samples: int = DEFAULT_MOMENT_SAM
     if fb == 0.0:
         return b
     if np.sign(fa) == np.sign(fb):
-        raise RuntimeError(
+        raise RootBracketError(
             f"no sign change on bracket [{a:.6g}, {b:.6g}] for eigenvalue "
             f"{k}; f(a)={fa:.3g}, f(b)={fb:.3g}"
         )
     return float(scipy.optimize.brentq(objective, a, b,
                                        xtol=1e-12 * abs(gt.d[k]),
                                        rtol=8.9e-16))
+
+
+def covariance_trend(model: int, signal: float, sizes, reps: int,
+                     seed=0) -> list[float]:
+    """Mean over ``reps`` samples, at each n in ``sizes``, of the scaled
+    2-norm error of the plug-in covariance of model 1's T test (scale
+    n^2 theta) or model 2's G test (scale n min(theta)^2).
+
+    The design has n0 = n // 5, rho = 0.2 and degree level ``signal`` (theta,
+    or r^2 for model 2); the pair is the first two nodes of the first mixed
+    group. Sample r at size n is seeded by SeedSequence(seed, spawn_key=(n,))
+    .spawn(reps)[r]. The exact covariance is taken in each sample's fitted
+    sign basis. Every size is checked (ValueError) before any is sampled.
+    """
+    if reps < 1:
+        raise ValueError("reps must be at least 1")
+    for n in sizes:
+        mixed = n - 3 * (n // 5)  # nodes in the four mixed groups
+        if mixed % 4 or mixed < 8:
+            raise ValueError(f"size {n} has no layout with two nodes in the "
+                             "first mixed group (n0 = n // 5)")
+    means = []
+    for n in sizes:
+        n0 = n // 5
+        if model == 1:
+            gt = ground_truth(model1_params(n, n0, 0.2, signal))
+            scale = n**2 * signal
+            plug_in, exact = estimate_sigma1, true_sigma1
+        else:
+            params = model2_params(n, n0, 0.2, float(np.sqrt(signal)), seed)
+            gt = with_tk(ground_truth(params), moment_samples=100, seed=seed)
+            scale = n * float(params.theta.min()) ** 2
+            plug_in, exact = estimate_sigma2, true_sigma2
+        i, j = 3 * n0, 3 * n0 + 1
+        errs = []
+        ss = np.random.SeedSequence(entropy=seed, spawn_key=(n,))
+        for rep_ss in ss.spawn(reps):
+            fitted = fit(sample_adjacency(gt.h, np.random.default_rng(rep_ss)),
+                         gt.k)
+            flips = np.einsum("ik,ik->k", fitted.vectors, gt.v) < 0
+            aligned = replace(gt, v=np.where(flips, -gt.v, gt.v))
+            err = plug_in(fitted, i, j).matrix - exact(aligned, i, j).matrix
+            errs.append(scale * np.linalg.norm(err, 2))
+        means.append(float(np.mean(errs)))
+    return means
 
 
 def expansion_residual(gt: GroundTruth, x_samples, k: int, i: int) -> dict:

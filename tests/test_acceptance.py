@@ -12,7 +12,7 @@ import pytest
 import netpairtest as npt
 from netpairtest.estimation import sigma1_matrix, sigma2_matrix
 from netpairtest.models import DCMMParams
-from netpairtest.oracle import with_tk
+from netpairtest.oracle import covariance_trend, with_tk
 from netpairtest.spectra import Spectrum
 
 from brute import brute_sigma1, brute_sigma2
@@ -146,40 +146,10 @@ def test_criterion_5_k_estimation():
                    f"never above 3: {never_over}")
 
 
-def _covariance_trend(model, sizes, reps, seed=0):
-    means = []
-    for n in sizes:
-        n0 = n // 5
-        if model == 1:
-            params = npt.model1_params(n, n0, 0.2, 0.9)
-            scale = n**2 * 0.9
-        else:
-            params = npt.model2_params(n, n0, 0.2, float(np.sqrt(0.9)), seed)
-            scale = n * float(params.theta.min()) ** 2
-        gt = npt.ground_truth(params)
-        if model == 2:
-            gt = with_tk(gt, moment_samples=100, seed=seed)
-        i, j = 3 * n0, 3 * n0 + 1
-        errs = []
-        ss = np.random.SeedSequence(entropy=seed, spawn_key=(n,))
-        for rep_ss in ss.spawn(reps):
-            x = npt.sample_adjacency(gt.h, np.random.default_rng(rep_ss))
-            fitted = npt.fit(x, 3)
-            if model == 1:
-                s_hat = npt.estimate_sigma1(fitted, i, j).matrix
-                s_true = npt.true_sigma1(gt, i, j).matrix
-            else:
-                s_hat = npt.estimate_sigma2(fitted, i, j).matrix
-                s_true = npt.true_sigma2(gt, i, j).matrix
-            errs.append(scale * np.linalg.norm(s_hat - s_true, 2))
-        means.append(float(np.mean(errs)))
-    return means
-
-
 def test_criterion_6_covariance_consistency():
     sizes = (500, 1000, 2000)
-    trend1 = _covariance_trend(1, sizes, reps=20)
-    trend2 = _covariance_trend(2, sizes, reps=20)
+    trend1 = covariance_trend(1, 0.9, sizes, reps=20)
+    trend2 = covariance_trend(2, 0.9, sizes, reps=20)
     ok1 = all(b <= a for a, b in zip(trend1, trend1[1:]))
     ok2 = all(b <= a for a, b in zip(trend2, trend2[1:]))
     detail = ("scaled row-cov errors " +

@@ -3,7 +3,7 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import netpairtest as npt
@@ -323,6 +323,13 @@ def test_oracle_check_needs_a_replication(reps, capsys):
     assert stdout == ""
 
 
+def test_oracle_check_without_an_eigenvalue_location_is_numeric(capsys):
+    code, stdout, err = run(["oracle-check", "--model", "2", "--sizes", "200",
+                             "--reps", "1"], capsys)
+    assert (code, stdout) == (cli.EXIT_NUMERIC, "")
+    assert err.startswith("numerical error: no sign change on bracket")
+
+
 # ------------------------------------------------------ exit-code property
 
 _LABELS = st.integers(-1, 16)
@@ -365,9 +372,35 @@ def test_every_input_maps_to_an_exit_code(tmp_path_factory, edges, loop,
         argv += ["--method", method, "--nodes=" + ",".join(map(str, nodes))]
     if k is not None and command in ("test-pair", "pvalue-matrix"):
         argv.append(f"--k={k}")
+    _assert_exit_code(argv)
+
+
+def _assert_exit_code(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
     assert code in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_DATA,
                     cli.EXIT_NUMERIC), argv
     assert "Traceback" not in out.getvalue() + err.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(command=st.sampled_from(["oracle-check", "simulate"]),
+       model=st.sampled_from([1, 2]), n=st.integers(-2, 60),
+       n0=st.integers(-2, 20), more_sizes=st.lists(st.integers(-2, 60),
+                                                   max_size=1),
+       reps=st.integers(1, 2))
+@example(command="oracle-check", model=2, n=20, n0=0, more_sizes=[], reps=1)
+def test_every_model_input_maps_to_an_exit_code(tmp_path_factory, command,
+                                                model, n, n0, more_sizes,
+                                                reps):
+    # most sizes have no model layout; 20 has one, but model 2 finds no
+    # eigenvalue location there
+    if command == "oracle-check":
+        sizes = ",".join(map(str, [n] + more_sizes))
+        args = [f"--sizes={sizes}", f"--reps={reps}"]
+    else:
+        out = tmp_path_factory.mktemp("simulate") / "net.txt"
+        args = [f"--n={n}", f"--n0={n0}", "--theta=0.9", "--r2=0.81",
+                f"--out={out}"]
+    _assert_exit_code([command, f"--model={model}"] + args)

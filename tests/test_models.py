@@ -45,6 +45,9 @@ def test_model1_validation():
         npt.model1_params(140, 20, 0.2, 0.0)
     with pytest.raises(ValueError, match="divisible by 4"):
         npt.model1_params(141, 20, 0.2, 0.5)
+    for n, n0 in ((0, 0), (-8, 0), (9, -1)):
+        with pytest.raises(ValueError, match=f"got n={n}, n0={n0}"):
+            npt.model1_params(n, n0, 0.2, 0.5)
 
 
 def test_model2_theta_range_and_replay():

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 import netpairtest as npt
+from netpairtest import oracle
 from netpairtest.models import DCMMParams
 from netpairtest.oracle import (
+    covariance_trend,
     eigen_gap_constant,
     noise_amplitude,
     noise_moment_tables,
@@ -172,3 +174,22 @@ def test_expansion_residual_bounded():
     assert out["median"] < 2.0
     assert out["p95"] < 10.0
     assert len(out["samples"]) == 20
+
+
+def test_covariance_trend_ignores_the_exact_eigenvector_signs(monkeypatch):
+    # the exact covariance is aligned to each fitted basis, so flipping the
+    # population eigenvectors leaves the errors as they are
+    base = covariance_trend(2, 0.9, [300], reps=2)
+    exact = oracle.ground_truth
+    monkeypatch.setattr(oracle, "ground_truth", lambda params: oracle.replace(
+        exact(params), v=exact(params).v * np.array([-1.0, 1.0, -1.0])))
+    assert covariance_trend(2, 0.9, [300], reps=2) == \
+        pytest.approx(base, rel=1e-9)
+
+
+@pytest.mark.parametrize("sizes", [[80, 4], [0], [-20], [25]])
+def test_covariance_trend_checks_every_size_before_sampling(monkeypatch,
+                                                            sizes):
+    monkeypatch.setattr(oracle, "sample_adjacency", None)  # must not be used
+    with pytest.raises(ValueError, match=f"size {sizes[-1]} "):
+        covariance_trend(1, 0.9, sizes, reps=1)

@@ -14,7 +14,7 @@ from .models import (
     model2_params,
     sample_adjacency,
 )
-from .spectra import Spectrum, orient_signs, ratio_rows, top_eigenpairs
+from .spectra import Spectrum, orient_signs, top_eigenpairs
 from .estimation import (
     CovarianceEstimate,
     Fit,
@@ -47,8 +47,6 @@ from .oracle import (
     compute_tk,
     expansion_residual,
     ground_truth,
-    true_sigma1,
-    true_sigma2,
     with_tk,
 )
 

@@ -13,6 +13,11 @@ reads only rows i and j of the squared residual, which :class:`Fit` forms on
 demand. No step forms an n x n matrix: the adjacency matrix may be a dense
 array or a sparse matrix, and only products of it with n x k blocks are
 taken.
+
+Each covariance formula has one definition, :func:`sigma1_matrix` and
+:func:`sigma2_matrix`. :func:`estimate_sigma1` and :func:`estimate_sigma2`
+evaluate it on a :class:`Fit` for the plug-in estimate, or on an oracle
+ground truth for the exact covariance.
 """
 
 from __future__ import annotations
@@ -80,6 +85,12 @@ class Fit:
     @property
     def values(self) -> np.ndarray:
         return self.spectrum.values[:self.k]
+
+    @property
+    def locations(self) -> np.ndarray:
+        """Eigenvalue locations of the ratio covariance: the empirical
+        eigenvalues themselves."""
+        return self.values
 
     def sigma2_rows(self, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
         """Rows i and j of sigma2, in O(n k) time and memory: the rank-k
@@ -221,40 +232,43 @@ def _condition(mat: np.ndarray) -> float:
         return np.inf
 
 
-def sigma1_matrix(vectors: np.ndarray, values: np.ndarray, sigma2: np.ndarray,
-                  i: int, j: int) -> np.ndarray:
+def sigma1_matrix(v: np.ndarray, d: np.ndarray, s_i: np.ndarray,
+                  s_j: np.ndarray, i: int, j: int) -> np.ndarray:
     """Covariance of the difference of eigenvector rows i and j, evaluated
-    from eigenpairs and an entrywise variance matrix.
+    from eigenpairs (``v``, ``d``) and rows ``s_i``, ``s_j`` of an entrywise
+    variance matrix sigma2.
 
     Entry (a, b) is [ sum_{t in {i,j}} sum_l sigma2[t,l] v_a(l) v_b(l)
     - sigma2[i,j] (v_a(j) v_b(i) + v_a(i) v_b(j)) ] / (d_a d_b).
     """
-    return _sigma1(vectors, values, sigma2[i], sigma2[j], i, j)
-
-
-def _sigma1(v: np.ndarray, d: np.ndarray, s_i: np.ndarray, s_j: np.ndarray,
-            i: int, j: int) -> np.ndarray:
-    # s_i, s_j: rows i and j of the variance matrix
     core = (v * (s_i + s_j)[:, None]).T @ v
     cross = s_i[j] * (np.outer(v[j], v[i]) + np.outer(v[i], v[j]))
     return (core - cross) / np.outer(d, d)
 
 
-def estimate_sigma1(fitted: Fit, i: int, j: int) -> CovarianceEstimate:
-    """Plug-in estimate of the row-difference covariance, dimensions k x k."""
+def estimate_sigma1(model, i: int, j: int) -> CovarianceEstimate:
+    """Covariance of the row difference of nodes ``i`` and ``j``, k x k.
+
+    ``model`` is a :class:`Fit`, which gives the plug-in estimate, or an
+    oracle ``GroundTruth``, which gives the exact covariance: both supply
+    ``k``, ``vectors``, ``values`` and ``sigma2_rows``.
+    """
     if i == j:
         raise ValueError("nodes must be distinct")
-    if fitted.k < 1:
+    if model.k < 1:
         raise ValueError("k must be >= 1")
-    mat = _sigma1(fitted.vectors, fitted.values, *fitted.sigma2_rows(i, j),
-                  i, j)
+    mat = sigma1_matrix(model.vectors, model.values, *model.sigma2_rows(i, j),
+                        i, j)
     return CovarianceEstimate(matrix=mat, condition_estimate=_condition(mat))
 
 
 def sigma2_matrix(vectors: np.ndarray, values: np.ndarray, t: np.ndarray,
-                  sigma2: np.ndarray, i: int, j: int) -> np.ndarray:
-    """Covariance of the difference of componentwise-ratio vectors, evaluated
-    from eigenpairs, eigenvalue locations ``t``, and entrywise variances.
+                  s_i: np.ndarray, s_j: np.ndarray, i: int,
+                  j: int) -> np.ndarray:
+    """Covariance of the difference of the ratio vectors
+    (v_2(i)/v_1(i), ..., v_k(i)/v_1(i)) of nodes i and j, evaluated from
+    eigenpairs, eigenvalue locations ``t`` and rows ``s_i``, ``s_j`` of an
+    entrywise variance matrix.
 
     ``values`` and ``t`` coincide for the plug-in estimator; the exact
     population version passes the deterministic eigenvalue locations as
@@ -262,12 +276,6 @@ def sigma2_matrix(vectors: np.ndarray, values: np.ndarray, t: np.ndarray,
     2..k). The first sum skips l = j, the second skips l = i, and the
     (i, j) variance enters through a rank-one cross term.
     """
-    return _sigma2(vectors, values, t, sigma2[i], sigma2[j], i, j)
-
-
-def _sigma2(vectors: np.ndarray, values: np.ndarray, t: np.ndarray,
-            s_i: np.ndarray, s_j: np.ndarray, i: int, j: int) -> np.ndarray:
-    # s_i, s_j: rows i and j of the variance matrix
     k = len(values)
     t1 = t[0]
     trest = t[1:]
@@ -288,20 +296,27 @@ def _sigma2(vectors: np.ndarray, values: np.ndarray, t: np.ndarray,
     return (term_i + term_j + s_i[j] * np.outer(c, c)) / t1**2
 
 
-def estimate_sigma2(fitted: Fit, i: int, j: int) -> CovarianceEstimate:
-    """Plug-in estimate of the ratio-difference covariance, dimensions
-    (k-1) x (k-1); eigenvalue locations are estimated by the empirical
-    eigenvalues themselves."""
+def estimate_sigma2(model, i: int, j: int) -> CovarianceEstimate:
+    """Covariance of the ratio difference of nodes ``i`` and ``j``,
+    (k-1) x (k-1).
+
+    ``model`` is a :class:`Fit` or an oracle ``GroundTruth``, as for
+    :func:`estimate_sigma1`; its ``locations`` are the eigenvalue locations,
+    which a fit estimates by its empirical eigenvalues. A node whose
+    leading-eigenvector entry lies below :func:`degeneracy_threshold` has no
+    ratio and raises :class:`DegenerateNodeError`.
+    """
     if i == j:
         raise ValueError("nodes must be distinct")
-    if fitted.k < 2:
+    if model.k < 2:
         raise ValueError("k must be >= 2 for the ratio covariance")
-    eps = degeneracy_threshold(fitted.spectrum)
+    v = model.vectors
+    eps = degeneracy_threshold(v)
     for node in (i, j):
-        if abs(fitted.spectrum.vectors[node, 0]) < eps:
+        if abs(v[node, 0]) < eps:
             raise DegenerateNodeError(
                 f"leading-eigenvector entry at node {node} is degenerate"
             )
-    d = fitted.values
-    mat = _sigma2(fitted.vectors, d, d, *fitted.sigma2_rows(i, j), i, j)
+    mat = sigma2_matrix(v, model.values, model.locations,
+                        *model.sigma2_rows(i, j), i, j)
     return CovarianceEstimate(matrix=mat, condition_estimate=_condition(mat))

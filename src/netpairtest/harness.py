@@ -4,11 +4,10 @@ accuracy, and null-distribution sampling.
 Replication r at grid point g always draws its randomness from the seed
 sequence (master_seed, spawn_key=(g, r, 0)), so reports are bit-reproducible
 and independent of execution order. That draw is one (n, n) block of
-uniforms, of which the sampler uses only the upper triangle (and the
-diagonal when self loops are sampled); model 2 draws its degree parameters
-from a second stream, spawn_key=(g, r, 1). Model 1's mean matrix is the same
-for every replication and is built once per grid point, so a replication
-costs its draw, its fit and its test.
+uniforms, of which the sampler uses only the upper triangle; model 2 draws
+its degree parameters from a second stream, spawn_key=(g, r, 1). Model 1's
+mean matrix is the same for every replication and is built once per grid
+point, so a replication costs its draw, its fit and its test.
 """
 
 from __future__ import annotations
@@ -65,7 +64,6 @@ class ExperimentConfig:
     k_mode: str = "true_k"
     master_seed: int = 0
     pair_mode: str = "size"
-    self_loops: bool = False
 
     def __post_init__(self):
         if self.model not in (1, 2):
@@ -116,17 +114,6 @@ class ExperimentReport:
     wall_seconds: float
     stage_seconds: dict
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("model,n,signal,metric,value,replications,failures\n")
-            for pt in self.points:
-                base = (f"{self.config.model},{self.config.n},{pt.signal}")
-                fh.write(f"{base},rejection_rate,{pt.rejection_rate:.6f},"
-                         f"{pt.replications},{pt.failures}\n")
-                for k_val, count in sorted(pt.k_hat_counts.items()):
-                    fh.write(f"{base},k_hat_{k_val},{count},"
-                             f"{pt.replications},{pt.failures}\n")
-
 
 def _rep_rng(cfg: ExperimentConfig, grid_idx: int, rep: int, stream: int = 0):
     ss = np.random.SeedSequence(entropy=cfg.master_seed,
@@ -147,7 +134,7 @@ def _samples(cfg: ExperimentConfig, grid_idx: int, signal: float):
             h = build_mean_matrix(model2_params(
                 cfg.n, cfg.n0, cfg.rho, np.sqrt(signal),
                 _rep_rng(cfg, grid_idx, rep, stream=1)))
-        yield sample_adjacency(h, _rep_rng(cfg, grid_idx, rep), cfg.self_loops)
+        yield sample_adjacency(h, _rep_rng(cfg, grid_idx, rep))
 
 
 class _StageClock:
@@ -168,17 +155,19 @@ class _StageClock:
 def _replicate(cfg: ExperimentConfig, x: np.ndarray, i: int, j: int,
                clock: _StageClock):
     """One replication on the sampled network ``x``: run the matching test
-    and return (statistic or None, rejected or None, k_hat or None). A fit
-    or test that raises one of ``TEST_FAILURES`` gives no statistic, and a
-    failed fit no k_hat either."""
+    and return (statistic or None, rejected or None, k_hat or None). k_hat
+    is the K estimate, recorded in ``estimated_k`` mode before the
+    refinement, so a replication whose fit or test raises one of
+    ``TEST_FAILURES`` keeps its k_hat but gives no statistic."""
     k_hat = None
     try:
         with clock("fit"):
             if cfg.k_mode == "true_k":
                 fitted = fit(x, TRUE_K)
             else:
-                fitted = fit(x, floor=MIN_K[cfg.method])
-                k_hat = fitted.k_estimate.k_hat
+                spec, est = grow_spectrum(x)
+                k_hat = est.k_hat
+                fitted = fit(x, max(k_hat, MIN_K[cfg.method]), spectrum=spec)
         with clock("test"):
             res = _pair_test(fitted, i, j, cfg.method)
     except TEST_FAILURES:

@@ -31,7 +31,7 @@ from .estimation import (
     estimate_sigma2,
     fit,
 )
-from .spectra import DegenerateNodeError, ratio_rows
+from .spectra import DegenerateNodeError
 
 __all__ = [
     "MIN_K",
@@ -83,14 +83,6 @@ class PValueMatrix:
     matrix: np.ndarray
     method: str
 
-    def to_csv(self, path, labels=None) -> None:
-        labels = labels if labels is not None else list(self.nodes)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("node," + ",".join(str(l) for l in labels) + "\n")
-            for label, row in zip(labels, self.matrix):
-                fh.write(str(label) + "," +
-                         ",".join(f"{p:.6f}" for p in row) + "\n")
-
 
 def chi2_sf(x: float, df: int) -> float:
     """Chi-square survival function, the regularized upper incomplete gamma
@@ -114,13 +106,15 @@ def _quadratic_form(diff: np.ndarray, cov: CovarianceEstimate) -> float:
 
 
 def _fitted(x, k_override: int | None, method: str) -> Fit:
-    if k_override is not None and k_override < MIN_K[method]:
-        raise ValueError(f"the {method} test needs k >= {MIN_K[method]}")
-    if not isinstance(x, Fit):
-        return fit(x, k_override, floor=MIN_K[method])
-    if k_override is not None:
+    """``x`` fitted for the ``method`` test; a supplied :class:`Fit` fixes K
+    and must meet the same least K as ``k_override``."""
+    given = isinstance(x, Fit)
+    if given and k_override is not None:
         raise ValueError("a Fit already fixes k")
-    return x
+    k = x.k if given else k_override
+    if k is not None and k < MIN_K[method]:
+        raise ValueError(f"the {method} test needs k >= {MIN_K[method]}")
+    return x if given else fit(x, k, floor=MIN_K[method])
 
 
 def _check_nodes(x, nodes) -> None:
@@ -137,15 +131,16 @@ def _check_nodes(x, nodes) -> None:
 def _pair_test(fitted: Fit, i: int, j: int, method: str) -> TestResult:
     """The ``method`` test of nodes ``i`` and ``j`` on a shared fit. The
     covariance estimators are read from the module globals at each call, so
-    a replaced binding takes effect."""
-    k = fitted.k
+    a replaced binding takes effect. The G contrast divides by the
+    leading-eigenvector entries only after ``estimate_sigma2`` has checked
+    that neither is degenerate."""
+    k, v = fitted.k, fitted.vectors
     if method == "T":
         cov = estimate_sigma1(fitted, i, j)
-        diff = fitted.vectors[i] - fitted.vectors[j]
+        diff = v[i] - v[j]
     else:
         cov = estimate_sigma2(fitted, i, j)
-        diff = ratio_rows(fitted.spectrum, i, k) - \
-            ratio_rows(fitted.spectrum, j, k)
+        diff = v[i, 1:] / v[i, 0] - v[j, 1:] / v[j, 0]
     stat = _quadratic_form(diff, cov)
     df = k - MIN_K[method] + 1
     return TestResult(method=method, statistic=stat, df=df,

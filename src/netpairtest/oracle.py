@@ -1,11 +1,13 @@
 """Ground-truth quantities available only in simulation.
 
 Given known model parameters this module exposes the exact eigenstructure of
-the mean matrix, the true Bernoulli noise variances, the population
-covariance matrices of the two test statistics, and the deterministic
+the mean matrix, the true Bernoulli noise variances, and the deterministic
 locations of the leading empirical eigenvalues (roots of a truncated
-resolvent-series equation). These are consumed by verification code, not by
-end users analyzing observed networks.
+resolvent-series equation). A :class:`GroundTruth` answers the questions a
+fit answers, so the population covariance matrices of the two test
+statistics come from ``estimation.estimate_sigma1`` and
+``estimation.estimate_sigma2`` evaluated on it. These are consumed by
+verification code, not by end users analyzing observed networks.
 """
 
 from __future__ import annotations
@@ -15,14 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.optimize
 
-from .estimation import (
-    CovarianceEstimate,
-    estimate_sigma1,
-    estimate_sigma2,
-    fit,
-    sigma1_matrix,
-    sigma2_matrix,
-)
+from .estimation import estimate_sigma1, estimate_sigma2, fit
 from .models import (
     DCMMParams,
     build_mean_matrix,
@@ -35,8 +30,6 @@ from .spectra import top_eigenpairs
 __all__ = [
     "GroundTruth",
     "ground_truth",
-    "true_sigma1",
-    "true_sigma2",
     "compute_tk",
     "covariance_trend",
     "expansion_residual",
@@ -44,7 +37,6 @@ __all__ = [
 ]
 
 RANK_REL_TOL = 1e-8
-DEFAULT_MOMENT_SAMPLES = 200
 SERIES_LENGTH_CAP = 12
 
 
@@ -58,6 +50,9 @@ class GroundTruth:
 
     ``t`` holds the deterministic eigenvalue locations once computed (None
     until :func:`compute_tk` results are attached via :func:`with_tk`).
+    ``k``, ``vectors``, ``values``, ``locations`` and ``sigma2_rows`` read
+    it as an ``estimation.Fit`` reads a graph, so the covariance functions
+    of ``estimation`` take either.
     """
 
     h: np.ndarray
@@ -74,6 +69,23 @@ class GroundTruth:
     @property
     def k(self) -> int:
         return len(self.d)
+
+    @property
+    def vectors(self) -> np.ndarray:
+        return self.v
+
+    @property
+    def values(self) -> np.ndarray:
+        return self.d
+
+    @property
+    def locations(self) -> np.ndarray:
+        if self.t is None:
+            raise ValueError("attach eigenvalue locations first (with_tk)")
+        return self.t
+
+    def sigma2_rows(self, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+        return self.var_w[i], self.var_w[j]
 
 
 def ground_truth(params: DCMMParams, self_loops: bool = False) -> GroundTruth:
@@ -101,37 +113,13 @@ def ground_truth(params: DCMMParams, self_loops: bool = False) -> GroundTruth:
                        self_loops=self_loops)
 
 
-def with_tk(gt: GroundTruth, moment_samples: int = DEFAULT_MOMENT_SAMPLES,
-            seed=0) -> GroundTruth:
+def with_tk(gt: GroundTruth, moment_samples: int, seed=0) -> GroundTruth:
     """Return a copy of ``gt`` with all deterministic eigenvalue locations
     attached; the noise moments come from ``moment_samples`` draws seeded
     by ``seed``."""
     moments = noise_moment_tables(gt, moment_samples, seed, series_length(gt))
     t = np.array([compute_tk(gt, k, moments) for k in range(gt.k)])
     return replace(gt, t=t)
-
-
-def true_sigma1(gt: GroundTruth, i: int, j: int) -> CovarianceEstimate:
-    """Exact covariance of the difference of eigenvector rows i and j."""
-    if i == j:
-        raise ValueError("nodes must be distinct")
-    mat = sigma1_matrix(gt.v, gt.d, gt.var_w, i, j)
-    return CovarianceEstimate(matrix=mat,
-                              condition_estimate=float(np.linalg.cond(mat)))
-
-
-def true_sigma2(gt: GroundTruth, i: int, j: int) -> CovarianceEstimate:
-    """Exact covariance of the difference of componentwise-ratio vectors,
-    using the deterministic eigenvalue locations ``gt.t``."""
-    if i == j:
-        raise ValueError("nodes must be distinct")
-    if gt.t is None:
-        raise ValueError("attach eigenvalue locations first (with_tk)")
-    if gt.v[i, 0] == 0.0 or gt.v[j, 0] == 0.0:
-        raise ZeroDivisionError("zero leading-eigenvector entry")
-    mat = sigma2_matrix(gt.v, gt.d, gt.t, gt.var_w, i, j)
-    return CovarianceEstimate(matrix=mat,
-                              condition_estimate=float(np.linalg.cond(mat)))
 
 
 def eigen_gap_constant(gt: GroundTruth) -> float:
@@ -266,8 +254,9 @@ def covariance_trend(model: int, signal: float, sizes, reps: int,
     The design has n0 = n // 5, rho = 0.2 and degree level ``signal`` (theta,
     or r^2 for model 2); the pair is the first two nodes of the first mixed
     group. Sample r at size n is seeded by SeedSequence(seed, spawn_key=(n,))
-    .spawn(reps)[r]. The exact covariance is taken in each sample's fitted
-    sign basis. Every size is checked (ValueError) before any is sampled.
+    .spawn(reps)[r]. The exact covariance is the same covariance function
+    evaluated on the ground truth, taken in each sample's fitted sign basis.
+    Every size is checked (ValueError) before any is sampled.
     """
     if reps < 1:
         raise ValueError("reps must be at least 1")
@@ -282,12 +271,12 @@ def covariance_trend(model: int, signal: float, sizes, reps: int,
         if model == 1:
             gt = ground_truth(model1_params(n, n0, 0.2, signal))
             scale = n**2 * signal
-            plug_in, exact = estimate_sigma1, true_sigma1
+            sigma = estimate_sigma1
         else:
             params = model2_params(n, n0, 0.2, float(np.sqrt(signal)), seed)
             gt = with_tk(ground_truth(params), moment_samples=100, seed=seed)
             scale = n * float(params.theta.min()) ** 2
-            plug_in, exact = estimate_sigma2, true_sigma2
+            sigma = estimate_sigma2
         i, j = 3 * n0, 3 * n0 + 1
         errs = []
         ss = np.random.SeedSequence(entropy=seed, spawn_key=(n,))
@@ -296,7 +285,7 @@ def covariance_trend(model: int, signal: float, sizes, reps: int,
                          gt.k)
             flips = np.einsum("ik,ik->k", fitted.vectors, gt.v) < 0
             aligned = replace(gt, v=np.where(flips, -gt.v, gt.v))
-            err = plug_in(fitted, i, j).matrix - exact(aligned, i, j).matrix
+            err = sigma(fitted, i, j).matrix - sigma(aligned, i, j).matrix
             errs.append(scale * np.linalg.norm(err, 2))
         means.append(float(np.mean(errs)))
     return means
@@ -310,9 +299,7 @@ def expansion_residual(gt: GroundTruth, x_samples, k: int, i: int) -> dict:
     population eigenvector. Returns the median and 95th percentile of
     |residual| * sqrt(n) across samples.
     """
-    if gt.t is None:
-        raise ValueError("attach eigenvalue locations first (with_tk)")
-    t_k = gt.t[k]
+    t_k = gt.locations[k]
     v_k = gt.v[:, k]
     scaled = []
     for x in x_samples:

@@ -1,4 +1,4 @@
-"""Leading eigenpairs of the adjacency matrix and componentwise ratios.
+"""Leading eigenpairs of the adjacency matrix.
 
 The top eigenpairs come from restarted Lanczos (ARPACK, through
 ``scipy.sparse.linalg.eigsh``) on a dense array or a sparse matrix, with a
@@ -25,7 +25,6 @@ __all__ = [
     "DegenerateNodeError",
     "top_eigenpairs",
     "orient_signs",
-    "ratio_rows",
 ]
 
 ORTHONORMALITY_TOL = 1e-8
@@ -141,34 +140,7 @@ def orient_signs(spec: Spectrum) -> Spectrum:
                     residuals=spec.residuals)
 
 
-def degeneracy_threshold(spec: Spectrum) -> float:
-    """Magnitude below which a leading-eigenvector entry counts as zero."""
-    return DEGENERACY_REL_TOL * np.max(np.abs(spec.vectors[:, 0]))
-
-
-def ratio_rows(spec: Spectrum, i: int, K: int) -> np.ndarray:
-    """Componentwise eigenvector ratios (v_2(i)/v_1(i), ..., v_K(i)/v_1(i)).
-
-    A component where numerator and denominator are both exactly zero is 1 by
-    convention. A near-zero denominator with nonzero numerator raises
-    :class:`DegenerateNodeError` rather than dividing.
-    """
-    if K < 2:
-        raise ValueError("ratio rows need K >= 2")
-    if spec.m < K:
-        raise ValueError(f"spectrum holds {spec.m} pairs, need {K}")
-    denom = spec.vectors[i, 0]
-    numer = spec.vectors[i, 1:K]
-    if denom == 0.0:
-        if np.any(numer != 0.0):
-            _degenerate(i, denom)
-        return np.ones(K - 1)
-    if abs(denom) < degeneracy_threshold(spec) and np.any(numer != 0.0):
-        _degenerate(i, denom)
-    return numer / denom
-
-
-def _degenerate(i: int, denom: float):
-    raise DegenerateNodeError(
-        f"leading-eigenvector entry {denom!r} at node {i} is degenerate"
-    )
+def degeneracy_threshold(vectors: np.ndarray) -> float:
+    """Magnitude below which an entry of the leading eigenvector, column 0
+    of ``vectors``, counts as zero."""
+    return DEGENERACY_REL_TOL * np.max(np.abs(vectors[:, 0]))

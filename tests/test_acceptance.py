@@ -226,8 +226,8 @@ def test_criterion_8_property_suite(karate):
     t = values * 1.01
     s = rng.random((8, 8))
     sigma2 = (s + s.T) / 2
-    f1 = sigma1_matrix(vectors, values, sigma2, 1, 5)
-    f2 = sigma2_matrix(vectors, values, t, sigma2, 1, 5)
+    f1 = sigma1_matrix(vectors, values, sigma2[1], sigma2[5], 1, 5)
+    f2 = sigma2_matrix(vectors, values, t, sigma2[1], sigma2[5], 1, 5)
     results["brute-force"] = bool(
         np.allclose(f1, brute_sigma1(vectors, values, sigma2, 1, 5),
                     atol=1e-12)

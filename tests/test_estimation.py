@@ -269,7 +269,7 @@ def test_sigma1_matches_brute_force(seed):
     n, k = 8, 3
     vectors, values, _, sigma2 = _random_case(seed, n, k)
     i, j = 1, 5
-    fast = sigma1_matrix(vectors, values, sigma2, i, j)
+    fast = sigma1_matrix(vectors, values, sigma2[i], sigma2[j], i, j)
     slow = brute_sigma1(vectors, values, sigma2, i, j)
     assert np.allclose(fast, slow, atol=1e-12)
     assert np.allclose(fast, fast.T, atol=1e-12)
@@ -280,7 +280,7 @@ def test_sigma2_matches_brute_force(seed):
     n, k = 8, 3
     vectors, values, t, sigma2 = _random_case(seed, n, k)
     i, j = 0, 6
-    fast = sigma2_matrix(vectors, values, t, sigma2, i, j)
+    fast = sigma2_matrix(vectors, values, t, sigma2[i], sigma2[j], i, j)
     slow = brute_sigma2(vectors, values, t, sigma2, i, j)
     assert np.allclose(fast, slow, atol=1e-12)
 

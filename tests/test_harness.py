@@ -94,16 +94,6 @@ def test_null_histogram_output():
     assert out2["df"] == 2
 
 
-def test_report_to_csv(tmp_path):
-    cfg = npt.ExperimentConfig(**TINY1)
-    report = npt.run_size_power(cfg)
-    path = tmp_path / "report.csv"
-    report.to_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "model,n,signal,metric,value,replications,failures"
-    assert lines[1].startswith("1,120,0.9,rejection_rate,")
-
-
 def test_gridpoint_invalid_flag():
     pt = GridPointReport(signal=0.5, rejection_rate=0.1, replications=10,
                          failures=5, statistics=np.empty(0), valid=False)
@@ -148,7 +138,7 @@ def _per_replication_statistics(cfg):
             params = npt.model2_params(cfg.n, cfg.n0, cfg.rho, np.sqrt(signal),
                                        harness._rep_rng(cfg, 0, rep, stream=1))
         x = npt.sample_adjacency(npt.build_mean_matrix(params),
-                                 harness._rep_rng(cfg, 0, rep), cfg.self_loops)
+                                 harness._rep_rng(cfg, 0, rep))
         try:
             stats.append(runner(npt.fit(x, 3), i, j).statistic)
         except npt.inference.TEST_FAILURES:
@@ -157,9 +147,8 @@ def _per_replication_statistics(cfg):
 
 
 @pytest.mark.parametrize("tiny", [TINY1, TINY2], ids=["model1", "model2"])
-@pytest.mark.parametrize("self_loops", [False, True])
-def test_statistics_equal_a_per_replication_loop(tiny, self_loops):
-    cfg = npt.ExperimentConfig(**{**tiny, "self_loops": self_loops})
+def test_statistics_equal_a_per_replication_loop(tiny):
+    cfg = npt.ExperimentConfig(**tiny)
     point = npt.run_size_power(cfg).points[0]
     stats, failures = _per_replication_statistics(cfg)
     assert point.statistics.tobytes() == stats.tobytes()
@@ -182,9 +171,15 @@ def test_stage_seconds_add_up_to_the_wall_time(run):
 def test_zero_eigenvalue_replications_count_as_failures(model, k_mode):
     # at signal 0.01 most n=24 networks have fewer than K nonzero
     # eigenvalues, so the refinement fails; the study goes on without them
-    point = npt.run_size_power(npt.ExperimentConfig(
-        model=model, n=24, n0=4, rho=0.2, signal_grid=(0.01,),
-        replications=20, k_mode=k_mode)).points[0]
+    cfg = npt.ExperimentConfig(model=model, n=24, n0=4, rho=0.2,
+                               signal_grid=(0.01,), replications=20,
+                               k_mode=k_mode)
+    point = npt.run_size_power(cfg).points[0]
     assert point.failures > 0
     assert len(point.statistics) + point.failures == 20
     assert not point.valid
+    if k_mode == "estimated_k":
+        # a failed replication still counts its K estimate
+        assert sum(point.k_hat_counts.values()) == 20
+        assert point.k_hat_counts == \
+            npt.run_k_accuracy(cfg).points[0].k_hat_counts

@@ -15,7 +15,7 @@ from netpairtest.estimation import (
     sigma2_matrix,
 )
 from netpairtest.inference import SingularCovarianceError, _quadratic_form
-from netpairtest.spectra import Spectrum, ratio_rows
+from netpairtest.spectra import Spectrum
 
 
 # ---------------------------------------------------------------- chi2_sf
@@ -89,11 +89,11 @@ def _per_pair_statistic(x, i, j, k, method):
     w_hat = (w_hat + w_hat.T) / 2.0
     sigma2 = w_hat * w_hat
     if method == "T":
-        cov = sigma1_matrix(v, d, sigma2, i, j)
+        cov = sigma1_matrix(v, d, sigma2[i], sigma2[j], i, j)
         diff = v[i] - v[j]
     else:
-        cov = sigma2_matrix(v, d, d, sigma2, i, j)
-        diff = ratio_rows(spec, i, k) - ratio_rows(spec, j, k)
+        cov = sigma2_matrix(v, d, d, sigma2[i], sigma2[j], i, j)
+        diff = v[i, 1:] / v[i, 0] - v[j, 1:] / v[j, 0]
     return float(diff @ scipy.linalg.solve(cov, diff, assume_a="sym")), k
 
 
@@ -145,6 +145,16 @@ def test_fit_argument_fixes_k_and_spectrum(karate):
         npt.test_T(fitted, 6, 12, k_override=2)
     with pytest.raises(ValueError, match="already fixes"):
         npt.test_G(fitted, 6, 12, k_override=2)
+
+
+def test_supplied_fit_meets_the_least_k(karate):
+    # a Fit is held to the same least K as k_override
+    with pytest.raises(ValueError, match="the G test needs k >= 2"):
+        npt.test_G(npt.fit(karate, 1), 0, 1)
+    with pytest.raises(ValueError, match="the G test needs k >= 2"):
+        npt.pvalue_matrix(npt.fit(karate, 1), [0, 1, 2], "G")
+    with pytest.raises(ValueError, match="the T test needs k >= 1"):
+        npt.test_T(npt.fit(karate, 0), 0, 1)
 
 
 def test_distinct_nodes_required(karate):
@@ -281,15 +291,6 @@ def test_pvalue_matrix_zero_eigenvalue_is_nan():
     pm = npt.pvalue_matrix(x, [0, 2, 3], method="T", k_override=3)
     assert np.array_equal(np.isnan(pm.matrix), ~np.eye(3, dtype=bool))
     assert np.array_equal(np.diag(pm.matrix), np.ones(3))
-
-
-def test_pvalue_matrix_csv(tmp_path, karate):
-    pm = npt.pvalue_matrix(karate, [2, 6, 12], method="T", k_override=2)
-    path = tmp_path / "pm.csv"
-    pm.to_csv(path, labels=[3, 7, 13])
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "node,3,7,13"
-    assert len(lines) == 4
 
 
 def test_reject():

@@ -3,6 +3,7 @@ import pytest
 
 import netpairtest as npt
 from netpairtest import oracle
+from netpairtest.estimation import sigma1_matrix, sigma2_matrix
 from netpairtest.models import DCMMParams
 from netpairtest.oracle import (
     covariance_trend,
@@ -12,6 +13,7 @@ from netpairtest.oracle import (
     series_length,
     with_tk,
 )
+from netpairtest.spectra import DegenerateNodeError
 
 
 @pytest.fixture(scope="module")
@@ -120,9 +122,28 @@ def test_eigen_gap_constant(gt_model1):
 
 def test_true_sigma_validation(gt_model1):
     with pytest.raises(ValueError):
-        npt.true_sigma1(gt_model1, 2, 2)
+        npt.estimate_sigma1(gt_model1, 2, 2)
     with pytest.raises(ValueError, match="with_tk"):
-        npt.true_sigma2(gt_model1, 0, 1)
+        npt.estimate_sigma2(gt_model1, 0, 1)
+    # the plug-in's degeneracy rule, on the exact eigenvectors
+    v = gt_model1.v.copy()
+    v[5, 0] = 0.0
+    with pytest.raises(DegenerateNodeError):
+        npt.estimate_sigma2(oracle.replace(gt_model1, v=v, t=gt_model1.d),
+                            5, 6)
+
+
+def test_exact_covariance_is_the_formula_on_the_truth():
+    params = npt.model2_params(200, 40, 0.2, 0.9, seed=1)
+    gt = npt.ground_truth(params)
+    gt = oracle.replace(gt, t=gt.d * 1.01)
+    w = gt.var_w
+    for i, j in ((120, 121), (0, 150), (7, 3)):
+        assert np.array_equal(npt.estimate_sigma1(gt, i, j).matrix,
+                              sigma1_matrix(gt.v, gt.d, w[i], w[j], i, j))
+        assert np.array_equal(npt.estimate_sigma2(gt, i, j).matrix,
+                              sigma2_matrix(gt.v, gt.d, gt.t, w[i], w[j],
+                                            i, j))
 
 
 def test_true_sigma1_matches_monte_carlo():
@@ -137,7 +158,7 @@ def test_true_sigma1_matches_monte_carlo():
         w = npt.sample_adjacency(gt.h, rng) - gt.h
         f.append((w[i] - w[j]) @ gt.v / gt.d)
     emp = np.cov(np.asarray(f).T)
-    true = npt.true_sigma1(gt, i, j).matrix
+    true = npt.estimate_sigma1(gt, i, j).matrix
     assert np.allclose(np.diag(emp), np.diag(true), rtol=0.12)
 
 
@@ -158,7 +179,7 @@ def test_true_sigma2_matches_monte_carlo():
             - v[j, 1:] * (w[j] @ v[:, 0]) / (t[0] * v[j, 0] ** 2)
         f.append(fi - fj)
     emp = np.cov(np.asarray(f).T)
-    true = npt.true_sigma2(gt, i, j).matrix
+    true = npt.estimate_sigma2(gt, i, j).matrix
     assert np.allclose(np.diag(emp), np.diag(true), rtol=0.12)
 
 

@@ -7,12 +7,10 @@ from hypothesis.extra import numpy as hnp
 
 import netpairtest as npt
 from netpairtest.spectra import (
-    DegenerateNodeError,
     Spectrum,
     _sort_order,
     degeneracy_threshold,
     orient_signs,
-    ratio_rows,
 )
 
 
@@ -138,42 +136,8 @@ def test_orient_signs_fixes_flip():
     assert np.allclose(fixed.vectors, spec.vectors)
 
 
-def test_ratio_rows_basic(karate, karate_spectrum):
-    r = ratio_rows(karate_spectrum, 0, 3)
-    assert r.shape == (2,)
-    expect = karate_spectrum.vectors[0, 1:3] / karate_spectrum.vectors[0, 0]
-    assert np.allclose(r, expect)
-
-
-def test_ratio_rows_zero_over_zero_is_one():
-    vectors = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    spec = Spectrum(values=np.array([2.0, 1.0]), vectors=vectors,
-                    residuals=np.zeros(2))
-    assert np.array_equal(ratio_rows(spec, 0, 2), [1.0])
-
-
-def test_ratio_rows_degenerate_raises():
-    vectors = np.array([[1e-14, 0.5], [1.0, 0.5], [0.0, 0.5]])
-    spec = Spectrum(values=np.array([2.0, 1.0]), vectors=vectors,
-                    residuals=np.zeros(2))
-    with pytest.raises(DegenerateNodeError):
-        ratio_rows(spec, 0, 2)
-    vectors[0, 0] = 0.0
-    spec = Spectrum(values=np.array([2.0, 1.0]), vectors=vectors,
-                    residuals=np.zeros(2))
-    with pytest.raises(DegenerateNodeError):
-        ratio_rows(spec, 0, 2)
-
-
-def test_ratio_rows_validation(karate_spectrum):
-    with pytest.raises(ValueError, match="K >= 2"):
-        ratio_rows(karate_spectrum, 0, 1)
-    with pytest.raises(ValueError, match="need"):
-        ratio_rows(karate_spectrum, 0, karate_spectrum.m + 1)
-
-
 def test_degeneracy_threshold_scale(karate_spectrum):
-    thr = degeneracy_threshold(karate_spectrum)
+    thr = degeneracy_threshold(karate_spectrum.vectors)
     assert 0 < thr < 1e-9
 
 

@@ -2,10 +2,11 @@
 
 Subcommands: simulate, test-pair, pvalue-matrix, estimate-k, spectrum, mc,
 oracle-check. Exit codes: 0 success, 1 usage error, 2 data error (a
-malformed or unreadable file), 3 numerical error (a singular covariance, a
-degenerate node, a zero eigenvalue, or an eigenvalue-location equation with
-no root on its bracket). oracle-check only checks its arguments and
-formats :func:`~.oracle.covariance_trend` as CSV.
+malformed or unreadable file), 3 numerical error (one of the failures in
+:data:`~.inference.TEST_FAILURES` -- a singular covariance, a degenerate
+node, a zero eigenvalue -- or an eigenvalue-location equation with no root
+on its bracket, :class:`~.oracle.RootBracketError`). oracle-check only
+checks its arguments and formats :func:`~.oracle.covariance_trend` as CSV.
 Seeded invocations are deterministic end to end.
 """
 
@@ -26,16 +27,15 @@ from .harness import (
     run_k_accuracy,
     run_size_power,
 )
-from .inference import SingularCovarianceError, pvalue_matrix, test_G, test_T
+from .inference import TEST_FAILURES, pvalue_matrix, test_G, test_T
 from .models import (
     build_mean_matrix,
     model1_params,
     model2_params,
     sample_adjacency,
-    save_params,
 )
 from .oracle import RootBracketError, covariance_trend
-from .spectra import DegenerateNodeError, top_eigenpairs
+from .spectra import top_eigenpairs
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -84,8 +84,6 @@ def _build_parser() -> _Parser:
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--self-loops", action="store_true")
     sim.add_argument("--out", required=True, help="edge-list output path")
-    sim.add_argument("--params-out",
-                     help="sidecar parameter file (default: OUT.params)")
 
     def graph_flags(p):
         p.add_argument("--graph", required=True, help="edge-list file")
@@ -160,20 +158,22 @@ def _cmd_simulate(args) -> int:
         if args.theta is None:
             raise ValueError("--theta is required for model 1")
         params = model1_params(args.n, args.n0, args.rho, args.theta)
+        signal = f"theta={args.theta}"
     else:
         if args.r2 is None:
             raise ValueError("--r2 is required for model 2")
         params = model2_params(args.n, args.n0, args.rho,
                                float(np.sqrt(args.r2)), args.seed)
+        signal = f"r2={args.r2}"
     h = build_mean_matrix(params)
     x = sample_adjacency(h, args.seed, args.self_loops)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(f"# netpairtest {__version__} simulate model={args.model} "
-                 f"seed={args.seed} n={args.n}\n")
+                 f"seed={args.seed} n={args.n} n0={args.n0} rho={args.rho} "
+                 f"{signal}\n")
         rows, cols = np.nonzero(np.triu(x, k=0 if args.self_loops else 1))
         for u, v in zip(rows, cols):
             fh.write(f"{u} {v}\n")
-    save_params(params, args.params_out or args.out + ".params")
     print(f"wrote {args.out} ({int(x.sum() // 2)} edges)")
     return EXIT_OK
 
@@ -305,8 +305,9 @@ def main(argv=None) -> int:
     except (GraphFormatError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (SingularCovarianceError, DegenerateNodeError, ZeroDivisionError,
-            RootBracketError, np.linalg.LinAlgError) as exc:
+    # the tuple is built when an error arrives, from the TEST_FAILURES
+    # binding of this module at that time
+    except (*TEST_FAILURES, RootBracketError, np.linalg.LinAlgError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as exc:

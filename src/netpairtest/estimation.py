@@ -17,7 +17,10 @@ taken.
 Each covariance formula has one definition, :func:`sigma1_matrix` and
 :func:`sigma2_matrix`. :func:`estimate_sigma1` and :func:`estimate_sigma2`
 evaluate it on a :class:`Fit` for the plug-in estimate, or on an oracle
-ground truth for the exact covariance.
+ground truth for the exact covariance. They also hold each covariance's
+domain: the least K of its test, :data:`MIN_K`, and for the ratios of the
+G test a leading-eigenvector entry away from zero
+(:func:`degeneracy_threshold`).
 """
 
 from __future__ import annotations
@@ -28,14 +31,11 @@ import numpy as np
 import scipy.sparse
 
 from .graph_io import as_matrix, max_degree
-from .spectra import (
-    DegenerateNodeError,
-    Spectrum,
-    degeneracy_threshold,
-    top_eigenpairs,
-)
+from .spectra import Spectrum, top_eigenpairs
 
 __all__ = [
+    "MIN_K",
+    "DegenerateNodeError",
     "KEstimate",
     "Fit",
     "CovarianceEstimate",
@@ -48,6 +48,14 @@ __all__ = [
 ]
 
 K_THRESHOLD_CONSTANT = 2.01
+# least K of each test: the floor of an estimated K, the least k_override;
+# the test has K - MIN_K + 1 degrees of freedom
+MIN_K = {"T": 1, "G": 2}
+DEGENERACY_REL_TOL = 1e-10
+
+
+class DegenerateNodeError(ValueError):
+    """Leading-eigenvector entry too close to zero for a ratio statistic."""
 
 
 @dataclass(frozen=True)
@@ -194,11 +202,10 @@ def fit(x, k: int | None = None, *, spectrum: Spectrum | None = None,
 
     ``k`` fixes the community count; when omitted it is estimated by
     thresholding the spectrum with :func:`grow_spectrum` and floored at
-    ``floor``; the tests pass the least K they accept,
-    ``inference.MIN_K[method]``. For a fixed ``k``,
-    ``spectrum`` may supply precomputed eigenpairs of ``x``; by default the
-    top max(k, 1) pairs are computed. The refinement costs O(nnz k); no
-    n x n matrix is formed.
+    ``floor``; the tests pass the least K they accept, ``MIN_K[method]``.
+    For a fixed ``k``, ``spectrum`` may supply precomputed eigenpairs of
+    ``x``; by default the top max(k, 1) pairs are computed. The refinement
+    costs O(nnz k); no n x n matrix is formed.
 
     Raises
     ------
@@ -223,6 +230,18 @@ def fit(x, k: int | None = None, *, spectrum: Spectrum | None = None,
     d_tilde = refine_eigenvalues(spectrum, diag_residual_square(x, spectrum, k),
                                  k)
     return Fit(x=x, spectrum=spectrum, k=k, d_tilde=d_tilde, k_estimate=est)
+
+
+def check_k(k: int, method: str) -> None:
+    """Raise ``ValueError`` unless ``k`` is at least ``MIN_K[method]``."""
+    if k < MIN_K[method]:
+        raise ValueError(f"the {method} test needs k >= {MIN_K[method]}")
+
+
+def degeneracy_threshold(vectors: np.ndarray) -> float:
+    """Magnitude below which an entry of the leading eigenvector, column 0
+    of ``vectors``, counts as zero."""
+    return DEGENERACY_REL_TOL * np.max(np.abs(vectors[:, 0]))
 
 
 def _condition(mat: np.ndarray) -> float:
@@ -255,8 +274,7 @@ def estimate_sigma1(model, i: int, j: int) -> CovarianceEstimate:
     """
     if i == j:
         raise ValueError("nodes must be distinct")
-    if model.k < 1:
-        raise ValueError("k must be >= 1")
+    check_k(model.k, "T")
     mat = sigma1_matrix(model.vectors, model.values, *model.sigma2_rows(i, j),
                         i, j)
     return CovarianceEstimate(matrix=mat, condition_estimate=_condition(mat))
@@ -308,8 +326,7 @@ def estimate_sigma2(model, i: int, j: int) -> CovarianceEstimate:
     """
     if i == j:
         raise ValueError("nodes must be distinct")
-    if model.k < 2:
-        raise ValueError("k must be >= 2 for the ratio covariance")
+    check_k(model.k, "G")
     v = model.vectors
     eps = degeneracy_threshold(v)
     for node in (i, j):

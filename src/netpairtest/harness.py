@@ -19,8 +19,8 @@ from time import perf_counter
 import numpy as np
 import scipy.stats
 
-from .estimation import fit, grow_spectrum
-from .inference import MIN_K, TEST_FAILURES, _pair_test, reject
+from .estimation import MIN_K, fit, grow_spectrum
+from .inference import TEST_FAILURES, _pair_test, reject
 from .models import (
     build_mean_matrix,
     model1_params,

@@ -25,16 +25,17 @@ import scipy.special
 import scipy.stats
 
 from .estimation import (
+    MIN_K,
     CovarianceEstimate,
+    DegenerateNodeError,
     Fit,
+    check_k,
     estimate_sigma1,
     estimate_sigma2,
     fit,
 )
-from .spectra import DegenerateNodeError
 
 __all__ = [
-    "MIN_K",
     "TEST_FAILURES",
     "TestResult",
     "PValueMatrix",
@@ -53,9 +54,6 @@ class SingularCovarianceError(np.linalg.LinAlgError):
     """Plug-in covariance too ill-conditioned to invert meaningfully."""
 
 
-# least K of each test: the floor of an estimated K, the least k_override;
-# the test has K - MIN_K + 1 degrees of freedom
-MIN_K = {"T": 1, "G": 2}
 # errors of a fit or a test that fail it instead of stopping a study
 TEST_FAILURES = (SingularCovarianceError, DegenerateNodeError,
                  ZeroDivisionError)
@@ -112,8 +110,8 @@ def _fitted(x, k_override: int | None, method: str) -> Fit:
     if given and k_override is not None:
         raise ValueError("a Fit already fixes k")
     k = x.k if given else k_override
-    if k is not None and k < MIN_K[method]:
-        raise ValueError(f"the {method} test needs k >= {MIN_K[method]}")
+    if k is not None:
+        check_k(k, method)
     return x if given else fit(x, k, floor=MIN_K[method])
 
 

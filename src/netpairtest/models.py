@@ -9,6 +9,10 @@ used throughout ship as two deterministic constructors:
   common scalar degree parameter (mixed membership special case).
 * :func:`model2_params` -- same membership layout with random per-node degree
   parameters 1/theta_i ~ Uniform[1/r, 2/r].
+
+A parameter set is rebuilt by calling its constructor again with the same
+arguments (and, for model 2, the same seed); ``simulate`` writes them into
+the header of its edge-list file.
 """
 
 from __future__ import annotations
@@ -23,8 +27,6 @@ __all__ = [
     "sample_adjacency",
     "model1_params",
     "model2_params",
-    "save_params",
-    "load_params",
 ]
 
 SIMPLEX_TOL = 1e-12
@@ -44,8 +46,7 @@ class DCMMParams:
 
     ``theta`` holds the per-node degree parameters (for the equal-degree
     special case every entry equals sqrt of the scalar degree level, so that
-    diag(theta)^2 = theta * I). ``meta`` records the generating recipe for
-    round-tripping through parameter files.
+    diag(theta)^2 = theta * I).
     """
 
     n: int
@@ -53,7 +54,6 @@ class DCMMParams:
     theta: np.ndarray
     pi: np.ndarray
     p_matrix: np.ndarray
-    meta: dict | None = None
 
     def __post_init__(self):
         theta = np.asarray(self.theta, dtype=float)
@@ -162,7 +162,6 @@ def model1_params(n: int, n0: int, rho: float, theta: float) -> DCMMParams:
         theta=np.full(n, np.sqrt(theta)),
         pi=pi,
         p_matrix=_model_mixing(rho),
-        meta={"model": 1, "n": n, "n0": n0, "rho": rho, "theta": theta},
     )
 
 
@@ -174,14 +173,11 @@ def model2_params(n: int, n0: int, rho: float, r: float, seed) -> DCMMParams:
     pi = _model_memberships(n, n0)
     rng = np.random.default_rng(seed)
     inv_theta = rng.uniform(1.0 / r, 2.0 / r, size=n)
-    seed_repr = seed if isinstance(seed, int) else None
     return DCMMParams(
         n=n, K=3,
         theta=1.0 / inv_theta,
         pi=pi,
         p_matrix=_model_mixing(rho),
-        meta={"model": 2, "n": n, "n0": n0, "rho": rho, "r2": r * r,
-              "seed": seed_repr},
     )
 
 
@@ -195,36 +191,3 @@ def pure_and_mixed_indices(n: int, n0: int) -> dict:
         "group_size": m,
     }
 
-
-def save_params(params: DCMMParams, path) -> None:
-    """Write the generating recipe of a model-1/model-2 parameter set as a
-    flat key=value text file."""
-    if not params.meta:
-        raise ValueError("only parameter sets built by the model constructors "
-                         "carry a serializable recipe")
-    with open(path, "w", encoding="utf-8") as fh:
-        for key, value in params.meta.items():
-            fh.write(f"{key}={value}\n")
-
-
-def load_params(path) -> DCMMParams:
-    """Rebuild a parameter set from a file written by :func:`save_params`."""
-    kv = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
-            kv[key.strip()] = value.strip()
-    model = int(kv["model"])
-    n, n0, rho = int(kv["n"]), int(kv["n0"]), float(kv["rho"])
-    if model == 1:
-        return model1_params(n, n0, rho, float(kv["theta"]))
-    if model == 2:
-        seed = kv.get("seed")
-        if seed in (None, "", "None"):
-            raise ValueError("model-2 parameter file lacks a seed; the degree "
-                             "draw cannot be replayed")
-        return model2_params(n, n0, rho, float(kv["r2"]) ** 0.5, int(seed))
-    raise ValueError(f"unknown model tag {model}")

@@ -7,7 +7,9 @@ bit-reproducible. Eigenpairs are sorted by eigenvalue magnitude and carry a
 deterministic, data-only sign convention: in every eigenvector the entry of
 largest absolute value is positive (ties broken by smallest index). Both
 downstream test statistics are invariant to column sign flips, so any fixed
-convention works; this one needs no ground truth.
+convention works; this one needs no ground truth. The module computes
+eigenpairs only: the domain of each pair-test covariance (the least K, the
+degenerate-node rule) is defined in :mod:`~.estimation`.
 """
 
 from __future__ import annotations
@@ -22,23 +24,17 @@ from .graph_io import as_matrix
 
 __all__ = [
     "Spectrum",
-    "DegenerateNodeError",
     "top_eigenpairs",
     "orient_signs",
 ]
 
 ORTHONORMALITY_TOL = 1e-8
 RESIDUAL_TOL = 1e-6
-DEGENERACY_REL_TOL = 1e-10
 # magnitudes this close (relative) are tied; ARPACK returns the two members
 # of a +/- pair with magnitudes that differ in the last bits
 TIE_REL_TOL = 1e-12
 # seed of the ARPACK start vector and of its restart vectors
 START_SEED = 0
-
-
-class DegenerateNodeError(ValueError):
-    """Leading-eigenvector entry too close to zero for a ratio statistic."""
 
 
 @dataclass(frozen=True)
@@ -138,9 +134,3 @@ def orient_signs(spec: Spectrum) -> Spectrum:
             vectors[:, k] = -col
     return Spectrum(values=spec.values, vectors=vectors,
                     residuals=spec.residuals)
-
-
-def degeneracy_threshold(vectors: np.ndarray) -> float:
-    """Magnitude below which an entry of the leading eigenvector, column 0
-    of ``vectors``, counts as zero."""
-    return DEGENERACY_REL_TOL * np.max(np.abs(vectors[:, 0]))

@@ -34,7 +34,6 @@ def test_simulate_model1(tmp_path, capsys):
     assert code == 0
     assert "wrote" in stdout
     assert npt.load_edge_list(out).shape[0] <= 120
-    assert (tmp_path / "net.txt.params").exists()
     # deterministic: same seed, identical file
     out2 = tmp_path / "net2.txt"
     run(["simulate", "--model", "1", "--n", "120", "--n0", "24",
@@ -43,17 +42,31 @@ def test_simulate_model1(tmp_path, capsys):
         out2.read_text().splitlines()[1:]
 
 
-def test_simulate_model2_roundtrip_params(tmp_path, capsys):
+@pytest.mark.parametrize("model, signal", [
+    ("1", ["--theta", "0.9"]), ("2", ["--r2", "0.81"])],
+    ids=["model1", "model2"])
+def test_simulate_header_carries_the_recipe(tmp_path, capsys, model, signal):
     out = tmp_path / "net.txt"
-    params_out = tmp_path / "p.txt"
     code, _, _ = run([
-        "simulate", "--model", "2", "--n", "120", "--n0", "24",
-        "--r2", "0.81", "--seed", "7", "--out", str(out),
-        "--params-out", str(params_out)], capsys)
+        "simulate", "--model", model, "--n", "120", "--n0", "24",
+        "--rho", "0.3", *signal, "--seed", "7", "--out", str(out)], capsys)
     assert code == 0
-    params = npt.models.load_params(params_out)
-    assert params.meta["model"] == 2
-    assert params.meta["seed"] == 7
+    header = out.read_text().splitlines()[0]
+    assert header.startswith("# netpairtest ")
+    name = signal[0].lstrip("-")
+    assert header.endswith(f"model={model} seed=7 n=120 n0=24 rho=0.3 "
+                           f"{name}={signal[1]}")
+    assert [p.name for p in tmp_path.iterdir()] == ["net.txt"]
+
+
+def test_params_out_is_a_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["simulate", "--model", "1", "--n", "120", "--n0", "24",
+                  "--theta", "0.9", "--out", str(tmp_path / "net.txt"),
+                  "--params-out", str(tmp_path / "p.txt")])
+    assert exc.value.code == cli.EXIT_USAGE
+    assert "--params-out" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_simulate_missing_signal_flag(tmp_path, capsys):
@@ -151,6 +164,33 @@ def test_numeric_error_exit_code(tmp_path, capsys):
         "--i", "4", "--j", "5", "--k", "2"], capsys)
     assert code == cli.EXIT_NUMERIC
     assert "numerical error" in err
+
+
+class _NewTestFailure(ArithmeticError):
+    pass
+
+
+@pytest.mark.parametrize("failure", [*npt.inference.TEST_FAILURES,
+                                     _NewTestFailure],
+                         ids=lambda failure: failure.__name__)
+def test_every_listed_failure_exits_3(monkeypatch, karate_path, capsys,
+                                      failure):
+    if failure is _NewTestFailure:
+        # a failure added to the list needs no edit in the CLI
+        monkeypatch.setattr(cli, "TEST_FAILURES",
+                            (*cli.TEST_FAILURES, _NewTestFailure))
+
+    def raising(*args, **kwargs):
+        raise failure("listed")
+
+    monkeypatch.setattr(cli, "test_T", raising)
+    code, stdout, err = run([
+        "test-pair", "--graph", karate_path, "--method", "t",
+        "--i", "0", "--j", "1"], capsys)
+    assert code == cli.EXIT_NUMERIC
+    assert err.startswith("numerical error: listed")
+    assert "Traceback" not in err
+    assert stdout == ""
 
 
 def test_repeated_top_eigenvalue_gets_a_k_estimate(tmp_path, capsys):

@@ -6,12 +6,12 @@ import scipy.sparse
 
 import netpairtest as npt
 from netpairtest.estimation import (
+    DegenerateNodeError,
     estimate_k_from_values,
     k_threshold,
     sigma1_matrix,
     sigma2_matrix,
 )
-from netpairtest.spectra import DegenerateNodeError
 
 from brute import brute_sigma1, brute_sigma2, residual_matrix
 
@@ -290,9 +290,9 @@ def test_estimate_sigma_validation(karate, karate_spectrum):
     fitted = npt.fit(karate, 2, spectrum=spec)
     with pytest.raises(ValueError):
         npt.estimate_sigma1(fitted, 3, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="the T test needs k >= 1"):
         npt.estimate_sigma1(npt.fit(karate, 0, spectrum=spec), 0, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="the G test needs k >= 2"):
         npt.estimate_sigma2(npt.fit(karate, 1, spectrum=spec), 0, 1)
     cov = npt.estimate_sigma1(fitted, 6, 12)
     assert cov.matrix.shape == (2, 2)

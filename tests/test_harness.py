@@ -105,7 +105,8 @@ def _counting_build(monkeypatch):
     build = harness.build_mean_matrix
 
     def counted(params):
-        calls.append(params.meta["model"])
+        # model 1 gives every node one degree parameter, model 2 draws them
+        calls.append(1 if np.all(params.theta == params.theta[0]) else 2)
         return build(params)
 
     monkeypatch.setattr(harness, "build_mean_matrix", counted)

@@ -7,9 +7,7 @@ import netpairtest as npt
 from netpairtest.models import (
     MIXED_GROUPS,
     DCMMParams,
-    load_params,
     pure_and_mixed_indices,
-    save_params,
 )
 
 
@@ -163,37 +161,3 @@ def test_params_validation():
     with pytest.raises(ValueError, match="one entry per node"):
         DCMMParams(n=n, K=2, theta=theta[:-1], pi=pi, p_matrix=p)
 
-
-def test_save_load_roundtrip_model1(tmp_path):
-    params = npt.model1_params(140, 20, 0.3, 0.8)
-    path = tmp_path / "params.txt"
-    save_params(params, path)
-    back = load_params(path)
-    assert back.meta == params.meta
-    assert np.array_equal(back.theta, params.theta)
-    assert np.array_equal(back.pi, params.pi)
-
-
-def test_save_load_roundtrip_model2(tmp_path):
-    params = npt.model2_params(140, 20, 0.2, 0.8, seed=5)
-    path = tmp_path / "params.txt"
-    save_params(params, path)
-    back = load_params(path)
-    assert np.array_equal(back.theta, params.theta)
-
-
-def test_load_model2_without_seed_fails(tmp_path):
-    params = npt.model2_params(140, 20, 0.2, 0.8,
-                               seed=np.random.default_rng(0))
-    path = tmp_path / "params.txt"
-    save_params(params, path)
-    with pytest.raises(ValueError, match="seed"):
-        load_params(path)
-
-
-def test_save_requires_recipe(tmp_path):
-    n = 6
-    params = DCMMParams(n=n, K=2, theta=np.full(n, 0.5),
-                        pi=np.tile([0.5, 0.5], (n, 1)), p_matrix=np.eye(2))
-    with pytest.raises(ValueError, match="recipe"):
-        save_params(params, tmp_path / "p.txt")

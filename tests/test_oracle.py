@@ -3,7 +3,11 @@ import pytest
 
 import netpairtest as npt
 from netpairtest import oracle
-from netpairtest.estimation import sigma1_matrix, sigma2_matrix
+from netpairtest.estimation import (
+    DegenerateNodeError,
+    sigma1_matrix,
+    sigma2_matrix,
+)
 from netpairtest.models import DCMMParams
 from netpairtest.oracle import (
     covariance_trend,
@@ -13,7 +17,6 @@ from netpairtest.oracle import (
     series_length,
     with_tk,
 )
-from netpairtest.spectra import DegenerateNodeError
 
 
 @pytest.fixture(scope="module")

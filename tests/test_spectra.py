@@ -6,12 +6,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import netpairtest as npt
-from netpairtest.spectra import (
-    Spectrum,
-    _sort_order,
-    degeneracy_threshold,
-    orient_signs,
-)
+from netpairtest.estimation import degeneracy_threshold
+from netpairtest.spectra import Spectrum, _sort_order, orient_signs
 
 
 def _random_symmetric(seed, n):

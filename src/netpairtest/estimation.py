@@ -2,10 +2,17 @@
 covariance matrices for the pair tests.
 
 The community count is estimated by counting eigenvalues whose square exceeds
-2.01 * log(n) * (maximum degree). Noise variances come from a one-step
-refinement: deflate the adjacency matrix by its leading eigenpairs, shrink the
-eigenvalues using the diagonal of the squared residual, deflate again with the
-shrunken eigenvalues, and square the result entrywise.
+2.01 * log(n) * (maximum degree). Only the first eigenvalue below that
+threshold decides the count, so :func:`grow_spectrum` solves the top pairs to
+machine precision and, when all of them clear the threshold, bounds the next
+eigenvalue by one loose solve on the deflated matrix instead of converging
+more pairs; only a bound too close to the threshold to decide costs a
+doubled solve.
+
+Noise variances come from a one-step refinement: deflate the adjacency
+matrix by its leading eigenpairs, shrink the eigenvalues using the diagonal
+of the squared residual, deflate again with the shrunken eigenvalues, and
+square the result entrywise.
 
 Everything up to the shrunken eigenvalues depends on the graph, not on the
 pair, so :func:`fit` computes it once; the covariance of a pair (i, j) then
@@ -25,13 +32,13 @@ G test a leading-eigenvector entry away from zero
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse
 
 from .graph_io import as_matrix, max_degree
-from .spectra import Spectrum, top_eigenpairs
+from .spectra import Spectrum, deflated_ritz, top_eigenpairs
 
 __all__ = [
     "MIN_K",
@@ -60,9 +67,18 @@ class DegenerateNodeError(ValueError):
 
 @dataclass(frozen=True)
 class KEstimate:
+    """Community-count estimate: ``k_hat`` eigenvalues of ``eigenvalues``
+    (the retained ones, by nonincreasing magnitude) have a square above
+    ``threshold``. ``next_bound`` bounds |d_{k_hat+1}| from above, so
+    |d_{k_hat}| / next_bound bounds the eigen-gap from below: the retained
+    value |d_{k_hat+1}| itself, the bound of the deflated check of
+    :func:`grow_spectrum`, 0 when no eigenvalue is left, and inf when
+    nothing bounds it."""
+
     k_hat: int
     threshold: float
     eigenvalues: np.ndarray
+    next_bound: float
 
 
 @dataclass(frozen=True)
@@ -133,19 +149,32 @@ def estimate_k_from_values(values: np.ndarray, n: int, dmax: int) -> KEstimate:
     the community-count estimate only if it stops short of ``len(values)``
     or ``values`` is the whole spectrum (see :func:`grow_spectrum`).
     """
+    values = np.asarray(values)
     thr = k_threshold(n, dmax)
     k_hat = int(np.sum(np.abs(values) ** 2 > thr))
-    return KEstimate(k_hat=k_hat, threshold=thr, eigenvalues=np.asarray(values))
+    if k_hat < len(values):
+        bound = float(abs(values[k_hat]))
+    else:
+        bound = 0.0 if len(values) == n else np.inf
+    return KEstimate(k_hat=k_hat, threshold=thr, eigenvalues=values,
+                     next_bound=bound)
 
 
 def grow_spectrum(x, m: int = 3) -> tuple[Spectrum, KEstimate]:
     """Top eigenpairs of ``x``, at least min(m, n) of them and just enough
     to estimate K.
 
-    The top ``m`` pairs are solved, then 2m, 4m, ... up to n, until one
-    retained eigenvalue falls below the counting threshold. Only that first
-    pair below the threshold decides the count, so the estimate equals the
-    one from the whole spectrum.
+    The top ``m`` pairs are solved to machine precision. If one of them
+    falls below the counting threshold, it decides the count. If all of
+    them clear it, one loose solve on the deflated matrix
+    (:func:`~.spectra.deflated_ritz`) gives a Ritz value theta of the next
+    eigenvalue d_{m+1} with residual r; when |theta| + ||r|| lies below the
+    square root of the threshold, K is m and ``next_bound`` records that
+    bound. Otherwise, d_{m+1} clears the threshold or the bound cannot
+    tell, the top 2m pairs are solved, then 4m, ... up to n. The bound
+    trusts the deflated solve to find the largest remaining eigenvalue, as
+    the m-pair solve trusts ARPACK to find the top m; with that, the
+    estimate equals the one from the whole spectrum.
     """
     n = x.shape[0]
     dmax = max_degree(x)
@@ -155,6 +184,11 @@ def grow_spectrum(x, m: int = 3) -> tuple[Spectrum, KEstimate]:
         est = estimate_k_from_values(spec.values, n, dmax)
         if est.k_hat < m or m == n:
             return spec, est
+        ritz = deflated_ritz(x, spec)
+        if ritz is not None:
+            bound = abs(ritz[0]) + ritz[1]
+            if bound ** 2 < est.threshold:
+                return spec, replace(est, next_bound=bound)
         m = min(2 * m, n)
 
 

@@ -170,9 +170,10 @@ def _replicate(cfg: ExperimentConfig, x: np.ndarray, i: int, j: int,
                 fitted = fit(x, max(k_hat, MIN_K[cfg.method]), spectrum=spec)
         with clock("test"):
             res = _pair_test(fitted, i, j, cfg.method)
+            rejected = reject(res, cfg.alpha)
     except TEST_FAILURES:
         return None, None, k_hat
-    return res.statistic, reject(res, cfg.alpha), k_hat
+    return res.statistic, rejected, k_hat
 
 
 def run_size_power(cfg: ExperimentConfig) -> ExperimentReport:

@@ -3,13 +3,16 @@
 The top eigenpairs come from restarted Lanczos (ARPACK, through
 ``scipy.sparse.linalg.eigsh``) on a dense array or a sparse matrix, with a
 fixed start vector and a fixed generator for restarts, so results are
-bit-reproducible. Eigenpairs are sorted by eigenvalue magnitude and carry a
-deterministic, data-only sign convention: in every eigenvector the entry of
-largest absolute value is positive (ties broken by smallest index). Both
-downstream test statistics are invariant to column sign flips, so any fixed
-convention works; this one needs no ground truth. The module computes
-eigenpairs only: the domain of each pair-test covariance (the least K, the
-degenerate-node rule) is defined in :mod:`~.estimation`.
+bit-reproducible. :func:`deflated_ritz` solves the same way, loosely, for
+the largest eigenvalue left once the top pairs are removed: enough to bound
+the next eigenvalue without converging it. Eigenpairs are sorted by
+eigenvalue magnitude and carry a deterministic, data-only sign convention:
+in every eigenvector the entry of largest absolute value is positive (ties
+broken by smallest index). Both downstream test statistics are invariant
+to column sign flips, so any fixed convention works; this one needs no
+ground truth. The module computes eigenpairs only: the domain of each
+pair-test covariance (the least K, the degenerate-node rule) is defined in
+:mod:`~.estimation`.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .graph_io import as_matrix
 __all__ = [
     "Spectrum",
     "top_eigenpairs",
+    "deflated_ritz",
     "orient_signs",
 ]
 
@@ -35,6 +39,9 @@ RESIDUAL_TOL = 1e-6
 TIE_REL_TOL = 1e-12
 # seed of the ARPACK start vector and of its restart vectors
 START_SEED = 0
+# relative ARPACK tolerance of deflated_ritz: its residual, not its Ritz
+# value, enters the bound on the next eigenvalue
+DEFLATED_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -88,6 +95,21 @@ def _sort_order(values: np.ndarray, m: int) -> np.ndarray:
     return np.lexsort((idx, -values, tie))[:m]
 
 
+def _arpack(op, k: int, tol: float):
+    """``eigsh`` for the ``k`` largest-magnitude eigenpairs of ``op``, from
+    the fixed start vector and restart generator; None where ARPACK cannot
+    run (k >= n - 1) or fails."""
+    n = op.shape[0]
+    if k >= n - 1:
+        return None
+    rng = np.random.default_rng(START_SEED)
+    try:
+        return scipy.sparse.linalg.eigsh(
+            op, k=k, which="LM", tol=tol, v0=rng.standard_normal(n), rng=rng)
+    except scipy.sparse.linalg.ArpackError:
+        return None
+
+
 def top_eigenpairs(x, m: int) -> Spectrum:
     """The ``m`` eigenpairs of largest eigenvalue magnitude of symmetric
     ``x``, a dense array or a scipy sparse matrix.
@@ -102,23 +124,43 @@ def top_eigenpairs(x, m: int) -> Spectrum:
     n = x.shape[0]
     if not 1 <= m <= n:
         raise ValueError(f"m must lie in [1, {n}], got {m}")
-    vals = None
-    if m < n - 1:
-        rng = np.random.default_rng(START_SEED)
-        try:
-            vals, vecs = scipy.sparse.linalg.eigsh(
-                x, k=m, which="LM", tol=0, v0=rng.standard_normal(n), rng=rng)
-        except scipy.sparse.linalg.ArpackError:
-            pass
-    if vals is None:
-        vals, vecs = np.linalg.eigh(x.toarray() if scipy.sparse.issparse(x)
-                                    else x)
+    found = _arpack(x, m, 0)
+    if found is None:
+        found = np.linalg.eigh(x.toarray() if scipy.sparse.issparse(x) else x)
+    vals, vecs = found
     order = _sort_order(vals, m)
     values = vals[order]
     vectors = vecs[:, order]
     residuals = np.linalg.norm(x @ vectors - vectors * values[None, :], axis=0)
     return orient_signs(Spectrum(values=values, vectors=vectors,
                                  residuals=residuals))
+
+
+def deflated_ritz(x, spec: Spectrum) -> tuple[float, float] | None:
+    """Ritz value theta of largest magnitude of the deflated operator
+    y -> X y - V (D (V^T y)), with V, D the pairs of ``spec``, and its
+    residual norm ||Op u - theta u|| for the unit Ritz vector u.
+
+    The operator keeps the eigenvalues of ``x`` beyond ``spec``, so theta
+    approximates the next one, d_{m+1}, and some eigenvalue of the operator
+    lies within the residual of theta. ARPACK runs to the loose relative
+    tolerance :data:`DEFLATED_TOL` from the start vector of
+    :func:`top_eigenpairs`. None where ARPACK cannot run or fails.
+    """
+    x = as_matrix(x)
+    v, d = spec.vectors, spec.values
+
+    def matvec(y):
+        y = np.ravel(y)
+        return x @ y - v @ (d * (v.T @ y))
+
+    op = scipy.sparse.linalg.LinearOperator(x.shape, matvec=matvec,
+                                            dtype=float)
+    found = _arpack(op, 1, DEFLATED_TOL)
+    if found is None:
+        return None
+    theta, u = float(found[0][0]), found[1][:, 0]
+    return theta, float(np.linalg.norm(matvec(u) - theta * u))
 
 
 def orient_signs(spec: Spectrum) -> Spectrum:

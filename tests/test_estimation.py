@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse
 
 import netpairtest as npt
+from netpairtest import estimation
 from netpairtest.estimation import (
     DegenerateNodeError,
     estimate_k_from_values,
@@ -12,6 +13,7 @@ from netpairtest.estimation import (
     sigma1_matrix,
     sigma2_matrix,
 )
+from netpairtest.spectra import deflated_ritz
 
 from brute import brute_sigma1, brute_sigma2, residual_matrix
 
@@ -59,15 +61,26 @@ def test_estimate_k_on_simulated_block_model():
     assert est.k_hat == 3 and spec.m == 50
 
 
-def _dense_k_hat(x):
+def _dense_magnitudes(x):
     dense = x.toarray() if scipy.sparse.issparse(x) else x
-    return int(np.sum(np.linalg.eigvalsh(dense) ** 2
+    return np.sort(np.abs(np.linalg.eigvalsh(dense)))[::-1]
+
+
+def _dense_k_hat(x):
+    return int(np.sum(_dense_magnitudes(x) ** 2
                       > k_threshold(x.shape[0], npt.max_degree(x))))
 
 
+def _assert_bounds_next(est, x):
+    # next_bound lies below the threshold's root and above |d_{k+1}|
+    mags = _dense_magnitudes(x)
+    assert est.next_bound ** 2 < est.threshold
+    assert mags[est.k_hat] <= est.next_bound * (1 + 1e-12)
+
+
 def test_grow_spectrum_matches_the_full_spectrum(karate):
-    # the spectrum grows until the first pair below the threshold, so it
-    # finds the K of the whole spectrum from fewer pairs
+    # the first pair below the threshold, or the deflated bound on it,
+    # decides K, so the K of the whole spectrum comes from fewer pairs
     model1 = npt.sample_adjacency(npt.build_mean_matrix(
         npt.model1_params(400, 80, 0.2, 0.9)), seed=0)
     model2 = npt.sample_adjacency(npt.build_mean_matrix(
@@ -75,8 +88,8 @@ def test_grow_spectrum_matches_the_full_spectrum(karate):
     for x in (karate, model1, model2, scipy.sparse.csr_array(model2)):
         spec, est = npt.grow_spectrum(x)
         assert est.k_hat == _dense_k_hat(x)
-        assert est.k_hat < spec.m
-        assert spec.m in (3, 6)
+        assert est.k_hat <= spec.m
+        _assert_bounds_next(est, x)
     # 52 disjoint 16-cliques: eigenvalue 15 has multiplicity 52 and clears
     # the threshold, so the spectrum grows past 50 pairs to 96
     cliques = scipy.sparse.block_diag([np.ones((16, 16)) - np.eye(16)] * 52,
@@ -84,11 +97,98 @@ def test_grow_spectrum_matches_the_full_spectrum(karate):
     spec, est = npt.grow_spectrum(cliques)
     assert est.k_hat == _dense_k_hat(cliques) == 52
     assert spec.m == 96
+    assert est.next_bound == pytest.approx(1.0, rel=1e-12)
     assert npt.fit(cliques).k == 52
     # every eigenvalue clears the threshold 2.01 * log(3) * 30 ~ 66: the
-    # count is the whole spectrum
+    # count is the whole spectrum, with no eigenvalue left to bound
     spec, est = npt.grow_spectrum(np.diag([30.0, 20.0, 10.0]), 2)
     assert est.k_hat == spec.m == 3
+    assert est.next_bound == 0.0
+
+
+SWEEP = {
+    "model1-strong": lambda s: npt.model1_params(400, 80, 0.2, 0.9),
+    "model1-weak": lambda s: npt.model1_params(400, 80, 0.2, 0.4),
+    "model2-strong": lambda s: npt.model2_params(600, 140, 0.0, 0.9, seed=s),
+    "model2-weak": lambda s: npt.model2_params(600, 140, 0.2, 0.7, seed=s),
+}
+
+
+@pytest.mark.parametrize("design", sorted(SWEEP))
+def test_grown_k_equals_the_dense_k(design):
+    # strong designs have K = 3, which the deflated bound certifies from 3
+    # pairs; weak ones stop at a retained pair below the threshold
+    for seed in range(3):
+        x = npt.sample_adjacency(npt.build_mean_matrix(
+            SWEEP[design](10 + seed)), seed=seed)
+        spec, est = npt.grow_spectrum(x)
+        assert est.k_hat == _dense_k_hat(x)
+        assert spec.m == 3
+        assert (est.k_hat == 3) == design.endswith("strong")
+        _assert_bounds_next(est, x)
+
+
+def _rotated(values, seed):
+    # symmetric matrix with the given eigenvalues; the first eigenvector is
+    # constant, so every row sums to values[0]
+    n = len(values)
+    a = np.random.default_rng(seed).standard_normal((n, n))
+    a[:, 0] = 1.0
+    q, _ = np.linalg.qr(a)
+    x = (q * values) @ q.T
+    return (x + x.T) / 2
+
+
+def test_undecided_bound_falls_back_to_the_doubled_solve(monkeypatch):
+    # d_4 sits just below the threshold's root, closer than the loose
+    # residual of the deflated solve can tell apart, so the top 6 pairs
+    # are solved at full precision and decide K = 3
+    n = 300
+    root = np.sqrt(k_threshold(n, 100))
+    rng = np.random.default_rng(0)
+    values = np.concatenate([[100.5, 60.0, -50.0, root * (1 - 1e-9)],
+                             rng.uniform(-0.9, 0.9, n - 4) * root])
+    x = _rotated(values, 1)
+    assert npt.max_degree(x) == 100
+    seen = []
+
+    def spy(x, spec):
+        seen.append(deflated_ritz(x, spec))
+        return seen[-1]
+
+    monkeypatch.setattr(estimation, "deflated_ritz", spy)
+    spec, est = npt.grow_spectrum(x)
+    ((theta, resid),) = seen
+    assert abs(theta) - resid < root < abs(theta) + resid
+    assert spec.m == 6
+    assert est.k_hat == _dense_k_hat(x) == 3
+    assert est.next_bound == abs(spec.values[3])
+
+
+def test_next_bound_of_a_count():
+    # the retained value after the count, else nothing left (whole
+    # spectrum) or nothing known (more values may clear the threshold)
+    assert estimate_k_from_values(np.array([9.0, -5.0, 1.0]), 3, 20) \
+        .next_bound == 5.0
+    assert estimate_k_from_values(np.array([9.0, -5.0]), 2, 1) \
+        .next_bound == 0.0
+    assert estimate_k_from_values(np.array([9.0, -5.0]), 5, 1) \
+        .next_bound == np.inf
+
+
+def test_grow_spectrum_is_bit_reproducible():
+    # the deflated check runs from the fixed ARPACK start vector, so two
+    # calls return the same bits
+    x = npt.sample_adjacency(npt.build_mean_matrix(
+        npt.model1_params(400, 80, 0.2, 0.9)), seed=0)
+    (spec1, est1), (spec2, est2) = npt.grow_spectrum(x), npt.grow_spectrum(x)
+    assert est1.k_hat == spec1.m == 3  # decided by the deflated check
+    assert spec1.values.tobytes() == spec2.values.tobytes()
+    assert spec1.vectors.tobytes() == spec2.vectors.tobytes()
+    assert spec1.residuals.tobytes() == spec2.residuals.tobytes()
+    assert (est1.k_hat, est1.threshold, est1.next_bound) \
+        == (est2.k_hat, est2.threshold, est2.next_bound)
+    assert est1.eigenvalues.tobytes() == est2.eigenvalues.tobytes()
 
 
 # ------------------------------------------------------------ refinement

@@ -7,7 +7,8 @@ from hypothesis.extra import numpy as hnp
 
 import netpairtest as npt
 from netpairtest.estimation import degeneracy_threshold
-from netpairtest.spectra import Spectrum, _sort_order, orient_signs
+from netpairtest.spectra import (Spectrum, _sort_order, deflated_ritz,
+                                 orient_signs)
 
 
 def _random_symmetric(seed, n):
@@ -64,6 +65,26 @@ def test_dense_and_sparse_input_agree(karate, karate_csr):
     full = npt.top_eigenpairs(karate, 34)
     assert np.allclose(a.values, full.values[:6], rtol=1e-13, atol=0)
     assert np.allclose(a.vectors, full.vectors[:, :6], rtol=0, atol=1e-12)
+
+
+def test_deflated_ritz_bounds_the_next_eigenvalue():
+    # eigenvalues 10, -8, 5, then a bulk in [-3, 3]: with the top two pairs
+    # deflated, the loose Ritz value lies within its residual of 5
+    rng = np.random.default_rng(4)
+    n = 200
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    x = (q * np.concatenate([[10.0, -8.0, 5.0],
+                             rng.uniform(-3.0, 3.0, n - 3)])) @ q.T
+    x = (x + x.T) / 2
+    spec = npt.top_eigenpairs(x, 2)
+    theta, resid = deflated_ritz(x, spec)
+    assert abs(theta - 5.0) <= resid < 0.05
+    assert deflated_ritz(x, spec) == (theta, resid)
+    theta_csr, resid_csr = deflated_ritz(scipy.sparse.csr_array(x), spec)
+    assert abs(theta_csr - 5.0) <= resid_csr < 0.05
+    # n = 2 is too small for ARPACK
+    small = np.diag([3.0, 1.0])
+    assert deflated_ritz(small, npt.top_eigenpairs(small, 1)) is None
 
 
 def test_sort_order_ties_put_the_positive_value_first():

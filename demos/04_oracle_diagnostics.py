@@ -20,8 +20,7 @@ def eigenvalue_locations():
     print("deterministic eigenvalue locations (model 1, n=400, theta=0.9,")
     print("self-loop regime so the noise matrix has exactly zero mean)")
     params = npt.model1_params(400, 80, 0.2, 0.9)
-    gt = with_tk(npt.ground_truth(params, self_loops=True),
-                 moment_samples=60, seed=0)
+    gt = with_tk(npt.ground_truth(params, self_loops=True))
     rng = np.random.default_rng(1)
     vals = [npt.top_eigenpairs(
         npt.sample_adjacency(gt.h, rng, self_loops=True), 3).values
@@ -48,7 +47,7 @@ def expansion_check():
     print("\nfirst-order eigenvector expansion (model 1, n=300): scaled "
           "remainder sqrt(n) |t_k (vhat_k(i) - v_k(i)) - (W v_k)(i)|")
     params = npt.model1_params(300, 60, 0.2, 0.9)
-    gt = with_tk(npt.ground_truth(params), moment_samples=40, seed=2)
+    gt = with_tk(npt.ground_truth(params))
     rng = np.random.default_rng(3)
     samples = [npt.sample_adjacency(gt.h, rng) for _ in range(25)]
     for k in range(2):

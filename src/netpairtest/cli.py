@@ -180,11 +180,9 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_test_pair(args) -> int:
     x = _load_graph(args)
-    i, j = _node(args.i, args), _node(args.j, args)
-    if i == j:
-        raise ValueError("--i and --j must name distinct nodes")
     runner = test_T if args.method == "t" else test_G
-    res = runner(x, i, j, k_override=args.k)
+    res = runner(x, _node(args.i, args), _node(args.j, args),
+                 k_override=args.k)
     print(f"method {res.method}")
     print(f"statistic {res.statistic:.6f}")
     print(f"df {res.df}")

@@ -85,11 +85,12 @@ class KEstimate:
 class Fit:
     """A graph fitted once for any number of pair tests.
 
-    ``k`` is the community count in use and ``k_estimate`` the thresholding
-    estimate it came from (None when ``k`` was fixed by the caller);
-    ``d_tilde`` holds the refined top-``k`` eigenvalues. The variance
-    estimate is sigma2 = W_hat * W_hat (entrywise) with the symmetrized
-    refined residual W_hat = (R + R^T) / 2, R = X - V diag(d_tilde) V^T.
+    ``x`` is the symmetric adjacency matrix, ``k`` the community count in
+    use and ``k_estimate`` the thresholding estimate it came from (None
+    when ``k`` was fixed by the caller); ``d_tilde`` holds the refined
+    top-``k`` eigenvalues. The variance estimate is sigma2 = W_hat * W_hat
+    (entrywise) with the refined residual W_hat = X - V diag(d_tilde) V^T,
+    which is symmetric because X is.
     """
 
     x: np.ndarray | scipy.sparse.sparray | scipy.sparse.spmatrix
@@ -117,13 +118,11 @@ class Fit:
         return self.values
 
     def sigma2_rows(self, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
-        """Rows i and j of sigma2, in O(n k) time and memory: the rank-k
-        part V diag(d_tilde) V^T is symmetric, so row i of W_hat is
-        (X[i, :] + X[:, i]) / 2 - (v_i * d_tilde) V^T."""
+        """Rows i and j of sigma2, in O(n k) time and memory: row i of
+        W_hat is X[i, :] - (v_i * d_tilde) V^T."""
         v = self.vectors
         rows = [i, j]
-        w = (_dense(self.x[rows]) + _dense(self.x[:, rows]).T) / 2.0 \
-            - (v[rows] * self.d_tilde) @ v.T
+        w = _dense(self.x[rows]) - (v[rows] * self.d_tilde) @ v.T
         w *= w
         return w[0], w[1]
 
@@ -232,7 +231,8 @@ def refine_eigenvalues(spec: Spectrum, w0_sq_diag: np.ndarray,
 
 def fit(x, k: int | None = None, *, spectrum: Spectrum | None = None,
         floor: int = 1) -> Fit:
-    """Fit ``x``, a dense array or a sparse matrix, once for many pair tests.
+    """Fit ``x``, a symmetric dense array or sparse matrix, once for many
+    pair tests.
 
     ``k`` fixes the community count; when omitted it is estimated by
     thresholding the spectrum with :func:`grow_spectrum` and floored at

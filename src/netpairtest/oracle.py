@@ -2,10 +2,12 @@
 
 Given known model parameters this module exposes the exact eigenstructure of
 the mean matrix, the true Bernoulli noise variances, and the deterministic
-locations of the leading empirical eigenvalues (roots of a truncated
-resolvent-series equation). A :class:`GroundTruth` answers the questions a
-fit answers, so the population covariance matrices of the two test
-statistics come from ``estimation.estimate_sigma1`` and
+locations of the leading empirical eigenvalues (roots of the resolvent-series
+equation, truncated after the fourth noise moment). These draw no random
+numbers: the eigenpairs come from the rank-K factor of the mean matrix and
+the noise moments from closed forms. A :class:`GroundTruth` answers the
+questions a fit answers, so the population covariance matrices of the two
+test statistics come from ``estimation.estimate_sigma1`` and
 ``estimation.estimate_sigma2`` evaluated on it. These are consumed by
 verification code, not by end users analyzing observed networks.
 """
@@ -37,7 +39,6 @@ __all__ = [
 ]
 
 RANK_REL_TOL = 1e-8
-SERIES_LENGTH_CAP = 12
 
 
 class RootBracketError(ArithmeticError):
@@ -89,35 +90,36 @@ class GroundTruth:
 
 
 def ground_truth(params: DCMMParams, self_loops: bool = False) -> GroundTruth:
-    """Exact eigendecomposition of the mean matrix restricted to its nonzero
-    eigenvalues, plus the Bernoulli variance of every noise entry.
+    """Exact top-K eigenpairs of the mean matrix, plus the Bernoulli
+    variance of every noise entry.
 
-    Raises if the mean matrix has numerical rank below the declared community
-    count.
+    The eigenpairs come from the rank-K factor H = A P A^T, A = diag(theta)
+    Pi: with A = QR, H = Q (R P R^T) Q^T, so the K x K eigendecomposition
+    R P R^T = U diag(d) U^T gives V = QU. Raises if H has numerical rank
+    below the declared community count.
     """
     h = build_mean_matrix(params)
-    vals, vecs = np.linalg.eigh(h)
+    q, r = np.linalg.qr(params.theta[:, None] * params.pi)
+    vals, vecs = np.linalg.eigh(r @ params.p_matrix @ r.T)
     order = np.argsort(-np.abs(vals), kind="stable")
-    nonzero = np.abs(vals[order]) > RANK_REL_TOL * np.abs(vals[order[0]])
-    rank = int(np.sum(nonzero))
+    vals, vecs = vals[order], vecs[:, order]
+    rank = int(np.sum(np.abs(vals) > RANK_REL_TOL * np.abs(vals[0])))
     if rank < params.K:
         raise ValueError(
             f"mean matrix has numerical rank {rank} < K={params.K}"
         )
-    keep = order[:params.K]
     var_w = h * (1.0 - h)
     if not self_loops:
         # diagonal noise is deterministic (-h_ii) without self loops
         np.fill_diagonal(var_w, 0.0)
-    return GroundTruth(h=h, v=vecs[:, keep], d=vals[keep], var_w=var_w,
+    return GroundTruth(h=h, v=q @ vecs, d=vals, var_w=var_w,
                        self_loops=self_loops)
 
 
-def with_tk(gt: GroundTruth, moment_samples: int, seed=0) -> GroundTruth:
+def with_tk(gt: GroundTruth) -> GroundTruth:
     """Return a copy of ``gt`` with all deterministic eigenvalue locations
-    attached; the noise moments come from ``moment_samples`` draws seeded
-    by ``seed``."""
-    moments = noise_moment_tables(gt, moment_samples, seed, series_length(gt))
+    attached, from the exact moments of :func:`noise_moments`."""
+    moments = noise_moments(gt)
     t = np.array([compute_tk(gt, k, moments) for k in range(gt.k)])
     return replace(gt, t=t)
 
@@ -146,52 +148,47 @@ def _bracket(d_k: float, c0: float) -> tuple[float, float]:
     return (1.0 + c0 / 2.0) * d_k, d_k / (1.0 + c0 / 2.0)
 
 
-def noise_amplitude(gt: GroundTruth) -> float:
-    """Maximum standard deviation of a noise-matrix column sum."""
-    return float(np.sqrt(gt.var_w.sum(axis=0).max()))
+def noise_moments(gt: GroundTruth) -> dict[int, np.ndarray]:
+    """V^T E[W^l] V for l = 2, 3, 4, in closed form, in O(n^2 K).
 
+    Off the diagonal the entries of W = X - H are independent with mean 0,
+    variance sigma = h(1 - h) and central moments mu3 = sigma(1 - 2h),
+    mu4 = sigma(1 - 3 sigma). Without self loops the diagonal of W is the
+    constant delta = -diag(h) and sigma, mu3, mu4 have zero diagonals; with
+    them the diagonal is random like the rest and delta = 0. E[W^l]_ab sums
+    the expected products of W's entries along the walks of length l from
+    a to b, and a walk's term vanishes when some random entry appears on it
+    exactly once. Counting the walks left, with s = rowsum(sigma),
+    D = diag(delta) and M3 = mu3:
 
-def series_length(gt: GroundTruth) -> int:
-    """Truncation length of the resolvent moment series: the smallest L with
-    (alpha/|z|)^L below min(n^-4, |z|^-4) over every bracket, capped at
-    ``SERIES_LENGTH_CAP`` for small instances."""
-    c0 = eigen_gap_constant(gt)
-    alpha = noise_amplitude(gt)
-    if alpha == 0.0:
-        return 2
-    zmin = np.inf
-    zmax = 0.0
-    for d_k in gt.d:
-        a, b = _bracket(d_k, c0)
-        zmin = min(zmin, min(abs(a), abs(b)))
-        zmax = max(zmax, max(abs(a), abs(b)))
-    if alpha >= zmin:
-        return SERIES_LENGTH_CAP
-    rhs = min(gt.n ** -4.0, zmax ** -4.0)
-    l = int(np.ceil(np.log(rhs) / np.log(alpha / zmin)))
-    return max(2, min(l, SERIES_LENGTH_CAP))
+        E[W^2] = diag(delta^2 + s)
+        E[W^3] = diag(delta^3 + 2 delta s + sigma delta) + M3
+        E[W^4] = diag(delta^4 + 3 delta^2 s + 2 delta (sigma delta)
+                      + sigma delta^2 + s^2 - 2 rowsum(sigma^2)
+                      + rowsum(mu4) + sigma s) + 2 (D M3 + M3 D)
 
-
-def noise_moment_tables(gt: GroundTruth, moment_samples: int, seed,
-                        length: int) -> dict[int, np.ndarray]:
-    """Monte Carlo estimates of V^T E[W^l] V for l = 2..length.
-
-    Each sample draws a full noise matrix W = X - H and accumulates the
-    projected powers by repeated matrix-vector products against V, so the
-    cost per sample is O(length * n^2 * K).
+    (products of vectors entrywise, sigma times a vector a matrix product).
     """
-    if moment_samples < 1:
-        raise ValueError("need at least one moment sample")
-    rng = np.random.default_rng(seed)
-    acc = {l: np.zeros((gt.k, gt.k)) for l in range(2, length + 1)}
-    for _ in range(moment_samples):
-        w = sample_adjacency(gt.h, rng, self_loops=gt.self_loops) - gt.h
-        y = gt.v
-        for l in range(1, length + 1):
-            y = w @ y
-            if l >= 2:
-                acc[l] += gt.v.T @ y
-    return {l: m / moment_samples for l, m in acc.items()}
+    v, h, sigma = gt.v, gt.h, gt.var_w
+    delta = np.zeros(gt.n) if gt.self_loops else -np.diag(h)
+    s = sigma.sum(axis=1)
+    sigma_sq = np.einsum("ab,ab->a", sigma, sigma)  # rowsum(sigma^2)
+    mu4_sum = s - 3.0 * sigma_sq  # rowsum(mu4)
+    sigma_delta = sigma @ delta
+    m3_v = (sigma * (1.0 - 2.0 * h)) @ v
+    diag4 = (delta**4 + 3.0 * delta**2 * s + 2.0 * delta * sigma_delta
+             + sigma @ delta**2 + s**2 - 2.0 * sigma_sq + mu4_sum
+             + sigma @ s)
+    dm3 = (delta[:, None] * v).T @ m3_v  # V^T D M3 V; M3 D is its transpose
+
+    def project(g: np.ndarray) -> np.ndarray:
+        return (v * g[:, None]).T @ v
+
+    return {
+        2: project(delta**2 + s),
+        3: project(delta**3 + 2.0 * delta * s + sigma_delta) + v.T @ m3_v,
+        4: project(diag4) + 2.0 * (dm3 + dm3.T),
+    }
 
 
 def _resolvent_series(moments: dict[int, np.ndarray], k_dim: int, z: float
@@ -208,10 +205,11 @@ def compute_tk(gt: GroundTruth, k: int,
     """Deterministic location of the k-th empirical eigenvalue: the root of
     the truncated resolvent-series equation on the bracket around d_k.
 
-    ``moments`` are the tables of :func:`noise_moment_tables`. With zero
-    noise the equation reduces to 1 - d_k/z = 0 and the root is d_k itself.
-    Raises :class:`RootBracketError` when the equation has no sign change on
-    the bracket, as when the noise is large against the eigen-gap.
+    ``moments`` are those of :func:`noise_moments`. With zero noise the
+    equation reduces to 1 - d_k/z = 0 and the root is d_k itself. Raises
+    :class:`RootBracketError` when the equation has no sign change on the
+    bracket (1 +- c0/2) d_k, as for model 2 below n of about 300, where the
+    root lies past the bracket.
     """
     if gt.d[k] == 0:
         raise ZeroDivisionError("zero population eigenvalue")
@@ -274,7 +272,7 @@ def covariance_trend(model: int, signal: float, sizes, reps: int,
             sigma = estimate_sigma1
         else:
             params = model2_params(n, n0, 0.2, float(np.sqrt(signal)), seed)
-            gt = with_tk(ground_truth(params), moment_samples=100, seed=seed)
+            gt = with_tk(ground_truth(params))
             scale = n * float(params.theta.min()) ** 2
             sigma = estimate_sigma2
         i, j = 3 * n0, 3 * n0 + 1

@@ -1,10 +1,12 @@
-"""Brute-force reference implementations of the covariance formulas and of
-the n x n initial residual.
+"""Brute-force reference implementations of the covariance formulas, of
+the n x n initial residual and of the noise moments E[W^l].
 
 Written as plain loops or dense products straight from the definitions so
 they share no code (and no vectorization mistakes) with the package
 implementations.
 """
+
+import itertools
 
 import numpy as np
 
@@ -63,4 +65,27 @@ def brute_sigma2(vectors, values, t, sigma2, i, j):
             cb = coeff_i(j, b) - coeff_j(i, b)
             total += sigma2[i, j] * ca * cb
             out[a, b] = total / t1**2
+    return out
+
+
+def noise_moments(h, self_loops, orders=(2, 3, 4)):
+    """E[W^l] of W = X - H by exact enumeration of every adjacency matrix.
+
+    The independent entries are the strict upper triangle of X, plus the
+    diagonal with ``self_loops``; each outcome is weighted by its Bernoulli
+    probability, so the cost is 2^(entries) matrix powers.
+    """
+    n = h.shape[0]
+    cells = [(a, b) for a in range(n) for b in range(a, n)
+             if a < b or self_loops]
+    out = {l: np.zeros((n, n)) for l in orders}
+    for bits in itertools.product((0, 1), repeat=len(cells)):
+        x = np.zeros((n, n))
+        prob = 1.0
+        for (a, b), bit in zip(cells, bits):
+            x[a, b] = x[b, a] = bit
+            prob *= h[a, b] if bit else 1.0 - h[a, b]
+        w = x - h
+        for l in orders:
+            out[l] += prob * np.linalg.matrix_power(w, l)
     return out

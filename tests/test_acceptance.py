@@ -168,12 +168,11 @@ def test_criterion_7_eigenvalue_locations():
     pi[4:, 1] = 1.0
     params = DCMMParams(n=n, K=2, theta=np.ones(n), pi=pi,
                         p_matrix=np.eye(2))
-    gt0 = with_tk(npt.ground_truth(params, self_loops=True),
-                  moment_samples=3, seed=0)
+    gt0 = with_tk(npt.ground_truth(params, self_loops=True))
     zero_noise_rel = float(np.max(np.abs(gt0.t / gt0.d - 1.0)))
 
     params = npt.model1_params(2000, 400, 0.2, 0.9)
-    gt = with_tk(npt.ground_truth(params), moment_samples=100, seed=0)
+    gt = with_tk(npt.ground_truth(params))
     drift = np.abs(gt.t / gt.d - 1.0)
 
     ok = zero_noise_rel < 1e-10 and bool(np.all(drift < 0.05))

@@ -12,11 +12,11 @@ from netpairtest.models import DCMMParams
 from netpairtest.oracle import (
     covariance_trend,
     eigen_gap_constant,
-    noise_amplitude,
-    noise_moment_tables,
-    series_length,
+    noise_moments,
     with_tk,
 )
+
+import brute
 
 
 @pytest.fixture(scope="module")
@@ -64,15 +64,15 @@ def test_zero_noise_tk_exact():
     pi[4:, 1] = 1.0
     params = DCMMParams(n=n, K=2, theta=np.ones(n), pi=pi, p_matrix=np.eye(2))
     gt = npt.ground_truth(params, self_loops=True)
-    assert noise_amplitude(gt) == 0.0
-    gt = with_tk(gt, moment_samples=3, seed=0)
+    assert not gt.var_w.any()
+    gt = with_tk(gt)
     assert np.all(np.abs(gt.t / gt.d - 1.0) < 1e-10)
 
 
 def test_tk_near_dk_moderate_size():
     params = npt.model1_params(400, 80, 0.2, 0.9)
     gt = npt.ground_truth(params)
-    gt = with_tk(gt, moment_samples=40, seed=1)
+    gt = with_tk(gt)
     c0 = eigen_gap_constant(gt)
     for k in range(3):
         lo, hi = sorted((gt.d[k] / (1 + c0 / 2), gt.d[k] * (1 + c0 / 2)))
@@ -90,7 +90,7 @@ def test_tk_matches_mean_empirical_eigenvalue():
     # deliberately ignores).
     params = npt.model1_params(300, 60, 0.2, 0.9)
     gt = npt.ground_truth(params, self_loops=True)
-    gt = with_tk(gt, moment_samples=60, seed=2)
+    gt = with_tk(gt)
     rng = np.random.default_rng(3)
     vals = []
     for _ in range(40):
@@ -103,18 +103,20 @@ def test_tk_matches_mean_empirical_eigenvalue():
                   < np.abs(mean_emp / gt.d - 1.0)[1:])
 
 
-def test_series_length_bounds(gt_model1):
-    l = series_length(gt_model1)
-    assert 2 <= l <= 12
-
-
-def test_noise_moment_tables_shapes(gt_model1):
-    tables = noise_moment_tables(gt_model1, moment_samples=3, seed=0, length=4)
-    assert sorted(tables) == [2, 3, 4]
-    for m in tables.values():
-        assert m.shape == (3, 3)
-    with pytest.raises(ValueError):
-        noise_moment_tables(gt_model1, moment_samples=0, seed=0, length=3)
+@pytest.mark.parametrize("n, self_loops", [(5, False), (4, True)])
+def test_noise_moments_match_enumeration(n, self_loops):
+    # the closed forms against every one of the 2^10 adjacency matrices;
+    # with V = I the projected moments are the full matrices E[W^l]
+    rng = np.random.default_rng(n)
+    params = DCMMParams(n=n, K=2, theta=rng.uniform(0.3, 1.0, n),
+                        pi=rng.dirichlet(np.ones(2), size=n),
+                        p_matrix=np.array([[0.9, 0.3], [0.3, 0.7]]))
+    gt = npt.ground_truth(params, self_loops=self_loops)
+    exact = brute.noise_moments(gt.h, self_loops)
+    closed = noise_moments(oracle.replace(gt, v=np.eye(n)))
+    assert sorted(closed) == [2, 3, 4]
+    for l in (2, 3, 4):
+        assert np.max(np.abs(closed[l] - exact[l])) <= 1e-12
 
 
 def test_eigen_gap_constant(gt_model1):
@@ -153,7 +155,7 @@ def test_true_sigma1_matches_monte_carlo():
     # covariance of the linearized row difference (e_i - e_j)^T W v_k / t_k
     params = npt.model1_params(200, 40, 0.2, 0.9)
     gt = npt.ground_truth(params)
-    gt = with_tk(gt, moment_samples=40, seed=4)
+    gt = with_tk(gt)
     i, j = 120, 121
     rng = np.random.default_rng(5)
     f = []
@@ -169,7 +171,7 @@ def test_true_sigma2_matches_monte_carlo():
     # covariance of the linearized ratio difference
     params = npt.model2_params(400, 80, 0.2, 0.9, seed=6)
     gt = npt.ground_truth(params)
-    gt = with_tk(gt, moment_samples=40, seed=7)
+    gt = with_tk(gt)
     i, j = 240, 241
     v, t = gt.v, gt.t
     rng = np.random.default_rng(8)
@@ -191,7 +193,7 @@ def test_expansion_residual_bounded():
     # sqrt(n) |t_k (vhat_k(i) - v_k(i)) - (W v_k)(i)| stays order one
     params = npt.model1_params(300, 60, 0.2, 0.9)
     gt = npt.ground_truth(params)
-    gt = with_tk(gt, moment_samples=40, seed=9)
+    gt = with_tk(gt)
     rng = np.random.default_rng(10)
     samples = [npt.sample_adjacency(gt.h, rng) for _ in range(20)]
     out = npt.expansion_residual(gt, samples, k=0, i=5)

@@ -15,19 +15,20 @@ of the squared residual, deflate again with the shrunken eigenvalues, and
 square the result entrywise.
 
 Everything up to the shrunken eigenvalues depends on the graph, not on the
-pair, so :func:`fit` computes it once; the covariance of a pair (i, j) then
-reads only rows i and j of the squared residual, which :class:`Fit` forms on
-demand. No step forms an n x n matrix: the adjacency matrix may be a dense
-array or a sparse matrix, and only products of it with n x k blocks are
-taken.
+pair, so :func:`fit` computes it once. No step forms an n x n matrix: the
+adjacency matrix may be a dense array or a sparse matrix, and only products
+of it with n x k blocks are taken.
 
-Each covariance formula has one definition, :func:`sigma1_matrix` and
-:func:`sigma2_matrix`. :func:`estimate_sigma1` and :func:`estimate_sigma2`
-evaluate it on a :class:`Fit` for the plug-in estimate, or on an oracle
-ground truth for the exact covariance. They also hold each covariance's
-domain: the least K of its test, :data:`MIN_K`, and for the ratios of the
-G test a leading-eigenvector entry away from zero
-(:func:`degeneracy_threshold`).
+A covariance reads the squared residual only through per-node moments:
+:func:`node_moments` reads the rows of m nodes once (O(m n k^2) time,
+O(m n) memory) and keeps one small moment per node plus the m x m
+variances between the nodes, so that the covariance of any pair among them
+costs O(k^3). Each covariance has one definition, :func:`estimate_sigma1`
+and :func:`estimate_sigma2`, evaluated on a :class:`Fit` for the plug-in
+estimate or on an oracle ground truth for the exact covariance, for one
+pair or a stack of pairs. They also hold each covariance's domain: the least
+K of its test, :data:`MIN_K`, and for the ratios of the G test a
+leading-eigenvector entry away from zero (:func:`degeneracy_threshold`).
 """
 
 from __future__ import annotations
@@ -46,10 +47,12 @@ __all__ = [
     "KEstimate",
     "Fit",
     "CovarianceEstimate",
+    "NodeMoments",
     "grow_spectrum",
     "diag_residual_square",
     "refine_eigenvalues",
     "fit",
+    "node_moments",
     "estimate_sigma1",
     "estimate_sigma2",
 ]
@@ -117,14 +120,22 @@ class Fit:
         eigenvalues themselves."""
         return self.values
 
-    def sigma2_rows(self, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
-        """Rows i and j of sigma2, in O(n k) time and memory: row i of
-        W_hat is X[i, :] - (v_i * d_tilde) V^T."""
-        v = self.vectors
-        rows = [i, j]
-        w = _dense(self.x[rows]) - (v[rows] * self.d_tilde) @ v.T
+    def sigma2_rows(self, nodes) -> np.ndarray:
+        """Rows ``nodes`` of sigma2, an m x n array for m nodes, in O(m n k)
+        time and O(m n) memory: row i of W_hat is
+        X[i, :] - sum_a d_tilde_a v_ia V[:, a]. Each term is formed as
+        d_tilde_a (v_ia v_la), so that sigma2[i, l] and sigma2[l, i] agree
+        to the last bit and a pair's covariance does not depend on the
+        order of its nodes."""
+        v, nodes = self.vectors, np.atleast_1d(nodes)
+        w = np.asarray(_dense(self.x[nodes]), dtype=float)  # a copy
+        term = np.empty_like(w)
+        for a in range(self.k):
+            np.multiply.outer(v[nodes, a], v[:, a], out=term)
+            term *= self.d_tilde[a]
+            w -= term
         w *= w
-        return w[0], w[1]
+        return w
 
 
 def _dense(a) -> np.ndarray:
@@ -133,8 +144,58 @@ def _dense(a) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CovarianceEstimate:
+    """A covariance and its 2-norm condition number; for a stack of p
+    pairs, ``matrix`` is p x r x r and ``condition_estimate`` has length
+    p."""
+
     matrix: np.ndarray
-    condition_estimate: float
+    condition_estimate: float | np.ndarray
+
+
+@dataclass(frozen=True)
+class NodeMoments:
+    """What the covariances of the ``method`` test of pairs among ``nodes``
+    read from ``model``, a :class:`Fit` or an oracle ``GroundTruth``.
+
+    A node's contrast (its eigenvector row for T, its ratio vector for G)
+    moves to first order by A_i^T W[i, :], with A = V for T and
+    A_i = V B_i for G (:func:`_ratio_maps`). Row i of ``moments`` is
+    A_i^T diag(sigma2[i, :]) A_i, and ``cross`` = sigma2[nodes][:, nodes]
+    holds the variances between the nodes. It answers ``k``, ``vectors``,
+    ``values`` and ``locations`` as ``model`` does, so
+    :func:`estimate_sigma1` and :func:`estimate_sigma2` take it in place of
+    ``model`` for pairs among ``nodes``.
+    """
+
+    model: object
+    method: str
+    nodes: np.ndarray
+    moments: np.ndarray
+    cross: np.ndarray
+
+    @property
+    def k(self) -> int:
+        return self.model.k
+
+    @property
+    def vectors(self) -> np.ndarray:
+        return self.model.vectors
+
+    @property
+    def values(self) -> np.ndarray:
+        return self.model.values
+
+    @property
+    def locations(self) -> np.ndarray:
+        return self.model.locations
+
+    def positions(self, nodes) -> np.ndarray:
+        """Rows of ``moments`` and ``cross`` that hold ``nodes``."""
+        pos = np.minimum(np.searchsorted(self.nodes, nodes),
+                         len(self.nodes) - 1)
+        if not np.array_equal(self.nodes[pos], nodes):
+            raise ValueError("a node has no moments here")
+        return pos
 
 
 def k_threshold(n: int, dmax: int) -> float:
@@ -278,6 +339,56 @@ def degeneracy_threshold(vectors: np.ndarray) -> float:
     return DEGENERACY_REL_TOL * np.max(np.abs(vectors[:, 0]))
 
 
+def _degenerate(vectors: np.ndarray) -> np.ndarray:
+    """Which nodes have a leading-eigenvector entry below
+    :func:`degeneracy_threshold`, and so no ratio."""
+    return np.abs(vectors[:, 0]) < degeneracy_threshold(vectors)
+
+
+def degenerate_pairs(vectors: np.ndarray, i: np.ndarray,
+                     j: np.ndarray) -> dict[int, DegenerateNodeError]:
+    """The pairs (i[r], j[r]) with a degenerate node: r -> the error that
+    names the node, node i[r] before node j[r]."""
+    small = _degenerate(vectors)
+    return {int(r): DegenerateNodeError(
+                f"leading-eigenvector entry at node "
+                f"{i[r] if small[i[r]] else j[r]} is degenerate")
+            for r in np.flatnonzero(small[i] | small[j])}
+
+
+def node_moments(model, nodes, method: str) -> NodeMoments:
+    """The :class:`NodeMoments` of the ``method`` test of ``model`` at
+    ``nodes``, from one call of ``model.sigma2_rows``: O(m n k^2) time and
+    O(m n) memory for m nodes. A degenerate node (G) gets NaN moments. A
+    :class:`NodeMoments` of the test that holds ``nodes`` is returned as it
+    is.
+
+    Each node's moment is summed in its own contrast basis A_i, not formed
+    as B_i^T (V^T diag(sigma2[i, :]) V) B_i: the columns of V B_i nearly
+    cancel where the two eigenvectors of a ratio move together, and the
+    V basis loses that many digits.
+    """
+    nodes = np.unique(nodes)
+    if isinstance(model, NodeMoments):
+        if model.method != method:
+            raise ValueError(f"these are moments of the {model.method} test")
+        model.positions(nodes)
+        return model
+    rows = model.sigma2_rows(nodes)
+    v = model.vectors
+    if method == "T":
+        bases = (v for _ in nodes)
+    else:
+        rest = ~_degenerate(v)[nodes]
+        maps = np.full((len(nodes), model.k, model.k - 1), np.nan)
+        maps[rest] = _ratio_maps(v[nodes[rest]], model.locations)
+        bases = (v @ b for b in maps)
+    moments = np.stack([(a * row[:, None]).T @ a
+                        for a, row in zip(bases, rows)])
+    return NodeMoments(model=model, method=method, nodes=nodes,
+                       moments=moments, cross=rows[:, nodes])
+
+
 def _condition(mat: np.ndarray) -> float:
     try:
         return float(np.linalg.cond(mat, 2))
@@ -285,89 +396,108 @@ def _condition(mat: np.ndarray) -> float:
         return np.inf
 
 
-def sigma1_matrix(v: np.ndarray, d: np.ndarray, s_i: np.ndarray,
-                  s_j: np.ndarray, i: int, j: int) -> np.ndarray:
-    """Covariance of the difference of eigenvector rows i and j, evaluated
-    from eigenpairs (``v``, ``d``) and rows ``s_i``, ``s_j`` of an entrywise
-    variance matrix sigma2.
+def _estimate(mats: np.ndarray, scalar: bool) -> CovarianceEstimate:
+    """Stacked covariances with their condition numbers: inf for a matrix
+    that is not finite, so that it fails alone."""
+    cond = np.full(len(mats), np.inf)
+    finite = np.isfinite(mats).all(axis=(1, 2))
+    try:
+        cond[finite] = np.linalg.cond(mats[finite], 2)
+    except np.linalg.LinAlgError:  # one SVD that fails fails its matrix only
+        cond[finite] = [_condition(mat) for mat in mats[finite]]
+    if scalar:
+        return CovarianceEstimate(matrix=mats[0],
+                                  condition_estimate=float(cond[0]))
+    return CovarianceEstimate(matrix=mats, condition_estimate=cond)
 
-    Entry (a, b) is [ sum_{t in {i,j}} sum_l sigma2[t,l] v_a(l) v_b(l)
-    - sigma2[i,j] (v_a(j) v_b(i) + v_a(i) v_b(j)) ] / (d_a d_b).
+
+def _pair_arrays(i, j) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Nodes ``i`` and ``j`` as equal-length index arrays, and whether they
+    were single nodes."""
+    scalar = np.ndim(i) == 0 and np.ndim(j) == 0
+    i, j = np.atleast_1d(i), np.atleast_1d(j)
+    if i.ndim != 1 or i.shape != j.shape:
+        raise ValueError("i and j must be nodes or equal-length node arrays")
+    if np.any(i == j):
+        raise ValueError("nodes must be distinct")
+    return i, j, scalar
+
+
+def _pair_sum(node_i: np.ndarray, node_j: np.ndarray, u: np.ndarray,
+              w: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """N_i + N_j - s (u w^T + w u^T) over a stack of pairs, with the node
+    moments N of :class:`NodeMoments`.
+
+    A pair's contrast moves by A_i^T W[i, :] - A_j^T W[j, :]. Rows i and j
+    of W are independent but for the one entry w_ij = w_ji that both hold,
+    whose coefficient is u - w with u = A_i^T e_j and w = A_j^T e_i. N_i and
+    N_j count it as two independent terms, s u u^T + s w w^T, so
+    -s (u w^T + w u^T) turns them into s (u - w)(u - w)^T.
     """
-    core = (v * (s_i + s_j)[:, None]).T @ v
-    cross = s_i[j] * (np.outer(v[j], v[i]) + np.outer(v[i], v[j]))
-    return (core - cross) / np.outer(d, d)
+    return node_i + node_j - s[:, None, None] * (
+        u[:, :, None] * w[:, None, :] + w[:, :, None] * u[:, None, :])
 
 
-def estimate_sigma1(model, i: int, j: int) -> CovarianceEstimate:
-    """Covariance of the row difference of nodes ``i`` and ``j``, k x k.
+def estimate_sigma1(model, i, j) -> CovarianceEstimate:
+    """Covariance of the row difference of nodes ``i`` and ``j``, k x k:
+    (M_i + M_j - sigma2[i, j] (v_j v_i^T + v_i v_j^T)) / (d d^T), with the
+    node moments M_i = V^T diag(sigma2[i, :]) V of :class:`NodeMoments`.
 
     ``model`` is a :class:`Fit`, which gives the plug-in estimate, or an
     oracle ``GroundTruth``, which gives the exact covariance: both supply
-    ``k``, ``vectors``, ``values`` and ``sigma2_rows``.
+    ``k``, ``vectors``, ``values`` and ``sigma2_rows``. It may also be the
+    T test's :class:`NodeMoments` of either at the pair's nodes. ``i`` and
+    ``j`` may be equal-length node arrays; the estimate then stacks one
+    covariance per pair (i[r], j[r]).
     """
-    if i == j:
-        raise ValueError("nodes must be distinct")
+    i, j, scalar = _pair_arrays(i, j)
     check_k(model.k, "T")
-    mat = sigma1_matrix(model.vectors, model.values, *model.sigma2_rows(i, j),
-                        i, j)
-    return CovarianceEstimate(matrix=mat, condition_estimate=_condition(mat))
+    mom = node_moments(model, np.concatenate([i, j]), "T")
+    p, q = mom.positions(i), mom.positions(j)
+    v, d = mom.vectors, mom.values
+    mats = _pair_sum(mom.moments[p], mom.moments[q], v[j], v[i],
+                     mom.cross[p, q]) / np.outer(d, d)
+    return _estimate(mats, scalar)
 
 
-def sigma2_matrix(vectors: np.ndarray, values: np.ndarray, t: np.ndarray,
-                  s_i: np.ndarray, s_j: np.ndarray, i: int,
-                  j: int) -> np.ndarray:
-    """Covariance of the difference of the ratio vectors
-    (v_2(i)/v_1(i), ..., v_k(i)/v_1(i)) of nodes i and j, evaluated from
-    eigenpairs, eigenvalue locations ``t`` and rows ``s_i``, ``s_j`` of an
-    entrywise variance matrix.
-
-    ``values`` and ``t`` coincide for the plug-in estimator; the exact
-    population version passes the deterministic eigenvalue locations as
-    ``t``. Indices a, b range over the k-1 ratio components (eigenvectors
-    2..k). The first sum skips l = j, the second skips l = i, and the
-    (i, j) variance enters through a rank-one cross term.
+def _ratio_maps(rows: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """B_i for each row v_i of V, k x (k-1): the ratio vector
+    (v_2(i)/v_1(i), ..., v_k(i)/v_1(i)) moves by B_i^T (W V)_i / t_1 to
+    first order, t being the eigenvalue locations. Its first row is
+    -v_i[1:] / v_1(i)^2 and the rows below it are diag(t_1 / t[1:]) / v_1(i).
     """
-    k = len(values)
-    t1 = t[0]
-    trest = t[1:]
-    v1i, v1j = vectors[i, 0], vectors[j, 0]
-    vrest = vectors[:, 1:k]
-    v1 = vectors[:, 0]
-
-    a = (t1 / trest)[None, :] * vrest / v1i - np.outer(v1, vectors[i, 1:k]) / v1i**2
-    b = (t1 / trest)[None, :] * vrest / v1j - np.outer(v1, vectors[j, 1:k]) / v1j**2
-
-    s2i = s_i.copy()
-    s2i[j] = 0.0
-    s2j = s_j.copy()
-    s2j[i] = 0.0
-    term_i = (a * s2i[:, None]).T @ a
-    term_j = (b * s2j[:, None]).T @ b
-    c = a[j] - b[i]
-    return (term_i + term_j + s_i[j] * np.outer(c, c)) / t1**2
+    m, k = rows.shape
+    maps = np.zeros((m, k, k - 1))
+    maps[:, 0] = -rows[:, 1:] / rows[:, :1] ** 2
+    diag = np.arange(k - 1)
+    maps[:, diag + 1, diag] = (t[0] / t[1:]) / rows[:, :1]
+    return maps
 
 
-def estimate_sigma2(model, i: int, j: int) -> CovarianceEstimate:
+def estimate_sigma2(model, i, j) -> CovarianceEstimate:
     """Covariance of the ratio difference of nodes ``i`` and ``j``,
-    (k-1) x (k-1).
+    (k-1) x (k-1): (N_i + N_j - sigma2[i, j] (u w^T + w u^T)) / t_1^2, with
+    the node moments N_i = A_i^T diag(sigma2[i, :]) A_i of
+    :class:`NodeMoments`, A_i = V B_i, u = B_i^T v_j and w = B_j^T v_i
+    (:func:`_ratio_maps`).
 
-    ``model`` is a :class:`Fit` or an oracle ``GroundTruth``, as for
-    :func:`estimate_sigma1`; its ``locations`` are the eigenvalue locations,
-    which a fit estimates by its empirical eigenvalues. A node whose
-    leading-eigenvector entry lies below :func:`degeneracy_threshold` has no
-    ratio and raises :class:`DegenerateNodeError`.
+    ``model`` is as for :func:`estimate_sigma1`, with the G test's
+    :class:`NodeMoments`, and so are stacked ``i`` and ``j``. Its
+    ``locations`` are the eigenvalue locations t, which a fit estimates by
+    its empirical eigenvalues. A node whose leading-eigenvector entry lies
+    below :func:`degeneracy_threshold` has no ratio and raises
+    :class:`DegenerateNodeError`.
     """
-    if i == j:
-        raise ValueError("nodes must be distinct")
+    i, j, scalar = _pair_arrays(i, j)
     check_k(model.k, "G")
-    v = model.vectors
-    eps = degeneracy_threshold(v)
-    for node in (i, j):
-        if abs(v[node, 0]) < eps:
-            raise DegenerateNodeError(
-                f"leading-eigenvector entry at node {node} is degenerate"
-            )
-    mat = sigma2_matrix(v, model.values, model.locations,
-                        *model.sigma2_rows(i, j), i, j)
-    return CovarianceEstimate(matrix=mat, condition_estimate=_condition(mat))
+    errors = degenerate_pairs(model.vectors, i, j)
+    if errors:
+        raise errors[min(errors)]
+    mom = node_moments(model, np.concatenate([i, j]), "G")
+    p, q = mom.positions(i), mom.positions(j)
+    v, t = mom.vectors, mom.locations
+    u = (v[j][:, None, :] @ _ratio_maps(v[i], t))[:, 0]
+    w = (v[i][:, None, :] @ _ratio_maps(v[j], t))[:, 0]
+    mats = _pair_sum(mom.moments[p], mom.moments[q], u, w,
+                     mom.cross[p, q]) / t[0] ** 2
+    return _estimate(mats, scalar)

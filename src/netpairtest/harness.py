@@ -101,6 +101,8 @@ class GridPointReport:
     statistics: np.ndarray
     k_hat_counts: dict = field(default_factory=dict)
     valid: bool = True
+    # name of each failure's exception -> its count; sums to ``failures``
+    failure_counts: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -155,10 +157,11 @@ class _StageClock:
 def _replicate(cfg: ExperimentConfig, x: np.ndarray, i: int, j: int,
                clock: _StageClock):
     """One replication on the sampled network ``x``: run the matching test
-    and return (statistic or None, rejected or None, k_hat or None). k_hat
-    is the K estimate, recorded in ``estimated_k`` mode before the
-    refinement, so a replication whose fit or test raises one of
-    ``TEST_FAILURES`` keeps its k_hat but gives no statistic."""
+    and return (statistic or None, rejected or None, k_hat or None, failure
+    or None). k_hat is the K estimate, recorded in ``estimated_k`` mode
+    before the refinement, so a replication whose fit or test raises one of
+    ``TEST_FAILURES`` keeps its k_hat but gives no statistic; the failure is
+    then the name of the exception."""
     k_hat = None
     try:
         with clock("fit"):
@@ -171,9 +174,9 @@ def _replicate(cfg: ExperimentConfig, x: np.ndarray, i: int, j: int,
         with clock("test"):
             res = _pair_test(fitted, i, j, cfg.method)
             rejected = reject(res, cfg.alpha)
-    except TEST_FAILURES:
-        return None, None, k_hat
-    return res.statistic, rejected, k_hat
+    except TEST_FAILURES as exc:
+        return None, None, k_hat, type(exc).__name__
+    return res.statistic, rejected, k_hat, None
 
 
 def run_size_power(cfg: ExperimentConfig) -> ExperimentReport:
@@ -186,27 +189,30 @@ def run_size_power(cfg: ExperimentConfig) -> ExperimentReport:
     i, j = cfg.node_pair()
     points = []
     for gi, signal in enumerate(cfg.signal_grid):
-        stats, rejects, failures = [], [], 0
+        stats, rejects = [], []
         k_counts: dict[int, int] = {}
+        causes: dict[str, int] = {}
         samples = _samples(cfg, gi, signal)
         for _ in range(cfg.replications):
             with clock("sample"):
                 x = next(samples)
-            stat, rej, k_hat = _replicate(cfg, x, i, j, clock)
+            stat, rej, k_hat, failure = _replicate(cfg, x, i, j, clock)
             del x  # free this network before the next one is drawn
             if k_hat is not None:
                 k_counts[k_hat] = k_counts.get(k_hat, 0) + 1
-            if stat is None:
-                failures += 1
+            if failure is not None:
+                causes[failure] = causes.get(failure, 0) + 1
                 continue
             stats.append(stat)
             rejects.append(rej)
+        failures = sum(causes.values())
         valid = failures <= FAILURE_FRACTION_LIMIT * cfg.replications
         rate = float(np.mean(rejects)) if rejects else np.nan
         points.append(GridPointReport(
             signal=signal, rejection_rate=rate,
             replications=cfg.replications, failures=failures,
-            statistics=np.asarray(stats), k_hat_counts=k_counts, valid=valid))
+            statistics=np.asarray(stats), k_hat_counts=k_counts, valid=valid,
+            failure_counts=causes))
     return ExperimentReport(config=cfg, points=tuple(points),
                             wall_seconds=perf_counter() - start,
                             stage_seconds=clock.seconds)

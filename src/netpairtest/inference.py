@@ -12,7 +12,12 @@ nodes share the same membership profile:
 Covariance matrices are plugged in from the one-step refined noise estimate;
 a numerically singular plug-in raises instead of being silently regularized.
 Both tests take either an adjacency matrix or a :class:`~.estimation.Fit`
-of one, so that many pairs of one graph share a single fit.
+of one, so that many pairs of one graph share a single fit. One stacked core
+tests any number of pairs of a fit with a few numpy calls per stack:
+:func:`pvalue_matrix` runs it one output row at a time on the per-node
+moments of all its nodes, read once, and :func:`test_T`, :func:`test_G` and
+the Monte Carlo harness run it on one pair. A pair that fails (degenerate
+node, singular covariance) fails alone.
 """
 
 from __future__ import annotations
@@ -26,13 +31,14 @@ import scipy.stats
 
 from .estimation import (
     MIN_K,
-    CovarianceEstimate,
     DegenerateNodeError,
     Fit,
     check_k,
+    degenerate_pairs,
     estimate_sigma1,
     estimate_sigma2,
     fit,
+    node_moments,
 )
 
 __all__ = [
@@ -82,25 +88,16 @@ class PValueMatrix:
     method: str
 
 
-def chi2_sf(x: float, df: int) -> float:
+def chi2_sf(x, df: int):
     """Chi-square survival function, the regularized upper incomplete gamma
-    Q(df/2, x/2)."""
-    if x < 0:
+    Q(df/2, x/2), of a statistic (a float) or an array of them."""
+    x = np.asarray(x, dtype=float)
+    if np.any(x < 0):
         raise ValueError("statistic must be nonnegative")
     if df < 1:
         raise ValueError("degrees of freedom must be positive")
-    return float(scipy.special.gammaincc(df / 2.0, x / 2.0))
-
-
-def _quadratic_form(diff: np.ndarray, cov: CovarianceEstimate) -> float:
-    if not np.isfinite(cov.condition_estimate) or \
-            cov.condition_estimate > CONDITION_LIMIT:
-        raise SingularCovarianceError(
-            f"covariance condition estimate {cov.condition_estimate:.3g} "
-            f"exceeds {CONDITION_LIMIT:.0e}"
-        )
-    sol = scipy.linalg.solve(cov.matrix, diff, assume_a="sym")
-    return float(diff @ sol)
+    q = scipy.special.gammaincc(df / 2.0, x / 2.0)
+    return float(q) if q.ndim == 0 else q
 
 
 def _fitted(x, k_override: int | None, method: str) -> Fit:
@@ -126,24 +123,79 @@ def _check_nodes(x, nodes) -> None:
             raise ValueError(f"node {node} outside the node range [0, {n})")
 
 
+@dataclass(frozen=True)
+class _PairTests:
+    """Tests of a stack of pairs: pair r failed, with NaN statistic and
+    p-value, iff ``errors`` maps r to its typed error."""
+
+    statistic: np.ndarray
+    p_value: np.ndarray
+    condition: np.ndarray
+    df: int
+    errors: dict
+
+
+def _test_pairs(model, i: np.ndarray, j: np.ndarray,
+                method: str) -> _PairTests:
+    """The ``method`` test of every pair (i[r], j[r]) on one fit, in stacked
+    numpy calls: degeneracy mask, covariances, condition check against
+    :data:`CONDITION_LIMIT`, solve and p-values.
+
+    ``model`` is a :class:`Fit`, or its :class:`~.estimation.NodeMoments`
+    at every node of the pairs. The covariance estimators are read from the
+    module globals at each call, so a replaced binding takes effect. A pair
+    fails alone: a degenerate node (G), or a covariance that is not finite
+    or whose condition estimate exceeds the limit. The G contrast divides
+    by the leading-eigenvector entries only of pairs past the degeneracy
+    check.
+    """
+    pairs, v = len(i), model.vectors
+    stat, cond = np.full(pairs, np.nan), np.full(pairs, np.nan)
+    errors = degenerate_pairs(v, i, j) if method == "G" else {}
+    live = np.setdiff1d(np.arange(pairs), list(errors))
+    if live.size:
+        a, b = i[live], j[live]
+        if method == "T":
+            cov = estimate_sigma1(model, a, b)
+            diff = v[a] - v[b]
+        else:
+            cov = estimate_sigma2(model, a, b)
+            diff = v[a, 1:] / v[a, :1] - v[b, 1:] / v[b, :1]
+        cond[live] = cov.condition_estimate
+        ok = cond[live] <= CONDITION_LIMIT  # False for inf and NaN
+        for r in live[~ok]:
+            errors[int(r)] = SingularCovarianceError(
+                f"covariance condition estimate {cond[r]:.3g} "
+                f"exceeds {CONDITION_LIMIT:.0e}")
+        if ok.any():
+            mats, rhs = cov.matrix[ok], diff[ok]
+            if mats.shape[-1] == 1:
+                # scipy divides for one 1 x 1 system but calls LAPACK for a
+                # stack of them; dividing for every stack keeps a pair's
+                # statistic independent of the pairs tested with it
+                sol = rhs / mats[:, 0]
+            else:
+                sol = scipy.linalg.solve(mats, rhs[..., None],
+                                         assume_a="sym")[..., 0]
+            stat[live[ok]] = (rhs * sol).sum(axis=1)
+    df = model.k - MIN_K[method] + 1
+    p_value = np.full(pairs, np.nan)
+    tested = ~np.isnan(stat)
+    p_value[tested] = chi2_sf(np.maximum(stat[tested], 0.0), df)
+    return _PairTests(statistic=stat, p_value=p_value, condition=cond, df=df,
+                      errors=errors)
+
+
 def _pair_test(fitted: Fit, i: int, j: int, method: str) -> TestResult:
-    """The ``method`` test of nodes ``i`` and ``j`` on a shared fit. The
-    covariance estimators are read from the module globals at each call, so
-    a replaced binding takes effect. The G contrast divides by the
-    leading-eigenvector entries only after ``estimate_sigma2`` has checked
-    that neither is degenerate."""
-    k, v = fitted.k, fitted.vectors
-    if method == "T":
-        cov = estimate_sigma1(fitted, i, j)
-        diff = v[i] - v[j]
-    else:
-        cov = estimate_sigma2(fitted, i, j)
-        diff = v[i, 1:] / v[i, 0] - v[j, 1:] / v[j, 0]
-    stat = _quadratic_form(diff, cov)
-    df = k - MIN_K[method] + 1
-    return TestResult(method=method, statistic=stat, df=df,
-                      p_value=chi2_sf(max(stat, 0.0), df), k_used=k,
-                      condition_estimate=cov.condition_estimate)
+    """The ``method`` test of nodes ``i`` and ``j`` on a shared fit: the
+    one-pair case of :func:`_test_pairs`, whose typed error it raises."""
+    res = _test_pairs(fitted, np.array([i]), np.array([j]), method)
+    if res.errors:
+        raise res.errors[0]
+    return TestResult(method=method, statistic=float(res.statistic[0]),
+                      df=res.df, p_value=float(res.p_value[0]),
+                      k_used=fitted.k,
+                      condition_estimate=float(res.condition[0]))
 
 
 def test_T(x: np.ndarray | Fit, i: int, j: int,
@@ -186,7 +238,9 @@ def reject(result: TestResult, alpha: float) -> bool:
 def pvalue_matrix(x: np.ndarray, nodes, method: str = "T",
                   k_override: int | None = None) -> PValueMatrix:
     """Pairwise p-value matrix over ``nodes``; the graph is fitted once
-    (spectrum, K, refined eigenvalues) and the fit is shared across pairs."""
+    (spectrum, K, refined eigenvalues) and the fit is shared across pairs.
+    Beyond the fit, m nodes cost O(m n k^2) for their moments and O(k^3)
+    per pair, in O(m n + m^2) memory."""
     nodes = list(nodes)
     if len(nodes) < 2:
         raise ValueError("need at least two distinct nodes")
@@ -202,11 +256,12 @@ def pvalue_matrix(x: np.ndarray, nodes, method: str = "T",
         # a zero eigenvalue among the top K fails every pair alike
         out[~np.eye(m, dtype=bool)] = np.nan
         return PValueMatrix(nodes=tuple(nodes), matrix=out, method=method)
-    for s in range(m):
-        for t in range(s + 1, m):
-            try:
-                out[s, t] = out[t, s] = _pair_test(fitted, nodes[s], nodes[t],
-                                                   method).p_value
-            except TEST_FAILURES:
-                out[s, t] = out[t, s] = np.nan
+    # one output row at a time, node s against the later nodes, so that the
+    # temporaries of a row stay O(m k^2)
+    idx = np.asarray(nodes)
+    moments = node_moments(fitted, idx, method)
+    for s in range(m - 1):
+        row = _test_pairs(moments, np.full(m - 1 - s, idx[s]), idx[s + 1:],
+                          method).p_value
+        out[s, s + 1:] = out[s + 1:, s] = row
     return PValueMatrix(nodes=tuple(nodes), matrix=out, method=method)

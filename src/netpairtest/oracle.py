@@ -85,8 +85,8 @@ class GroundTruth:
             raise ValueError("attach eigenvalue locations first (with_tk)")
         return self.t
 
-    def sigma2_rows(self, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
-        return self.var_w[i], self.var_w[j]
+    def sigma2_rows(self, nodes) -> np.ndarray:
+        return self.var_w[nodes]
 
 
 def ground_truth(params: DCMMParams, self_loops: bool = False) -> GroundTruth:

@@ -7,8 +7,28 @@ implementations.
 """
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
+
+
+@dataclass(frozen=True)
+class GivenModel:
+    """Eigenpairs, eigenvalue locations and a whole variance matrix, read as
+    ``estimate_sigma1`` and ``estimate_sigma2`` read a fit, so that the
+    package's covariances can be evaluated on arbitrary inputs."""
+
+    vectors: np.ndarray
+    values: np.ndarray
+    locations: np.ndarray
+    sigma2: np.ndarray
+
+    @property
+    def k(self):
+        return len(self.values)
+
+    def sigma2_rows(self, nodes):
+        return self.sigma2[nodes]
 
 
 def residual_matrix(x, spec, k):

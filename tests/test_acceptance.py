@@ -10,12 +10,11 @@ import numpy as np
 import pytest
 
 import netpairtest as npt
-from netpairtest.estimation import sigma1_matrix, sigma2_matrix
 from netpairtest.models import DCMMParams
 from netpairtest.oracle import covariance_trend, with_tk
 from netpairtest.spectra import Spectrum
 
-from brute import brute_sigma1, brute_sigma2
+from brute import GivenModel, brute_sigma1, brute_sigma2
 
 
 def verdict(name, ok, detail=""):
@@ -225,8 +224,10 @@ def test_criterion_8_property_suite(karate):
     t = values * 1.01
     s = rng.random((8, 8))
     sigma2 = (s + s.T) / 2
-    f1 = sigma1_matrix(vectors, values, sigma2[1], sigma2[5], 1, 5)
-    f2 = sigma2_matrix(vectors, values, t, sigma2[1], sigma2[5], 1, 5)
+    f1 = npt.estimate_sigma1(GivenModel(vectors, values, t, sigma2),
+                             1, 5).matrix
+    f2 = npt.estimate_sigma2(GivenModel(vectors, values, t, sigma2),
+                             1, 5).matrix
     results["brute-force"] = bool(
         np.allclose(f1, brute_sigma1(vectors, values, sigma2, 1, 5),
                     atol=1e-12)

@@ -10,12 +10,10 @@ from netpairtest.estimation import (
     DegenerateNodeError,
     estimate_k_from_values,
     k_threshold,
-    sigma1_matrix,
-    sigma2_matrix,
 )
 from netpairtest.spectra import deflated_ritz
 
-from brute import brute_sigma1, brute_sigma2, residual_matrix
+from brute import GivenModel, brute_sigma1, brute_sigma2, residual_matrix
 
 
 # ---------------------------------------------------------------- K estimate
@@ -335,7 +333,7 @@ def _full_sigma2(fitted):
 
 def test_refined_residual_symmetric_and_squared(karate, karate_csr):
     # Fit.sigma2_rows forms rows i, j of ((W_hat + W_hat^T) / 2)^2 without
-    # the n x n matrix
+    # the n x n matrix, and sigma2[i, j] equals sigma2[j, i] to the last bit
     params = npt.model2_params(300, 60, 0.2, 0.9, seed=1)
     simulated = npt.sample_adjacency(npt.build_mean_matrix(params), seed=2)
     for x, k, pairs in ((karate, 2, [(6, 12), (0, 33), (2, 26)]),
@@ -345,10 +343,10 @@ def test_refined_residual_symmetric_and_squared(karate, karate_csr):
         full = _full_sigma2(fitted)
         scale = np.max(full)
         for i, j in pairs:
-            s_i, s_j = fitted.sigma2_rows(i, j)
+            s_i, s_j = fitted.sigma2_rows([i, j])
             assert np.allclose(s_i, full[i], rtol=1e-12, atol=1e-14 * scale)
             assert np.allclose(s_j, full[j], rtol=1e-12, atol=1e-14 * scale)
-            assert s_i[j] == pytest.approx(s_j[i], rel=1e-12)
+            assert s_i[j] == s_j[i]
 
 
 # ------------------------------------------------- covariance assembly
@@ -369,7 +367,8 @@ def test_sigma1_matches_brute_force(seed):
     n, k = 8, 3
     vectors, values, _, sigma2 = _random_case(seed, n, k)
     i, j = 1, 5
-    fast = sigma1_matrix(vectors, values, sigma2[i], sigma2[j], i, j)
+    model = GivenModel(vectors, values, values, sigma2)
+    fast = npt.estimate_sigma1(model, i, j).matrix
     slow = brute_sigma1(vectors, values, sigma2, i, j)
     assert np.allclose(fast, slow, atol=1e-12)
     assert np.allclose(fast, fast.T, atol=1e-12)
@@ -380,7 +379,8 @@ def test_sigma2_matches_brute_force(seed):
     n, k = 8, 3
     vectors, values, t, sigma2 = _random_case(seed, n, k)
     i, j = 0, 6
-    fast = sigma2_matrix(vectors, values, t, sigma2[i], sigma2[j], i, j)
+    fast = npt.estimate_sigma2(GivenModel(vectors, values, t, sigma2),
+                               i, j).matrix
     slow = brute_sigma2(vectors, values, t, sigma2, i, j)
     assert np.allclose(fast, slow, atol=1e-12)
 
@@ -408,3 +408,28 @@ def test_estimate_sigma2_degenerate_node():
     fitted = npt.fit(x, 2, spectrum=npt.top_eigenpairs(x, 3))
     with pytest.raises(DegenerateNodeError):
         npt.estimate_sigma2(fitted, 4, 5)
+    # a stack names its first degenerate node, and fails as a whole
+    with pytest.raises(DegenerateNodeError, match="at node 5 is"):
+        npt.estimate_sigma2(fitted, [0, 5, 4], [1, 0, 6])
+
+
+@pytest.mark.parametrize("sigma", [npt.estimate_sigma1, npt.estimate_sigma2])
+def test_stacked_estimates_equal_the_one_pair_estimates(karate_csr, sigma):
+    fitted = npt.fit(karate_csr, 3)
+    i, j = np.array([6, 12, 0, 33]), np.array([12, 6, 33, 2])
+    stacked = sigma(fitted, i, j)
+    r = fitted.k - (sigma is npt.estimate_sigma2)
+    assert stacked.matrix.shape == (4, r, r)
+    assert stacked.condition_estimate.shape == (4,)
+    for s, (a, b) in enumerate(zip(i, j)):
+        one = sigma(fitted, int(a), int(b))
+        assert one.matrix.shape == (r, r)
+        assert isinstance(one.condition_estimate, float)
+        assert np.array_equal(stacked.matrix[s], one.matrix)
+        assert stacked.condition_estimate[s] == one.condition_estimate
+    # the covariance of a pair does not depend on the order of its nodes
+    assert np.array_equal(stacked.matrix[0], stacked.matrix[1])
+    with pytest.raises(ValueError, match="equal-length"):
+        sigma(fitted, i, j[:3])
+    with pytest.raises(ValueError, match="distinct"):
+        sigma(fitted, i, np.array([12, 6, 0, 2]))

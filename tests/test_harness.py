@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -126,12 +128,13 @@ def test_mean_matrix_built_once_per_grid_point_for_model_1(monkeypatch, run):
 
 
 def _per_replication_statistics(cfg):
-    """Statistics and failure count of the first grid point, each
-    replication sampled from its own freshly built mean matrix."""
+    """Statistics and failures by exception name of the first grid point,
+    each replication sampled from its own freshly built mean matrix and
+    fitted at the true K."""
     i, j = cfg.node_pair()
     signal = cfg.signal_grid[0]
     runner = npt.test_T if cfg.model == 1 else npt.test_G
-    stats, failures = [], 0
+    stats, failures = [], Counter()
     for rep in range(cfg.replications):
         if cfg.model == 1:
             params = npt.model1_params(cfg.n, cfg.n0, cfg.rho, signal)
@@ -142,8 +145,8 @@ def _per_replication_statistics(cfg):
                                  harness._rep_rng(cfg, 0, rep))
         try:
             stats.append(runner(npt.fit(x, 3), i, j).statistic)
-        except npt.inference.TEST_FAILURES:
-            failures += 1
+        except npt.inference.TEST_FAILURES as exc:
+            failures[type(exc).__name__] += 1
     return np.asarray(stats), failures
 
 
@@ -153,7 +156,8 @@ def test_statistics_equal_a_per_replication_loop(tiny):
     point = npt.run_size_power(cfg).points[0]
     stats, failures = _per_replication_statistics(cfg)
     assert point.statistics.tobytes() == stats.tobytes()
-    assert point.failures == failures
+    assert point.failures == failures.total()
+    assert point.failure_counts == failures
 
 
 @pytest.mark.parametrize("run", [npt.run_size_power, npt.run_k_accuracy])
@@ -182,6 +186,14 @@ def test_zero_eigenvalue_replications_count_as_failures(model, k_mode):
     assert point.failures > 0
     assert len(point.statistics) + point.failures == 20
     assert not point.valid
+    # each failure counted once under its cause; the zero eigenvalues show
+    # up as ZeroDivisionError, next to singular covariances (T) or
+    # degenerate nodes (G) of the networks that could be refined
+    assert sum(point.failure_counts.values()) == point.failures
+    other = "SingularCovarianceError" if model == 1 else "DegenerateNodeError"
+    assert set(point.failure_counts) == {"ZeroDivisionError", other}
+    if k_mode == "true_k":
+        assert point.failure_counts == _per_replication_statistics(cfg)[1]
     if k_mode == "estimated_k":
         # a failed replication still counts its K estimate
         assert sum(point.k_hat_counts.values()) == 20

@@ -6,16 +6,15 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 import netpairtest as npt
-from netpairtest.estimation import (
-    CovarianceEstimate,
-    estimate_k_from_values,
-    sigma1_matrix,
-    sigma2_matrix,
-)
-from netpairtest.inference import SingularCovarianceError, _quadratic_form
+from netpairtest.estimation import estimate_k_from_values
+from netpairtest.inference import CONDITION_LIMIT, SingularCovarianceError
 from netpairtest.spectra import Spectrum
+
+from brute import brute_sigma1, brute_sigma2
 
 
 # ---------------------------------------------------------------- chi2_sf
@@ -30,6 +29,13 @@ def test_chi2_sf_closed_forms():
             math.erfc(math.sqrt(x / 2)), abs=1e-12)
 
 
+def test_chi2_sf_of_an_array_is_elementwise():
+    xs = np.array([0.0, 0.5, 1.7, 4.2, 9.0])
+    for df in (1, 2, 4):
+        assert np.array_equal(npt.chi2_sf(xs, df),
+                              [npt.chi2_sf(x, df) for x in xs])
+
+
 def test_chi2_sf_bounds_and_errors():
     assert npt.chi2_sf(0.0, 3) == 1.0
     assert npt.chi2_sf(1e6, 3) == pytest.approx(0.0, abs=1e-12)
@@ -39,10 +45,25 @@ def test_chi2_sf_bounds_and_errors():
         npt.chi2_sf(1.0, 0)
 
 
-def test_quadratic_form_singular():
-    cov = CovarianceEstimate(matrix=np.eye(2), condition_estimate=1e13)
-    with pytest.raises(SingularCovarianceError):
-        _quadratic_form(np.ones(2), cov)
+def test_condition_above_the_limit_fails_only_its_pair(karate, monkeypatch):
+    right = npt.inference.estimate_sigma1
+
+    def ill_at_7(model, i, j):
+        cov = right(model, i, j)
+        at_7 = (np.asarray(i) == 7) | (np.asarray(j) == 7)
+        return type(cov)(matrix=cov.matrix, condition_estimate=np.where(
+            at_7, 1e13, cov.condition_estimate))
+
+    monkeypatch.setattr(npt.inference, "estimate_sigma1", ill_at_7)
+    with pytest.raises(SingularCovarianceError,
+                       match=r"^covariance condition estimate 1e\+13 "
+                             r"exceeds 1e\+12$"):
+        npt.test_T(karate, 12, 7, k_override=2)
+    pm = npt.pvalue_matrix(karate, [2, 6, 7, 12], "T", 2).matrix
+    at_7 = np.zeros((4, 4), dtype=bool)
+    at_7[2], at_7[:, 2] = True, True
+    at_7[2, 2] = False
+    assert np.array_equal(np.isnan(pm), at_7)
 
 
 # ----------------------------------------------------------- karate values
@@ -89,10 +110,10 @@ def _per_pair_statistic(x, i, j, k, method):
     w_hat = (w_hat + w_hat.T) / 2.0
     sigma2 = w_hat * w_hat
     if method == "T":
-        cov = sigma1_matrix(v, d, sigma2[i], sigma2[j], i, j)
+        cov = brute_sigma1(v, d, sigma2, i, j)
         diff = v[i] - v[j]
     else:
-        cov = sigma2_matrix(v, d, d, sigma2[i], sigma2[j], i, j)
+        cov = brute_sigma2(v, d, d, sigma2, i, j)
         diff = v[i, 1:] / v[i, 0] - v[j, 1:] / v[j, 0]
     return float(diff @ scipy.linalg.solve(cov, diff, assume_a="sym")), k
 
@@ -255,29 +276,115 @@ def test_pvalue_matrix_nan_for_failed_pairs(karate):
 
 def test_pvalue_matrix_fits_once(karate, karate_csr, monkeypatch):
     # every binding of each counted function, in every package module; the
-    # fit reads diag(W0^2) from products with n x k blocks, and no
-    # n x n residual exists in the package to build
+    # fit reads diag(W0^2) from products with n x k blocks, no n x n
+    # residual exists in the package to build, and the rows of sigma2 are
+    # read once for all pairs
     calls = Counter()
+
+    def count(owner, name, original):
+        def counted(*args, _name=name, **kwargs):
+            calls[_name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
     for name in ("fit", "top_eigenpairs", "max_degree",
                  "diag_residual_square"):
         original = getattr(npt, name)
-
-        def counted(*args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
-
         for key, module in list(sys.modules.items()):
             if key.startswith("netpairtest") and \
                     getattr(module, name, None) is original:
-                monkeypatch.setattr(module, name, counted)
+                count(module, name, original)
+    count(npt.Fit, "sigma2_rows", npt.Fit.sigma2_rows)
     assert not hasattr(npt.estimation, "residual_matrix")
     nodes = [2, 6, 7, 8, 12]
     for x in (karate, karate_csr):
-        calls.clear()
-        pm = npt.pvalue_matrix(x, nodes, method="G")
-        assert calls == {"fit": 1, "top_eigenpairs": 1, "max_degree": 1,
-                         "diag_residual_square": 1}
-        assert pm.matrix[1, 4] == npt.test_G(x, 6, 12).p_value
+        for method, runner in (("T", npt.test_T), ("G", npt.test_G)):
+            calls.clear()
+            npt.pvalue_matrix(x, nodes, method=method)
+            assert calls == {"fit": 1, "top_eigenpairs": 1, "max_degree": 1,
+                             "diag_residual_square": 1, "sigma2_rows": 1}
+            # each entry is the one-pair test on the same fit, to the bit
+            fitted = npt.fit(x, floor=npt.estimation.MIN_K[method])
+            calls.clear()
+            pm = npt.pvalue_matrix(fitted, nodes, method=method).matrix
+            assert calls == {"sigma2_rows": 1}
+            assert np.isfinite(pm).all()
+            for s, a in enumerate(nodes):
+                for t, b in enumerate(nodes):
+                    if s != t:
+                        assert pm[s, t] == runner(fitted, a, b).p_value
+
+
+def _brute_pvalue_matrix(fitted, nodes, method):
+    """p-values of every pair of ``nodes`` on ``fitted``, one pair at a
+    time: the covariance from the brute formulas on the whole variance
+    matrix, the condition check and scipy's solve."""
+    x = fitted.x.toarray() if scipy.sparse.issparse(fitted.x) else fitted.x
+    v, d = fitted.vectors, fitted.values
+    sigma2 = (x - (v * fitted.d_tilde) @ v.T) ** 2
+    small = np.abs(v[:, 0]) < 1e-10 * np.abs(v[:, 0]).max()
+    df = fitted.k - npt.estimation.MIN_K[method] + 1
+    out = np.ones((len(nodes), len(nodes)))
+    for s, i in enumerate(nodes):
+        for t, j in enumerate(nodes[s + 1:], s + 1):
+            out[s, t] = out[t, s] = np.nan
+            if method == "T":
+                cov = brute_sigma1(v, d, sigma2, i, j)
+                diff = v[i] - v[j]
+            elif small[i] or small[j]:
+                continue
+            else:
+                cov = brute_sigma2(v, d, d, sigma2, i, j)
+                diff = v[i, 1:] / v[i, 0] - v[j, 1:] / v[j, 0]
+            if np.isfinite(cov).all() and \
+                    np.linalg.cond(cov) <= CONDITION_LIMIT:
+                stat = diff @ scipy.linalg.solve(cov, diff, assume_a="sym")
+                out[s, t] = out[t, s] = npt.chi2_sf(max(stat, 0.0), df)
+    return out
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(12, 24),
+       k=st.sampled_from([2, 3]), method=st.sampled_from(["T", "G"]),
+       sparse=st.booleans())
+def test_pvalue_matrix_matches_a_brute_per_pair_loop(seed, n, k, method,
+                                                     sparse):
+    rng = np.random.default_rng(seed)
+    upper = np.triu(rng.random((n, n)) < 0.4, 1)
+    x = (upper | upper.T).astype(float)
+    try:
+        fitted = npt.fit(x, k)
+    except ZeroDivisionError:
+        assume(False)
+    nodes = sorted(rng.choice(n, 8, replace=False).tolist())
+    degenerate, a, b = rng.choice(nodes, 3, replace=False)
+    # a degenerate node: a zero leading-eigenvector entry
+    vectors = fitted.spectrum.vectors.copy()
+    vectors[degenerate, 0] = 0.0
+    spectrum = Spectrum(values=fitted.spectrum.values, vectors=vectors,
+                        residuals=fitted.spectrum.residuals)
+    # a singular pair: rows a and b of the refined residual vanish but for
+    # the entry they share, so their covariance has rank one
+    v = vectors[:, :k]
+    low_rank = (v * fitted.d_tilde) @ v.T
+    x[[a, b], :] = low_rank[[a, b], :]
+    x[:, [a, b]] = low_rank[:, [a, b]]
+    x[a, b] = x[b, a] = low_rank[a, b] + 1.0
+    forced = npt.Fit(x=scipy.sparse.csr_array(x) if sparse else x,
+                     spectrum=spectrum, k=k, d_tilde=fitted.d_tilde)
+    got = npt.pvalue_matrix(forced, nodes, method).matrix
+    expected = _brute_pvalue_matrix(forced, nodes, method)
+    assert np.array_equal(np.isnan(got), np.isnan(expected))
+    assert np.isnan(got).any()
+    # a p-value far in the tail inherits about stat/2 times the relative
+    # error of its statistic, so there the logarithms are held to 1e-12
+    with np.errstate(divide="ignore"):
+        assert np.all(np.isclose(got, expected, rtol=1e-12, atol=0)
+                      | np.isclose(np.log(got), np.log(expected), rtol=1e-12,
+                                   atol=0)
+                      | np.isnan(got))
 
 
 def test_pvalue_matrix_zero_eigenvalue_is_nan():

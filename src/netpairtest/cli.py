@@ -174,7 +174,7 @@ def _cmd_simulate(args) -> int:
         rows, cols = np.nonzero(np.triu(x, k=0 if args.self_loops else 1))
         for u, v in zip(rows, cols):
             fh.write(f"{u} {v}\n")
-    print(f"wrote {args.out} ({int(x.sum() // 2)} edges)")
+    print(f"wrote {args.out} ({len(rows)} edges)")
     return EXIT_OK
 
 

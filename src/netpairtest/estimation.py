@@ -19,16 +19,16 @@ pair, so :func:`fit` computes it once. No step forms an n x n matrix: the
 adjacency matrix may be a dense array or a sparse matrix, and only products
 of it with n x k blocks are taken.
 
-A covariance reads the squared residual only through per-node moments:
+Both tests compare a per-node contrast, and besides :data:`MIN_K` only
+:func:`_contrast` tells them apart: the eigenvector row for T, the ratio
+vector v_i[1:] / v_i[0] for G, with the map of its first-order move, its
+scale and which nodes are degenerate (:func:`degeneracy_threshold`).
 :func:`node_moments` reads the rows of m nodes once (O(m n k^2) time,
-O(m n) memory) and keeps one small moment per node plus the m x m
+O(m n) memory) and keeps each node's contrast and moment plus the m x m
 variances between the nodes, so that the covariance of any pair among them
-costs O(k^3). Each covariance has one definition, :func:`estimate_sigma1`
-and :func:`estimate_sigma2`, evaluated on a :class:`Fit` for the plug-in
-estimate or on an oracle ground truth for the exact covariance, for one
-pair or a stack of pairs. They also hold each covariance's domain: the least
-K of its test, :data:`MIN_K`, and for the ratios of the G test a
-leading-eigenvector entry away from zero (:func:`degeneracy_threshold`).
+costs O(k^3). One body gives both covariances, :func:`estimate_sigma1` and
+:func:`estimate_sigma2`, on a :class:`Fit` for the plug-in estimate or on
+an oracle ground truth for the exact one, for one pair or a stack of pairs.
 """
 
 from __future__ import annotations
@@ -155,42 +155,28 @@ class CovarianceEstimate:
 @dataclass(frozen=True)
 class NodeMoments:
     """What the covariances of the ``method`` test of pairs among ``nodes``
-    read from ``model``, a :class:`Fit` or an oracle ``GroundTruth``.
+    read from a :class:`Fit` or an oracle ``GroundTruth``, one row per node.
 
-    A node's contrast (its eigenvector row for T, its ratio vector for G)
-    moves to first order by A_i^T W[i, :], with A = V for T and
-    A_i = V B_i for G (:func:`_ratio_maps`). Row i of ``moments`` is
-    A_i^T diag(sigma2[i, :]) A_i, and ``cross`` = sigma2[nodes][:, nodes]
-    holds the variances between the nodes. It answers ``k``, ``vectors``,
-    ``values`` and ``locations`` as ``model`` does, so
-    :func:`estimate_sigma1` and :func:`estimate_sigma2` take it in place of
-    ``model`` for pairs among ``nodes``.
+    A node's ``contrast`` c_i moves to first order by B_i^T (W V)_i / s,
+    with its map B_i (``maps``, None for the identity) and the ``scale`` s
+    (:func:`_contrast`); ``rows`` = V[nodes]. A ``degenerate`` node has NaN
+    contrast, map and moment. Row i of ``moments`` is
+    A_i^T diag(sigma2[i, :]) A_i in the basis A_i = V B_i, and ``cross`` =
+    sigma2[nodes][:, nodes] holds the variances between the nodes.
     """
 
-    model: object
     method: str
     nodes: np.ndarray
+    contrast: np.ndarray
+    maps: np.ndarray | None
+    rows: np.ndarray
+    scale: np.ndarray
+    degenerate: np.ndarray
     moments: np.ndarray
     cross: np.ndarray
 
-    @property
-    def k(self) -> int:
-        return self.model.k
-
-    @property
-    def vectors(self) -> np.ndarray:
-        return self.model.vectors
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.model.values
-
-    @property
-    def locations(self) -> np.ndarray:
-        return self.model.locations
-
     def positions(self, nodes) -> np.ndarray:
-        """Rows of ``moments`` and ``cross`` that hold ``nodes``."""
+        """Rows of the per-node arrays that hold ``nodes``."""
         pos = np.minimum(np.searchsorted(self.nodes, nodes),
                          len(self.nodes) - 1)
         if not np.array_equal(self.nodes[pos], nodes):
@@ -339,29 +325,56 @@ def degeneracy_threshold(vectors: np.ndarray) -> float:
     return DEGENERACY_REL_TOL * np.max(np.abs(vectors[:, 0]))
 
 
-def _degenerate(vectors: np.ndarray) -> np.ndarray:
-    """Which nodes have a leading-eigenvector entry below
-    :func:`degeneracy_threshold`, and so no ratio."""
-    return np.abs(vectors[:, 0]) < degeneracy_threshold(vectors)
-
-
-def degenerate_pairs(vectors: np.ndarray, i: np.ndarray,
+def degenerate_pairs(mom: NodeMoments, i: np.ndarray,
                      j: np.ndarray) -> dict[int, DegenerateNodeError]:
-    """The pairs (i[r], j[r]) with a degenerate node: r -> the error that
-    names the node, node i[r] before node j[r]."""
-    small = _degenerate(vectors)
+    """The pairs (i[r], j[r]) with a degenerate node of ``mom``: r -> the
+    error that names the node, node i[r] before node j[r]."""
+    small_i = mom.degenerate[mom.positions(i)]
+    small_j = mom.degenerate[mom.positions(j)]
     return {int(r): DegenerateNodeError(
                 f"leading-eigenvector entry at node "
-                f"{i[r] if small[i[r]] else j[r]} is degenerate")
-            for r in np.flatnonzero(small[i] | small[j])}
+                f"{i[r] if small_i[r] else j[r]} is degenerate")
+            for r in np.flatnonzero(small_i | small_j)}
+
+
+def _contrast(model, rows: np.ndarray, method: str):
+    """The ``method`` test's (contrast, maps, scale, degenerate) at the
+    eigenvector rows ``rows`` of ``model``, as :class:`NodeMoments` holds
+    them: for T the rows, the identity (None, so that the moments' basis is
+    V itself, not V @ I) and the eigenvalues; for G the ratios, their
+    :func:`_ratio_maps` and t_1, never dividing by a degenerate node.
+    """
+    if method == "T":
+        return rows, None, model.values, np.zeros(len(rows), dtype=bool)
+    t = model.locations
+    degenerate = np.abs(rows[:, 0]) < degeneracy_threshold(model.vectors)
+    ok = ~degenerate
+    ratios = np.full((len(rows), model.k - 1), np.nan)
+    ratios[ok] = rows[ok, 1:] / rows[ok, :1]
+    maps = np.full((len(rows), model.k, model.k - 1), np.nan)
+    maps[ok] = _ratio_maps(rows[ok], t)
+    return ratios, maps, np.full(model.k - 1, t[0]), degenerate
+
+
+def _ratio_maps(rows: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """B_i for each row v_i of V, k x (k-1): the ratio vector
+    (v_2(i)/v_1(i), ..., v_k(i)/v_1(i)) moves by B_i^T (W V)_i / t_1 to
+    first order, t being the eigenvalue locations. Its first row is
+    -v_i[1:] / v_1(i)^2 and the rows below it are diag(t_1 / t[1:]) / v_1(i).
+    """
+    m, k = rows.shape
+    maps = np.zeros((m, k, k - 1))
+    maps[:, 0] = -rows[:, 1:] / rows[:, :1] ** 2
+    diag = np.arange(k - 1)
+    maps[:, diag + 1, diag] = (t[0] / t[1:]) / rows[:, :1]
+    return maps
 
 
 def node_moments(model, nodes, method: str) -> NodeMoments:
     """The :class:`NodeMoments` of the ``method`` test of ``model`` at
     ``nodes``, from one call of ``model.sigma2_rows``: O(m n k^2) time and
-    O(m n) memory for m nodes. A degenerate node (G) gets NaN moments. A
-    :class:`NodeMoments` of the test that holds ``nodes`` is returned as it
-    is.
+    O(m n) memory for m nodes. A :class:`NodeMoments` of the test that
+    holds ``nodes`` is returned as it is.
 
     Each node's moment is summed in its own contrast basis A_i, not formed
     as B_i^T (V^T diag(sigma2[i, :]) V) B_i: the columns of V B_i nearly
@@ -374,19 +387,18 @@ def node_moments(model, nodes, method: str) -> NodeMoments:
             raise ValueError(f"these are moments of the {model.method} test")
         model.positions(nodes)
         return model
-    rows = model.sigma2_rows(nodes)
+    check_k(model.k, method)
     v = model.vectors
-    if method == "T":
-        bases = (v for _ in nodes)
-    else:
-        rest = ~_degenerate(v)[nodes]
-        maps = np.full((len(nodes), model.k, model.k - 1), np.nan)
-        maps[rest] = _ratio_maps(v[nodes[rest]], model.locations)
-        bases = (v @ b for b in maps)
+    rows = v[nodes]
+    contrast, maps, scale, degenerate = _contrast(model, rows, method)
+    sigma2 = model.sigma2_rows(nodes)
+    bases = (v for _ in nodes) if maps is None else (v @ b for b in maps)
     moments = np.stack([(a * row[:, None]).T @ a
-                        for a, row in zip(bases, rows)])
-    return NodeMoments(model=model, method=method, nodes=nodes,
-                       moments=moments, cross=rows[:, nodes])
+                        for a, row in zip(bases, sigma2)])
+    return NodeMoments(method=method, nodes=nodes, contrast=contrast,
+                       maps=maps, rows=rows, scale=scale,
+                       degenerate=degenerate, moments=moments,
+                       cross=sigma2[:, nodes])
 
 
 def _condition(mat: np.ndarray) -> float:
@@ -423,25 +435,35 @@ def _pair_arrays(i, j) -> tuple[np.ndarray, np.ndarray, bool]:
     return i, j, scalar
 
 
-def _pair_sum(node_i: np.ndarray, node_j: np.ndarray, u: np.ndarray,
-              w: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """N_i + N_j - s (u w^T + w u^T) over a stack of pairs, with the node
-    moments N of :class:`NodeMoments`.
+def _covariance(model, i, j, method: str) -> CovarianceEstimate:
+    """Covariance of the contrast difference c_i - c_j of the ``method``
+    test: (N_i + N_j - sigma2[i, j] (u w^T + w u^T)) / (s s^T), with the
+    node moments N and scale s of :class:`NodeMoments`, u = B_i^T v_j and
+    w = B_j^T v_i.
 
-    A pair's contrast moves by A_i^T W[i, :] - A_j^T W[j, :]. Rows i and j
-    of W are independent but for the one entry w_ij = w_ji that both hold,
-    whose coefficient is u - w with u = A_i^T e_j and w = A_j^T e_i. N_i and
-    N_j count it as two independent terms, s u u^T + s w w^T, so
-    -s (u w^T + w u^T) turns them into s (u - w)(u - w)^T.
+    Rows i and j of W are independent but for the one entry w_ij = w_ji
+    that both hold, whose coefficient is u - w. N_i and N_j count it as
+    sigma2[i, j] (u u^T + w w^T), and the correction turns that into
+    sigma2[i, j] (u - w)(u - w)^T.
     """
-    return node_i + node_j - s[:, None, None] * (
+    i, j, scalar = _pair_arrays(i, j)
+    mom = node_moments(model, np.concatenate([i, j]), method)
+    errors = degenerate_pairs(mom, i, j)
+    if errors:
+        raise errors[min(errors)]
+    p, q = mom.positions(i), mom.positions(j)
+    u, w = mom.rows[q], mom.rows[p]
+    if mom.maps is not None:
+        u = (u[:, None, :] @ mom.maps[p])[:, 0]
+        w = (w[:, None, :] @ mom.maps[q])[:, 0]
+    mats = mom.moments[p] + mom.moments[q] - mom.cross[p, q][:, None, None] * (
         u[:, :, None] * w[:, None, :] + w[:, :, None] * u[:, None, :])
+    return _estimate(mats / np.outer(mom.scale, mom.scale), scalar)
 
 
 def estimate_sigma1(model, i, j) -> CovarianceEstimate:
-    """Covariance of the row difference of nodes ``i`` and ``j``, k x k:
-    (M_i + M_j - sigma2[i, j] (v_j v_i^T + v_i v_j^T)) / (d d^T), with the
-    node moments M_i = V^T diag(sigma2[i, :]) V of :class:`NodeMoments`.
+    """Covariance of the row difference of nodes ``i`` and ``j``, k x k
+    (:func:`_covariance` with B_i = I and s = d).
 
     ``model`` is a :class:`Fit`, which gives the plug-in estimate, or an
     oracle ``GroundTruth``, which gives the exact covariance: both supply
@@ -450,54 +472,18 @@ def estimate_sigma1(model, i, j) -> CovarianceEstimate:
     ``j`` may be equal-length node arrays; the estimate then stacks one
     covariance per pair (i[r], j[r]).
     """
-    i, j, scalar = _pair_arrays(i, j)
-    check_k(model.k, "T")
-    mom = node_moments(model, np.concatenate([i, j]), "T")
-    p, q = mom.positions(i), mom.positions(j)
-    v, d = mom.vectors, mom.values
-    mats = _pair_sum(mom.moments[p], mom.moments[q], v[j], v[i],
-                     mom.cross[p, q]) / np.outer(d, d)
-    return _estimate(mats, scalar)
-
-
-def _ratio_maps(rows: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """B_i for each row v_i of V, k x (k-1): the ratio vector
-    (v_2(i)/v_1(i), ..., v_k(i)/v_1(i)) moves by B_i^T (W V)_i / t_1 to
-    first order, t being the eigenvalue locations. Its first row is
-    -v_i[1:] / v_1(i)^2 and the rows below it are diag(t_1 / t[1:]) / v_1(i).
-    """
-    m, k = rows.shape
-    maps = np.zeros((m, k, k - 1))
-    maps[:, 0] = -rows[:, 1:] / rows[:, :1] ** 2
-    diag = np.arange(k - 1)
-    maps[:, diag + 1, diag] = (t[0] / t[1:]) / rows[:, :1]
-    return maps
+    return _covariance(model, i, j, "T")
 
 
 def estimate_sigma2(model, i, j) -> CovarianceEstimate:
     """Covariance of the ratio difference of nodes ``i`` and ``j``,
-    (k-1) x (k-1): (N_i + N_j - sigma2[i, j] (u w^T + w u^T)) / t_1^2, with
-    the node moments N_i = A_i^T diag(sigma2[i, :]) A_i of
-    :class:`NodeMoments`, A_i = V B_i, u = B_i^T v_j and w = B_j^T v_i
-    (:func:`_ratio_maps`).
+    (k-1) x (k-1) (:func:`_covariance` with B_i of :func:`_ratio_maps` and
+    s = t_1).
 
     ``model`` is as for :func:`estimate_sigma1`, with the G test's
     :class:`NodeMoments`, and so are stacked ``i`` and ``j``. Its
     ``locations`` are the eigenvalue locations t, which a fit estimates by
-    its empirical eigenvalues. A node whose leading-eigenvector entry lies
-    below :func:`degeneracy_threshold` has no ratio and raises
+    its empirical eigenvalues. A degenerate node has no ratio and raises
     :class:`DegenerateNodeError`.
     """
-    i, j, scalar = _pair_arrays(i, j)
-    check_k(model.k, "G")
-    errors = degenerate_pairs(model.vectors, i, j)
-    if errors:
-        raise errors[min(errors)]
-    mom = node_moments(model, np.concatenate([i, j]), "G")
-    p, q = mom.positions(i), mom.positions(j)
-    v, t = mom.vectors, mom.locations
-    u = (v[j][:, None, :] @ _ratio_maps(v[i], t))[:, 0]
-    w = (v[i][:, None, :] @ _ratio_maps(v[j], t))[:, 0]
-    mats = _pair_sum(mom.moments[p], mom.moments[q], u, w,
-                     mom.cross[p, q]) / t[0] ** 2
-    return _estimate(mats, scalar)
+    return _covariance(model, i, j, "G")

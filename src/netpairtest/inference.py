@@ -9,15 +9,17 @@ nodes share the same membership profile:
   ratios, null limit chi-square with K-1 degrees of freedom (degree-corrected
   models).
 
-Covariance matrices are plugged in from the one-step refined noise estimate;
-a numerically singular plug-in raises instead of being silently regularized.
-Both tests take either an adjacency matrix or a :class:`~.estimation.Fit`
-of one, so that many pairs of one graph share a single fit. One stacked core
-tests any number of pairs of a fit with a few numpy calls per stack:
-:func:`pvalue_matrix` runs it one output row at a time on the per-node
-moments of all its nodes, read once, and :func:`test_T`, :func:`test_G` and
-the Monte Carlo harness run it on one pair. A pair that fails (degenerate
-node, singular covariance) fails alone.
+Both are Hotelling forms in a per-node contrast difference, whose width is
+the degrees of freedom; covariances are plugged in from the one-step refined
+noise estimate, and a numerically singular plug-in raises instead of being
+silently regularized. Both tests take an adjacency matrix or a
+:class:`~.estimation.Fit` of one, so that many pairs share a single fit.
+One stacked core tests any number of pairs of a fit from the contrasts,
+degeneracy and moments of :func:`~.estimation.node_moments`:
+:func:`pvalue_matrix` runs it one output row at a time on the moments of all
+its nodes, read once, and :func:`test_T`, :func:`test_G` and the Monte Carlo
+harness run it on one pair. A pair that fails (degenerate node, singular
+covariance) fails alone.
 """
 
 from __future__ import annotations
@@ -142,25 +144,23 @@ def _test_pairs(model, i: np.ndarray, j: np.ndarray,
     :data:`CONDITION_LIMIT`, solve and p-values.
 
     ``model`` is a :class:`Fit`, or its :class:`~.estimation.NodeMoments`
-    at every node of the pairs. The covariance estimators are read from the
-    module globals at each call, so a replaced binding takes effect. A pair
-    fails alone: a degenerate node (G), or a covariance that is not finite
-    or whose condition estimate exceeds the limit. The G contrast divides
-    by the leading-eigenvector entries only of pairs past the degeneracy
-    check.
+    at every node of the pairs, which hold each node's contrast and whether
+    it is degenerate. The covariance estimators are read from the module
+    globals at each call, so a replaced binding takes effect. A pair fails
+    alone: a degenerate node (G), or a covariance that is not finite or
+    whose condition estimate exceeds the limit. The test has as many
+    degrees of freedom as its contrast has components.
     """
-    pairs, v = len(i), model.vectors
+    mom = node_moments(model, np.concatenate([i, j]), method)
+    pairs = len(i)
     stat, cond = np.full(pairs, np.nan), np.full(pairs, np.nan)
-    errors = degenerate_pairs(v, i, j) if method == "G" else {}
+    errors = degenerate_pairs(mom, i, j)
     live = np.setdiff1d(np.arange(pairs), list(errors))
     if live.size:
         a, b = i[live], j[live]
-        if method == "T":
-            cov = estimate_sigma1(model, a, b)
-            diff = v[a] - v[b]
-        else:
-            cov = estimate_sigma2(model, a, b)
-            diff = v[a, 1:] / v[a, :1] - v[b, 1:] / v[b, :1]
+        sigma = estimate_sigma1 if method == "T" else estimate_sigma2
+        cov = sigma(mom, a, b)
+        diff = mom.contrast[mom.positions(a)] - mom.contrast[mom.positions(b)]
         cond[live] = cov.condition_estimate
         ok = cond[live] <= CONDITION_LIMIT  # False for inf and NaN
         for r in live[~ok]:
@@ -178,7 +178,7 @@ def _test_pairs(model, i: np.ndarray, j: np.ndarray,
                 sol = scipy.linalg.solve(mats, rhs[..., None],
                                          assume_a="sym")[..., 0]
             stat[live[ok]] = (rhs * sol).sum(axis=1)
-    df = model.k - MIN_K[method] + 1
+    df = mom.contrast.shape[1]
     p_value = np.full(pairs, np.nan)
     tested = ~np.isnan(stat)
     p_value[tested] = chi2_sf(np.maximum(stat[tested], 0.0), df)
@@ -235,12 +235,14 @@ def reject(result: TestResult, alpha: float) -> bool:
     return bool(result.statistic > quantile)
 
 
-def pvalue_matrix(x: np.ndarray, nodes, method: str = "T",
+def pvalue_matrix(x: np.ndarray | Fit, nodes, method: str = "T",
                   k_override: int | None = None) -> PValueMatrix:
     """Pairwise p-value matrix over ``nodes``; the graph is fitted once
     (spectrum, K, refined eigenvalues) and the fit is shared across pairs.
-    Beyond the fit, m nodes cost O(m n k^2) for their moments and O(k^3)
-    per pair, in O(m n + m^2) memory."""
+    ``x`` is an adjacency matrix, or a :class:`Fit` of one (then
+    ``k_override`` must be omitted), as for :func:`test_T`. Beyond the fit,
+    m nodes cost O(m n k^2) for their moments and O(k^3) per pair, in
+    O(m n + m^2) memory."""
     nodes = list(nodes)
     if len(nodes) < 2:
         raise ValueError("need at least two distinct nodes")

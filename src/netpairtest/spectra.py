@@ -67,8 +67,7 @@ class Spectrum:
         mags = np.abs(self.values)
         if self.m and np.any(np.diff(mags) > TIE_REL_TOL * max(1.0, mags[0])):
             raise AssertionError("eigenvalue magnitudes not nonincreasing")
-        gram = self.vectors.T @ self.vectors
-        if np.max(np.abs(gram - np.eye(self.m))) > ORTHONORMALITY_TOL:
+        if not _orthonormal(self.vectors):
             raise AssertionError("eigenvectors not orthonormal")
         bound = RESIDUAL_TOL * max(1.0, mags[0] if self.m else 1.0)
         if np.any(self.residuals > bound):
@@ -78,6 +77,14 @@ class Spectrum:
             lead = int(np.argmax(np.abs(col)))
             if col[lead] < 0:
                 raise AssertionError(f"column {k} violates sign convention")
+
+
+def _orthonormal(vectors: np.ndarray) -> bool:
+    """Whether the columns of ``vectors`` are orthonormal to
+    :data:`ORTHONORMALITY_TOL`."""
+    gram = vectors.T @ vectors
+    return bool(np.max(np.abs(gram - np.eye(gram.shape[0])))
+                <= ORTHONORMALITY_TOL)
 
 
 def _sort_order(values: np.ndarray, m: int) -> np.ndarray:
@@ -118,14 +125,15 @@ def top_eigenpairs(x, m: int) -> Spectrum:
     precision from a fixed start vector. A dense symmetric eigendecomposition
     stands in only where ARPACK cannot run: for ``m >= n - 1``, or when ARPACK
     fails (for instance on the zero matrix, where every start vector maps to
-    zero).
+    zero) or returns columns that are not orthonormal (as on entries of
+    magnitude near 1e-300).
     """
     x = as_matrix(x)
     n = x.shape[0]
     if not 1 <= m <= n:
         raise ValueError(f"m must lie in [1, {n}], got {m}")
     found = _arpack(x, m, 0)
-    if found is None:
+    if found is None or not _orthonormal(found[1]):
         found = np.linalg.eigh(x.toarray() if scipy.sparse.issparse(x) else x)
     vals, vecs = found
     order = _sort_order(vals, m)

@@ -40,6 +40,15 @@ def test_simulate_model1(tmp_path, capsys):
          "--theta", "0.9", "--seed", "5", "--out", str(out2)], capsys)
     assert out.read_text().splitlines()[1:] == \
         out2.read_text().splitlines()[1:]
+    # the printed count is the number of pairs written, a loop counting as
+    # one edge
+    loops = tmp_path / "loops.txt"
+    _, stdout, _ = run([
+        "simulate", "--model", "1", "--n", "40", "--n0", "4", "--theta",
+        "0.9", "--seed", "0", "--self-loops", "--out", str(loops)], capsys)
+    lines = loops.read_text().splitlines()[1:]
+    assert sum(a == b for a, b in map(str.split, lines)) > 0
+    assert stdout.strip() == f"wrote {loops} ({len(lines)} edges)"
 
 
 @pytest.mark.parametrize("model, signal", [

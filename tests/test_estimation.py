@@ -433,3 +433,47 @@ def test_stacked_estimates_equal_the_one_pair_estimates(karate_csr, sigma):
         sigma(fitted, i, j[:3])
     with pytest.raises(ValueError, match="distinct"):
         sigma(fitted, i, np.array([12, 6, 0, 2]))
+
+
+@pytest.mark.parametrize("sigma, method",
+                         [(npt.estimate_sigma1, "T"),
+                          (npt.estimate_sigma2, "G")])
+def test_node_moments_stand_in_for_their_fit(karate_csr, sigma, method):
+    fitted = npt.fit(karate_csr, 3)
+    i, j = np.array([6, 12, 0, 33]), np.array([12, 6, 33, 2])
+    mom = estimation.node_moments(fitted, np.concatenate([i, j]), method)
+    assert estimation.node_moments(mom, i, method) is mom
+    on_fit, on_moments = sigma(fitted, i, j), sigma(mom, i, j)
+    assert np.array_equal(on_moments.matrix, on_fit.matrix)
+    assert np.array_equal(on_moments.condition_estimate,
+                          on_fit.condition_estimate)
+    # the contrast is as wide as the test has degrees of freedom
+    assert mom.contrast.shape == (len(mom.nodes),
+                                  fitted.k - estimation.MIN_K[method] + 1)
+
+
+def test_node_moments_guards(karate_csr):
+    fitted = npt.fit(karate_csr, 3)
+    mom = estimation.node_moments(fitted, [0, 6, 12], "T")
+    with pytest.raises(ValueError, match="these are moments of the T test"):
+        estimation.node_moments(mom, [0, 6], "G")
+    with pytest.raises(ValueError, match="a node has no moments here"):
+        npt.estimate_sigma1(mom, [0, 6], [12, 33])
+    with pytest.raises(ValueError, match="a node has no moments here"):
+        npt.estimate_sigma1(mom, 0, 1)
+
+
+def test_degenerate_nodes_are_never_divided_by():
+    # the leading eigenvector vanishes on the smaller component: its nodes
+    # are marked degenerate once, with NaN contrast and moments, and no
+    # division by their entries
+    x = np.zeros((7, 7))
+    x[:4, :4] = 1.0 - np.eye(4)
+    x[4:, 4:] = 1.0 - np.eye(3)
+    fitted = npt.fit(x, 2, spectrum=npt.top_eigenpairs(x, 3))
+    with np.errstate(divide="raise", invalid="raise"):
+        mom = estimation.node_moments(fitted, np.arange(7), "G")
+    assert list(mom.degenerate) == [False] * 4 + [True] * 3
+    assert np.isnan(mom.contrast[4:]).all()
+    assert np.isnan(mom.moments[4:]).all()
+    assert np.isfinite(mom.contrast[:4]).all()

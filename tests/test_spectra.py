@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -158,10 +158,22 @@ def test_degeneracy_threshold_scale(karate_spectrum):
     assert 0 < thr < 1e-9
 
 
+@pytest.mark.parametrize("m", [1, 3])
+def test_tiny_magnitude_input_falls_back_to_the_dense_solver(m):
+    # at entries near 1e-300 ARPACK returns d_1 = 7.3e-299 and a first
+    # eigenvector of norm 0.14
+    spec = npt.top_eigenpairs(np.full((8, 8), 1e-300), m)
+    spec.check()
+    assert spec.values[0] == pytest.approx(8e-300, rel=1e-12, abs=0)
+    assert np.allclose(spec.vectors[:, 0], np.full(8, 8 ** -0.5),
+                       rtol=0, atol=1e-12)
+
+
 @settings(max_examples=25, deadline=None)
 @given(hnp.arrays(np.float64, (8, 8),
                   elements=st.floats(-5, 5, allow_nan=False)),
        st.integers(1, 8))
+@example(np.full((8, 8), 1.11e-308), 1)
 def test_property_invariants(a, m):
     x = (a + a.T) / 2
     spec = npt.top_eigenpairs(x, m)

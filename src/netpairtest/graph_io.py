@@ -24,6 +24,12 @@ __all__ = [
 _COMMENT_PREFIXES = ("#", "%")
 # largest 0-based index whose node count, index + 1, fits in an int64
 _MAX_INDEX = np.iinfo(np.int64).max - 1
+# a plain data line holds two runs of at most this many ASCII digits, so
+# each label fits in an int64 and none reaches _MAX_INDEX
+_MAX_DIGITS = 18
+_LF = ord("\n")
+# bytes of whole lines parsed at once by the vectorised pass
+_CHUNK = 1 << 16
 
 
 class GraphFormatError(ValueError):
@@ -52,6 +58,11 @@ def load_edge_list(
     The result is the symmetric 0/1 adjacency matrix as a float64 CSR array
     with sorted indices; a self loop is one diagonal entry.
 
+    A plain file (see :func:`_plain_ends`) whose labels pass every check is
+    read in one vectorised pass; any other file is read line by line. Both
+    give the same matrix, and the line loop writes every message about a
+    line.
+
     Parameters
     ----------
     path : path-like
@@ -68,14 +79,90 @@ def load_edge_list(
     ------
     GraphFormatError
         If a line is malformed (including a label whose node count would
-        not fit in an int64), the file holds no edge, or it is not UTF-8
-        text. Messages name the file and, for a line, its number.
+        not fit in an int64), the file holds no edge, it is not UTF-8 text,
+        or the node count is too large to index in memory. Messages name
+        the file and, for a line, its number.
     """
     if indexing not in ("zero_based", "one_based"):
         raise ValueError(f"unknown indexing convention {indexing!r}")
     offset = 1 if indexing == "one_based" else 0
 
-    ends = array("q")  # u, v of each edge line in file order
+    with open(path, "rb") as fh:
+        ends = _plain_ends(fh.read())
+    if ends is not None:
+        ends -= offset
+        if ((ends < 0).any() or (n is not None and (ends >= n).any())
+                or (not self_loops and (ends[0::2] == ends[1::2]).any())):
+            ends = None  # the line loop finds the line and says what is wrong
+    if ends is None:
+        ends = _line_loop_ends(path, offset, indexing, self_loops, n)
+    return _csr_adjacency(ends, path, n)
+
+
+def _plain_ends(data: bytes) -> np.ndarray | None:
+    """The labels u, v of each edge line of a plain file, in file order, or
+    None if the file is not plain.
+
+    A plain file is a header of blank and comment lines that decode as
+    UTF-8, then only LF-terminated lines of two runs of 1 to ``_MAX_DIGITS``
+    ASCII digits separated by spaces or tabs, none longer than ``_CHUNK``
+    bytes, with no CR anywhere. The line loop reads the same labels from
+    it. The body is parsed in chunks of whole lines, so the temporaries stay
+    small whatever the file's size.
+    """
+    if b"\r" in data:  # text mode would also end a line there
+        return None
+    start = 0
+    while start < len(data):
+        stop = data.find(b"\n", start) + 1 or len(data)  # past the LF
+        try:
+            line = data[start:stop].decode("utf-8").strip()
+        except UnicodeDecodeError:
+            return None
+        if line and not line.startswith(_COMMENT_PREFIXES):
+            break
+        start = stop
+    if start == len(data):
+        return None
+    ends = np.empty(2 * data.count(b"\n", start), dtype=np.int64)
+    done = 0
+    while start < len(data):
+        stop = data.rfind(b"\n", start, start + _CHUNK) + 1
+        labels = _plain_labels(data[start:stop]) if stop else None
+        if labels is None:
+            return None
+        ends[done:done + len(labels)] = labels
+        done += len(labels)
+        start = stop
+    return ends
+
+
+def _plain_labels(chunk: bytes) -> np.ndarray | None:
+    """The labels of ``chunk``, whole LF-terminated lines, or None unless
+    every line holds two plain labels."""
+    body = np.frombuffer(chunk, dtype=np.uint8)
+    digit = (body - np.uint8(ord("0"))) < 10
+    if not (digit | (body == ord(" ")) | (body == ord("\t"))
+            | (body == _LF)).all():
+        return None
+    # the starts and stops of the digit runs alternate
+    runs = np.flatnonzero(np.diff(digit, prepend=False))
+    starts, stops = runs[0::2], runs[1::2]
+    lines = np.flatnonzero(body == _LF)
+    # two runs per line: run 2i starts after LF i - 1, run 2i + 1 before LF i
+    if (len(starts) != 2 * len(lines)
+            or (starts[2::2] < lines[:-1]).any()
+            or (starts[1::2] > lines).any()
+            or (stops - starts).max() > _MAX_DIGITS):
+        return None
+    return np.fromstring(chunk, dtype=np.int64, sep=" ")
+
+
+def _line_loop_ends(path, offset, indexing, self_loops, n) -> np.ndarray:
+    """The 0-based u, v of each edge line in file order, read and checked
+    line by line: the reference reader, and the one that explains a
+    malformed file."""
+    ends = array("q")
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(_text_lines(fh, path), start=1):
             line = raw.strip()
@@ -112,15 +199,24 @@ def load_edge_list(
 
     if not ends:
         raise GraphFormatError(f"{path}: no edges found")
-    ends = np.frombuffer(ends, dtype=np.int64)
+    return np.frombuffer(ends, dtype=np.int64)
+
+
+def _csr_adjacency(ends, path, n) -> scipy.sparse.csr_array:
+    """The symmetric 0/1 CSR adjacency of the edges ``ends`` = u, v, u, v,
+    ..., with ``n`` nodes, or the largest index + 1 if ``n`` is None."""
     if n is None:
         n = int(ends.max()) + 1
     u, v = ends[0::2], ends[1::2]
     off = u != v  # a self loop is one entry, not two
     rows = np.concatenate([u, v[off]])
     cols = np.concatenate([v, u[off]])
-    x = scipy.sparse.csr_array((np.ones(len(rows)), (rows, cols)),
-                               shape=(n, n))
+    try:  # the CSR holds n + 1 row pointers
+        x = scipy.sparse.csr_array((np.ones(len(rows)), (rows, cols)),
+                                   shape=(n, n))
+    except (MemoryError, ValueError) as exc:
+        raise GraphFormatError(
+            f"{path}: node count {n} is too large to index") from exc
     x.sum_duplicates()  # also sorts the indices
     x.data[:] = 1.0
     return x

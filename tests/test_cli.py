@@ -232,6 +232,17 @@ def test_huge_node_label_is_data_error(tmp_path, capsys):
                    "too large\n")
 
 
+@pytest.mark.parametrize("label,count", [(2**47, 2**47), (2**63 - 1, 2**63 - 1)])
+def test_unindexable_node_count_is_data_error(tmp_path, capsys, label, count):
+    # the CSR needs count + 1 row pointers: 1 PiB and more cannot be held
+    path = tmp_path / "huge.txt"
+    path.write_text(f"1 2\n2 {label}\n")
+    code, stdout, err = run(["test-pair", "--graph", str(path), "--one-based",
+                             "--method", "t", "--i", "1", "--j", "2"], capsys)
+    assert (code, stdout) == (cli.EXIT_DATA, "")
+    assert err == f"data error: {path}: node count {count} is too large to index\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["test-pair", "--method", "t", "--i", "0", "--j", "1", "--k=16"],
     ["test-pair", "--method", "g", "--i", "0", "--j", "1", "--k=6"],
@@ -394,13 +405,17 @@ _LABELS = st.integers(-1, 16)
        method=st.sampled_from(["t", "g"]), i=_LABELS, j=_LABELS,
        nodes=st.lists(_LABELS, min_size=1, max_size=5),
        k=st.none() | st.integers(-1, 16), m=st.integers(-1, 16),
-       huge_label=st.none() | st.integers(2**63, 2**70))
+       huge_label=st.none() | st.integers(2**47, 2**63 - 1)
+       | st.integers(2**63, 2**70))
 def test_every_input_maps_to_an_exit_code(tmp_path_factory, edges, loop,
                                           zero_label, one_based, self_loops,
                                           command, method, i, j, nodes, k, m,
                                           huge_label):
     # n <= 15; a self loop without --self-loops, with --one-based a "0"
-    # label, and a label of 2^63 or more are malformed input
+    # label, and a label of 2^47 or more are malformed input: from 2^47 the
+    # node count cannot be indexed, from 2^63 the label is too large. Labels
+    # between about 10^6 and 2^47 are never drawn, since the loader would
+    # try to hold their n + 1 row pointers.
     offset = 1 if one_based else 0
     if loop is not None:
         edges = edges + [(loop, loop)]

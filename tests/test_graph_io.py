@@ -1,11 +1,15 @@
+import contextlib
+import io
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import netpairtest as npt
+from netpairtest import cli, graph_io
 from netpairtest.graph_io import GraphFormatError
 
 
@@ -141,6 +145,23 @@ def test_huge_node_label_rejected(tmp_path):
         npt.load_edge_list(p, n=4)
 
 
+def test_unindexable_node_count_rejected(tmp_path):
+    # from 2^47 the n + 1 row pointers of the CSR cannot be held; labels
+    # between about 10^6 and 2^47 are never tried, since there they may be
+    p = tmp_path / "huge.txt"
+    big = np.iinfo(np.int64).max
+    for content, kwargs, count in [
+        (f"0 1\n1 {2**47}\n", {}, 2**47 + 1),
+        (f"0 1\n1 {big - 1}\n", {}, big),
+        (f"1 2\n2 {big}\n", {"indexing": "one_based"}, big),
+        ("0 1\n", {"n": 2**50}, 2**50),
+    ]:
+        p.write_text(content)
+        with pytest.raises(GraphFormatError) as exc:
+            npt.load_edge_list(p, **kwargs)
+        assert str(exc.value) == f"{p}: node count {count} is too large to index"
+
+
 def test_not_utf8_is_format_error(tmp_path):
     p = tmp_path / "bad.bin"
     p.write_bytes(b"0 1\n\xff\xfe 2\n")
@@ -217,3 +238,99 @@ def test_adjacency_matches_the_edge_loop(tmp_path_factory, case):
     assert x.has_sorted_indices and x.has_canonical_format
     assert np.array_equal(x.toarray(), expected)
     assert npt.max_degree(x) == npt.max_degree(expected)
+
+
+# ------------------------------------------- vectorised pass and line loop
+
+def _load(path, **kwargs):
+    """The matrix's shape and arrays, or the GraphFormatError message."""
+    try:
+        x = npt.load_edge_list(path, **kwargs)
+    except GraphFormatError as exc:
+        return str(exc)
+    return x.shape, x.indices, x.indptr, x.data
+
+
+def _same(a, b):
+    if isinstance(a, str) or isinstance(b, str):
+        return a == b
+    return a[0] == b[0] and all(
+        np.array_equal(u, v) and u.dtype == v.dtype for u, v in zip(a[1:], b[1:]))
+
+
+# Labels are at most 12, or 18 and 19 digits long: a small value behind
+# leading zeros, or a huge one (10^18 - 1 and up, whose node count cannot be
+# indexed). None lies between about 10^6 and 2^47, where the loader would try
+# to hold n + 1 row pointers.
+_LABEL = st.sampled_from([str(u).encode() for u in range(13)] * 3
+                         + [b"007", b"0" * 16 + b"12", b"9" * 18])
+_ODD_LABEL = st.sampled_from([
+    b"+3", b"-1", b"1_0", "\uff11\uff12".encode(), b"0" * 17 + b"12",
+    b"1" + b"0" * 18, str(2**63).encode(), b"x", b"\xff"])
+_GAP = st.sampled_from([b" ", b"\t", b"  ", b" \t ", b"\v", "\xa0".encode(),
+                        b"\x0c", b""])
+_EDGE = st.sampled_from([b"", b"", b" ", b"\t", "\xa0".encode()])
+_ODD_LINE = st.sampled_from([b"", b" ", b"# late", b"% late", b"1", b"1 2 3"])
+_HEAD_LINE = st.sampled_from([b"", b"# head", b"% head", b" \t", b"  # x",
+                              "# \xe9t\xe9".encode(), b"\v"])
+_ANY_END = st.sampled_from([b"\n", b"\n", b"\n", b"\r\n", b"\r"])
+
+
+@st.composite
+def _edge_files(draw):
+    """An edge-list file's bytes: plain (see graph_io._plain_ends) half the
+    time, else mixed with fragments that only the line loop reads."""
+    plain = draw(st.booleans())
+    label = _LABEL if plain else st.one_of(_LABEL, _LABEL, _ODD_LABEL)
+    gap = st.sampled_from([b" ", b"\t", b" \t"]) if plain else _GAP
+    edge = st.sampled_from([b"", b" "]) if plain else _EDGE
+    line = st.tuples(edge, label, gap, label, edge).map(b"".join)
+    if not plain:
+        line = st.one_of(line, line, _ODD_LINE)
+    end = st.just(b"\n") if plain else _ANY_END
+    head = draw(st.lists(st.tuples(_HEAD_LINE, end), max_size=3))
+    body = draw(st.lists(st.tuples(line, end), min_size=1, max_size=8))
+    data = b"".join(b"".join(pair) for pair in head + body)
+    if not plain and draw(st.booleans()):
+        data = data.rstrip(b"\n")  # no final newline
+    return data
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=_edge_files())
+@example(data=b"# c\r0 1\n2 3\n")  # text mode ends the comment at the CR
+@example(data=b"1 2 3\n4\n")  # four labels on two lines, not two on each
+@example(data=b"0 1\n2" + b" " * 70_000 + b"3\n")  # a line over 64 KiB
+def test_vectorised_pass_matches_the_line_loop(tmp_path_factory, data):
+    # at 8-byte chunks most files span several, and longer lines fall back
+    p = tmp_path_factory.mktemp("eq") / "g.txt"
+    p.write_bytes(data)
+    for indexing in ("zero_based", "one_based"):
+        for self_loops in (False, True):
+            for n in (None, 0, 3, 13):
+                kwargs = dict(indexing=indexing, self_loops=self_loops, n=n)
+                with mock.patch.object(graph_io, "_plain_ends",
+                                       return_value=None):
+                    want = _load(p, **kwargs)  # the line loop alone
+                for chunk in (graph_io._CHUNK, 8):
+                    with mock.patch.object(graph_io, "_CHUNK", chunk):
+                        got = _load(p, **kwargs)
+                    assert _same(got, want), (data, kwargs, chunk, got, want)
+
+
+def test_plain_files_skip_the_line_loop(tmp_path, monkeypatch):
+    # the bundled data and simulate's output take the vectorised pass; a
+    # silent fallback would give the same matrix at the loop's speed
+    out = tmp_path / "net.txt"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["simulate", "--model", "2", "--n", "300", "--n0", "60",
+                         "--r2", "0.9", "--seed", "0", "--out", str(out)]) == 0
+    edges = sum(not line.startswith("#") for line in out.read_text().splitlines())
+
+    def line_loop(*args):
+        raise AssertionError("read line by line")
+
+    monkeypatch.setattr(graph_io, "_line_loop_ends", line_loop)
+    assert npt.load_edge_list(npt.karate_club_path(),
+                              indexing="one_based").nnz == 2 * 78
+    assert npt.load_edge_list(out).nnz == 2 * edges

@@ -223,11 +223,15 @@ def _csr_adjacency(ends, path, n) -> scipy.sparse.csr_array:
 
 
 def as_matrix(x):
-    """``x`` as a float64 CSR matrix if it is sparse, else as a float64
-    dense array."""
+    """``x`` as a float64 CSR matrix if it is sparse, else as a C-contiguous
+    float64 dense array, copied at most once.
+
+    The BLAS products of :mod:`~.spectra` take the dense array as it is only
+    in that layout, and a copy made here leaves the results independent of
+    the input's memory layout."""
     if scipy.sparse.issparse(x):
         return x.tocsr().astype(float, copy=False)
-    return np.asarray(x, dtype=float)
+    return np.ascontiguousarray(x, dtype=float)
 
 
 def max_degree(x) -> int:

@@ -3,9 +3,10 @@
 The top eigenpairs come from restarted Lanczos (ARPACK, through
 ``scipy.sparse.linalg.eigsh``) on a dense array or a sparse matrix, with a
 fixed start vector and a fixed generator for restarts, so results are
-bit-reproducible. :func:`deflated_ritz` solves the same way, loosely, for
-the largest eigenvalue left once the top pairs are removed: enough to bound
-the next eigenvalue without converging it. Eigenpairs are sorted by
+bit-reproducible for a fixed BLAS build and thread count, whatever the
+input's memory layout. :func:`deflated_ritz` solves the same way, loosely,
+for the largest eigenvalue left once the top pairs are removed: enough to
+bound the next eigenvalue without converging it. Eigenpairs are sorted by
 eigenvalue magnitude and carry a deterministic, data-only sign convention:
 in every eigenvector the entry of largest absolute value is positive (ties
 broken by smallest index). Both downstream test statistics are invariant
@@ -13,6 +14,15 @@ to column sign flips, so any fixed convention works; this one needs no
 ground truth. The module computes eigenpairs only: the domain of each
 pair-test covariance (the least K, the degenerate-node rule) is defined in
 :mod:`~.estimation`.
+
+The products as large as the input run on the BLAS of
+``scipy.linalg.blas``, the library that ARPACK itself calls: a dense input
+times a vector or an n x k block (:func:`_product`), and the deflated
+operator's products with the eigenvectors. Where numpy and scipy each
+bundle their own OpenBLAS, each library keeps its own pool of worker
+threads, and a solve that switched libraries at every Lanczos step left
+one pool's idle workers spinning on the cores the other pool needed. A
+sparse matrix keeps its own product, which calls no BLAS.
 """
 
 from __future__ import annotations
@@ -22,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
+from scipy.linalg.blas import dgemm, dgemv
 
 from .graph_io import as_matrix
 
@@ -102,6 +113,26 @@ def _sort_order(values: np.ndarray, m: int) -> np.ndarray:
     return np.lexsort((idx, -values, tie))[:m]
 
 
+def _product(x, y):
+    """``x @ y`` for ``x`` as :func:`~.graph_io.as_matrix` returns it and a
+    vector or an n x k block ``y``.
+
+    A dense ``x`` is multiplied on scipy's BLAS, with the operands oriented
+    as numpy's matmul orients them for a C-contiguous ``x``, so the result
+    is numpy's to the last bit; ``x`` is never copied, a ``y`` that is
+    neither C- nor F-contiguous is. A sparse ``x`` keeps ``x @ y``.
+    """
+    if scipy.sparse.issparse(x):
+        return x @ y
+    if y.ndim == 1:
+        return dgemv(1.0, x.T, y, trans=1)
+    if y.shape[1] == 1:  # numpy's matmul takes one column as a vector
+        return dgemv(1.0, x.T, y[:, 0], trans=1)[:, None]
+    if y.flags.f_contiguous:
+        return dgemm(1.0, y, x.T, trans_a=1).T
+    return dgemm(1.0, y.T, x.T).T
+
+
 def _arpack(op, k: int, tol: float):
     """``eigsh`` for the ``k`` largest-magnitude eigenpairs of ``op``, from
     the fixed start vector and restart generator; None where ARPACK cannot
@@ -127,19 +158,25 @@ def top_eigenpairs(x, m: int) -> Spectrum:
     fails (for instance on the zero matrix, where every start vector maps to
     zero) or returns columns that are not orthonormal (as on entries of
     magnitude near 1e-300).
+
+    ARPACK's products with a dense ``x``, and the residuals' ``X V``, run on
+    scipy's BLAS (:func:`_product`).
     """
     x = as_matrix(x)
     n = x.shape[0]
     if not 1 <= m <= n:
         raise ValueError(f"m must lie in [1, {n}], got {m}")
-    found = _arpack(x, m, 0)
+    op = scipy.sparse.linalg.LinearOperator(
+        x.shape, matvec=lambda y: _product(x, y), dtype=float)
+    found = _arpack(op, m, 0)
     if found is None or not _orthonormal(found[1]):
         found = np.linalg.eigh(x.toarray() if scipy.sparse.issparse(x) else x)
     vals, vecs = found
     order = _sort_order(vals, m)
     values = vals[order]
     vectors = vecs[:, order]
-    residuals = np.linalg.norm(x @ vectors - vectors * values[None, :], axis=0)
+    residuals = np.linalg.norm(_product(x, vectors) - vectors * values,
+                               axis=0)
     return orient_signs(Spectrum(values=values, vectors=vectors,
                                  residuals=residuals))
 
@@ -153,14 +190,16 @@ def deflated_ritz(x, spec: Spectrum) -> tuple[float, float] | None:
     approximates the next one, d_{m+1}, and some eigenvalue of the operator
     lies within the residual of theta. ARPACK runs to the loose relative
     tolerance :data:`DEFLATED_TOL` from the start vector of
-    :func:`top_eigenpairs`. None where ARPACK cannot run or fails.
+    :func:`top_eigenpairs`. None where ARPACK cannot run or fails. The
+    operator's products with V, and with a dense ``x``, run on scipy's BLAS.
     """
     x = as_matrix(x)
     v, d = spec.vectors, spec.values
 
     def matvec(y):
         y = np.ravel(y)
-        return x @ y - v @ (d * (v.T @ y))
+        return _product(x, y) - dgemv(1.0, v.T, d * dgemv(1.0, v.T, y),
+                                      trans=1)
 
     op = scipy.sparse.linalg.LinearOperator(x.shape, matvec=matvec,
                                             dtype=float)

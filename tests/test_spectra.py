@@ -1,3 +1,5 @@
+import traceback
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -6,7 +8,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import netpairtest as npt
+from netpairtest import spectra
 from netpairtest.estimation import degeneracy_threshold
+from netpairtest.graph_io import as_matrix
 from netpairtest.spectra import (Spectrum, _sort_order, deflated_ritz,
                                  orient_signs)
 
@@ -65,6 +69,68 @@ def test_dense_and_sparse_input_agree(karate, karate_csr):
     full = npt.top_eigenpairs(karate, 34)
     assert np.allclose(a.values, full.values[:6], rtol=1e-13, atol=0)
     assert np.allclose(a.vectors, full.vectors[:, :6], rtol=0, atol=1e-12)
+
+
+@pytest.fixture(scope="module")
+def certified():
+    # K = 3, decided by the deflated check on the top 3 pairs
+    return npt.sample_adjacency(npt.build_mean_matrix(
+        npt.model1_params(400, 80, 0.2, 0.9)), seed=0)
+
+
+def _fit_bits(x):
+    """The bytes of every array that ``fit``, ``grow_spectrum`` and
+    ``top_eigenpairs`` return for ``x``."""
+    spec, est = npt.grow_spectrum(x)
+    fitted, top = npt.fit(x), npt.top_eigenpairs(x, 5)
+    arrays = [spec.values, spec.vectors, spec.residuals, est.eigenvalues,
+              np.array([est.threshold, est.next_bound]), fitted.d_tilde,
+              fitted.spectrum.vectors, fitted.spectrum.residuals,
+              top.values, top.vectors, top.residuals]
+    return [a.tobytes() for a in arrays]
+
+
+@pytest.mark.parametrize("layout", ["fortran", "strided"])
+def test_results_do_not_depend_on_the_memory_layout(certified, layout):
+    if layout == "fortran":
+        x = np.asfortranarray(certified)
+    else:
+        x = np.zeros((400, 800))[:, ::2]
+        x[:] = certified
+    assert as_matrix(x).flags.c_contiguous
+    assert _fit_bits(x) == _fit_bits(certified)
+
+
+def test_dense_products_run_on_scipy_blas(certified, monkeypatch):
+    # numpy and scipy may bundle separate BLAS libraries: each product of a
+    # dense X in the fit must run on scipy's, which ARPACK calls
+    seen = set()
+    n = certified.shape[0]
+    sites = {"top_eigenpairs", "deflated_ritz", "diag_residual_square"}
+
+    def counting(name, blas):
+        def call(*args, **kwargs):
+            caller = sites.intersection(f.name for f in
+                                        traceback.extract_stack())
+            seen.add((*caller, name, (n, n) in map(np.shape, args)))
+            return blas(*args, **kwargs)
+        return call
+
+    expected = _fit_bits(certified)
+    for name in ("dgemv", "dgemm"):
+        monkeypatch.setattr(spectra, name,
+                            counting(name, getattr(spectra, name)))
+    fitted = npt.fit(certified, 3)
+    spec, est = npt.grow_spectrum(certified)
+    assert est.next_bound < np.inf and spec.m == fitted.k == 3
+    assert seen == {
+        ("top_eigenpairs", "dgemv", True),  # ARPACK's operator
+        ("top_eigenpairs", "dgemm", True),  # the residuals' X V
+        ("deflated_ritz", "dgemv", True),  # X y
+        ("deflated_ritz", "dgemv", False),  # V (D (V^T y))
+        ("diag_residual_square", "dgemm", True),  # X V
+    }
+    assert _fit_bits(certified) == expected
 
 
 def test_deflated_ritz_bounds_the_next_eigenvalue():

@@ -28,12 +28,7 @@ from .harness import (
     run_size_power,
 )
 from .inference import TEST_FAILURES, pvalue_matrix, test_G, test_T
-from .models import (
-    build_mean_matrix,
-    model1_params,
-    model2_params,
-    sample_adjacency,
-)
+from .models import build_mean_matrix, design_params, sample_adjacency
 from .oracle import RootBracketError, covariance_trend
 from .spectra import top_eigenpairs
 
@@ -154,23 +149,17 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def _cmd_simulate(args) -> int:
-    if args.model == 1:
-        if args.theta is None:
-            raise ValueError("--theta is required for model 1")
-        params = model1_params(args.n, args.n0, args.rho, args.theta)
-        signal = f"theta={args.theta}"
-    else:
-        if args.r2 is None:
-            raise ValueError("--r2 is required for model 2")
-        params = model2_params(args.n, args.n0, args.rho,
-                               float(np.sqrt(args.r2)), args.seed)
-        signal = f"r2={args.r2}"
+    name, signal = ("theta", args.theta) if args.model == 1 else ("r2", args.r2)
+    if signal is None:
+        raise ValueError(f"--{name} is required for model {args.model}")
+    params = design_params(args.model, args.n, args.n0, args.rho, signal,
+                           args.seed)
     h = build_mean_matrix(params)
     x = sample_adjacency(h, args.seed, args.self_loops)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(f"# netpairtest {__version__} simulate model={args.model} "
                  f"seed={args.seed} n={args.n} n0={args.n0} rho={args.rho} "
-                 f"{signal}\n")
+                 f"{name}={signal}\n")
         rows, cols = np.nonzero(np.triu(x, k=0 if args.self_loops else 1))
         for u, v in zip(rows, cols):
             fh.write(f"{u} {v}\n")

@@ -220,8 +220,10 @@ def grow_spectrum(x, m: int = 3) -> tuple[Spectrum, KEstimate]:
     tell, the top 2m pairs are solved, then 4m, ... up to n. The bound
     trusts the deflated solve to find the largest remaining eigenvalue, as
     the m-pair solve trusts ARPACK to find the top m; with that, the
-    estimate equals the one from the whole spectrum.
+    estimate equals the one from the whole spectrum. ``x`` is converted
+    (:func:`~.graph_io.as_matrix`) once, not by every solve.
     """
+    x = as_matrix(x)
     n = x.shape[0]
     dmax = max_degree(x)
     m = min(m, n)
@@ -249,6 +251,7 @@ def diag_residual_square(x, spec: Spectrum, k: int) -> np.ndarray:
     """
     if k > spec.m:
         raise ValueError(f"k={k} exceeds retained spectrum size {spec.m}")
+    x = as_matrix(x)
     v, d = spec.vectors[:, :k], spec.values[:k]
     if scipy.sparse.issparse(x):  # CSR: square the stored entries only
         row_sq = scipy.sparse.csr_array((x.data * x.data, x.indices, x.indptr),

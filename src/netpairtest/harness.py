@@ -1,6 +1,10 @@
 """Monte Carlo experiment driver for size/power studies, community-count
 accuracy, and null-distribution sampling.
 
+Both studies run one loop and differ only in what a replication does with
+its network, drawn from :func:`~.models.design_params`: test the pair of
+:func:`~.models.study_pair`, or only estimate K.
+
 Replication r at grid point g always draws its randomness from the seed
 sequence (master_seed, spawn_key=(g, r, 0)), so reports are bit-reproducible
 and independent of execution order. That draw is one (n, n) block of
@@ -23,10 +27,9 @@ from .estimation import MIN_K, fit, grow_spectrum
 from .inference import TEST_FAILURES, _pair_test, reject
 from .models import (
     build_mean_matrix,
-    model1_params,
-    model2_params,
-    pure_and_mixed_indices,
+    design_params,
     sample_adjacency,
+    study_pair,
 )
 
 __all__ = [
@@ -49,9 +52,9 @@ class ExperimentConfig:
     """Settings of one Monte Carlo study.
 
     ``signal_grid`` holds theta values (model 1) or r^2 values (model 2);
-    ``pair_mode`` selects the node pair: "size" tests two nodes of the first
-    mixed group (a true null), "power" tests a first-mixed-group node against
-    a pure community-2 node.
+    ``pair_mode`` selects the node pair of :func:`~.models.study_pair`:
+    "size" tests two nodes of the first mixed group (a true null), "power"
+    tests a first-mixed-group node against a pure community-2 node.
     """
 
     model: int
@@ -84,13 +87,6 @@ class ExperimentConfig:
         """The test that matches the model: T for model 1, G for model 2."""
         return "T" if self.model == 1 else "G"
 
-    def node_pair(self) -> tuple[int, int]:
-        layout = pure_and_mixed_indices(self.n, self.n0)
-        first_mixed = layout["mixed"][0]
-        if self.pair_mode == "size":
-            return first_mixed, first_mixed + 1
-        return first_mixed, layout["pure"][1]
-
 
 @dataclass(frozen=True)
 class GridPointReport:
@@ -121,22 +117,6 @@ def _rep_rng(cfg: ExperimentConfig, grid_idx: int, rep: int, stream: int = 0):
     ss = np.random.SeedSequence(entropy=cfg.master_seed,
                                 spawn_key=(grid_idx, rep, stream))
     return np.random.default_rng(ss)
-
-
-def _samples(cfg: ExperimentConfig, grid_idx: int, signal: float):
-    """The networks of replications 0, 1, ... at grid point ``grid_idx``.
-
-    Model 1's mean matrix does not depend on the replication, so it is built
-    once per grid point; model 2 draws its degree parameters per replication
-    (stream 1) and builds its mean matrix each time."""
-    if cfg.model == 1:
-        h = build_mean_matrix(model1_params(cfg.n, cfg.n0, cfg.rho, signal))
-    for rep in range(cfg.replications):
-        if cfg.model == 2:
-            h = build_mean_matrix(model2_params(
-                cfg.n, cfg.n0, cfg.rho, np.sqrt(signal),
-                _rep_rng(cfg, grid_idx, rep, stream=1)))
-        yield sample_adjacency(h, _rep_rng(cfg, grid_idx, rep))
 
 
 class _StageClock:
@@ -179,32 +159,40 @@ def _replicate(cfg: ExperimentConfig, x: np.ndarray, i: int, j: int,
     return res.statistic, rejected, k_hat, None
 
 
-def run_size_power(cfg: ExperimentConfig) -> ExperimentReport:
-    """Rejection rate of the matching test (T for model 1, G for model 2) at
-    every grid point. Replications that fail numerically are tallied and
-    excluded from the denominator; a grid point with more than 1% failures
-    is flagged invalid."""
+def _estimate_k(x: np.ndarray, clock: _StageClock):
+    """:func:`_replicate` for the community-count study: K only."""
+    with clock("fit"):
+        k_hat = grow_spectrum(x)[1].k_hat
+    return None, None, k_hat, None
+
+
+def _study(cfg: ExperimentConfig, replicate) -> ExperimentReport:
+    """Tally ``replicate(x, clock)`` over every network of every grid point.
+    Replications that fail numerically are excluded from the denominator; a
+    grid point with more than 1% failures is flagged invalid."""
     start = perf_counter()
     clock = _StageClock()
-    i, j = cfg.node_pair()
     points = []
     for gi, signal in enumerate(cfg.signal_grid):
         stats, rejects = [], []
         k_counts: dict[int, int] = {}
         causes: dict[str, int] = {}
-        samples = _samples(cfg, gi, signal)
-        for _ in range(cfg.replications):
+        for rep in range(cfg.replications):
             with clock("sample"):
-                x = next(samples)
-            stat, rej, k_hat, failure = _replicate(cfg, x, i, j, clock)
+                if rep == 0 or cfg.model == 2:  # model 1's H is fixed
+                    h = build_mean_matrix(design_params(
+                        cfg.model, cfg.n, cfg.n0, cfg.rho, signal,
+                        _rep_rng(cfg, gi, rep, stream=1)))
+                x = sample_adjacency(h, _rep_rng(cfg, gi, rep))
+            stat, rej, k_hat, failure = replicate(x, clock)
             del x  # free this network before the next one is drawn
             if k_hat is not None:
                 k_counts[k_hat] = k_counts.get(k_hat, 0) + 1
             if failure is not None:
                 causes[failure] = causes.get(failure, 0) + 1
-                continue
-            stats.append(stat)
-            rejects.append(rej)
+            elif stat is not None:
+                stats.append(stat)
+                rejects.append(rej)
         failures = sum(causes.values())
         valid = failures <= FAILURE_FRACTION_LIMIT * cfg.replications
         rate = float(np.mean(rejects)) if rejects else np.nan
@@ -218,29 +206,18 @@ def run_size_power(cfg: ExperimentConfig) -> ExperimentReport:
                             stage_seconds=clock.seconds)
 
 
+def run_size_power(cfg: ExperimentConfig) -> ExperimentReport:
+    """Rejection rate of the matching test (T for model 1, G for model 2) at
+    every grid point, on the pair of :func:`~.models.study_pair`, which is
+    checked (ValueError) before any network is drawn."""
+    i, j = study_pair(cfg.n, cfg.n0, cfg.pair_mode)
+    return _study(cfg, lambda x, clock: _replicate(cfg, x, i, j, clock))
+
+
 def run_k_accuracy(cfg: ExperimentConfig) -> ExperimentReport:
     """Frequency table of the community-count estimate at every grid point
-    (eigenvalues only; no tests are run)."""
-    start = perf_counter()
-    clock = _StageClock()
-    points = []
-    for gi, signal in enumerate(cfg.signal_grid):
-        k_counts: dict[int, int] = {}
-        samples = _samples(cfg, gi, signal)
-        for _ in range(cfg.replications):
-            with clock("sample"):
-                x = next(samples)
-            with clock("fit"):
-                est = grow_spectrum(x)[1]
-            del x  # free this network before the next one is drawn
-            k_counts[est.k_hat] = k_counts.get(est.k_hat, 0) + 1
-        points.append(GridPointReport(
-            signal=signal, rejection_rate=np.nan,
-            replications=cfg.replications, failures=0,
-            statistics=np.empty(0), k_hat_counts=k_counts))
-    return ExperimentReport(config=cfg, points=tuple(points),
-                            wall_seconds=perf_counter() - start,
-                            stage_seconds=clock.seconds)
+    (eigenvalues only; no tests are run, and no pair is needed)."""
+    return _study(cfg, _estimate_k)
 
 
 def null_histogram(cfg: ExperimentConfig) -> dict:

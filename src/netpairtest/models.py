@@ -10,7 +10,9 @@ used throughout ship as two deterministic constructors:
 * :func:`model2_params` -- same membership layout with random per-node degree
   parameters 1/theta_i ~ Uniform[1/r, 2/r].
 
-A parameter set is rebuilt by calling its constructor again with the same
+The studies (``harness``, ``oracle``, ``simulate``) take their parameters
+from :func:`design_params` and their node pair from :func:`study_pair`. A
+parameter set is rebuilt by calling its constructor again with the same
 arguments (and, for model 2, the same seed); ``simulate`` writes them into
 the header of its edge-list file.
 """
@@ -27,6 +29,8 @@ __all__ = [
     "sample_adjacency",
     "model1_params",
     "model2_params",
+    "design_params",
+    "study_pair",
 ]
 
 SIMPLEX_TOL = 1e-12
@@ -191,3 +195,33 @@ def pure_and_mixed_indices(n: int, n0: int) -> dict:
         "group_size": m,
     }
 
+
+def design_params(model: int, n: int, n0: int, rho: float, signal: float,
+                  seed) -> DCMMParams:
+    """Parameters of simulation model 1 or 2 at degree signal ``signal``:
+    model 1 at theta = signal, model 2 at r = sqrt(signal) with its degree
+    parameters drawn from ``seed`` (unused by model 1)."""
+    if model == 1:
+        return model1_params(n, n0, rho, signal)
+    if model == 2:
+        return model2_params(n, n0, rho, float(np.sqrt(signal)), seed)
+    raise ValueError(f"model must be 1 or 2, got {model}")
+
+
+def study_pair(n: int, n0: int, pair_mode: str) -> tuple[int, int]:
+    """The pair a study tests: two nodes of the first mixed group ("size",
+    a true null), or the first mixed node and the first node of pure
+    community 2 ("power"). ValueError, starting ``size {n} ``, when the
+    layout of ``n`` nodes with pure blocks of ``n0`` has no such pair."""
+    if pair_mode not in ("size", "power"):
+        raise ValueError("pair_mode must be size or power")
+    size = pair_mode == "size"
+    min_n0, per_group, need = (
+        (0, 2, "two nodes in the first mixed group") if size
+        else (1, 1, "a node in the first mixed group and n0 >= 1"))
+    mixed = n - 3 * n0  # nodes in the four equal mixed groups
+    if n0 < min_n0 or mixed % 4 or mixed < 4 * per_group:
+        raise ValueError(f"size {n} with n0 = {n0} has no {pair_mode} pair: "
+                         f"it needs {need}")
+    first_mixed = 3 * n0
+    return (first_mixed, first_mixed + 1) if size else (first_mixed, n0)

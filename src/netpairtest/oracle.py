@@ -8,8 +8,10 @@ numbers: the eigenpairs come from the rank-K factor of the mean matrix and
 the noise moments from closed forms. A :class:`GroundTruth` answers the
 questions a fit answers, so the population covariance matrices of the two
 test statistics come from ``estimation.estimate_sigma1`` and
-``estimation.estimate_sigma2`` evaluated on it. These are consumed by
-verification code, not by end users analyzing observed networks.
+``estimation.estimate_sigma2`` evaluated on it. :func:`covariance_trend`
+takes its designs from ``models.design_params`` and its pair from
+``models.study_pair``. These are consumed by verification code, not by end
+users analyzing observed networks.
 """
 
 from __future__ import annotations
@@ -23,9 +25,9 @@ from .estimation import estimate_sigma1, estimate_sigma2, fit
 from .models import (
     DCMMParams,
     build_mean_matrix,
-    model1_params,
-    model2_params,
+    design_params,
     sample_adjacency,
+    study_pair,
 )
 from .spectra import top_eigenpairs
 
@@ -249,8 +251,9 @@ def covariance_trend(model: int, signal: float, sizes, reps: int,
     2-norm error of the plug-in covariance of model 1's T test (scale
     n^2 theta) or model 2's G test (scale n min(theta)^2).
 
-    The design has n0 = n // 5, rho = 0.2 and degree level ``signal`` (theta,
-    or r^2 for model 2); the pair is the first two nodes of the first mixed
+    The design (:func:`~.models.design_params`) has n0 = n // 5, rho = 0.2
+    and degree level ``signal`` (theta, or r^2 for model 2); the pair is the
+    size pair of :func:`~.models.study_pair`, two nodes of the first mixed
     group. Sample r at size n is seeded by SeedSequence(seed, spawn_key=(n,))
     .spawn(reps)[r]. The exact covariance is the same covariance function
     evaluated on the ground truth, taken in each sample's fitted sign basis.
@@ -258,24 +261,16 @@ def covariance_trend(model: int, signal: float, sizes, reps: int,
     """
     if reps < 1:
         raise ValueError("reps must be at least 1")
-    for n in sizes:
-        mixed = n - 3 * (n // 5)  # nodes in the four mixed groups
-        if mixed % 4 or mixed < 8:
-            raise ValueError(f"size {n} has no layout with two nodes in the "
-                             "first mixed group (n0 = n // 5)")
+    pairs = [study_pair(n, n // 5, "size") for n in sizes]
     means = []
-    for n in sizes:
-        n0 = n // 5
+    for n, (i, j) in zip(sizes, pairs):
+        params = design_params(model, n, n // 5, 0.2, signal, seed)
+        gt = ground_truth(params)
         if model == 1:
-            gt = ground_truth(model1_params(n, n0, 0.2, signal))
-            scale = n**2 * signal
-            sigma = estimate_sigma1
+            scale, sigma = n**2 * signal, estimate_sigma1
         else:
-            params = model2_params(n, n0, 0.2, float(np.sqrt(signal)), seed)
-            gt = with_tk(ground_truth(params))
-            scale = n * float(params.theta.min()) ** 2
-            sigma = estimate_sigma2
-        i, j = 3 * n0, 3 * n0 + 1
+            gt = with_tk(gt)
+            scale, sigma = n * float(params.theta.min()) ** 2, estimate_sigma2
         errs = []
         ss = np.random.SeedSequence(entropy=seed, spawn_key=(n,))
         for rep_ss in ss.spawn(reps):

@@ -189,6 +189,35 @@ def test_grow_spectrum_is_bit_reproducible():
     assert est1.eigenvalues.tobytes() == est2.eigenvalues.tobytes()
 
 
+def test_grow_spectrum_and_the_residual_copy_their_input_once(monkeypatch):
+    # an F-ordered x is converted to C order once at the top, not again by
+    # each solve (the top 3 pairs, then the deflated check); the residual
+    # converts it too, where BLAS would copy it silently
+    x = npt.sample_adjacency(npt.build_mean_matrix(
+        npt.model1_params(400, 80, 0.2, 0.9)), seed=0)
+    spec, est = npt.grow_spectrum(x)
+    copies = []
+    contiguous = np.ascontiguousarray
+
+    def counted(a, *args, **kwargs):
+        out = contiguous(a, *args, **kwargs)
+        if not np.shares_memory(out, a):
+            copies.append(out.shape)
+        return out
+
+    monkeypatch.setattr(np, "ascontiguousarray", counted)
+    f_spec, f_est = npt.grow_spectrum(np.asfortranarray(x))
+    assert copies == [x.shape]
+    assert f_est.k_hat == est.k_hat == 3
+    assert f_spec.vectors.tobytes() == spec.vectors.tobytes()
+    copies.clear()
+    w0 = npt.diag_residual_square(np.asfortranarray(x), spec, 3)
+    assert copies == [x.shape]
+    monkeypatch.undo()
+    assert w0.tobytes() == npt.diag_residual_square(x, spec, 3).tobytes()
+    assert npt.grow_spectrum(x.tolist())[1].k_hat == est.k_hat
+
+
 # ------------------------------------------------------------ refinement
 
 def test_residual_matrix_rank_removal():

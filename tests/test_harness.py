@@ -6,6 +6,7 @@ import pytest
 import netpairtest as npt
 from netpairtest import harness
 from netpairtest.harness import GridPointReport
+from netpairtest.models import pure_and_mixed_indices, study_pair
 
 
 TINY1 = dict(model=1, n=120, n0=24, rho=0.2, signal_grid=(0.9,),
@@ -29,11 +30,33 @@ def test_config_validation():
         npt.ExperimentConfig(**{**TINY1, "pair_mode": "both"})
 
 
-def test_node_pair_layout():
-    cfg = npt.ExperimentConfig(**TINY1)
-    assert cfg.node_pair() == (72, 73)  # two nodes of the first mixed group
-    power = npt.ExperimentConfig(**{**TINY1, "pair_mode": "power"})
-    assert power.node_pair() == (72, 24)  # mixed node vs pure community 2
+def test_node_pair_layout(monkeypatch):
+    n, n0 = TINY1["n"], TINY1["n0"]
+    assert study_pair(n, n0, "size") == (72, 73)  # two first-mixed-group nodes
+    assert study_pair(n, n0, "power") == (72, 24)  # mixed vs pure community 2
+    assert study_pair(34, 10, "power") == (30, 10)  # one node per group
+    # layouts that are not layouts at all have no pair either
+    for n, n0 in ((141, 20), (4, 0), (9, -1), (-20, -4)):
+        with pytest.raises(ValueError, match=f"^size {n} with n0 = {n0} "):
+            study_pair(n, n0, "size")
+    with pytest.raises(ValueError, match="pair_mode"):
+        study_pair(120, 24, "both")
+    # the mixed groups of (34, 10) hold one node each and those of (30, 10)
+    # none; with n0 = 0 there is no pure community 2. The size/power study
+    # stops before it builds a mean matrix; the K study needs no pair.
+    calls = _counting_build(monkeypatch)
+    for model in (1, 2):
+        for n, n0, pair_mode in ((34, 10, "size"), (30, 10, "size"),
+                                 (30, 10, "power"), (120, 0, "power")):
+            cfg = npt.ExperimentConfig(**{**TINY1, "model": model, "n": n,
+                                          "n0": n0, "pair_mode": pair_mode,
+                                          "replications": 2})
+            with pytest.raises(ValueError, match=f"^size {n} "):
+                npt.run_size_power(cfg)
+            assert calls == []
+            counts = npt.run_k_accuracy(cfg).points[0].k_hat_counts
+            assert sum(counts.values()) == 2
+            calls.clear()
 
 
 def test_run_size_power_structure():
@@ -127,37 +150,57 @@ def test_mean_matrix_built_once_per_grid_point_for_model_1(monkeypatch, run):
     assert calls == [2] * 6
 
 
-def _per_replication_statistics(cfg):
-    """Statistics and failures by exception name of the first grid point,
-    each replication sampled from its own freshly built mean matrix and
-    fitted at the true K."""
-    i, j = cfg.node_pair()
-    signal = cfg.signal_grid[0]
+def _per_replication_statistics(cfg, grid_idx=0):
+    """Statistics, failures by exception name and K estimates of grid point
+    ``grid_idx``, each replication sampled from its own freshly built mean
+    matrix, fitted at the true K and, apart from that, given to
+    ``grow_spectrum``; the pair comes from the layout indices."""
+    layout = pure_and_mixed_indices(cfg.n, cfg.n0)
+    i = layout["mixed"][0]
+    j = i + 1 if cfg.pair_mode == "size" else layout["pure"][1]
+    signal = cfg.signal_grid[grid_idx]
     runner = npt.test_T if cfg.model == 1 else npt.test_G
-    stats, failures = [], Counter()
+    stats, failures, k_counts = [], Counter(), Counter()
     for rep in range(cfg.replications):
         if cfg.model == 1:
             params = npt.model1_params(cfg.n, cfg.n0, cfg.rho, signal)
         else:
-            params = npt.model2_params(cfg.n, cfg.n0, cfg.rho, np.sqrt(signal),
-                                       harness._rep_rng(cfg, 0, rep, stream=1))
+            params = npt.model2_params(
+                cfg.n, cfg.n0, cfg.rho, np.sqrt(signal),
+                harness._rep_rng(cfg, grid_idx, rep, stream=1))
         x = npt.sample_adjacency(npt.build_mean_matrix(params),
-                                 harness._rep_rng(cfg, 0, rep))
+                                 harness._rep_rng(cfg, grid_idx, rep))
+        k_counts[npt.grow_spectrum(x)[1].k_hat] += 1
         try:
             stats.append(runner(npt.fit(x, 3), i, j).statistic)
         except npt.inference.TEST_FAILURES as exc:
             failures[type(exc).__name__] += 1
-    return np.asarray(stats), failures
+    return np.asarray(stats), failures, k_counts
 
 
 @pytest.mark.parametrize("tiny", [TINY1, TINY2], ids=["model1", "model2"])
 def test_statistics_equal_a_per_replication_loop(tiny):
     cfg = npt.ExperimentConfig(**tiny)
     point = npt.run_size_power(cfg).points[0]
-    stats, failures = _per_replication_statistics(cfg)
+    stats, failures, _ = _per_replication_statistics(cfg)
     assert point.statistics.tobytes() == stats.tobytes()
     assert point.failures == failures.total()
     assert point.failure_counts == failures
+
+
+@pytest.mark.parametrize("tiny", [TINY1, TINY2], ids=["model1", "model2"])
+def test_k_counts_equal_a_per_replication_loop(tiny):
+    # both studies count the K estimate of every replication, at every grid
+    # point, as grow_spectrum gives it for each network on its own (model 2
+    # estimates K = 1 or 0 at signal 0.6)
+    cfg = npt.ExperimentConfig(**{**tiny, "signal_grid": (0.9, 0.6),
+                                  "k_mode": "estimated_k"})
+    accuracy = npt.run_k_accuracy(cfg).points
+    size_power = npt.run_size_power(cfg).points
+    for g in range(2):
+        counts = _per_replication_statistics(cfg, g)[2]
+        assert accuracy[g].k_hat_counts == counts
+        assert size_power[g].k_hat_counts == counts
 
 
 @pytest.mark.parametrize("run", [npt.run_size_power, npt.run_k_accuracy])

@@ -7,6 +7,7 @@ import netpairtest as npt
 from netpairtest.models import (
     MIXED_GROUPS,
     DCMMParams,
+    design_params,
     pure_and_mixed_indices,
 )
 
@@ -23,6 +24,17 @@ def test_layout_indices():
     assert layout["pure"] == [0, 20, 40]
     assert layout["group_size"] == 20
     assert layout["mixed"] == [60, 80, 100, 120]
+
+
+def test_design_params_maps_the_signal_to_each_model():
+    one = design_params(1, 140, 20, 0.3, 0.8, seed=None)
+    assert one.theta.tobytes() == npt.model1_params(140, 20, 0.3, 0.8) \
+        .theta.tobytes()
+    two = design_params(2, 140, 20, 0.3, 0.64, seed=11)
+    assert two.theta.tobytes() == npt.model2_params(140, 20, 0.3, 0.8, 11) \
+        .theta.tobytes()
+    with pytest.raises(ValueError, match="model must be 1 or 2"):
+        design_params(3, 140, 20, 0.3, 0.8, seed=None)
 
 
 def test_model1_mean_matrix_entries():

@@ -28,7 +28,8 @@ O(m n) memory) and keeps each node's contrast and moment plus the m x m
 variances between the nodes, so that the covariance of any pair among them
 costs O(k^3). One body gives both covariances, :func:`estimate_sigma1` and
 :func:`estimate_sigma2`, on a :class:`Fit` for the plug-in estimate or on
-an oracle ground truth for the exact one, for one pair or a stack of pairs.
+an oracle ground truth for the exact one, or on its :class:`NodeMoments`,
+for one pair or a stack of pairs; :func:`check_nodes` checks every node.
 """
 
 from __future__ import annotations
@@ -329,16 +330,20 @@ def degeneracy_threshold(vectors: np.ndarray) -> float:
     return DEGENERACY_REL_TOL * np.max(np.abs(vectors[:, 0]))
 
 
-def degenerate_pairs(mom: NodeMoments, i: np.ndarray,
-                     j: np.ndarray) -> dict[int, DegenerateNodeError]:
-    """The pairs (i[r], j[r]) with a degenerate node of ``mom``: r -> the
-    error that names the node, node i[r] before node j[r]."""
-    small_i = mom.degenerate[mom.positions(i)]
-    small_j = mom.degenerate[mom.positions(j)]
-    return {int(r): DegenerateNodeError(
-                f"leading-eigenvector entry at node "
-                f"{i[r] if small_i[r] else j[r]} is degenerate")
-            for r in np.flatnonzero(small_i | small_j)}
+def check_nodes(nodes, n: int) -> None:
+    """Raise ``ValueError`` unless ``nodes`` are distinct and in [0, n)."""
+    nodes = np.asarray(nodes)
+    if len(np.unique(nodes)) != len(nodes):
+        raise ValueError("nodes must be distinct")
+    outside = (nodes < 0) | (nodes >= n)
+    if outside.any():
+        raise ValueError(f"node {nodes[np.argmax(outside)]} outside the node "
+                         f"range [0, {n})")
+
+
+def degenerate_node(node) -> DegenerateNodeError:
+    return DegenerateNodeError(
+        f"leading-eigenvector entry at node {node} is degenerate")
 
 
 def _contrast(model, rows: np.ndarray, method: str):
@@ -377,8 +382,7 @@ def _ratio_maps(rows: np.ndarray, t: np.ndarray) -> np.ndarray:
 def node_moments(model, nodes, method: str) -> NodeMoments:
     """The :class:`NodeMoments` of the ``method`` test of ``model`` at
     ``nodes``, from one call of ``model.sigma2_rows``: O(m n k^2) time and
-    O(m n) memory for m nodes. A :class:`NodeMoments` of the test that
-    holds ``nodes`` is returned as it is.
+    O(m n) memory for m nodes.
 
     Each node's moment is summed in its own contrast basis A_i, not formed
     as B_i^T (V^T diag(sigma2[i, :]) V) B_i: the columns of V B_i nearly
@@ -386,13 +390,9 @@ def node_moments(model, nodes, method: str) -> NodeMoments:
     V basis loses that many digits.
     """
     nodes = np.unique(nodes)
-    if isinstance(model, NodeMoments):
-        if model.method != method:
-            raise ValueError(f"these are moments of the {model.method} test")
-        model.positions(nodes)
-        return model
     check_k(model.k, method)
     v = model.vectors
+    check_nodes(nodes, len(v))
     rows = v[nodes]
     contrast, maps, scale, degenerate = _contrast(model, rows, method)
     sigma2 = model.sigma2_rows(nodes)
@@ -451,11 +451,15 @@ def _covariance(model, i, j, method: str) -> CovarianceEstimate:
     sigma2[i, j] (u - w)(u - w)^T.
     """
     i, j, scalar = _pair_arrays(i, j)
-    mom = node_moments(model, np.concatenate([i, j]), method)
-    errors = degenerate_pairs(mom, i, j)
-    if errors:
-        raise errors[min(errors)]
+    mom = model if isinstance(model, NodeMoments) else node_moments(
+        model, np.concatenate([i, j]), method)
+    if mom.method != method:
+        raise ValueError(f"these are moments of the {mom.method} test")
     p, q = mom.positions(i), mom.positions(j)
+    degenerate = mom.degenerate[p] | mom.degenerate[q]
+    if degenerate.any():
+        r = np.argmax(degenerate)
+        raise degenerate_node(i[r] if mom.degenerate[p[r]] else j[r])
     u, w = mom.rows[q], mom.rows[p]
     if mom.maps is not None:
         u = (u[:, None, :] @ mom.maps[p])[:, 0]

@@ -14,12 +14,12 @@ the degrees of freedom; covariances are plugged in from the one-step refined
 noise estimate, and a numerically singular plug-in raises instead of being
 silently regularized. Both tests take an adjacency matrix or a
 :class:`~.estimation.Fit` of one, so that many pairs share a single fit.
-One stacked core tests any number of pairs of a fit from the contrasts,
-degeneracy and moments of :func:`~.estimation.node_moments`:
-:func:`pvalue_matrix` runs it one output row at a time on the moments of all
-its nodes, read once, and :func:`test_T`, :func:`test_G` and the Monte Carlo
-harness run it on one pair. A pair that fails (degenerate node, singular
-covariance) fails alone.
+One stacked core tests pairs of rows of one :class:`~.estimation.NodeMoments`
+(contrasts, degeneracy and moments of :func:`~.estimation.node_moments`):
+:func:`pvalue_matrix` maps its nodes to rows once and runs it one output row
+at a time, and :func:`test_T`, :func:`test_G` and the Monte Carlo harness
+run it on one pair. A pair that fails (degenerate node, singular covariance)
+fails alone; only the one-pair test raises.
 """
 
 from __future__ import annotations
@@ -35,8 +35,10 @@ from .estimation import (
     MIN_K,
     DegenerateNodeError,
     Fit,
+    NodeMoments,
     check_k,
-    degenerate_pairs,
+    check_nodes,
+    degenerate_node,
     estimate_sigma1,
     estimate_sigma2,
     fit,
@@ -115,58 +117,44 @@ def _fitted(x, k_override: int | None, method: str) -> Fit:
 
 
 def _check_nodes(x, nodes) -> None:
-    """``nodes`` must be distinct node indices of ``x``, a matrix or a
-    :class:`Fit`."""
-    if len(set(nodes)) != len(nodes):
-        raise ValueError("nodes must be distinct")
-    n = np.shape(x.x if isinstance(x, Fit) else x)[0]
-    for node in nodes:
-        if not 0 <= node < n:
-            raise ValueError(f"node {node} outside the node range [0, {n})")
+    """:func:`check_nodes` on the nodes of ``x``, a matrix or a Fit."""
+    check_nodes(nodes, np.shape(x.x if isinstance(x, Fit) else x)[0])
 
 
 @dataclass(frozen=True)
 class _PairTests:
-    """Tests of a stack of pairs: pair r failed, with NaN statistic and
-    p-value, iff ``errors`` maps r to its typed error."""
+    """Tests of a stack of pairs: a pair failed, with NaN statistic and
+    p-value, iff it is ``degenerate`` or its ``condition`` fails the limit."""
 
     statistic: np.ndarray
     p_value: np.ndarray
     condition: np.ndarray
     df: int
-    errors: dict
+    degenerate: np.ndarray
 
 
-def _test_pairs(model, i: np.ndarray, j: np.ndarray,
-                method: str) -> _PairTests:
-    """The ``method`` test of every pair (i[r], j[r]) on one fit, in stacked
-    numpy calls: degeneracy mask, covariances, condition check against
-    :data:`CONDITION_LIMIT`, solve and p-values.
+def _test_pairs(mom: NodeMoments, p: np.ndarray, q: np.ndarray) -> _PairTests:
+    """The ``mom.method`` test of every pair of rows (p[r], q[r]) of
+    ``mom``, in stacked numpy calls: degeneracy mask, covariances, condition
+    check against :data:`CONDITION_LIMIT`, solve and p-values.
 
-    ``model`` is a :class:`Fit`, or its :class:`~.estimation.NodeMoments`
-    at every node of the pairs, which hold each node's contrast and whether
-    it is degenerate. The covariance estimators are read from the module
-    globals at each call, so a replaced binding takes effect. A pair fails
-    alone: a degenerate node (G), or a covariance that is not finite or
-    whose condition estimate exceeds the limit. The test has as many
-    degrees of freedom as its contrast has components.
+    The covariance estimators, given the pairs' node ids, are read from the
+    module globals at each call, so a replaced binding takes effect. A pair
+    fails alone and builds no error: a degenerate node (G), or a covariance
+    that is not finite or whose condition estimate exceeds the limit. The
+    test has as many degrees of freedom as its contrast has components.
     """
-    mom = node_moments(model, np.concatenate([i, j]), method)
-    pairs = len(i)
+    pairs = len(p)
     stat, cond = np.full(pairs, np.nan), np.full(pairs, np.nan)
-    errors = degenerate_pairs(mom, i, j)
-    live = np.setdiff1d(np.arange(pairs), list(errors))
+    degenerate = mom.degenerate[p] | mom.degenerate[q]
+    live = np.flatnonzero(~degenerate)
     if live.size:
-        a, b = i[live], j[live]
-        sigma = estimate_sigma1 if method == "T" else estimate_sigma2
-        cov = sigma(mom, a, b)
-        diff = mom.contrast[mom.positions(a)] - mom.contrast[mom.positions(b)]
+        a, b = p[live], q[live]
+        sigma = estimate_sigma1 if mom.method == "T" else estimate_sigma2
+        cov = sigma(mom, mom.nodes[a], mom.nodes[b])
+        diff = mom.contrast[a] - mom.contrast[b]
         cond[live] = cov.condition_estimate
         ok = cond[live] <= CONDITION_LIMIT  # False for inf and NaN
-        for r in live[~ok]:
-            errors[int(r)] = SingularCovarianceError(
-                f"covariance condition estimate {cond[r]:.3g} "
-                f"exceeds {CONDITION_LIMIT:.0e}")
         if ok.any():
             mats, rhs = cov.matrix[ok], diff[ok]
             if mats.shape[-1] == 1:
@@ -183,19 +171,25 @@ def _test_pairs(model, i: np.ndarray, j: np.ndarray,
     tested = ~np.isnan(stat)
     p_value[tested] = chi2_sf(np.maximum(stat[tested], 0.0), df)
     return _PairTests(statistic=stat, p_value=p_value, condition=cond, df=df,
-                      errors=errors)
+                      degenerate=degenerate)
 
 
 def _pair_test(fitted: Fit, i: int, j: int, method: str) -> TestResult:
-    """The ``method`` test of nodes ``i`` and ``j`` on a shared fit: the
-    one-pair case of :func:`_test_pairs`, whose typed error it raises."""
-    res = _test_pairs(fitted, np.array([i]), np.array([j]), method)
-    if res.errors:
-        raise res.errors[0]
+    """The ``method`` test of nodes ``i`` and ``j`` on a shared fit, each
+    mapped to its row once: :func:`_test_pairs` of one pair, or its error."""
+    mom = node_moments(fitted, [i, j], method)
+    rows = mom.positions([i, j])
+    res = _test_pairs(mom, rows[:1], rows[1:])
+    cond = res.condition[0]
+    if res.degenerate[0]:
+        raise degenerate_node(i if mom.degenerate[rows[0]] else j)
+    if not cond <= CONDITION_LIMIT:
+        raise SingularCovarianceError(
+            f"covariance condition estimate {cond:.3g} "
+            f"exceeds {CONDITION_LIMIT:.0e}")
     return TestResult(method=method, statistic=float(res.statistic[0]),
                       df=res.df, p_value=float(res.p_value[0]),
-                      k_used=fitted.k,
-                      condition_estimate=float(res.condition[0]))
+                      k_used=fitted.k, condition_estimate=float(cond))
 
 
 def test_T(x: np.ndarray | Fit, i: int, j: int,
@@ -260,10 +254,9 @@ def pvalue_matrix(x: np.ndarray | Fit, nodes, method: str = "T",
         return PValueMatrix(nodes=tuple(nodes), matrix=out, method=method)
     # one output row at a time, node s against the later nodes, so that the
     # temporaries of a row stay O(m k^2)
-    idx = np.asarray(nodes)
-    moments = node_moments(fitted, idx, method)
+    moments = node_moments(fitted, nodes, method)
+    rows = moments.positions(nodes)
     for s in range(m - 1):
-        row = _test_pairs(moments, np.full(m - 1 - s, idx[s]), idx[s + 1:],
-                          method).p_value
-        out[s, s + 1:] = out[s + 1:, s] = row
+        out[s, s + 1:] = out[s + 1:, s] = _test_pairs(
+            moments, np.full(m - 1 - s, rows[s]), rows[s + 1:]).p_value
     return PValueMatrix(nodes=tuple(nodes), matrix=out, method=method)

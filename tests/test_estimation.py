@@ -440,6 +440,18 @@ def test_estimate_sigma2_degenerate_node():
     # a stack names its first degenerate node, and fails as a whole
     with pytest.raises(DegenerateNodeError, match="at node 5 is"):
         npt.estimate_sigma2(fitted, [0, 5, 4], [1, 0, 6])
+    # the one-pair test names node i before node j, and a p-value matrix
+    # fails exactly the pairs that touch a degenerate node
+    for (i, j), node in (((0, 5), 5), ((5, 0), 5), ((4, 5), 4)):
+        with pytest.raises(DegenerateNodeError,
+                           match=f"^leading-eigenvector entry at node {node} "
+                                 f"is degenerate$"):
+            npt.test_G(fitted, i, j)
+    pm = npt.pvalue_matrix(fitted, [0, 1, 4, 5], "G").matrix
+    touches = np.zeros((4, 4), dtype=bool)
+    touches[2:], touches[:, 2:] = True, True
+    touches[[2, 3], [2, 3]] = False
+    assert np.array_equal(np.isnan(pm), touches)
 
 
 @pytest.mark.parametrize("sigma", [npt.estimate_sigma1, npt.estimate_sigma2])
@@ -471,7 +483,6 @@ def test_node_moments_stand_in_for_their_fit(karate_csr, sigma, method):
     fitted = npt.fit(karate_csr, 3)
     i, j = np.array([6, 12, 0, 33]), np.array([12, 6, 33, 2])
     mom = estimation.node_moments(fitted, np.concatenate([i, j]), method)
-    assert estimation.node_moments(mom, i, method) is mom
     on_fit, on_moments = sigma(fitted, i, j), sigma(mom, i, j)
     assert np.array_equal(on_moments.matrix, on_fit.matrix)
     assert np.array_equal(on_moments.condition_estimate,
@@ -485,7 +496,7 @@ def test_node_moments_guards(karate_csr):
     fitted = npt.fit(karate_csr, 3)
     mom = estimation.node_moments(fitted, [0, 6, 12], "T")
     with pytest.raises(ValueError, match="these are moments of the T test"):
-        estimation.node_moments(mom, [0, 6], "G")
+        npt.estimate_sigma2(mom, 0, 6)
     with pytest.raises(ValueError, match="a node has no moments here"):
         npt.estimate_sigma1(mom, [0, 6], [12, 33])
     with pytest.raises(ValueError, match="a node has no moments here"):

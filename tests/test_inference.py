@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import netpairtest as npt
+from netpairtest import oracle
 from netpairtest.estimation import estimate_k_from_values
 from netpairtest.inference import CONDITION_LIMIT, SingularCovarianceError
 from netpairtest.spectra import Spectrum
@@ -187,7 +188,8 @@ def test_distinct_nodes_required(karate):
         npt.test_G(karate, 0, 1, k_override=1)
 
 
-@pytest.mark.parametrize("i,j", [(-1, 12), (6, 34), (34, 6), (6, 99)])
+@pytest.mark.parametrize("i,j", [(-1, 12), (6, 34), (34, 6), (6, 99),
+                                 (-1, 33)])
 def test_nodes_outside_the_graph_rejected(karate, i, j):
     # a negative index would otherwise wrap to the last node
     fitted = npt.fit(karate, 2)
@@ -197,6 +199,14 @@ def test_nodes_outside_the_graph_rejected(karate, i, j):
                 runner(x, i, j)
     with pytest.raises(ValueError, match="outside the node range"):
         npt.pvalue_matrix(karate, [0, i, j], k_override=2)
+    # the covariances check their nodes too, on a fit and on the truth
+    truth = npt.ground_truth(npt.model1_params(34, 10, 0.2, 0.9))
+    truth = oracle.replace(truth, t=truth.d)
+    for model in (fitted, truth):
+        for sigma in (npt.estimate_sigma1, npt.estimate_sigma2):
+            with pytest.raises(ValueError,
+                               match=r"outside the node range \[0, 34\)$"):
+                sigma(model, i, j)
 
 
 # ------------------------------------------------------------- invariances
@@ -296,18 +306,23 @@ def test_pvalue_matrix_fits_once(karate, karate_csr, monkeypatch):
                     getattr(module, name, None) is original:
                 count(module, name, original)
     count(npt.Fit, "sigma2_rows", npt.Fit.sigma2_rows)
+    count(npt.estimation.NodeMoments, "positions",
+          npt.estimation.NodeMoments.positions)
     assert not hasattr(npt.estimation, "residual_matrix")
     nodes = [2, 6, 7, 8, 12]
     for x in (karate, karate_csr):
         for method, runner in (("T", npt.test_T), ("G", npt.test_G)):
             calls.clear()
             npt.pvalue_matrix(x, nodes, method=method)
+            # nodes map to rows once, then twice per output row at most
+            assert calls.pop("positions") <= 2 * len(nodes) - 1
             assert calls == {"fit": 1, "top_eigenpairs": 1, "max_degree": 1,
                              "diag_residual_square": 1, "sigma2_rows": 1}
             # each entry is the one-pair test on the same fit, to the bit
             fitted = npt.fit(x, floor=npt.estimation.MIN_K[method])
             calls.clear()
             pm = npt.pvalue_matrix(fitted, nodes, method=method).matrix
+            assert calls.pop("positions") <= 2 * len(nodes) - 1
             assert calls == {"sigma2_rows": 1}
             assert np.isfinite(pm).all()
             for s, a in enumerate(nodes):

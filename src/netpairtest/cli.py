@@ -160,10 +160,9 @@ def _cmd_simulate(args) -> int:
         fh.write(f"# netpairtest {__version__} simulate model={args.model} "
                  f"seed={args.seed} n={args.n} n0={args.n0} rho={args.rho} "
                  f"{name}={signal}\n")
-        rows, cols = np.nonzero(np.triu(x, k=0 if args.self_loops else 1))
-        for u, v in zip(rows, cols):
-            fh.write(f"{u} {v}\n")
-    print(f"wrote {args.out} ({len(rows)} edges)")
+        edges = np.argwhere(np.triu(x, k=0 if args.self_loops else 1))
+        fh.write("".join(f"{u} {v}\n" for u, v in edges.tolist()))
+    print(f"wrote {args.out} ({len(edges)} edges)")
     return EXIT_OK
 
 

@@ -12,12 +12,28 @@ uniforms, of which the sampler uses only the upper triangle; model 2 draws
 its degree parameters from a second stream, spawn_key=(g, r, 1). Model 1's
 mean matrix is the same for every replication and is built once per grid
 point, so a replication costs its draw, its fit and its test.
+
+A study runs its replications on a pool of worker threads, one per usable
+core and at most one per replication. Each worker limits the OpenBLAS of
+numpy and that of scipy to one thread for itself
+(:func:`~.spectra._limit_blas_threads`), so the workers' fits run side by
+side instead of competing for the cores with two BLAS thread pools, and
+each draws its networks into one n x n array that it keeps for the study.
+The results are merged in replication order, so a report, and the first
+uncaught error, is the same for any number of workers. Where either
+library has no per-thread limit, the replications run in the calling
+thread, at the process's BLAS thread count; their statistics then differ
+from a pool's in the last bits (about 1e-14 relative).
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+import os
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
+from functools import partial
+from queue import SimpleQueue
 from time import perf_counter
 
 import numpy as np
@@ -25,12 +41,8 @@ import scipy.stats
 
 from .estimation import MIN_K, fit, grow_spectrum
 from .inference import TEST_FAILURES, _pair_test, reject
-from .models import (
-    build_mean_matrix,
-    design_params,
-    sample_adjacency,
-    study_pair,
-)
+from .models import _sample_into, build_mean_matrix, design_params, study_pair
+from .spectra import _blas_thread_limits, _limit_blas_threads
 
 __all__ = [
     "ExperimentConfig",
@@ -103,14 +115,18 @@ class GridPointReport:
 
 @dataclass(frozen=True)
 class ExperimentReport:
-    """Per-grid-point results of a study. ``stage_seconds`` maps each of
-    :data:`STAGES` to the seconds spent in it, summed over all replications;
+    """Per-grid-point results of a study. ``workers`` is the number of
+    worker threads the replications ran on, 0 where they ran in the calling
+    thread. ``stage_seconds`` maps each of :data:`STAGES` to the seconds
+    spent in it, summed over all replications and all workers, so on
+    several workers the stages add up to more than ``wall_seconds``; on one,
     the rest of ``wall_seconds`` is bookkeeping."""
 
     config: ExperimentConfig
     points: tuple
     wall_seconds: float
     stage_seconds: dict
+    workers: int
 
 
 def _rep_rng(cfg: ExperimentConfig, grid_idx: int, rep: int, stream: int = 0):
@@ -166,44 +182,86 @@ def _estimate_k(x: np.ndarray, clock: _StageClock):
     return None, None, k_hat, None
 
 
+def _workers(replications: int) -> int:
+    """Worker threads for a study: one per usable core, at most one per
+    replication."""
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        cores = os.cpu_count() or 1
+    return min(cores, replications)
+
+
+def _replication(cfg: ExperimentConfig, replicate, networks: SimpleQueue,
+                 gi: int, signal: float, h, rep: int):
+    """Draw replication ``rep`` of grid point ``gi`` into an n x n array
+    taken from ``networks`` (and given back), and return
+    ``replicate(x, clock)`` with the replication's stage seconds. ``h`` is
+    the mean matrix of model 1; model 2 builds its own."""
+    clock = _StageClock()
+    x = networks.get()
+    try:
+        with clock("sample"):
+            if h is None:
+                h = build_mean_matrix(design_params(
+                    cfg.model, cfg.n, cfg.n0, cfg.rho, signal,
+                    _rep_rng(cfg, gi, rep, stream=1)))
+            _sample_into(x, h, _rep_rng(cfg, gi, rep), False)
+        return (*replicate(x, clock), clock.seconds)
+    finally:
+        networks.put(x)
+
+
 def _study(cfg: ExperimentConfig, replicate) -> ExperimentReport:
-    """Tally ``replicate(x, clock)`` over every network of every grid point.
-    Replications that fail numerically are excluded from the denominator; a
-    grid point with more than 1% failures is flagged invalid."""
+    """Tally ``replicate(x, clock)`` over every network of every grid point,
+    on the worker threads of the module docstring. Replications that fail
+    numerically are excluded from the denominator; a grid point with more
+    than 1% failures is flagged invalid."""
     start = perf_counter()
+    limits = _blas_thread_limits()
+    workers = _workers(cfg.replications) if limits else 0
+    networks = SimpleQueue()  # one n x n array per worker, reused
+    for _ in range(max(workers, 1)):
+        networks.put(np.empty((cfg.n, cfg.n)))
     clock = _StageClock()
     points = []
-    for gi, signal in enumerate(cfg.signal_grid):
-        stats, rejects = [], []
-        k_counts: dict[int, int] = {}
-        causes: dict[str, int] = {}
-        for rep in range(cfg.replications):
-            with clock("sample"):
-                if rep == 0 or cfg.model == 2:  # model 1's H is fixed
+    pool = (ThreadPoolExecutor(workers, initializer=_limit_blas_threads,
+                               initargs=(limits,))
+            if workers else nullcontext())
+    with pool:
+        run_all = pool.map if workers else map
+        for gi, signal in enumerate(cfg.signal_grid):
+            h = None
+            if cfg.model == 1:  # model 1's H is the same for every replication
+                with clock("sample"):
                     h = build_mean_matrix(design_params(
-                        cfg.model, cfg.n, cfg.n0, cfg.rho, signal,
-                        _rep_rng(cfg, gi, rep, stream=1)))
-                x = sample_adjacency(h, _rep_rng(cfg, gi, rep))
-            stat, rej, k_hat, failure = replicate(x, clock)
-            del x  # free this network before the next one is drawn
-            if k_hat is not None:
-                k_counts[k_hat] = k_counts.get(k_hat, 0) + 1
-            if failure is not None:
-                causes[failure] = causes.get(failure, 0) + 1
-            elif stat is not None:
-                stats.append(stat)
-                rejects.append(rej)
-        failures = sum(causes.values())
-        valid = failures <= FAILURE_FRACTION_LIMIT * cfg.replications
-        rate = float(np.mean(rejects)) if rejects else np.nan
-        points.append(GridPointReport(
-            signal=signal, rejection_rate=rate,
-            replications=cfg.replications, failures=failures,
-            statistics=np.asarray(stats), k_hat_counts=k_counts, valid=valid,
-            failure_counts=causes))
+                        cfg.model, cfg.n, cfg.n0, cfg.rho, signal, None))
+            stats, rejects = [], []
+            k_counts: dict[int, int] = {}
+            causes: dict[str, int] = {}
+            for stat, rej, k_hat, failure, seconds in run_all(
+                    partial(_replication, cfg, replicate, networks, gi,
+                            signal, h), range(cfg.replications)):
+                for stage, sec in seconds.items():
+                    clock.seconds[stage] += sec
+                if k_hat is not None:
+                    k_counts[k_hat] = k_counts.get(k_hat, 0) + 1
+                if failure is not None:
+                    causes[failure] = causes.get(failure, 0) + 1
+                elif stat is not None:
+                    stats.append(stat)
+                    rejects.append(rej)
+            failures = sum(causes.values())
+            valid = failures <= FAILURE_FRACTION_LIMIT * cfg.replications
+            rate = float(np.mean(rejects)) if rejects else np.nan
+            points.append(GridPointReport(
+                signal=signal, rejection_rate=rate,
+                replications=cfg.replications, failures=failures,
+                statistics=np.asarray(stats), k_hat_counts=k_counts,
+                valid=valid, failure_counts=causes))
     return ExperimentReport(config=cfg, points=tuple(points),
                             wall_seconds=perf_counter() - start,
-                            stage_seconds=clock.seconds)
+                            stage_seconds=clock.seconds, workers=workers)
 
 
 def run_size_power(cfg: ExperimentConfig) -> ExperimentReport:

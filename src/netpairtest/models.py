@@ -15,6 +15,13 @@ from :func:`design_params` and their node pair from :func:`study_pair`. A
 parameter set is rebuilt by calling its constructor again with the same
 arguments (and, for model 2, the same seed); ``simulate`` writes them into
 the header of its edge-list file.
+
+Neither :func:`build_mean_matrix` nor :func:`sample_adjacency` holds more
+than its n x n result and a few blocks of rows: H is symmetrised in place,
+one pair of square tiles at a time, and the network is drawn
+:data:`SAMPLE_ROWS` rows at a time, straight into its result, which a
+Monte Carlo worker reuses from one replication to the next
+(:func:`_sample_into`).
 """
 
 from __future__ import annotations
@@ -34,6 +41,11 @@ __all__ = [
 ]
 
 SIMPLEX_TOL = 1e-12
+# side of the square tiles in which build_mean_matrix symmetrises H, and
+# rows per block of uniforms in sample_adjacency: a block of a few thousand
+# columns stays in cache between its draw and its use
+TILE = 128
+SAMPLE_ROWS = 128
 
 # mixed-group membership vectors, fixed across both simulation models
 MIXED_GROUPS = (
@@ -88,6 +100,10 @@ class DCMMParams:
 def build_mean_matrix(params: DCMMParams) -> np.ndarray:
     """Mean matrix H = diag(theta) Pi P Pi^T diag(theta), exactly symmetric.
 
+    The product G = A P A^T (A = diag(theta) Pi) is symmetrised in place as
+    (G + G^T) / 2, one pair of :data:`TILE`-square tiles at a time, and
+    clipped to [0, 1]; besides H only the n x K factor is held.
+
     Raises
     ------
     ValueError
@@ -95,12 +111,20 @@ def build_mean_matrix(params: DCMMParams) -> np.ndarray:
     """
     a = params.theta[:, None] * params.pi
     h = a @ params.p_matrix @ a.T
-    h = (h + h.T) / 2.0
-    if h.min() < -1e-15 or h.max() > 1.0 + 1e-12:
+    n = h.shape[0]
+    lo, hi = np.inf, -np.inf
+    for r in range(0, n, TILE):
+        for c in range(r, n, TILE):
+            upper = h[r:r + TILE, c:c + TILE]
+            lower = h[c:c + TILE, r:r + TILE]
+            tile = (upper + lower.T) / 2.0
+            lo, hi = np.minimum(lo, tile.min()), np.maximum(hi, tile.max())
+            np.clip(tile, 0.0, 1.0, out=tile)
+            upper[...] = tile
+            lower[...] = tile.T
+    if lo < -1e-15 or hi > 1.0 + 1e-12:
         raise ValueError(
-            f"mean matrix entries outside [0, 1]: min {h.min()}, max {h.max()}"
-        )
-    np.clip(h, 0.0, 1.0, out=h)
+            f"mean matrix entries outside [0, 1]: min {lo}, max {hi}")
     return h
 
 
@@ -109,23 +133,43 @@ def sample_adjacency(h: np.ndarray, seed, self_loops: bool = False) -> np.ndarra
     upper-triangle entries of success probability ``h[i, j]``.
 
     ``seed`` may be anything accepted by :func:`numpy.random.default_rng`.
-    The same seed reproduces the sample bit for bit. The draw is one
-    (n, n) block of uniforms, of which only the strict upper triangle (and
-    the diagonal, with ``self_loops``) is used, so a generator passed as
-    ``seed`` always advances by n * n uniforms.
+    The same seed reproduces the sample bit for bit. The draw is the
+    row-major stream of one (n, n) block of uniforms, of which only the
+    strict upper triangle (and the diagonal, with ``self_loops``) is used,
+    so a generator passed as ``seed`` advances by n * n uniforms. An entry
+    of ``h`` outside [0, 1] raises ValueError.
     """
     h = np.asarray(h, dtype=float)
     n = h.shape[0]
-    if h.min() < 0 or h.max() > 1:
-        raise ValueError("mean matrix entries must lie in [0, 1]")
+    return _sample_into(np.empty((n, n)), h, seed, self_loops)
+
+
+def _sample_into(out: np.ndarray, h: np.ndarray, seed,
+                 self_loops: bool) -> np.ndarray:
+    """:func:`sample_adjacency` written into the n x n float array ``out``,
+    which every entry of the sample overwrites.
+
+    The uniforms are drawn :data:`SAMPLE_ROWS` rows at a time, in the order
+    of one (n, n) draw. Each block of rows checks its rows of ``h`` and
+    writes its entries from the diagonal on and their mirror below it; the
+    rows' entries left of the diagonal were mirrored by earlier blocks. A
+    range error stops the draw at the first block of rows that has one.
+    """
+    n = h.shape[0]
     rng = np.random.default_rng(seed)
-    u = rng.random((n, n))
-    upper = np.triu(u < h, 1)
-    upper |= upper.T
-    x = upper.astype(float)
-    if self_loops:
-        x[np.diag_indices(n)] = (np.diag(u) < np.diag(h)).astype(float)
-    return x
+    block = np.empty((min(SAMPLE_ROWS, n), n))
+    for r0 in range(0, n, SAMPLE_ROWS):
+        r1 = min(r0 + SAMPLE_ROWS, n)
+        rows = h[r0:r1]
+        if rows.min() < 0 or rows.max() > 1:
+            raise ValueError("mean matrix entries must lie in [0, 1]")
+        u = rng.random(out=block[:r1 - r0])
+        edges = u[:, r0:] < rows[:, r0:]
+        square = np.triu(edges[:, :r1 - r0], 0 if self_loops else 1)
+        out[r0:r1, r0:r1] = square | square.T
+        out[r0:r1, r1:] = edges[:, r1 - r0:]
+        out[r1:, r0:r1] = edges[:, r1 - r0:].T
+    return out
 
 
 def _model_memberships(n: int, n0: int) -> np.ndarray:

@@ -23,10 +23,19 @@ bundle their own OpenBLAS, each library keeps its own pool of worker
 threads, and a solve that switched libraries at every Lanczos step left
 one pool's idle workers spinning on the cores the other pool needed. A
 sparse matrix keeps its own product, which calls no BLAS.
+
+A thread that :func:`_limit_blas_threads` has limited to one BLAS thread
+in both libraries wakes no pool, so there :func:`_product` uses numpy's
+matmul, which releases the interpreter lock while scipy's ``dgemv`` and
+``dgemm`` hold it: fits on several such threads run in parallel. At one
+BLAS thread both libraries give the same bits.
 """
 
 from __future__ import annotations
 
+import ctypes
+import importlib
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +62,15 @@ START_SEED = 0
 # relative ARPACK tolerance of deflated_ritz: its residual, not its Ritz
 # value, enters the bound on the next eigenvalue
 DEFLATED_TOL = 1e-3
+# OpenBLAS's limit on the BLAS threads of the calling thread alone
+_THREAD_LIMIT = "openblas_set_num_threads_local"
+
+
+class _BlasThread(threading.local):
+    one_thread = False  # set by _limit_blas_threads for this thread only
+
+
+_BLAS_THREAD = _BlasThread()
 
 
 @dataclass(frozen=True)
@@ -113,6 +131,33 @@ def _sort_order(values: np.ndarray, m: int) -> np.ndarray:
     return np.lexsort((idx, -values, tie))[:m]
 
 
+def _blas_thread_limits():
+    """The per-thread limits (:data:`_THREAD_LIMIT`) of the OpenBLAS that
+    numpy's matmul calls and of the one that ``scipy.linalg.blas`` calls,
+    each looked up in the dependencies of the extension module that links
+    it; None where either library lacks one."""
+    limits = []
+    for module in ("numpy._core._multiarray_umath", "scipy.linalg._fblas"):
+        try:
+            library = ctypes.CDLL(importlib.import_module(module).__file__)
+            limit = getattr(library, _THREAD_LIMIT)
+        except (ImportError, OSError, AttributeError):
+            return None
+        limit.argtypes, limit.restype = [ctypes.c_int], ctypes.c_int
+        limits.append(limit)
+    return limits
+
+
+def _limit_blas_threads(limits) -> None:
+    """Run the calling thread's BLAS calls on that thread alone, in both
+    libraries (``limits`` from :func:`_blas_thread_limits`), and its dense
+    products (:func:`_product`) on numpy's matmul. Other threads keep their
+    settings."""
+    for limit in limits:
+        limit(1)
+    _BLAS_THREAD.one_thread = True
+
+
 def _product(x, y):
     """``x @ y`` for ``x`` as :func:`~.graph_io.as_matrix` returns it and a
     vector or an n x k block ``y``.
@@ -120,9 +165,10 @@ def _product(x, y):
     A dense ``x`` is multiplied on scipy's BLAS, with the operands oriented
     as numpy's matmul orients them for a C-contiguous ``x``, so the result
     is numpy's to the last bit; ``x`` is never copied, a ``y`` that is
-    neither C- nor F-contiguous is. A sparse ``x`` keeps ``x @ y``.
+    neither C- nor F-contiguous is. A sparse ``x``, and a dense one on a
+    thread limited by :func:`_limit_blas_threads`, keep ``x @ y``.
     """
-    if scipy.sparse.issparse(x):
+    if scipy.sparse.issparse(x) or _BLAS_THREAD.one_thread:
         return x @ y
     if y.ndim == 1:
         return dgemv(1.0, x.T, y, trans=1)

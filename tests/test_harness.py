@@ -1,10 +1,13 @@
+import pickle
+import sys
+import threading
 from collections import Counter
 
 import numpy as np
 import pytest
 
 import netpairtest as npt
-from netpairtest import harness
+from netpairtest import harness, spectra
 from netpairtest.harness import GridPointReport
 from netpairtest.models import pure_and_mixed_indices, study_pair
 
@@ -204,9 +207,10 @@ def test_k_counts_equal_a_per_replication_loop(tiny):
 
 
 @pytest.mark.parametrize("run", [npt.run_size_power, npt.run_k_accuracy])
-def test_stage_seconds_add_up_to_the_wall_time(run):
+def test_stage_seconds_add_up_to_the_wall_time(run, monkeypatch):
     # a study of about 0.2 s, so a millisecond of timer jitter is far
-    # inside the 10% bound
+    # inside the 10% bound; on one worker the stages run one at a time
+    monkeypatch.setattr(harness, "_workers", lambda replications: 1)
     report = run(npt.ExperimentConfig(**{**TINY1, "n": 400, "n0": 80,
                                          "replications": 20}))
     stages = report.stage_seconds
@@ -242,3 +246,115 @@ def test_zero_eigenvalue_replications_count_as_failures(model, k_mode):
         assert sum(point.k_hat_counts.values()) == 20
         assert point.k_hat_counts == \
             npt.run_k_accuracy(cfg).points[0].k_hat_counts
+
+
+def _limited():
+    if spectra._blas_thread_limits() is None:
+        pytest.skip("numpy's or scipy's BLAS has no per-thread limit")
+
+
+@pytest.mark.parametrize("run", [npt.run_size_power, npt.run_k_accuracy])
+def test_stage_seconds_count_worker_seconds(run, monkeypatch):
+    # two workers spend up to twice the wall time in the stages together,
+    # and no less than the wall time but for the calling thread's share
+    _limited()
+    monkeypatch.setattr(harness, "_workers", lambda replications: 2)
+    report = run(npt.ExperimentConfig(**{**TINY1, "n": 400, "n0": 80,
+                                         "replications": 20}))
+    assert report.workers == 2
+    total = sum(report.stage_seconds.values())
+    assert 0.9 * report.wall_seconds <= total \
+        <= 1.1 * report.workers * report.wall_seconds
+
+
+# model 1 and 2, true and estimated K, and a signal-0.01 point at n=24 whose
+# networks fail with zero eigenvalues next to singular covariances (T) or
+# degenerate nodes (G), so failure_counts has two keys in replication order
+_STUDIES = [
+    {**TINY1, "signal_grid": (0.9, 0.5), "replications": 6},
+    {**TINY2, "signal_grid": (0.9, 0.5), "replications": 6},
+    {**TINY1, "replications": 6, "k_mode": "estimated_k"},
+    {**TINY2, "replications": 6, "k_mode": "estimated_k"},
+    dict(model=1, n=24, n0=4, rho=0.2, signal_grid=(0.01,), replications=20),
+    dict(model=2, n=24, n0=4, rho=0.2, signal_grid=(0.01,), replications=20),
+]
+
+
+def _points(run, cfg, monkeypatch, workers):
+    monkeypatch.setattr(harness, "_workers", lambda replications: workers)
+    report = run(cfg)
+    assert report.workers == workers
+    return pickle.dumps((report.config, report.points))
+
+
+@pytest.mark.parametrize("study", _STUDIES,
+                         ids=["m1", "m2", "m1-khat", "m2-khat", "m1-zero",
+                              "m2-zero"])
+@pytest.mark.parametrize("run", [npt.run_size_power, npt.run_k_accuracy])
+def test_reports_do_not_depend_on_the_worker_count(run, study, monkeypatch):
+    # four workers on two cores, switching threads every microsecond: a
+    # network array shared by two replications, or a result merged out of
+    # order, would change the report
+    _limited()
+    cfg = npt.ExperimentConfig(**study)
+    one = _points(run, cfg, monkeypatch, 1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert _points(run, cfg, monkeypatch, 2) == one
+        assert _points(run, cfg, monkeypatch, 4) == one
+    finally:
+        sys.setswitchinterval(interval)
+    if study["n"] == 24 and run is npt.run_size_power:
+        counts = pickle.loads(one)[1][0].failure_counts
+        assert len(counts) == 2
+        assert list(counts.items()) == \
+            list(_per_replication_statistics(cfg)[1].items())
+
+
+def test_the_first_uncaught_error_in_replication_order(monkeypatch):
+    # replications 2 and 4 raise; whichever worker gets there first, the
+    # study raises replication 2's error, as the loop in the calling thread
+    cfg = npt.ExperimentConfig(**{**TINY1, "replications": 6})
+    edges = [npt.sample_adjacency(harness.build_mean_matrix(
+        npt.model1_params(120, 24, 0.2, 0.9)), harness._rep_rng(cfg, 0, r))
+        .sum() for r in range(6)]
+    grow = harness.grow_spectrum
+
+    def failing(x):
+        if x.sum() in (edges[2], edges[4]):
+            raise RuntimeError(f"network with {x.sum()} edges")
+        return grow(x)
+
+    monkeypatch.setattr(harness, "grow_spectrum", failing)
+    expected = f"^network with {edges[2]} edges$"
+    for workers in (1, 2):
+        monkeypatch.setattr(harness, "_workers", lambda reps: workers)
+        with pytest.raises(RuntimeError, match=expected):
+            npt.run_k_accuracy(cfg)
+    monkeypatch.setattr(spectra, "_THREAD_LIMIT", "no_such_symbol")
+    with pytest.raises(RuntimeError, match=expected):
+        npt.run_k_accuracy(cfg)
+
+
+@pytest.mark.parametrize("tiny", [TINY1, TINY2], ids=["model1", "model2"])
+def test_without_a_per_thread_limit_the_study_runs_in_the_calling_thread(
+        tiny, monkeypatch):
+    monkeypatch.setattr(spectra, "_THREAD_LIMIT", "no_such_symbol")
+    assert spectra._blas_thread_limits() is None
+    threads = set()
+    sample = harness._sample_into
+
+    def recorded(*args):
+        threads.add(threading.get_ident())
+        return sample(*args)
+
+    monkeypatch.setattr(harness, "_sample_into", recorded)
+    cfg = npt.ExperimentConfig(**tiny)
+    size, k_study = npt.run_size_power(cfg), npt.run_k_accuracy(cfg)
+    assert size.workers == k_study.workers == 0
+    assert threads == {threading.get_ident()}
+    stats, failures, k_counts = _per_replication_statistics(cfg)
+    assert size.points[0].statistics.tobytes() == stats.tobytes()
+    assert size.points[0].failure_counts == failures
+    assert k_study.points[0].k_hat_counts == k_counts

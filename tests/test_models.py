@@ -131,6 +131,52 @@ def test_sample_adjacency_matches_the_float_reference(self_loops):
         assert rng.random() == ref_rng.random()
 
 
+def _one_block_sample(h, rng, self_loops):
+    """The sampler as one (n, n) draw: compared, kept above the diagonal,
+    mirrored as booleans and then converted."""
+    n = h.shape[0]
+    u = rng.random((n, n))
+    upper = np.triu(u < h, 1)
+    upper |= upper.T
+    x = upper.astype(float)
+    if self_loops:
+        x[np.diag_indices(n)] = (np.diag(u) < np.diag(h)).astype(float)
+    return x
+
+
+@pytest.mark.parametrize("self_loops", [False, True])
+@pytest.mark.parametrize("n", [127, 128, 129, 257])
+def test_row_blocks_draw_the_one_block_sample(n, self_loops):
+    # one row short of a block, one block, one row over, two blocks and one
+    # row; h is not symmetric, so only its upper triangle may be read
+    assert npt.models.SAMPLE_ROWS == 128
+    h = np.random.default_rng(n).random((n, n))
+    _assert_same_arrays(npt.sample_adjacency(h, 3, self_loops),
+                        _one_block_sample(h, np.random.default_rng(3),
+                                          self_loops))
+    rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
+    for _ in range(2):
+        _assert_same_arrays(npt.sample_adjacency(h, rng, self_loops),
+                            _one_block_sample(h, ref_rng, self_loops))
+    assert rng.random() == ref_rng.random()
+    # a reused array gives the same sample, whatever it held before
+    out = np.full((n, n), np.nan)
+    _assert_same_arrays(npt.models._sample_into(out, h, 3, self_loops),
+                        npt.sample_adjacency(h, 3, self_loops))
+
+
+@pytest.mark.parametrize("model", [1, 2])
+@pytest.mark.parametrize("n, n0", [(120, 24), (302, 50)])
+def test_tiled_mean_matrix_equals_the_whole_formula(model, n, n0):
+    # 302 nodes end on a partial tile
+    for seed in range(3):
+        params = design_params(model, n, n0, 0.2, 0.5, seed)
+        a = params.theta[:, None] * params.pi
+        g = a @ params.p_matrix @ a.T
+        whole = np.clip((g + g.T) / 2.0, 0.0, 1.0)
+        _assert_same_arrays(npt.build_mean_matrix(params), whole)
+
+
 _PROBABILITIES = st.one_of(st.just(0.0), st.just(1.0),
                            st.floats(0.0, 1.0, allow_nan=False))
 

@@ -1,3 +1,4 @@
+import threading
 import traceback
 
 import numpy as np
@@ -131,6 +132,36 @@ def test_dense_products_run_on_scipy_blas(certified, monkeypatch):
         ("diag_residual_square", "dgemm", True),  # X V
     }
     assert _fit_bits(certified) == expected
+
+
+def test_product_branches_agree_at_one_blas_thread(certified):
+    # on a thread limited to one BLAS thread, _product moves from scipy's
+    # BLAS to numpy's matmul: a vector, one column, and C- and F-ordered
+    # blocks give the same bits on both
+    limits = spectra._blas_thread_limits()
+    if limits is None:
+        pytest.skip("numpy's or scipy's BLAS has no per-thread limit")
+    x = as_matrix(certified)
+    rng = np.random.default_rng(1)
+    ys = [rng.standard_normal(400), rng.standard_normal((400, 1)),
+          rng.standard_normal((400, 3)),
+          np.asfortranarray(rng.standard_normal((400, 6)))]
+    found = {}
+
+    def both():
+        spectra._limit_blas_threads(limits)
+        found["matmul"] = [spectra._product(x, y) for y in ys]
+        spectra._BLAS_THREAD.one_thread = False
+        found["scipy"] = [spectra._product(x, y) for y in ys]
+
+    worker = threading.Thread(target=both)
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    assert not spectra._BLAS_THREAD.one_thread  # this thread keeps scipy's
+    for a, b, y in zip(found["matmul"], found["scipy"], ys):
+        assert a.shape == b.shape == (x @ y).shape
+        assert a.tobytes() == b.tobytes()
 
 
 def test_deflated_ritz_bounds_the_next_eigenvalue():

@@ -136,8 +136,15 @@ def _load_graph(args):
                           args.self_loops)
 
 
-def _node(label: int, args) -> int:
-    return label - 1 if args.one_based else label
+def _nodes(labels, args, n: int) -> list[int]:
+    """The 0-based indices of node ``labels`` given in the graph file's
+    convention; a ValueError names the first label outside the n nodes."""
+    first = 1 if args.one_based else 0
+    for label in labels:
+        if not first <= label < first + n:
+            raise ValueError(f"node {label} outside the node range "
+                             f"[{first}, {first + n})")
+    return [label - first for label in labels]
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -169,8 +176,8 @@ def _cmd_simulate(args) -> int:
 def _cmd_test_pair(args) -> int:
     x = _load_graph(args)
     runner = test_T if args.method == "t" else test_G
-    res = runner(x, _node(args.i, args), _node(args.j, args),
-                 k_override=args.k)
+    i, j = _nodes((args.i, args.j), args, x.shape[0])
+    res = runner(x, i, j, k_override=args.k)
     print(f"method {res.method}")
     print(f"statistic {res.statistic:.6f}")
     print(f"df {res.df}")
@@ -182,7 +189,7 @@ def _cmd_test_pair(args) -> int:
 def _cmd_pvalue_matrix(args) -> int:
     x = _load_graph(args)
     labels = [int(tok) for tok in args.nodes.split(",")]
-    nodes = [_node(l, args) for l in labels]
+    nodes = _nodes(labels, args, x.shape[0])
     pv = pvalue_matrix(x, nodes, method=args.method, k_override=args.k)
     lines = ["node," + ",".join(str(l) for l in labels)]
     for label, row in zip(labels, pv.matrix):

@@ -40,7 +40,7 @@ import numpy as np
 import scipy.sparse
 
 from .graph_io import as_matrix, max_degree
-from .spectra import Spectrum, _product, deflated_ritz, top_eigenpairs
+from .spectra import Spectrum, deflated_ritz, top_eigenpairs
 
 __all__ = [
     "MIN_K",
@@ -247,8 +247,7 @@ def diag_residual_square(x, spec: Spectrum, k: int) -> np.ndarray:
 
     With orthonormal V, row i of W0 has squared norm
     sum_l x_il^2 - 2 sum_k d_k (X V)_ik v_ik + sum_k d_k^2 v_ik^2, which
-    costs one product of ``x`` with an n x k block, on scipy's BLAS for a
-    dense ``x`` (:func:`~.spectra._product`).
+    costs one product ``x @ V`` with an n x k block.
     """
     if k > spec.m:
         raise ValueError(f"k={k} exceeds retained spectrum size {spec.m}")
@@ -259,7 +258,7 @@ def diag_residual_square(x, spec: Spectrum, k: int) -> np.ndarray:
                                         shape=x.shape) @ np.ones(x.shape[0])
     else:
         row_sq = np.einsum("ij,ij->i", x, x)
-    return row_sq - 2.0 * np.einsum("ik,ik->i", _product(x, v), v * d) \
+    return row_sq - 2.0 * np.einsum("ik,ik->i", x @ v, v * d) \
         + (v * v) @ (d * d)
 
 

@@ -226,9 +226,9 @@ def as_matrix(x):
     """``x`` as a float64 CSR matrix if it is sparse, else as a C-contiguous
     float64 dense array, copied at most once.
 
-    The BLAS products of :mod:`~.spectra` take the dense array as it is only
-    in that layout, and a copy made here leaves the results independent of
-    the input's memory layout."""
+    The products of :mod:`~.spectra` then see one layout, so a copy made
+    here leaves the results independent of the input's memory layout to the
+    last bit."""
     if scipy.sparse.issparse(x):
         return x.tocsr().astype(float, copy=False)
     return np.ascontiguousarray(x, dtype=float)

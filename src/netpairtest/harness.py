@@ -21,16 +21,16 @@ side instead of competing for the cores with two BLAS thread pools, and
 each draws its networks into one n x n array that it keeps for the study.
 The results are merged in replication order, so a report, and the first
 uncaught error, is the same for any number of workers. Where either
-library has no per-thread limit, the replications run in the calling
-thread, at the process's BLAS thread count; their statistics then differ
-from a pool's in the last bits (about 1e-14 relative).
+library has no per-thread limit, the pool has one worker, which runs at the
+process's BLAS thread count; its statistics then differ from those of
+limited workers in the last bits (about 1e-14 relative).
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 from queue import SimpleQueue
@@ -116,11 +116,11 @@ class GridPointReport:
 @dataclass(frozen=True)
 class ExperimentReport:
     """Per-grid-point results of a study. ``workers`` is the number of
-    worker threads the replications ran on, 0 where they ran in the calling
-    thread. ``stage_seconds`` maps each of :data:`STAGES` to the seconds
-    spent in it, summed over all replications and all workers, so on
-    several workers the stages add up to more than ``wall_seconds``; on one,
-    the rest of ``wall_seconds`` is bookkeeping."""
+    worker threads the replications ran on, 1 where the BLAS libraries have
+    no per-thread limit. ``stage_seconds`` maps each of :data:`STAGES` to
+    the seconds spent in it, summed over all replications and all workers,
+    so on several workers the stages add up to more than ``wall_seconds``;
+    on one, the rest of ``wall_seconds`` is bookkeeping."""
 
     config: ExperimentConfig
     points: tuple
@@ -219,17 +219,14 @@ def _study(cfg: ExperimentConfig, replicate) -> ExperimentReport:
     than 1% failures is flagged invalid."""
     start = perf_counter()
     limits = _blas_thread_limits()
-    workers = _workers(cfg.replications) if limits else 0
+    workers = _workers(cfg.replications) if limits else 1
     networks = SimpleQueue()  # one n x n array per worker, reused
-    for _ in range(max(workers, 1)):
+    for _ in range(workers):
         networks.put(np.empty((cfg.n, cfg.n)))
     clock = _StageClock()
     points = []
-    pool = (ThreadPoolExecutor(workers, initializer=_limit_blas_threads,
-                               initargs=(limits,))
-            if workers else nullcontext())
-    with pool:
-        run_all = pool.map if workers else map
+    with ThreadPoolExecutor(workers, initializer=_limit_blas_threads,
+                            initargs=(limits or (),)) as pool:
         for gi, signal in enumerate(cfg.signal_grid):
             h = None
             if cfg.model == 1:  # model 1's H is the same for every replication
@@ -239,7 +236,7 @@ def _study(cfg: ExperimentConfig, replicate) -> ExperimentReport:
             stats, rejects = [], []
             k_counts: dict[int, int] = {}
             causes: dict[str, int] = {}
-            for stat, rej, k_hat, failure, seconds in run_all(
+            for stat, rej, k_hat, failure, seconds in pool.map(
                     partial(_replication, cfg, replicate, networks, gi,
                             signal, h), range(cfg.replications)):
                 for stage, sec in seconds.items():

@@ -15,33 +15,24 @@ ground truth. The module computes eigenpairs only: the domain of each
 pair-test covariance (the least K, the degenerate-node rule) is defined in
 :mod:`~.estimation`.
 
-The products as large as the input run on the BLAS of
-``scipy.linalg.blas``, the library that ARPACK itself calls: a dense input
-times a vector or an n x k block (:func:`_product`), and the deflated
-operator's products with the eigenvectors. Where numpy and scipy each
-bundle their own OpenBLAS, each library keeps its own pool of worker
-threads, and a solve that switched libraries at every Lanczos step left
-one pool's idle workers spinning on the cores the other pool needed. A
-sparse matrix keeps its own product, which calls no BLAS.
-
-A thread that :func:`_limit_blas_threads` has limited to one BLAS thread
-in both libraries wakes no pool, so there :func:`_product` uses numpy's
-matmul, which releases the interpreter lock while scipy's ``dgemv`` and
-``dgemm`` hold it: fits on several such threads run in parallel. At one
-BLAS thread both libraries give the same bits.
+ARPACK's own BLAS calls run on scipy's OpenBLAS, and the products of
+``x`` it asks for are numpy's ``x @ y``. Where the two libraries each
+bundle their own OpenBLAS, each keeps its own pool of worker threads, and a
+solve that woke both pools at every Lanczos step left one pool's idle
+workers spinning on the cores the other needed. So :func:`_arpack` limits
+scipy's OpenBLAS to the calling thread for the solve, and gives the thread
+back its setting after it, where scipy's library has that per-thread limit.
 """
 
 from __future__ import annotations
 
 import ctypes
 import importlib
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
-from scipy.linalg.blas import dgemm, dgemv
 
 from .graph_io import as_matrix
 
@@ -53,7 +44,6 @@ __all__ = [
 ]
 
 ORTHONORMALITY_TOL = 1e-8
-RESIDUAL_TOL = 1e-6
 # magnitudes this close (relative) are tied; ARPACK returns the two members
 # of a +/- pair with magnitudes that differ in the last bits
 TIE_REL_TOL = 1e-12
@@ -64,13 +54,8 @@ START_SEED = 0
 DEFLATED_TOL = 1e-3
 # OpenBLAS's limit on the BLAS threads of the calling thread alone
 _THREAD_LIMIT = "openblas_set_num_threads_local"
-
-
-class _BlasThread(threading.local):
-    one_thread = False  # set by _limit_blas_threads for this thread only
-
-
-_BLAS_THREAD = _BlasThread()
+# extension modules that link numpy's and scipy's OpenBLAS
+_BLAS_MODULES = ("numpy._core._multiarray_umath", "scipy.linalg._fblas")
 
 
 @dataclass(frozen=True)
@@ -89,23 +74,6 @@ class Spectrum:
     @property
     def m(self) -> int:
         return len(self.values)
-
-    def check(self) -> None:
-        """Assert the structural invariants (ordering, orthonormality,
-        residual bounds, sign convention)."""
-        mags = np.abs(self.values)
-        if self.m and np.any(np.diff(mags) > TIE_REL_TOL * max(1.0, mags[0])):
-            raise AssertionError("eigenvalue magnitudes not nonincreasing")
-        if not _orthonormal(self.vectors):
-            raise AssertionError("eigenvectors not orthonormal")
-        bound = RESIDUAL_TOL * max(1.0, mags[0] if self.m else 1.0)
-        if np.any(self.residuals > bound):
-            raise AssertionError("eigen-residual exceeds tolerance")
-        for k in range(self.m):
-            col = self.vectors[:, k]
-            lead = int(np.argmax(np.abs(col)))
-            if col[lead] < 0:
-                raise AssertionError(f"column {k} violates sign convention")
 
 
 def _orthonormal(vectors: np.ndarray) -> bool:
@@ -131,67 +99,57 @@ def _sort_order(values: np.ndarray, m: int) -> np.ndarray:
     return np.lexsort((idx, -values, tie))[:m]
 
 
+def _thread_limit(module: str):
+    """The per-thread limit (:data:`_THREAD_LIMIT`) of the OpenBLAS that
+    extension ``module`` links, looked up in its dependencies; it sets the
+    calling thread's BLAS thread count and returns the previous one. None
+    where the library lacks it."""
+    try:
+        library = ctypes.CDLL(importlib.import_module(module).__file__)
+        limit = getattr(library, _THREAD_LIMIT)
+    except (ImportError, OSError, AttributeError):
+        return None
+    limit.argtypes, limit.restype = [ctypes.c_int], ctypes.c_int
+    return limit
+
+
 def _blas_thread_limits():
-    """The per-thread limits (:data:`_THREAD_LIMIT`) of the OpenBLAS that
-    numpy's matmul calls and of the one that ``scipy.linalg.blas`` calls,
-    each looked up in the dependencies of the extension module that links
-    it; None where either library lacks one."""
-    limits = []
-    for module in ("numpy._core._multiarray_umath", "scipy.linalg._fblas"):
-        try:
-            library = ctypes.CDLL(importlib.import_module(module).__file__)
-            limit = getattr(library, _THREAD_LIMIT)
-        except (ImportError, OSError, AttributeError):
-            return None
-        limit.argtypes, limit.restype = [ctypes.c_int], ctypes.c_int
-        limits.append(limit)
-    return limits
+    """The per-thread limits of numpy's and of scipy's OpenBLAS; None where
+    either library lacks one."""
+    limits = [_thread_limit(module) for module in _BLAS_MODULES]
+    return None if None in limits else limits
 
 
 def _limit_blas_threads(limits) -> None:
     """Run the calling thread's BLAS calls on that thread alone, in both
-    libraries (``limits`` from :func:`_blas_thread_limits`), and its dense
-    products (:func:`_product`) on numpy's matmul. Other threads keep their
-    settings."""
+    libraries (``limits`` from :func:`_blas_thread_limits`). Other threads
+    keep their settings."""
     for limit in limits:
         limit(1)
-    _BLAS_THREAD.one_thread = True
 
 
-def _product(x, y):
-    """``x @ y`` for ``x`` as :func:`~.graph_io.as_matrix` returns it and a
-    vector or an n x k block ``y``.
-
-    A dense ``x`` is multiplied on scipy's BLAS, with the operands oriented
-    as numpy's matmul orients them for a C-contiguous ``x``, so the result
-    is numpy's to the last bit; ``x`` is never copied, a ``y`` that is
-    neither C- nor F-contiguous is. A sparse ``x``, and a dense one on a
-    thread limited by :func:`_limit_blas_threads`, keep ``x @ y``.
-    """
-    if scipy.sparse.issparse(x) or _BLAS_THREAD.one_thread:
-        return x @ y
-    if y.ndim == 1:
-        return dgemv(1.0, x.T, y, trans=1)
-    if y.shape[1] == 1:  # numpy's matmul takes one column as a vector
-        return dgemv(1.0, x.T, y[:, 0], trans=1)[:, None]
-    if y.flags.f_contiguous:
-        return dgemm(1.0, y, x.T, trans_a=1).T
-    return dgemm(1.0, y.T, x.T).T
+# scipy's limit, which _arpack sets for the solve
+_SCIPY_LIMIT = _thread_limit(_BLAS_MODULES[1])
 
 
 def _arpack(op, k: int, tol: float):
     """``eigsh`` for the ``k`` largest-magnitude eigenpairs of ``op``, from
     the fixed start vector and restart generator; None where ARPACK cannot
-    run (k >= n - 1) or fails."""
+    run (k >= n - 1) or fails. scipy's OpenBLAS runs on the calling thread
+    alone during the solve, where it has a per-thread limit."""
     n = op.shape[0]
     if k >= n - 1:
         return None
     rng = np.random.default_rng(START_SEED)
+    previous = _SCIPY_LIMIT(1) if _SCIPY_LIMIT is not None else None
     try:
         return scipy.sparse.linalg.eigsh(
             op, k=k, which="LM", tol=tol, v0=rng.standard_normal(n), rng=rng)
     except scipy.sparse.linalg.ArpackError:
         return None
+    finally:
+        if previous is not None:
+            _SCIPY_LIMIT(previous)
 
 
 def top_eigenpairs(x, m: int) -> Spectrum:
@@ -204,16 +162,13 @@ def top_eigenpairs(x, m: int) -> Spectrum:
     fails (for instance on the zero matrix, where every start vector maps to
     zero) or returns columns that are not orthonormal (as on entries of
     magnitude near 1e-300).
-
-    ARPACK's products with a dense ``x``, and the residuals' ``X V``, run on
-    scipy's BLAS (:func:`_product`).
     """
     x = as_matrix(x)
     n = x.shape[0]
     if not 1 <= m <= n:
         raise ValueError(f"m must lie in [1, {n}], got {m}")
     op = scipy.sparse.linalg.LinearOperator(
-        x.shape, matvec=lambda y: _product(x, y), dtype=float)
+        x.shape, matvec=lambda y: x @ y, dtype=float)
     found = _arpack(op, m, 0)
     if found is None or not _orthonormal(found[1]):
         found = np.linalg.eigh(x.toarray() if scipy.sparse.issparse(x) else x)
@@ -221,8 +176,7 @@ def top_eigenpairs(x, m: int) -> Spectrum:
     order = _sort_order(vals, m)
     values = vals[order]
     vectors = vecs[:, order]
-    residuals = np.linalg.norm(_product(x, vectors) - vectors * values,
-                               axis=0)
+    residuals = np.linalg.norm(x @ vectors - vectors * values, axis=0)
     return orient_signs(Spectrum(values=values, vectors=vectors,
                                  residuals=residuals))
 
@@ -236,16 +190,14 @@ def deflated_ritz(x, spec: Spectrum) -> tuple[float, float] | None:
     approximates the next one, d_{m+1}, and some eigenvalue of the operator
     lies within the residual of theta. ARPACK runs to the loose relative
     tolerance :data:`DEFLATED_TOL` from the start vector of
-    :func:`top_eigenpairs`. None where ARPACK cannot run or fails. The
-    operator's products with V, and with a dense ``x``, run on scipy's BLAS.
+    :func:`top_eigenpairs`. None where ARPACK cannot run or fails.
     """
     x = as_matrix(x)
     v, d = spec.vectors, spec.values
 
     def matvec(y):
         y = np.ravel(y)
-        return _product(x, y) - dgemv(1.0, v.T, d * dgemv(1.0, v.T, y),
-                                      trans=1)
+        return x @ y - v @ (d * (v.T @ y))
 
     op = scipy.sparse.linalg.LinearOperator(x.shape, matvec=matvec,
                                             dtype=float)

@@ -154,13 +154,18 @@ def test_malformed_graph_is_data_error(tmp_path, capsys):
     ["test-pair", "--method", "t", "--i", "0", "--j", "13"],
     ["test-pair", "--method", "g", "--i", "7", "--j", "99"],
     ["pvalue-matrix", "--method", "t", "--nodes", "1,2,40"],
+    ["test-pair", "--method", "t", "--i", "35", "--j", "1"],
 ])
 def test_node_label_outside_graph_is_usage_error(karate_path, capsys, argv):
-    # with --one-based, label 0 would otherwise wrap around to node 34
+    # with --one-based, label 0 would otherwise wrap around to node 34; the
+    # message names the label as typed, and the labels of the 34 nodes
     code, stdout, err = run(argv + ["--graph", karate_path, "--one-based"],
                             capsys)
     assert code == cli.EXIT_USAGE
-    assert err.startswith("error:") and "outside the node range" in err
+    typed = [int(tok) for flag, value in zip(argv, argv[1:])
+             if flag in ("--i", "--j", "--nodes") for tok in value.split(",")]
+    label = next(tok for tok in typed if not 1 <= tok <= 34)
+    assert err == f"error: node {label} outside the node range [1, 35)\n"
     assert stdout == ""
 
 

@@ -338,7 +338,7 @@ def test_the_first_uncaught_error_in_replication_order(monkeypatch):
 
 
 @pytest.mark.parametrize("tiny", [TINY1, TINY2], ids=["model1", "model2"])
-def test_without_a_per_thread_limit_the_study_runs_in_the_calling_thread(
+def test_without_a_per_thread_limit_the_study_runs_on_one_worker(
         tiny, monkeypatch):
     monkeypatch.setattr(spectra, "_THREAD_LIMIT", "no_such_symbol")
     assert spectra._blas_thread_limits() is None
@@ -351,9 +351,14 @@ def test_without_a_per_thread_limit_the_study_runs_in_the_calling_thread(
 
     monkeypatch.setattr(harness, "_sample_into", recorded)
     cfg = npt.ExperimentConfig(**tiny)
-    size, k_study = npt.run_size_power(cfg), npt.run_k_accuracy(cfg)
-    assert size.workers == k_study.workers == 0
-    assert threads == {threading.get_ident()}
+    reports = []
+    for run in (npt.run_size_power, npt.run_k_accuracy):
+        threads.clear()
+        reports.append(run(cfg))
+        assert reports[-1].workers == 1
+        # every draw on one worker thread, not the calling one
+        assert len(threads) == 1 and threading.get_ident() not in threads
+    size, k_study = reports
     stats, failures, k_counts = _per_replication_statistics(cfg)
     assert size.points[0].statistics.tobytes() == stats.tobytes()
     assert size.points[0].failure_counts == failures

@@ -1,5 +1,4 @@
 import threading
-import traceback
 
 import numpy as np
 import pytest
@@ -12,8 +11,28 @@ import netpairtest as npt
 from netpairtest import spectra
 from netpairtest.estimation import degeneracy_threshold
 from netpairtest.graph_io import as_matrix
-from netpairtest.spectra import (Spectrum, _sort_order, deflated_ritz,
-                                 orient_signs)
+from netpairtest.spectra import (TIE_REL_TOL, Spectrum, _orthonormal,
+                                 _sort_order, deflated_ritz, orient_signs)
+
+RESIDUAL_TOL = 1e-6
+
+
+def _check(spec: Spectrum) -> None:
+    """Assert the structural invariants of ``spec`` (ordering,
+    orthonormality, residual bounds, sign convention)."""
+    mags = np.abs(spec.values)
+    if spec.m and np.any(np.diff(mags) > TIE_REL_TOL * max(1.0, mags[0])):
+        raise AssertionError("eigenvalue magnitudes not nonincreasing")
+    if not _orthonormal(spec.vectors):
+        raise AssertionError("eigenvectors not orthonormal")
+    bound = RESIDUAL_TOL * max(1.0, mags[0] if spec.m else 1.0)
+    if np.any(spec.residuals > bound):
+        raise AssertionError("eigen-residual exceeds tolerance")
+    for k in range(spec.m):
+        col = spec.vectors[:, k]
+        lead = int(np.argmax(np.abs(col)))
+        if col[lead] < 0:
+            raise AssertionError(f"column {k} violates sign convention")
 
 
 def _random_symmetric(seed, n):
@@ -35,7 +54,7 @@ def test_known_eigenvalues():
 def test_invariants_random_matrix():
     x = _random_symmetric(1, 30)
     spec = npt.top_eigenpairs(x, 10)
-    spec.check()
+    _check(spec)
     assert spec.m == 10
     # magnitudes nonincreasing
     assert np.all(np.diff(np.abs(spec.values)) <= 1e-12)
@@ -102,66 +121,85 @@ def test_results_do_not_depend_on_the_memory_layout(certified, layout):
     assert _fit_bits(x) == _fit_bits(certified)
 
 
-def test_dense_products_run_on_scipy_blas(certified, monkeypatch):
-    # numpy and scipy may bundle separate BLAS libraries: each product of a
-    # dense X in the fit must run on scipy's, which ARPACK calls
-    seen = set()
-    n = certified.shape[0]
-    sites = {"top_eigenpairs", "deflated_ritz", "diag_residual_square"}
-
-    def counting(name, blas):
-        def call(*args, **kwargs):
-            caller = sites.intersection(f.name for f in
-                                        traceback.extract_stack())
-            seen.add((*caller, name, (n, n) in map(np.shape, args)))
-            return blas(*args, **kwargs)
-        return call
-
-    expected = _fit_bits(certified)
-    for name in ("dgemv", "dgemm"):
-        monkeypatch.setattr(spectra, name,
-                            counting(name, getattr(spectra, name)))
-    fitted = npt.fit(certified, 3)
-    spec, est = npt.grow_spectrum(certified)
-    assert est.next_bound < np.inf and spec.m == fitted.k == 3
-    assert seen == {
-        ("top_eigenpairs", "dgemv", True),  # ARPACK's operator
-        ("top_eigenpairs", "dgemm", True),  # the residuals' X V
-        ("deflated_ritz", "dgemv", True),  # X y
-        ("deflated_ritz", "dgemv", False),  # V (D (V^T y))
-        ("diag_residual_square", "dgemm", True),  # X V
-    }
-    assert _fit_bits(certified) == expected
-
-
-def test_product_branches_agree_at_one_blas_thread(certified):
-    # on a thread limited to one BLAS thread, _product moves from scipy's
-    # BLAS to numpy's matmul: a vector, one column, and C- and F-ordered
-    # blocks give the same bits on both
+def _scipy_limit():
+    """The per-thread limit of scipy's OpenBLAS, the second of
+    :func:`~.spectra._blas_thread_limits`."""
     limits = spectra._blas_thread_limits()
     if limits is None:
         pytest.skip("numpy's or scipy's BLAS has no per-thread limit")
-    x = as_matrix(certified)
-    rng = np.random.default_rng(1)
-    ys = [rng.standard_normal(400), rng.standard_normal((400, 1)),
-          rng.standard_normal((400, 3)),
-          np.asfortranarray(rng.standard_normal((400, 6)))]
-    found = {}
+    return limits[1]
 
-    def both():
-        spectra._limit_blas_threads(limits)
-        found["matmul"] = [spectra._product(x, y) for y in ys]
-        spectra._BLAS_THREAD.one_thread = False
-        found["scipy"] = [spectra._product(x, y) for y in ys]
 
-    worker = threading.Thread(target=both)
+def _blas_setting(limit):
+    """The calling thread's BLAS thread count in scipy's OpenBLAS: its
+    per-thread limit returns the setting it replaces."""
+    previous = limit(1)
+    limit(previous)
+    return previous
+
+
+def test_the_solve_runs_scipy_blas_on_the_calling_thread(certified,
+                                                         monkeypatch):
+    # inside every ARPACK solve scipy's BLAS runs on the calling thread
+    # alone; afterwards the thread has its own setting back, also after a
+    # solve that fails (the zero matrix) and on a thread already at 1
+    limit = _scipy_limit()
+    eigsh, solves = scipy.sparse.linalg.eigsh, []
+
+    def recorded(*args, **kwargs):
+        solves.append([_blas_setting(limit), "failed"])
+        found = eigsh(*args, **kwargs)
+        solves[-1][1] = "solved"
+        return found
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", recorded)
+    spec = npt.top_eigenpairs(certified, 3)
+    calls = [
+        (lambda: npt.top_eigenpairs(certified, 3), ["solved"]),
+        (lambda: deflated_ritz(certified, spec), ["solved"]),
+        (lambda: npt.grow_spectrum(certified), ["solved", "solved"]),
+        (lambda: npt.top_eigenpairs(np.zeros((10, 10)), 2), ["failed"]),
+    ]
+
+    def run_all(setting):
+        for call, outcomes in calls:
+            solves.clear()
+            call()
+            assert solves == [[1, outcome] for outcome in outcomes]
+            assert _blas_setting(limit) == setting
+
+    original = limit(2)
+    try:
+        run_all(2)
+    finally:
+        limit(original)
+    worker = threading.Thread(target=lambda: (limit(1), run_all(1)))
     worker.start()
     worker.join(timeout=60)
     assert not worker.is_alive()
-    assert not spectra._BLAS_THREAD.one_thread  # this thread keeps scipy's
-    for a, b, y in zip(found["matmul"], found["scipy"], ys):
-        assert a.shape == b.shape == (x @ y).shape
-        assert a.tobytes() == b.tobytes()
+
+
+def test_without_a_per_thread_limit_the_solve_keeps_the_setting(
+        certified, monkeypatch):
+    limit = _scipy_limit()
+    expected = npt.grow_spectrum(certified)[1]
+    eigsh, settings = scipy.sparse.linalg.eigsh, []
+
+    def recorded(*args, **kwargs):
+        settings.append(_blas_setting(limit))
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", recorded)
+    monkeypatch.setattr(spectra, "_SCIPY_LIMIT", None)
+    original = limit(2)
+    try:
+        found = npt.grow_spectrum(certified)[1]
+    finally:
+        limit(original)
+    assert settings == [2, 2]
+    assert found.k_hat == expected.k_hat == 3
+    assert np.allclose(found.eigenvalues, expected.eigenvalues, rtol=1e-12,
+                       atol=0)
 
 
 def test_deflated_ritz_bounds_the_next_eigenvalue():
@@ -260,7 +298,7 @@ def test_tiny_magnitude_input_falls_back_to_the_dense_solver(m):
     # at entries near 1e-300 ARPACK returns d_1 = 7.3e-299 and a first
     # eigenvector of norm 0.14
     spec = npt.top_eigenpairs(np.full((8, 8), 1e-300), m)
-    spec.check()
+    _check(spec)
     assert spec.values[0] == pytest.approx(8e-300, rel=1e-12, abs=0)
     assert np.allclose(spec.vectors[:, 0], np.full(8, 8 ** -0.5),
                        rtol=0, atol=1e-12)
@@ -274,4 +312,4 @@ def test_tiny_magnitude_input_falls_back_to_the_dense_solver(m):
 def test_property_invariants(a, m):
     x = (a + a.T) / 2
     spec = npt.top_eigenpairs(x, m)
-    spec.check()
+    _check(spec)

@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .estimation import grow_spectrum
+from .estimation import DegenerateNodeError, degenerate_node, grow_spectrum
 from .graph_io import GraphFormatError, load_edge_list, max_degree
 from .harness import (
     TRUE_K,
@@ -136,10 +136,15 @@ def _load_graph(args):
                           args.self_loops)
 
 
+def _first(args) -> int:
+    """The label of node 0 in the graph file's convention."""
+    return 1 if getattr(args, "one_based", False) else 0
+
+
 def _nodes(labels, args, n: int) -> list[int]:
     """The 0-based indices of node ``labels`` given in the graph file's
     convention; a ValueError names the first label outside the n nodes."""
-    first = 1 if args.one_based else 0
+    first = _first(args)
     for label in labels:
         if not first <= label < first + n:
             raise ValueError(f"node {label} outside the node range "
@@ -301,6 +306,8 @@ def main(argv=None) -> int:
     # the tuple is built when an error arrives, from the TEST_FAILURES
     # binding of this module at that time
     except (*TEST_FAILURES, RootBracketError, np.linalg.LinAlgError) as exc:
+        if isinstance(exc, DegenerateNodeError) and exc.node is not None:
+            exc = degenerate_node(exc.node, exc.node + _first(args))
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as exc:

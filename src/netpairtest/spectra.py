@@ -50,8 +50,10 @@ TIE_REL_TOL = 1e-12
 # seed of the ARPACK start vector and of its restart vectors
 START_SEED = 0
 # relative ARPACK tolerance of deflated_ritz: its residual, not its Ritz
-# value, enters the bound on the next eigenvalue
-DEFLATED_TOL = 1e-3
+# value, enters the bound on the next eigenvalue, and a margin covers what
+# a loose residual misses (estimation.RITZ_BOUND_MARGIN), so one pass of
+# ARPACK's 20-vector basis is enough
+DEFLATED_TOL = 0.1
 # OpenBLAS's limit on the BLAS threads of the calling thread alone
 _THREAD_LIMIT = "openblas_set_num_threads_local"
 # extension modules that link numpy's and scipy's OpenBLAS
@@ -188,9 +190,12 @@ def deflated_ritz(x, spec: Spectrum) -> tuple[float, float] | None:
 
     The operator keeps the eigenvalues of ``x`` beyond ``spec``, so theta
     approximates the next one, d_{m+1}, and some eigenvalue of the operator
-    lies within the residual of theta. ARPACK runs to the loose relative
+    lies within the residual of theta; not necessarily the largest one, so
+    |theta| + ||r|| may fall short of |d_{m+1}| (see
+    :func:`~.estimation.grow_spectrum`). ARPACK runs to the loose relative
     tolerance :data:`DEFLATED_TOL` from the start vector of
-    :func:`top_eigenpairs`. None where ARPACK cannot run or fails.
+    :func:`top_eigenpairs`, which it meets after one pass of its 20-vector
+    basis on the graphs measured. None where ARPACK cannot run or fails.
     """
     x = as_matrix(x)
     v, d = spec.vectors, spec.values

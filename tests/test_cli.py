@@ -180,6 +180,27 @@ def test_numeric_error_exit_code(tmp_path, capsys):
     assert "numerical error" in err
 
 
+@pytest.mark.parametrize("one_based", [False, True])
+def test_degenerate_node_is_named_by_its_typed_label(tmp_path, capsys,
+                                                     one_based):
+    # two cliques, {0..3} and {4, 5, 6} in 0-based labels: the leading
+    # eigenvector vanishes on the second, whose first node is labelled 5
+    # in a 1-based file
+    first = int(one_based)
+    edges = [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3), (4, 5), (4, 6),
+             (5, 6)]
+    path = tmp_path / "cliques.txt"
+    path.write_text("".join(f"{u + first} {v + first}\n" for u, v in edges))
+    code, stdout, err = run(
+        ["test-pair", "--graph", str(path), "--method", "g",
+         "--i", str(4 + first), "--j", str(5 + first), "--k", "2"]
+        + ["--one-based"] * one_based, capsys)
+    assert code == cli.EXIT_NUMERIC
+    assert err == (f"numerical error: leading-eigenvector entry at node "
+                   f"{4 + first} is degenerate\n")
+    assert stdout == ""
+
+
 class _NewTestFailure(ArithmeticError):
     pass
 

@@ -11,6 +11,7 @@ from netpairtest.estimation import (
     estimate_k_from_values,
     k_threshold,
 )
+from netpairtest.models import design_params
 from netpairtest.spectra import deflated_ritz
 
 from brute import GivenModel, brute_sigma1, brute_sigma2, residual_matrix
@@ -76,6 +77,21 @@ def _assert_bounds_next(est, x):
     assert mags[est.k_hat] <= est.next_bound * (1 + 1e-12)
 
 
+@pytest.mark.parametrize("form", ["dense", "csr"])
+def test_certified_bound_is_not_below_the_next_eigenvalue(form):
+    # the deflated check certifies K = 3 here; at a 1e-3 stop and with no
+    # margin its bound read 22.0810, below the dense |d_4| = 22.0845
+    x = npt.sample_adjacency(npt.build_mean_matrix(
+        npt.model1_params(2000, 400, 0.2, 0.15)), seed=2)
+    d4 = _dense_magnitudes(x)[3]
+    if form == "csr":
+        x = scipy.sparse.csr_array(x)
+    spec, est = npt.grow_spectrum(x)
+    assert est.k_hat == spec.m == 3
+    assert est.next_bound >= d4
+    assert est.next_bound ** 2 < est.threshold
+
+
 def test_grow_spectrum_matches_the_full_spectrum(karate):
     # the first pair below the threshold, or the deflated bound on it,
     # decides K, so the K of the whole spectrum comes from fewer pairs
@@ -109,13 +125,17 @@ SWEEP = {
     "model1-weak": lambda s: npt.model1_params(400, 80, 0.2, 0.4),
     "model2-strong": lambda s: npt.model2_params(600, 140, 0.0, 0.9, seed=s),
     "model2-weak": lambda s: npt.model2_params(600, 140, 0.2, 0.7, seed=s),
+    # the n = 1500 designs of the benchmark's mc-dense and pvalue-matrix
+    "n1500-model1-strong": lambda s: design_params(1, 1500, 300, 0.2, 0.9, s),
+    "n1500-model2-strong": lambda s: design_params(2, 1500, 300, 0.2, 0.9, s),
 }
 
 
 @pytest.mark.parametrize("design", sorted(SWEEP))
 def test_grown_k_equals_the_dense_k(design):
     # strong designs have K = 3, which the deflated bound certifies from 3
-    # pairs; weak ones stop at a retained pair below the threshold
+    # pairs, above the dense |d_4|; weak ones stop at a retained pair below
+    # the threshold
     for seed in range(3):
         x = npt.sample_adjacency(npt.build_mean_matrix(
             SWEEP[design](10 + seed)), seed=seed)
@@ -445,8 +465,9 @@ def test_estimate_sigma2_degenerate_node():
     for (i, j), node in (((0, 5), 5), ((5, 0), 5), ((4, 5), 4)):
         with pytest.raises(DegenerateNodeError,
                            match=f"^leading-eigenvector entry at node {node} "
-                                 f"is degenerate$"):
+                                 f"is degenerate$") as exc:
             npt.test_G(fitted, i, j)
+        assert exc.value.node == node
     pm = npt.pvalue_matrix(fitted, [0, 1, 4, 5], "G").matrix
     touches = np.zeros((4, 4), dtype=bool)
     touches[2:], touches[:, 2:] = True, True

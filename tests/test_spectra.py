@@ -222,6 +222,27 @@ def test_deflated_ritz_bounds_the_next_eigenvalue():
     assert deflated_ritz(small, npt.top_eigenpairs(small, 1)) is None
 
 
+class _CountedProducts:
+    """``x`` as ``deflated_ritz`` reads it, counting its products."""
+
+    def __init__(self, x):
+        self.x, self.shape, self.products = x, x.shape, 0
+
+    def __matmul__(self, y):
+        self.products += 1
+        return self.x @ y
+
+
+def test_deflated_ritz_stops_after_one_arpack_pass(certified, monkeypatch):
+    # one pass of ARPACK's 20-vector basis takes 21 products of x and the
+    # residual one more, 22 in all; a stop at 1e-3 takes 42
+    spec = npt.top_eigenpairs(certified, 3)
+    counted = _CountedProducts(certified)
+    monkeypatch.setattr(spectra, "as_matrix", lambda x: x)
+    assert deflated_ritz(counted, spec) == deflated_ritz(certified, spec)
+    assert counted.products <= 25
+
+
 def test_sort_order_ties_put_the_positive_value_first():
     eps = np.finfo(float).eps
     # magnitudes tied to the last bits, the negative one larger

@@ -169,17 +169,17 @@ class NodeMoments:
     read from a :class:`Fit` or an oracle ``GroundTruth``, one row per node.
 
     A node's ``contrast`` c_i moves to first order by B_i^T (W V)_i / s,
-    with its map B_i (``maps``, None for the identity) and the ``scale`` s
-    (:func:`_contrast`); ``rows`` = V[nodes]. A ``degenerate`` node has NaN
-    contrast, map and moment. Row i of ``moments`` is
-    A_i^T diag(sigma2[i, :]) A_i in the basis A_i = V B_i, and ``cross`` =
-    sigma2[nodes][:, nodes] holds the variances between the nodes.
+    with its map B_i (``maps``) and the ``scale`` s (:func:`_contrast`);
+    ``rows`` = V[nodes]. A ``degenerate`` node has NaN contrast, map and
+    moment. Row i of ``moments`` is A_i^T diag(sigma2[i, :]) A_i in the
+    basis A_i = V B_i, and ``cross`` = sigma2[nodes][:, nodes] holds the
+    variances between the nodes.
     """
 
     method: str
     nodes: np.ndarray
     contrast: np.ndarray
-    maps: np.ndarray | None
+    maps: np.ndarray
     rows: np.ndarray
     scale: np.ndarray
     degenerate: np.ndarray
@@ -349,8 +349,11 @@ def degeneracy_threshold(vectors: np.ndarray) -> float:
 
 
 def check_nodes(nodes, n: int) -> None:
-    """Raise ``ValueError`` unless ``nodes`` are distinct and in [0, n)."""
+    """Raise ``ValueError`` unless ``nodes`` are distinct integers in
+    [0, n)."""
     nodes = np.asarray(nodes)
+    if nodes.dtype.kind not in "iu":
+        raise ValueError(f"nodes must be integers, got dtype {nodes.dtype}")
     if len(np.unique(nodes)) != len(nodes):
         raise ValueError("nodes must be distinct")
     outside = (nodes < 0) | (nodes >= n)
@@ -370,12 +373,14 @@ def degenerate_node(node, label=None) -> DegenerateNodeError:
 def _contrast(model, rows: np.ndarray, method: str):
     """The ``method`` test's (contrast, maps, scale, degenerate) at the
     eigenvector rows ``rows`` of ``model``, as :class:`NodeMoments` holds
-    them: for T the rows, the identity (None, so that the moments' basis is
-    V itself, not V @ I) and the eigenvalues; for G the ratios, their
-    :func:`_ratio_maps` and t_1, never dividing by a degenerate node.
+    them: for T the rows, the identity and the eigenvalues; for G the
+    ratios, their :func:`_ratio_maps` and t_1, never dividing by a
+    degenerate node.
     """
     if method == "T":
-        return rows, None, model.values, np.zeros(len(rows), dtype=bool)
+        m, k = rows.shape
+        return (rows, np.broadcast_to(np.eye(k), (m, k, k)), model.values,
+                np.zeros(m, dtype=bool))
     t = model.locations
     degenerate = np.abs(rows[:, 0]) < degeneracy_threshold(model.vectors)
     ok = ~degenerate
@@ -417,9 +422,8 @@ def node_moments(model, nodes, method: str) -> NodeMoments:
     rows = v[nodes]
     contrast, maps, scale, degenerate = _contrast(model, rows, method)
     sigma2 = model.sigma2_rows(nodes)
-    bases = (v for _ in nodes) if maps is None else (v @ b for b in maps)
     moments = np.stack([(a * row[:, None]).T @ a
-                        for a, row in zip(bases, sigma2)])
+                        for a, row in zip((v @ b for b in maps), sigma2)])
     return NodeMoments(method=method, nodes=nodes, contrast=contrast,
                        maps=maps, rows=rows, scale=scale,
                        degenerate=degenerate, moments=moments,
@@ -481,10 +485,8 @@ def _covariance(model, i, j, method: str) -> CovarianceEstimate:
     if degenerate.any():
         r = np.argmax(degenerate)
         raise degenerate_node(i[r] if mom.degenerate[p[r]] else j[r])
-    u, w = mom.rows[q], mom.rows[p]
-    if mom.maps is not None:
-        u = (u[:, None, :] @ mom.maps[p])[:, 0]
-        w = (w[:, None, :] @ mom.maps[q])[:, 0]
+    u = (mom.rows[q][:, None, :] @ mom.maps[p])[:, 0]
+    w = (mom.rows[p][:, None, :] @ mom.maps[q])[:, 0]
     mats = mom.moments[p] + mom.moments[q] - mom.cross[p, q][:, None, None] * (
         u[:, :, None] * w[:, None, :] + w[:, :, None] * u[:, None, :])
     return _estimate(mats / np.outer(mom.scale, mom.scale), scalar)

@@ -223,14 +223,20 @@ def _csr_adjacency(ends, path, n) -> scipy.sparse.csr_array:
 
 
 def as_matrix(x):
-    """``x`` as a float64 CSR matrix if it is sparse, else as a C-contiguous
+    """``x`` as a float64 CSR matrix in canonical format (sorted indices,
+    one stored entry per position) if it is sparse, else as a C-contiguous
     float64 dense array, copied at most once.
 
     The products of :mod:`~.spectra` then see one layout, so a copy made
     here leaves the results independent of the input's memory layout to the
-    last bit."""
+    last bit, and squaring the stored entries squares the matrix's
+    entries."""
     if scipy.sparse.issparse(x):
-        return x.tocsr().astype(float, copy=False)
+        csr = x.tocsr().astype(float, copy=False)
+        if not csr.has_canonical_format:
+            csr = csr.copy() if csr is x else csr
+            csr.sum_duplicates()
+        return csr
     return np.ascontiguousarray(x, dtype=float)
 
 

@@ -12,7 +12,9 @@ nodes share the same membership profile:
 Both are Hotelling forms in a per-node contrast difference, whose width is
 the degrees of freedom; covariances are plugged in from the one-step refined
 noise estimate, and a numerically singular plug-in raises instead of being
-silently regularized. Both tests take an adjacency matrix or a
+silently regularized. Every form is solved by numpy's stacked solve, which
+factors each covariance on its own, and decided by its chi-square tail:
+:func:`reject` reads the p-value. Both tests take an adjacency matrix or a
 :class:`~.estimation.Fit` of one, so that many pairs share a single fit.
 One stacked core tests pairs of rows of one :class:`~.estimation.NodeMoments`
 (contrasts, degeneracy and moments of :func:`~.estimation.node_moments`):
@@ -27,9 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.special
-import scipy.stats
 
 from .estimation import (
     MIN_K,
@@ -143,6 +143,9 @@ def _test_pairs(mom: NodeMoments, p: np.ndarray, q: np.ndarray) -> _PairTests:
     fails alone and builds no error: a degenerate node (G), or a covariance
     that is not finite or whose condition estimate exceeds the limit. The
     test has as many degrees of freedom as its contrast has components.
+    ``np.linalg.solve`` runs LAPACK on each matrix of a stack, at every
+    width, so a pair's statistic does not depend on the pairs tested with
+    it.
     """
     pairs = len(p)
     stat, cond = np.full(pairs, np.nan), np.full(pairs, np.nan)
@@ -156,15 +159,8 @@ def _test_pairs(mom: NodeMoments, p: np.ndarray, q: np.ndarray) -> _PairTests:
         cond[live] = cov.condition_estimate
         ok = cond[live] <= CONDITION_LIMIT  # False for inf and NaN
         if ok.any():
-            mats, rhs = cov.matrix[ok], diff[ok]
-            if mats.shape[-1] == 1:
-                # scipy divides for one 1 x 1 system but calls LAPACK for a
-                # stack of them; dividing for every stack keeps a pair's
-                # statistic independent of the pairs tested with it
-                sol = rhs / mats[:, 0]
-            else:
-                sol = scipy.linalg.solve(mats, rhs[..., None],
-                                         assume_a="sym")[..., 0]
+            rhs = diff[ok]
+            sol = np.linalg.solve(cov.matrix[ok], rhs[..., None])[..., 0]
             stat[live[ok]] = (rhs * sol).sum(axis=1)
     df = mom.contrast.shape[1]
     p_value = np.full(pairs, np.nan)
@@ -221,12 +217,11 @@ def test_G(x: np.ndarray | Fit, i: int, j: int,
 
 
 def reject(result: TestResult, alpha: float) -> bool:
-    """True iff the statistic exceeds the upper-alpha chi-square quantile
-    (strict inequality), equivalently p-value < alpha."""
+    """True iff the p-value lies below ``alpha``: the statistic exceeds the
+    upper-alpha chi-square quantile."""
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie in (0, 1)")
-    quantile = scipy.stats.chi2.ppf(1.0 - alpha, result.df)
-    return bool(result.statistic > quantile)
+    return bool(result.p_value < alpha)
 
 
 def pvalue_matrix(x: np.ndarray | Fit, nodes, method: str = "T",

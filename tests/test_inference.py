@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 from collections import Counter
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
+import scipy.stats
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
@@ -144,11 +146,24 @@ def _close(a, b):
         np.array_equal(np.isnan(a), np.isnan(b))
 
 
+def _split_entries(csr):
+    """``csr`` with every stored entry stored twice, as two halves: the same
+    matrix, not in canonical format."""
+    split = scipy.sparse.csr_array(
+        (np.repeat(csr.data / 2, 2), np.repeat(csr.indices, 2),
+         2 * csr.indptr), shape=csr.shape)
+    assert not split.has_canonical_format
+    assert np.array_equal(split.toarray(), csr.toarray())
+    return split
+
+
 def test_dense_and_csr_input_agree(karate, karate_csr, model2_graph):
     simulated = (model2_graph, scipy.sparse.csr_array(model2_graph))
-    for (dense, csr), nodes in (((karate, karate_csr), [0, 2, 6, 12, 26, 33]),
-                                (simulated, [0, 1, 120, 180, 181, 299])):
-        for k in (None, 2, 3):
+    for (dense, *sparse), nodes in (
+            ((karate, karate_csr, _split_entries(karate_csr)),
+             [0, 2, 6, 12, 26, 33]),
+            (simulated, [0, 1, 120, 180, 181, 299])):
+        for csr, k in itertools.product(sparse, (None, 2, 3)):
             a, b = npt.fit(dense, k, floor=2), npt.fit(csr, k, floor=2)
             assert a.k == b.k
             assert _close(a.d_tilde, b.d_tilde)
@@ -207,6 +222,25 @@ def test_nodes_outside_the_graph_rejected(karate, i, j):
             with pytest.raises(ValueError,
                                match=r"outside the node range \[0, 34\)$"):
                 sigma(model, i, j)
+
+
+def test_non_integer_nodes_rejected_before_the_fit(karate, monkeypatch):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fitted before checking the nodes")
+
+    monkeypatch.setattr(npt.inference, "fit", no_fit)
+    for runner in (npt.test_T, npt.test_G):
+        with pytest.raises(ValueError, match="nodes must be integers"):
+            runner(karate, 1.5, 2, k_override=2)
+    for nodes in ([0.5, 2, 3], [0.0, 2.0], [True, False]):
+        with pytest.raises(ValueError, match="nodes must be integers"):
+            npt.pvalue_matrix(karate, nodes)
+    fitted = npt.fit(karate, 2)
+    with pytest.raises(ValueError, match="nodes must be integers"):
+        npt.estimate_sigma1(fitted, 1.5, 2)
+    # numpy integers are integers
+    assert npt.test_T(fitted, np.int64(6), np.uint8(12)).statistic \
+        == npt.test_T(fitted, 6, 12).statistic
 
 
 # ------------------------------------------------------------- invariances
@@ -311,24 +345,53 @@ def test_pvalue_matrix_fits_once(karate, karate_csr, monkeypatch):
     assert not hasattr(npt.estimation, "residual_matrix")
     nodes = [2, 6, 7, 8, 12]
     for x in (karate, karate_csr):
-        for method, runner in (("T", npt.test_T), ("G", npt.test_G)):
+        for method in ("T", "G"):
             calls.clear()
             npt.pvalue_matrix(x, nodes, method=method)
             # nodes map to rows once, then twice per output row at most
             assert calls.pop("positions") <= 2 * len(nodes) - 1
             assert calls == {"fit": 1, "top_eigenpairs": 1, "max_degree": 1,
                              "diag_residual_square": 1, "sigma2_rows": 1}
-            # each entry is the one-pair test on the same fit, to the bit
             fitted = npt.fit(x, floor=npt.estimation.MIN_K[method])
             calls.clear()
-            pm = npt.pvalue_matrix(fitted, nodes, method=method).matrix
+            npt.pvalue_matrix(fitted, nodes, method=method)
             assert calls.pop("positions") <= 2 * len(nodes) - 1
             assert calls == {"sigma2_rows": 1}
-            assert np.isfinite(pm).all()
-            for s, a in enumerate(nodes):
-                for t, b in enumerate(nodes):
-                    if s != t:
-                        assert pm[s, t] == runner(fitted, a, b).p_value
+
+
+@pytest.mark.parametrize("method,k", [("T", None), ("T", 1), ("T", 2),
+                                      ("T", 3), ("G", None), ("G", 2),
+                                      ("G", 3), ("G", 4)])
+def test_pvalue_matrix_entries_are_one_pair_tests_at_every_width(
+        karate, karate_csr, method, k):
+    # each entry is the one-pair test on the same fit, to the bit, for
+    # covariances of width 1, 2 and 3 and at the estimated K
+    runner = npt.test_T if method == "T" else npt.test_G
+    nodes = [0, 2, 6, 7, 12, 16, 26, 33]
+    for x in (karate, karate_csr):
+        fitted = npt.fit(x, k, floor=npt.estimation.MIN_K[method])
+        pm = npt.pvalue_matrix(fitted, nodes, method=method).matrix
+        assert np.isfinite(pm).all()
+        for s, a in enumerate(nodes):
+            for t, b in enumerate(nodes):
+                if s != t:
+                    assert pm[s, t] == runner(fitted, a, b).p_value
+
+
+def test_statistics_do_not_depend_on_the_retained_spectrum_width(karate):
+    # a fit that keeps more eigenpairs than K reads a strided view of them;
+    # every node's moment is summed over its own contiguous basis V B_i, so
+    # the bits match those of a fit that keeps exactly K
+    wide = npt.top_eigenpairs(karate, 4)
+    for k in (1, 2, 3):
+        narrow = Spectrum(values=wide.values[:k].copy(),
+                          vectors=wide.vectors[:, :k].copy(),
+                          residuals=wide.residuals[:k].copy())
+        for method in ("T", "G")[:1 if k == 1 else 2]:
+            a, b = (npt.pvalue_matrix(npt.fit(karate, k, spectrum=spec),
+                                      range(34), method).matrix
+                    for spec in (wide, narrow))
+            assert a.tobytes() == b.tobytes()
 
 
 def _brute_pvalue_matrix(fitted, nodes, method):
@@ -415,7 +478,7 @@ def test_pvalue_matrix_zero_eigenvalue_is_nan():
     assert np.array_equal(np.diag(pm.matrix), np.ones(3))
 
 
-def test_reject():
+def test_reject(karate):
     res = npt.TestResult(method="T", statistic=6.0, df=2, p_value=0.0498,
                          k_used=2, condition_estimate=1.0)
     assert npt.reject(res, 0.05)
@@ -424,3 +487,16 @@ def test_reject():
     assert not npt.reject(res2, 0.05)
     with pytest.raises(ValueError):
         npt.reject(res, 0.0)
+    with pytest.raises(ValueError):
+        npt.reject(res, 1.0)
+    # on real results, rejection read from the p-value is the quantile rule
+    results = [npt.test_T(karate, 6, 12, k_override=2),
+               npt.test_T(karate, 0, 33, k_override=3),
+               npt.test_G(karate, 2, 26, k_override=3),
+               npt.test_G(karate, 6, 12, k_override=2)]
+    for res in results:
+        for alpha in (1e-6, 0.001, 0.01, 0.05, 0.1, 0.3, 0.5, 0.9, 0.999):
+            quantile = scipy.stats.chi2.ppf(1.0 - alpha, res.df)
+            assert npt.reject(res, alpha) == (res.statistic > quantile)
+    # both sides of the decision occur
+    assert {npt.reject(res, 0.05) for res in results} == {True, False}

@@ -29,7 +29,8 @@ variances between the nodes, so that the covariance of any pair among them
 costs O(k^3). One body gives both covariances, :func:`estimate_sigma1` and
 :func:`estimate_sigma2`, on a :class:`Fit` for the plug-in estimate or on
 an oracle ground truth for the exact one, or on its :class:`NodeMoments`,
-for one pair or a stack of pairs; :func:`check_nodes` checks every node.
+for one pair or a stack of pairs, an empty one included;
+:func:`check_nodes` checks every node.
 """
 
 from __future__ import annotations
@@ -422,8 +423,11 @@ def node_moments(model, nodes, method: str) -> NodeMoments:
     rows = v[nodes]
     contrast, maps, scale, degenerate = _contrast(model, rows, method)
     sigma2 = model.sigma2_rows(nodes)
-    moments = np.stack([(a * row[:, None]).T @ a
-                        for a, row in zip((v @ b for b in maps), sigma2)])
+    width = maps.shape[2]
+    moments = np.empty((len(nodes), width, width))
+    for r, (b, row) in enumerate(zip(maps, sigma2)):
+        a = v @ b
+        moments[r] = (a * row[:, None]).T @ a
     return NodeMoments(method=method, nodes=nodes, contrast=contrast,
                        maps=maps, rows=rows, scale=scale,
                        degenerate=degenerate, moments=moments,
@@ -454,9 +458,11 @@ def _estimate(mats: np.ndarray, scalar: bool) -> CovarianceEstimate:
 
 def _pair_arrays(i, j) -> tuple[np.ndarray, np.ndarray, bool]:
     """Nodes ``i`` and ``j`` as equal-length index arrays, and whether they
-    were single nodes."""
+    were single nodes. An empty input, such as ``[]``, is an empty stack of
+    integer nodes."""
     scalar = np.ndim(i) == 0 and np.ndim(j) == 0
-    i, j = np.atleast_1d(i), np.atleast_1d(j)
+    i, j = (np.atleast_1d(a) if np.size(a) else np.zeros(0, dtype=int)
+            for a in (i, j))
     if i.ndim != 1 or i.shape != j.shape:
         raise ValueError("i and j must be nodes or equal-length node arrays")
     if np.any(i == j):

@@ -15,34 +15,35 @@ point, so a replication costs its draw, its fit and its test.
 
 A study runs its replications on a pool of worker threads, one per usable
 core and at most one per replication. Each worker limits the OpenBLAS of
-numpy and that of scipy to one thread for itself
-(:func:`~.spectra._limit_blas_threads`), so the workers' fits run side by
-side instead of competing for the cores with two BLAS thread pools, and
-each draws its networks into one n x n array that it keeps for the study.
-The results are merged in replication order, so a report, and the first
-uncaught error, is the same for any number of workers. Where either
-library has no per-thread limit, the pool has one worker, which runs at the
-process's BLAS thread count; its statistics then differ from those of
-limited workers in the last bits (about 1e-14 relative).
+numpy and that of scipy to one thread for itself, by the per-thread limits
+that :mod:`~.spectra` looks up once (:data:`~.spectra._LIMITS`), so the
+workers' fits run side by side instead of competing for the cores with two
+BLAS thread pools, and each draws its networks into one n x n array of its
+own, kept in a ``threading.local`` of the study. The results are merged in
+replication order, so a report, and the first uncaught error, is the same
+for any number of workers. Where either library has no per-thread limit,
+the pool has one worker, which limits nothing and runs at the process's
+BLAS thread count; its statistics then differ from those of limited
+workers in the last bits (about 1e-14 relative).
 """
 
 from __future__ import annotations
 
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
-from queue import SimpleQueue
 from time import perf_counter
 
 import numpy as np
 import scipy.stats
 
+from . import spectra
 from .estimation import MIN_K, fit, grow_spectrum
 from .inference import TEST_FAILURES, _pair_test, reject
 from .models import _sample_into, build_mean_matrix, design_params, study_pair
-from .spectra import _blas_thread_limits, _limit_blas_threads
 
 __all__ = [
     "ExperimentConfig",
@@ -192,24 +193,23 @@ def _workers(replications: int) -> int:
     return min(cores, replications)
 
 
-def _replication(cfg: ExperimentConfig, replicate, networks: SimpleQueue,
+def _replication(cfg: ExperimentConfig, replicate, networks: threading.local,
                  gi: int, signal: float, h, rep: int):
-    """Draw replication ``rep`` of grid point ``gi`` into an n x n array
-    taken from ``networks`` (and given back), and return
-    ``replicate(x, clock)`` with the replication's stage seconds. ``h`` is
-    the mean matrix of model 1; model 2 builds its own."""
+    """Draw replication ``rep`` of grid point ``gi`` into the calling
+    worker's n x n array ``networks.x``, made at its first replication, and
+    return ``replicate(x, clock)`` with the replication's stage seconds.
+    ``h`` is the mean matrix of model 1; model 2 builds its own."""
     clock = _StageClock()
-    x = networks.get()
-    try:
-        with clock("sample"):
-            if h is None:
-                h = build_mean_matrix(design_params(
-                    cfg.model, cfg.n, cfg.n0, cfg.rho, signal,
-                    _rep_rng(cfg, gi, rep, stream=1)))
-            _sample_into(x, h, _rep_rng(cfg, gi, rep), False)
-        return (*replicate(x, clock), clock.seconds)
-    finally:
-        networks.put(x)
+    x = getattr(networks, "x", None)
+    if x is None:
+        x = networks.x = np.empty((cfg.n, cfg.n))
+    with clock("sample"):
+        if h is None:
+            h = build_mean_matrix(design_params(
+                cfg.model, cfg.n, cfg.n0, cfg.rho, signal,
+                _rep_rng(cfg, gi, rep, stream=1)))
+        _sample_into(x, h, _rep_rng(cfg, gi, rep), False)
+    return (*replicate(x, clock), clock.seconds)
 
 
 def _study(cfg: ExperimentConfig, replicate) -> ExperimentReport:
@@ -218,15 +218,13 @@ def _study(cfg: ExperimentConfig, replicate) -> ExperimentReport:
     numerically are excluded from the denominator; a grid point with more
     than 1% failures is flagged invalid."""
     start = perf_counter()
-    limits = _blas_thread_limits()
-    workers = _workers(cfg.replications) if limits else 1
-    networks = SimpleQueue()  # one n x n array per worker, reused
-    for _ in range(workers):
-        networks.put(np.empty((cfg.n, cfg.n)))
+    limited = None not in spectra._LIMITS
+    workers = _workers(cfg.replications) if limited else 1
+    networks = threading.local()  # each worker's n x n array, reused
     clock = _StageClock()
     points = []
-    with ThreadPoolExecutor(workers, initializer=_limit_blas_threads,
-                            initargs=(limits or (),)) as pool:
+    with ThreadPoolExecutor(workers, initializer=(
+            spectra._limit_blas_threads if limited else None)) as pool:
         for gi, signal in enumerate(cfg.signal_grid):
             h = None
             if cfg.model == 1:  # model 1's H is the same for every replication
@@ -277,9 +275,13 @@ def run_k_accuracy(cfg: ExperimentConfig) -> ExperimentReport:
 
 def null_histogram(cfg: ExperimentConfig) -> dict:
     """Null-statistic samples at the first grid point plus their
-    Kolmogorov-Smirnov distance to the limiting chi-square law."""
+    Kolmogorov-Smirnov distance to the limiting chi-square law. Every
+    sample is tested at K = :data:`TRUE_K`, so that they share that law's
+    degrees of freedom: ``k_mode`` must be "true_k"."""
     if cfg.pair_mode != "size":
         raise ValueError("null sampling requires pair_mode='size'")
+    if cfg.k_mode != "true_k":
+        raise ValueError("null sampling requires k_mode='true_k'")
     report = run_size_power(cfg)
     samples = report.points[0].statistics
     df = TRUE_K - MIN_K[cfg.method] + 1

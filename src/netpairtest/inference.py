@@ -145,23 +145,21 @@ def _test_pairs(mom: NodeMoments, p: np.ndarray, q: np.ndarray) -> _PairTests:
     test has as many degrees of freedom as its contrast has components.
     ``np.linalg.solve`` runs LAPACK on each matrix of a stack, at every
     width, so a pair's statistic does not depend on the pairs tested with
-    it.
+    it. Every step takes an empty stack, so pairs that all fail take the
+    same path.
     """
     pairs = len(p)
     stat, cond = np.full(pairs, np.nan), np.full(pairs, np.nan)
     degenerate = mom.degenerate[p] | mom.degenerate[q]
     live = np.flatnonzero(~degenerate)
-    if live.size:
-        a, b = p[live], q[live]
-        sigma = estimate_sigma1 if mom.method == "T" else estimate_sigma2
-        cov = sigma(mom, mom.nodes[a], mom.nodes[b])
-        diff = mom.contrast[a] - mom.contrast[b]
-        cond[live] = cov.condition_estimate
-        ok = cond[live] <= CONDITION_LIMIT  # False for inf and NaN
-        if ok.any():
-            rhs = diff[ok]
-            sol = np.linalg.solve(cov.matrix[ok], rhs[..., None])[..., 0]
-            stat[live[ok]] = (rhs * sol).sum(axis=1)
+    a, b = p[live], q[live]
+    sigma = estimate_sigma1 if mom.method == "T" else estimate_sigma2
+    cov = sigma(mom, mom.nodes[a], mom.nodes[b])
+    cond[live] = cov.condition_estimate
+    ok = cond[live] <= CONDITION_LIMIT  # False for inf and NaN
+    rhs = (mom.contrast[a] - mom.contrast[b])[ok]
+    sol = np.linalg.solve(cov.matrix[ok], rhs[..., None])[..., 0]
+    stat[live[ok]] = (rhs * sol).sum(axis=1)
     df = mom.contrast.shape[1]
     p_value = np.full(pairs, np.nan)
     tested = ~np.isnan(stat)

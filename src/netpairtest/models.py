@@ -21,7 +21,10 @@ than its n x n result and a few blocks of rows: H is symmetrised in place,
 one pair of square tiles at a time, and the network is drawn
 :data:`SAMPLE_ROWS` rows at a time, straight into its result, which a
 Monte Carlo worker reuses from one replication to the next
-(:func:`_sample_into`).
+(:func:`_sample_into`). The range of H is checked once where it enters:
+:func:`build_mean_matrix` checks and clips the H it builds, and
+:func:`sample_adjacency` checks its ``h`` before the first uniform is
+drawn, so the worker's draw from a built H checks nothing.
 """
 
 from __future__ import annotations
@@ -137,9 +140,11 @@ def sample_adjacency(h: np.ndarray, seed, self_loops: bool = False) -> np.ndarra
     row-major stream of one (n, n) block of uniforms, of which only the
     strict upper triangle (and the diagonal, with ``self_loops``) is used,
     so a generator passed as ``seed`` advances by n * n uniforms. An entry
-    of ``h`` outside [0, 1] raises ValueError.
+    of ``h`` outside [0, 1] raises ValueError before any draw.
     """
     h = np.asarray(h, dtype=float)
+    if h.min(initial=0) < 0 or h.max(initial=1) > 1:
+        raise ValueError("mean matrix entries must lie in [0, 1]")
     n = h.shape[0]
     return _sample_into(np.empty((n, n)), h, seed, self_loops)
 
@@ -147,24 +152,21 @@ def sample_adjacency(h: np.ndarray, seed, self_loops: bool = False) -> np.ndarra
 def _sample_into(out: np.ndarray, h: np.ndarray, seed,
                  self_loops: bool) -> np.ndarray:
     """:func:`sample_adjacency` written into the n x n float array ``out``,
-    which every entry of the sample overwrites.
+    which every entry of the sample overwrites. ``h`` is not checked: its
+    entries must lie in [0, 1], as those of :func:`build_mean_matrix` do.
 
     The uniforms are drawn :data:`SAMPLE_ROWS` rows at a time, in the order
-    of one (n, n) draw. Each block of rows checks its rows of ``h`` and
-    writes its entries from the diagonal on and their mirror below it; the
-    rows' entries left of the diagonal were mirrored by earlier blocks. A
-    range error stops the draw at the first block of rows that has one.
+    of one (n, n) draw. Each block of rows writes its entries from the
+    diagonal on and their mirror below it; the rows' entries left of the
+    diagonal were mirrored by earlier blocks.
     """
     n = h.shape[0]
     rng = np.random.default_rng(seed)
     block = np.empty((min(SAMPLE_ROWS, n), n))
     for r0 in range(0, n, SAMPLE_ROWS):
         r1 = min(r0 + SAMPLE_ROWS, n)
-        rows = h[r0:r1]
-        if rows.min() < 0 or rows.max() > 1:
-            raise ValueError("mean matrix entries must lie in [0, 1]")
         u = rng.random(out=block[:r1 - r0])
-        edges = u[:, r0:] < rows[:, r0:]
+        edges = u[:, r0:] < h[r0:r1, r0:]
         square = np.triu(edges[:, :r1 - r0], 0 if self_loops else 1)
         out[r0:r1, r0:r1] = square | square.T
         out[r0:r1, r1:] = edges[:, r1 - r0:]

@@ -22,6 +22,9 @@ solve that woke both pools at every Lanczos step left one pool's idle
 workers spinning on the cores the other needed. So :func:`_arpack` limits
 scipy's OpenBLAS to the calling thread for the solve, and gives the thread
 back its setting after it, where scipy's library has that per-thread limit.
+Both libraries' per-thread limits are looked up once, at import, into
+:data:`_LIMITS`; the Monte Carlo harness reads the same table to limit its
+workers (:func:`_limit_blas_threads`).
 """
 
 from __future__ import annotations
@@ -115,23 +118,17 @@ def _thread_limit(module: str):
     return limit
 
 
-def _blas_thread_limits():
-    """The per-thread limits of numpy's and of scipy's OpenBLAS; None where
-    either library lacks one."""
-    limits = [_thread_limit(module) for module in _BLAS_MODULES]
-    return None if None in limits else limits
+# the per-thread limits of numpy's and of scipy's OpenBLAS, looked up once;
+# None where a library lacks it
+_LIMITS = tuple(_thread_limit(module) for module in _BLAS_MODULES)
 
 
-def _limit_blas_threads(limits) -> None:
+def _limit_blas_threads() -> None:
     """Run the calling thread's BLAS calls on that thread alone, in both
-    libraries (``limits`` from :func:`_blas_thread_limits`). Other threads
-    keep their settings."""
-    for limit in limits:
+    libraries, through both limits of :data:`_LIMITS`, which must be
+    present. Other threads keep their settings."""
+    for limit in _LIMITS:
         limit(1)
-
-
-# scipy's limit, which _arpack sets for the solve
-_SCIPY_LIMIT = _thread_limit(_BLAS_MODULES[1])
 
 
 def _arpack(op, k: int, tol: float):
@@ -143,7 +140,8 @@ def _arpack(op, k: int, tol: float):
     if k >= n - 1:
         return None
     rng = np.random.default_rng(START_SEED)
-    previous = _SCIPY_LIMIT(1) if _SCIPY_LIMIT is not None else None
+    limit = _LIMITS[1]
+    previous = limit(1) if limit is not None else None
     try:
         return scipy.sparse.linalg.eigsh(
             op, k=k, which="LM", tol=tol, v0=rng.standard_normal(n), rng=rng)
@@ -151,7 +149,7 @@ def _arpack(op, k: int, tol: float):
         return None
     finally:
         if previous is not None:
-            _SCIPY_LIMIT(previous)
+            limit(previous)
 
 
 def top_eigenpairs(x, m: int) -> Spectrum:

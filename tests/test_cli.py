@@ -379,6 +379,16 @@ def test_mc_tiny_null_histogram(monkeypatch, tmp_path, capsys):
     assert "ks_distance=" in out.read_text()
 
 
+def test_mc_null_histogram_needs_the_true_k(capsys):
+    # with K estimated, the samples have no one chi-square law to test
+    for preset in ("fig1-model1", "fig1-model2"):
+        code, out, err = run(["mc", "--preset", preset, "--reps", "2",
+                              "--k-mode", "estimated_k"], capsys)
+        assert code == cli.EXIT_USAGE == 1
+        assert out == ""
+        assert err == "error: null sampling requires k_mode='true_k'\n"
+
+
 def test_mc_unknown_preset(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["mc", "--preset", "nope"])

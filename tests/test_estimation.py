@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -495,6 +496,25 @@ def test_stacked_estimates_equal_the_one_pair_estimates(karate_csr, sigma):
         sigma(fitted, i, j[:3])
     with pytest.raises(ValueError, match="distinct"):
         sigma(fitted, i, np.array([12, 6, 0, 2]))
+
+
+@pytest.mark.parametrize("sigma, method",
+                         [(npt.estimate_sigma1, "T"),
+                          (npt.estimate_sigma2, "G")])
+def test_zero_pairs_are_an_empty_stack(karate_csr, sigma, method):
+    # on a Fit, an oracle ground truth and node moments alike; [] reads as
+    # integer nodes, while a non-integer node still fails
+    fitted = npt.fit(karate_csr, 3)
+    truth = npt.ground_truth(npt.model1_params(120, 24, 0.2, 0.9))
+    r = 3 - estimation.MIN_K[method] + 1
+    for model in (fitted, replace(truth, t=truth.d),
+                  estimation.node_moments(fitted, [0, 6], method)):
+        for empty in ([], np.array([], dtype=int)):
+            cov = sigma(model, empty, empty)
+            assert cov.matrix.shape == (0, r, r)
+            assert cov.condition_estimate.shape == (0,)
+    with pytest.raises(ValueError, match="nodes must be integers"):
+        sigma(fitted, [0.5], [1.5])
 
 
 @pytest.mark.parametrize("sigma, method",

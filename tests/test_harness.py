@@ -111,6 +111,12 @@ def test_null_histogram_requires_size_pair():
     cfg = npt.ExperimentConfig(**{**TINY1, "pair_mode": "power"})
     with pytest.raises(ValueError):
         npt.null_histogram(cfg)
+    # with K estimated, each replication is tested at its own K, so the
+    # samples do not share one chi-square law's degrees of freedom
+    for tiny in (TINY1, TINY2):
+        cfg = npt.ExperimentConfig(**{**tiny, "k_mode": "estimated_k"})
+        with pytest.raises(ValueError, match="k_mode='true_k'"):
+            npt.null_histogram(cfg)
 
 
 def test_null_histogram_output():
@@ -249,7 +255,7 @@ def test_zero_eigenvalue_replications_count_as_failures(model, k_mode):
 
 
 def _limited():
-    if spectra._blas_thread_limits() is None:
+    if None in spectra._LIMITS:
         pytest.skip("numpy's or scipy's BLAS has no per-thread limit")
 
 
@@ -332,16 +338,38 @@ def test_the_first_uncaught_error_in_replication_order(monkeypatch):
         monkeypatch.setattr(harness, "_workers", lambda reps: workers)
         with pytest.raises(RuntimeError, match=expected):
             npt.run_k_accuracy(cfg)
-    monkeypatch.setattr(spectra, "_THREAD_LIMIT", "no_such_symbol")
+    monkeypatch.setattr(spectra, "_LIMITS", (None, None))
     with pytest.raises(RuntimeError, match=expected):
         npt.run_k_accuracy(cfg)
 
 
 @pytest.mark.parametrize("tiny", [TINY1, TINY2], ids=["model1", "model2"])
+def test_each_worker_draws_into_one_array_of_its_own(tiny, monkeypatch):
+    # six replications on two workers: every draw of a worker thread lands
+    # in that worker's one array, and no two workers share an array
+    _limited()
+    monkeypatch.setattr(harness, "_workers", lambda replications: 2)
+    arrays = {}
+    sample = harness._sample_into
+
+    def recorded(x, *args):
+        arrays.setdefault(threading.get_ident(), set()).add(id(x))
+        return sample(x, *args)
+
+    monkeypatch.setattr(harness, "_sample_into", recorded)
+    report = npt.run_size_power(npt.ExperimentConfig(
+        **{**tiny, "replications": 6}))
+    assert report.workers == 2
+    assert threading.get_ident() not in arrays
+    assert 1 <= len(arrays) <= 2
+    assert all(len(ids) == 1 for ids in arrays.values())
+    assert len(set.union(*arrays.values())) == len(arrays)
+
+
+@pytest.mark.parametrize("tiny", [TINY1, TINY2], ids=["model1", "model2"])
 def test_without_a_per_thread_limit_the_study_runs_on_one_worker(
         tiny, monkeypatch):
-    monkeypatch.setattr(spectra, "_THREAD_LIMIT", "no_such_symbol")
-    assert spectra._blas_thread_limits() is None
+    monkeypatch.setattr(spectra, "_LIMITS", (None, None))
     threads = set()
     sample = harness._sample_into
 

@@ -200,6 +200,19 @@ def test_sample_adjacency_rejects_bad_probabilities():
         npt.sample_adjacency(np.full((4, 4), 1.5), seed=0)
 
 
+@pytest.mark.parametrize("bad", [-0.5, 1.5])
+def test_bad_probabilities_raise_before_any_draw(bad):
+    # the one bad entry lies in the second block of rows; a generator
+    # passed as the seed has drawn nothing when the error comes
+    n = npt.models.SAMPLE_ROWS + 72
+    h = np.random.default_rng(1).random((n, n))
+    h[npt.models.SAMPLE_ROWS + 10, 3] = bad
+    rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
+    with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+        npt.sample_adjacency(h, rng)
+    assert rng.random() == ref_rng.random()
+
+
 def test_params_validation():
     n = 6
     pi = np.tile([0.5, 0.5], (n, 1))

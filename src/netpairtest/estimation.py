@@ -458,11 +458,11 @@ def _estimate(mats: np.ndarray, scalar: bool) -> CovarianceEstimate:
 
 def _pair_arrays(i, j) -> tuple[np.ndarray, np.ndarray, bool]:
     """Nodes ``i`` and ``j`` as equal-length index arrays, and whether they
-    were single nodes. An empty input, such as ``[]``, is an empty stack of
-    integer nodes."""
+    were single nodes. An empty input, such as ``[]``, keeps its shape and
+    reads as integer nodes: an empty stack where it is one-dimensional."""
     scalar = np.ndim(i) == 0 and np.ndim(j) == 0
-    i, j = (np.atleast_1d(a) if np.size(a) else np.zeros(0, dtype=int)
-            for a in (i, j))
+    i, j = (np.atleast_1d(a) for a in (i, j))
+    i, j = (a.astype(int) if a.size == 0 else a for a in (i, j))
     if i.ndim != 1 or i.shape != j.shape:
         raise ValueError("i and j must be nodes or equal-length node arrays")
     if np.any(i == j):

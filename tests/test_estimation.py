@@ -515,6 +515,10 @@ def test_zero_pairs_are_an_empty_stack(karate_csr, sigma, method):
             assert cov.condition_estimate.shape == (0,)
     with pytest.raises(ValueError, match="nodes must be integers"):
         sigma(fitted, [0.5], [1.5])
+    # an empty input that is not one-dimensional is no stack of pairs
+    for empty in ([[]], np.empty((0, 2), dtype=int)):
+        with pytest.raises(ValueError, match="equal-length node arrays"):
+            sigma(fitted, empty, empty)
 
 
 @pytest.mark.parametrize("sigma, method",

@@ -259,6 +259,16 @@ def _limited():
         pytest.skip("numpy's or scipy's BLAS has no per-thread limit")
 
 
+def _without_thread_limits(monkeypatch):
+    """Rebuild the table of per-thread limits as the lookup reads it from
+    libraries that lack the limit: None for each."""
+    monkeypatch.setattr(spectra, "_THREAD_LIMIT", "no_such_symbol")
+    limits = tuple(spectra._thread_limit(module)
+                   for module in spectra._BLAS_MODULES)
+    assert limits == (None, None)
+    monkeypatch.setattr(spectra, "_LIMITS", limits)
+
+
 @pytest.mark.parametrize("run", [npt.run_size_power, npt.run_k_accuracy])
 def test_stage_seconds_count_worker_seconds(run, monkeypatch):
     # two workers spend up to twice the wall time in the stages together,
@@ -338,7 +348,7 @@ def test_the_first_uncaught_error_in_replication_order(monkeypatch):
         monkeypatch.setattr(harness, "_workers", lambda reps: workers)
         with pytest.raises(RuntimeError, match=expected):
             npt.run_k_accuracy(cfg)
-    monkeypatch.setattr(spectra, "_LIMITS", (None, None))
+    _without_thread_limits(monkeypatch)
     with pytest.raises(RuntimeError, match=expected):
         npt.run_k_accuracy(cfg)
 
@@ -369,7 +379,7 @@ def test_each_worker_draws_into_one_array_of_its_own(tiny, monkeypatch):
 @pytest.mark.parametrize("tiny", [TINY1, TINY2], ids=["model1", "model2"])
 def test_without_a_per_thread_limit_the_study_runs_on_one_worker(
         tiny, monkeypatch):
-    monkeypatch.setattr(spectra, "_LIMITS", (None, None))
+    _without_thread_limits(monkeypatch)
     threads = set()
     sample = harness._sample_into
 

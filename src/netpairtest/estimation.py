@@ -349,12 +349,23 @@ def degeneracy_threshold(vectors: np.ndarray) -> float:
     return DEGENERACY_REL_TOL * np.max(np.abs(vectors[:, 0]))
 
 
+def _integer_nodes(nodes) -> np.ndarray:
+    """``nodes`` as an integer array; ``ValueError`` for any other dtype and
+    for a bool anywhere among them, which numpy would read as node 0 or 1."""
+    arr = np.asarray(nodes)
+    if arr.dtype.kind not in "iu":
+        raise ValueError(f"nodes must be integers, got dtype {arr.dtype}")
+    if not isinstance(nodes, np.ndarray) and any(
+            isinstance(v, (bool, np.bool_))
+            for v in np.asarray(nodes, dtype=object).flat):
+        raise ValueError("nodes must be integers, got a bool")
+    return arr
+
+
 def check_nodes(nodes, n: int) -> None:
     """Raise ``ValueError`` unless ``nodes`` are distinct integers in
-    [0, n)."""
-    nodes = np.asarray(nodes)
-    if nodes.dtype.kind not in "iu":
-        raise ValueError(f"nodes must be integers, got dtype {nodes.dtype}")
+    [0, n) (:func:`_integer_nodes`)."""
+    nodes = _integer_nodes(nodes)
     if len(np.unique(nodes)) != len(nodes):
         raise ValueError("nodes must be distinct")
     outside = (nodes < 0) | (nodes >= n)
@@ -458,11 +469,12 @@ def _estimate(mats: np.ndarray, scalar: bool) -> CovarianceEstimate:
 
 def _pair_arrays(i, j) -> tuple[np.ndarray, np.ndarray, bool]:
     """Nodes ``i`` and ``j`` as equal-length index arrays, and whether they
-    were single nodes. An empty input, such as ``[]``, keeps its shape and
-    reads as integer nodes: an empty stack where it is one-dimensional."""
+    were single nodes; each must be integers (:func:`_integer_nodes`). An
+    empty input, such as ``[]``, keeps its shape and reads as integer nodes:
+    an empty stack where it is one-dimensional."""
     scalar = np.ndim(i) == 0 and np.ndim(j) == 0
-    i, j = (np.atleast_1d(a) for a in (i, j))
-    i, j = (a.astype(int) if a.size == 0 else a for a in (i, j))
+    i, j = (np.atleast_1d(_integer_nodes(a) if np.size(a)
+                          else np.zeros(np.shape(a), int)) for a in (i, j))
     if i.ndim != 1 or i.shape != j.shape:
         raise ValueError("i and j must be nodes or equal-length node arrays")
     if np.any(i == j):

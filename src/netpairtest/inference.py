@@ -16,12 +16,13 @@ silently regularized. Every form is solved by numpy's stacked solve, which
 factors each covariance on its own, and decided by its chi-square tail:
 :func:`reject` reads the p-value. Both tests take an adjacency matrix or a
 :class:`~.estimation.Fit` of one, so that many pairs share a single fit.
-One stacked core tests pairs of rows of one :class:`~.estimation.NodeMoments`
-(contrasts, degeneracy and moments of :func:`~.estimation.node_moments`):
-:func:`pvalue_matrix` maps its nodes to rows once and runs it one output row
-at a time, and :func:`test_T`, :func:`test_G` and the Monte Carlo harness
-run it on one pair. A pair that fails (degenerate node, singular covariance)
-fails alone; only the one-pair test raises.
+Every pair test enters through one function, which checks the nodes before
+any fit, fixes K, fits and reads the nodes' :class:`~.estimation.NodeMoments`
+and rows once. One stacked core tests pairs of those rows:
+:func:`pvalue_matrix` runs it one output row at a time, :func:`test_T`,
+:func:`test_G` and the Monte Carlo harness on one pair. A pair that fails
+(degenerate node, singular covariance) fails alone; only the one-pair test
+raises.
 """
 
 from __future__ import annotations
@@ -104,33 +105,31 @@ def chi2_sf(x, df: int):
     return float(q) if q.ndim == 0 else q
 
 
-def _fitted(x, k_override: int | None, method: str) -> Fit:
-    """``x`` fitted for the ``method`` test; a supplied :class:`Fit` fixes K
-    and must meet the same least K as ``k_override``."""
+def _fitted_moments(x, nodes, method: str, k_override: int | None):
+    """(fit, NodeMoments of ``nodes``, their rows) of ``x`` for ``method``,
+    nodes checked before any fit; a supplied :class:`Fit` fixes K and must
+    meet the same least K as ``k_override``."""
     given = isinstance(x, Fit)
+    check_nodes(nodes, np.shape(x.x if given else x)[0])
     if given and k_override is not None:
         raise ValueError("a Fit already fixes k")
     k = x.k if given else k_override
     if k is not None:
         check_k(k, method)
-    return x if given else fit(x, k, floor=MIN_K[method])
-
-
-def _check_nodes(x, nodes) -> None:
-    """:func:`check_nodes` on the nodes of ``x``, a matrix or a Fit."""
-    check_nodes(nodes, np.shape(x.x if isinstance(x, Fit) else x)[0])
+    fitted = x if given else fit(x, k, floor=MIN_K[method])
+    moments = node_moments(fitted, nodes, method)
+    return fitted, moments, moments.positions(nodes)
 
 
 @dataclass(frozen=True)
 class _PairTests:
     """Tests of a stack of pairs: a pair failed, with NaN statistic and
-    p-value, iff it is ``degenerate`` or its ``condition`` fails the limit."""
+    p-value, iff a node is degenerate or its ``condition`` fails the limit."""
 
     statistic: np.ndarray
     p_value: np.ndarray
     condition: np.ndarray
     df: int
-    degenerate: np.ndarray
 
 
 def _test_pairs(mom: NodeMoments, p: np.ndarray, q: np.ndarray) -> _PairTests:
@@ -164,19 +163,19 @@ def _test_pairs(mom: NodeMoments, p: np.ndarray, q: np.ndarray) -> _PairTests:
     p_value = np.full(pairs, np.nan)
     tested = ~np.isnan(stat)
     p_value[tested] = chi2_sf(np.maximum(stat[tested], 0.0), df)
-    return _PairTests(statistic=stat, p_value=p_value, condition=cond, df=df,
-                      degenerate=degenerate)
+    return _PairTests(statistic=stat, p_value=p_value, condition=cond, df=df)
 
 
-def _pair_test(fitted: Fit, i: int, j: int, method: str) -> TestResult:
-    """The ``method`` test of nodes ``i`` and ``j`` on a shared fit, each
-    mapped to its row once: :func:`_test_pairs` of one pair, or its error."""
-    mom = node_moments(fitted, [i, j], method)
-    rows = mom.positions([i, j])
+def _pair_test(x: np.ndarray | Fit, i: int, j: int, method: str,
+               k_override: int | None = None) -> TestResult:
+    """The ``method`` test of nodes ``i`` and ``j`` of ``x``, a matrix or a
+    Fit: :func:`_test_pairs` of one pair, or its error."""
+    fitted, mom, rows = _fitted_moments(x, (i, j), method, k_override)
     res = _test_pairs(mom, rows[:1], rows[1:])
     cond = res.condition[0]
-    if res.degenerate[0]:
-        raise degenerate_node(i if mom.degenerate[rows[0]] else j)
+    degenerate = mom.degenerate[rows]
+    if degenerate.any():
+        raise degenerate_node(i if degenerate[0] else j)
     if not cond <= CONDITION_LIMIT:
         raise SingularCovarianceError(
             f"covariance condition estimate {cond:.3g} "
@@ -197,8 +196,7 @@ def test_T(x: np.ndarray | Fit, i: int, j: int,
     thresholding (floored at ``MIN_K["T"]`` = 1). ``i`` and ``j`` are
     distinct 0-based node indices.
     """
-    _check_nodes(x, (i, j))
-    return _pair_test(_fitted(x, k_override, "T"), i, j, "T")
+    return _pair_test(x, i, j, "T", k_override)
 
 
 def test_G(x: np.ndarray | Fit, i: int, j: int,
@@ -210,8 +208,7 @@ def test_G(x: np.ndarray | Fit, i: int, j: int,
     K defaults to the thresholding estimate floored at ``MIN_K["G"]`` = 2;
     degrees of freedom are K-1.
     """
-    _check_nodes(x, (i, j))
-    return _pair_test(_fitted(x, k_override, "G"), i, j, "G")
+    return _pair_test(x, i, j, "G", k_override)
 
 
 def reject(result: TestResult, alpha: float) -> bool:
@@ -233,22 +230,19 @@ def pvalue_matrix(x: np.ndarray | Fit, nodes, method: str = "T",
     nodes = list(nodes)
     if len(nodes) < 2:
         raise ValueError("need at least two distinct nodes")
-    _check_nodes(x, nodes)
     method = method.upper()
     if method not in MIN_K:
         raise ValueError(f"unknown method {method!r}")
     m = len(nodes)
     out = np.ones((m, m))
     try:
-        fitted = _fitted(x, k_override, method)
+        _, moments, rows = _fitted_moments(x, nodes, method, k_override)
     except TEST_FAILURES:
         # a zero eigenvalue among the top K fails every pair alike
         out[~np.eye(m, dtype=bool)] = np.nan
         return PValueMatrix(nodes=tuple(nodes), matrix=out, method=method)
     # one output row at a time, node s against the later nodes, so that the
     # temporaries of a row stay O(m k^2)
-    moments = node_moments(fitted, nodes, method)
-    rows = moments.positions(nodes)
     for s in range(m - 1):
         out[s, s + 1:] = out[s + 1:, s] = _test_pairs(
             moments, np.full(m - 1 - s, rows[s]), rows[s + 1:]).p_value

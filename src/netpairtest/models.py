@@ -86,15 +86,17 @@ class DCMMParams:
             raise ValueError("community count K must be >= 1")
         if theta.shape != (self.n,):
             raise ValueError("theta must have one entry per node")
-        if np.any(theta <= 0) or np.any(theta > 1):
+        # each range check is written so that NaN fails it
+        if not np.all((theta > 0) & (theta <= 1)):
             raise ValueError("degree parameters must lie in (0, 1]")
         if pi.shape != (self.n, self.K):
             raise ValueError("membership matrix must be n x K")
-        if np.any(pi < 0) or np.any(np.abs(pi.sum(axis=1) - 1.0) > SIMPLEX_TOL):
+        if not (np.all(pi >= 0)
+                and np.all(np.abs(pi.sum(axis=1) - 1.0) <= SIMPLEX_TOL)):
             raise ValueError("membership rows must lie on the simplex")
         if p.shape != (self.K, self.K) or not np.allclose(p, p.T, atol=0):
             raise ValueError("mixing matrix must be symmetric K x K")
-        if np.any(p < 0) or np.any(p > 1):
+        if not np.all((p >= 0) & (p <= 1)):
             raise ValueError("mixing matrix entries must lie in [0, 1]")
         if self.K > 0 and abs(np.linalg.det(p)) < 1e-14:
             raise ValueError("mixing matrix must be nonsingular")
@@ -140,10 +142,12 @@ def sample_adjacency(h: np.ndarray, seed, self_loops: bool = False) -> np.ndarra
     row-major stream of one (n, n) block of uniforms, of which only the
     strict upper triangle (and the diagonal, with ``self_loops``) is used,
     so a generator passed as ``seed`` advances by n * n uniforms. An entry
-    of ``h`` outside [0, 1] raises ValueError before any draw.
+    of ``h`` outside [0, 1], NaN included, raises ValueError before any
+    draw.
     """
     h = np.asarray(h, dtype=float)
-    if h.min(initial=0) < 0 or h.max(initial=1) > 1:
+    # min and max propagate NaN, which fails both comparisons
+    if not (h.min(initial=0) >= 0 and h.max(initial=1) <= 1):
         raise ValueError("mean matrix entries must lie in [0, 1]")
     n = h.shape[0]
     return _sample_into(np.empty((n, n)), h, seed, self_loops)
@@ -246,10 +250,13 @@ def design_params(model: int, n: int, n0: int, rho: float, signal: float,
                   seed) -> DCMMParams:
     """Parameters of simulation model 1 or 2 at degree signal ``signal``:
     model 1 at theta = signal, model 2 at r = sqrt(signal) with its degree
-    parameters drawn from ``seed`` (unused by model 1)."""
+    parameters drawn from ``seed`` (unused by model 1). A model-2 signal
+    r2 is checked against (0, 1] before its root is taken."""
     if model == 1:
         return model1_params(n, n0, rho, signal)
     if model == 2:
+        if not 0 < signal <= 1:
+            raise ValueError("r2 must lie in (0, 1]")
         return model2_params(n, n0, rho, float(np.sqrt(signal)), seed)
     raise ValueError(f"model must be 1 or 2, got {model}")
 

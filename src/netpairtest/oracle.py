@@ -29,7 +29,7 @@ from .models import (
     sample_adjacency,
     study_pair,
 )
-from .spectra import top_eigenpairs
+from .spectra import TIE_REL_TOL, top_eigenpairs
 
 __all__ = [
     "GroundTruth",
@@ -129,12 +129,12 @@ def with_tk(gt: GroundTruth) -> GroundTruth:
 def eigen_gap_constant(gt: GroundTruth) -> float:
     """Ratio-gap constant implied by the instance's eigenvalues: the smallest
     magnitude ratio between consecutive-in-magnitude eigenvalues (skipping
-    exact +/- pairs), minus one."""
+    +/- pairs, tied to :data:`~.spectra.TIE_REL_TOL`), minus one."""
     d = gt.d
     best = np.inf
     for i in range(gt.k):
         for j in range(i + 1, gt.k):
-            if abs(d[i] + d[j]) < 1e-12 * abs(d[i]):
+            if abs(d[i] + d[j]) < TIE_REL_TOL * abs(d[i]):
                 continue
             best = min(best, abs(d[i]) / abs(d[j]))
     if not np.isfinite(best):

@@ -86,6 +86,16 @@ def test_simulate_missing_signal_flag(tmp_path, capsys):
     assert "--theta" in err
 
 
+def test_simulate_bad_r2_is_one_usage_error(tmp_path, capsys):
+    # r2 is checked before its square root is taken: no numpy warning
+    code, _, err = run([
+        "simulate", "--model", "2", "--n", "120", "--n0", "24",
+        "--r2", "-1", "--out", str(tmp_path / "x.txt")], capsys)
+    assert code == cli.EXIT_USAGE
+    assert err.splitlines() == ["error: r2 must lie in (0, 1]"]
+    assert list(tmp_path.iterdir()) == []
+
+
 # --------------------------------------------------------------- test-pair
 
 @pytest.fixture(scope="module")

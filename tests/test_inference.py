@@ -235,9 +235,16 @@ def test_non_integer_nodes_rejected_before_the_fit(karate, monkeypatch):
     for nodes in ([0.5, 2, 3], [0.0, 2.0], [True, False]):
         with pytest.raises(ValueError, match="nodes must be integers"):
             npt.pvalue_matrix(karate, nodes)
+    # a bool among integers is not read as node 1
+    for call in (lambda: npt.test_T(karate, True, 2, k_override=2),
+                 lambda: npt.pvalue_matrix(karate, [True, 2, 3]),
+                 lambda: npt.pvalue_matrix(karate, [1, 2, True])):
+        with pytest.raises(ValueError, match="nodes must be integers"):
+            call()
     fitted = npt.fit(karate, 2)
-    with pytest.raises(ValueError, match="nodes must be integers"):
-        npt.estimate_sigma1(fitted, 1.5, 2)
+    for i in (1.5, True):
+        with pytest.raises(ValueError, match="nodes must be integers"):
+            npt.estimate_sigma1(fitted, i, 2)
     # numpy integers are integers
     assert npt.test_T(fitted, np.int64(6), np.uint8(12)).statistic \
         == npt.test_T(fitted, 6, 12).statistic
@@ -357,6 +364,16 @@ def test_pvalue_matrix_fits_once(karate, karate_csr, monkeypatch):
             npt.pvalue_matrix(fitted, nodes, method=method)
             assert calls.pop("positions") <= 2 * len(nodes) - 1
             assert calls == {"sigma2_rows": 1}
+            # a one-pair test makes the same one pass: its two nodes map
+            # to rows once, and the covariance maps each node once more
+            runner = npt.test_T if method == "T" else npt.test_G
+            one_fit = {"fit": 1, "top_eigenpairs": 1, "max_degree": 1,
+                       "diag_residual_square": 1}
+            for given, fitting in ((x, one_fit), (fitted, {})):
+                calls.clear()
+                runner(given, 6, 12)
+                assert calls.pop("positions") == 3
+                assert calls == {**fitting, "sigma2_rows": 1}
 
 
 @pytest.mark.parametrize("method,k", [("T", None), ("T", 1), ("T", 2),

@@ -35,6 +35,10 @@ def test_design_params_maps_the_signal_to_each_model():
         .theta.tobytes()
     with pytest.raises(ValueError, match="model must be 1 or 2"):
         design_params(3, 140, 20, 0.3, 0.8, seed=None)
+    # a model-2 signal is r^2, checked before its root is taken
+    for signal in (-1.0, 0.0, 1.5):
+        with pytest.raises(ValueError, match=r"r2 must lie in \(0, 1\]"):
+            design_params(2, 140, 20, 0.3, signal, seed=11)
 
 
 def test_model1_mean_matrix_entries():
@@ -200,7 +204,7 @@ def test_sample_adjacency_rejects_bad_probabilities():
         npt.sample_adjacency(np.full((4, 4), 1.5), seed=0)
 
 
-@pytest.mark.parametrize("bad", [-0.5, 1.5])
+@pytest.mark.parametrize("bad", [-0.5, 1.5, np.nan])
 def test_bad_probabilities_raise_before_any_draw(bad):
     # the one bad entry lies in the second block of rows; a generator
     # passed as the seed has drawn nothing when the error comes
@@ -231,4 +235,13 @@ def test_params_validation():
                    p_matrix=np.array([[0.5, 0.5], [0.5, 0.5]]))
     with pytest.raises(ValueError, match="one entry per node"):
         DCMMParams(n=n, K=2, theta=theta[:-1], pi=pi, p_matrix=p)
+    # NaN fails every range check
+    nan_theta = theta.copy()
+    nan_theta[2] = np.nan
+    with pytest.raises(ValueError, match="degree parameters"):
+        DCMMParams(n=n, K=2, theta=nan_theta, pi=pi, p_matrix=p)
+    nan_pi = pi.copy()
+    nan_pi[3] = np.nan
+    with pytest.raises(ValueError, match="simplex"):
+        DCMMParams(n=n, K=2, theta=theta, pi=nan_pi, p_matrix=p)
 

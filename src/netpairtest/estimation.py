@@ -303,7 +303,8 @@ def refine_eigenvalues(spec: Spectrum, w0_sq_diag: np.ndarray,
 def fit(x, k: int | None = None, *, spectrum: Spectrum | None = None,
         floor: int = 1) -> Fit:
     """Fit ``x``, a symmetric dense array or sparse matrix, once for many
-    pair tests.
+    pair tests. The eigensolver reads a dense ``x`` through one triangle
+    (:func:`~.spectra.top_eigenpairs`), so it must be exactly symmetric.
 
     ``k`` fixes the community count; when omitted it is estimated by
     thresholding the spectrum with :func:`grow_spectrum` and floored at
@@ -315,14 +316,14 @@ def fit(x, k: int | None = None, *, spectrum: Spectrum | None = None,
     Raises
     ------
     ValueError
-        If ``k`` lies outside [0, n], or ``spectrum`` is given without
-        ``k``.
+        If ``k`` is not an integer (:func:`_integer_k`) or lies outside
+        [0, n], or ``spectrum`` is given without ``k``.
     ZeroDivisionError
         If one of the top ``k`` eigenvalues is zero to working precision.
     """
     x = as_matrix(x)
     n = x.shape[0]
-    if k is not None and not 0 <= k <= n:
+    if k is not None and not 0 <= _integer_k(k) <= n:
         raise ValueError(f"k must lie in [0, {n}], got {k}")
     est = None
     if k is None:
@@ -338,8 +339,9 @@ def fit(x, k: int | None = None, *, spectrum: Spectrum | None = None,
 
 
 def check_k(k: int, method: str) -> None:
-    """Raise ``ValueError`` unless ``k`` is at least ``MIN_K[method]``."""
-    if k < MIN_K[method]:
+    """Raise ``ValueError`` unless ``k`` is an integer
+    (:func:`_integer_k`) of at least ``MIN_K[method]``."""
+    if _integer_k(k) < MIN_K[method]:
         raise ValueError(f"the {method} test needs k >= {MIN_K[method]}")
 
 
@@ -360,6 +362,14 @@ def _integer_nodes(nodes) -> np.ndarray:
             for v in np.asarray(nodes, dtype=object).flat):
         raise ValueError("nodes must be integers, got a bool")
     return arr
+
+
+def _integer_k(k) -> int:
+    """``k`` as an int; ``ValueError`` for anything but a Python or numpy
+    integer, a bool included, before it can reach the eigensolver."""
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        raise ValueError(f"k must be an integer, got {k!r}")
+    return int(k)
 
 
 def check_nodes(nodes, n: int) -> None:

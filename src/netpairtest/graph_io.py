@@ -230,7 +230,8 @@ def as_matrix(x):
     The products of :mod:`~.spectra` then see one layout, so a copy made
     here leaves the results independent of the input's memory layout to the
     last bit, and squaring the stored entries squares the matrix's
-    entries."""
+    entries. A dense ``x`` must be exactly symmetric: the eigensolver reads
+    its lower triangle alone (:func:`~.spectra.top_eigenpairs`)."""
     if scipy.sparse.issparse(x):
         csr = x.tocsr().astype(float, copy=False)
         if not csr.has_canonical_format:

@@ -230,8 +230,9 @@ def pvalue_matrix(x: np.ndarray | Fit, nodes, method: str = "T",
     nodes = list(nodes)
     if len(nodes) < 2:
         raise ValueError("need at least two distinct nodes")
-    method = method.upper()
-    if method not in MIN_K:
+    if isinstance(method, str):
+        method = method.upper()
+    if not isinstance(method, str) or method not in MIN_K:
         raise ValueError(f"unknown method {method!r}")
     m = len(nodes)
     out = np.ones((m, m))

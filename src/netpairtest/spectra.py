@@ -15,16 +15,23 @@ ground truth. The module computes eigenpairs only: the domain of each
 pair-test covariance (the least K, the degenerate-node rule) is defined in
 :mod:`~.estimation`.
 
-ARPACK's own BLAS calls run on scipy's OpenBLAS, and the products of
-``x`` it asks for are numpy's ``x @ y``. Where the two libraries each
-bundle their own OpenBLAS, each keeps its own pool of worker threads, and a
-solve that woke both pools at every Lanczos step left one pool's idle
-workers spinning on the cores the other needed. So :func:`_arpack` limits
-scipy's OpenBLAS to the calling thread for the solve, and gives the thread
-back its setting after it, where scipy's library has that per-thread limit.
-Both libraries' per-thread limits are looked up once, at import, into
-:data:`_LIMITS`; the Monte Carlo harness reads the same table to limit its
-workers (:func:`_limit_blas_threads`).
+ARPACK's own BLAS calls run on scipy's OpenBLAS. The products of ``x`` it
+asks for run on numpy's: for a dense ``x``, the BLAS symmetric product
+``dsymv`` (:func:`_product`), which reads the lower triangle alone and so
+moves half the memory of ``x @ y`` per Lanczos step. A dense ``x`` must
+therefore be exactly symmetric. The product is called through ``ctypes``,
+which releases the GIL, so Monte Carlo worker threads solve side by side;
+like ``x @ y`` it is bit-reproducible for a fixed build and thread count.
+A sparse ``x``, and any ``x`` where numpy's library lacks the symbol, takes
+``x @ y``. Where the two libraries each bundle their own OpenBLAS, each
+keeps its own pool of worker threads, and a solve that woke both pools at
+every Lanczos step left one pool's idle workers spinning on the cores the
+other needed. So :func:`_arpack` limits scipy's OpenBLAS to the calling
+thread for the solve, and gives the thread back its setting after it, where
+scipy's library has that per-thread limit. The product and both libraries'
+per-thread limits are looked up once, at import (:data:`_SYMV`,
+:data:`_LIMITS`); the Monte Carlo harness reads the same table of limits to
+limit its workers (:func:`_limit_blas_threads`).
 """
 
 from __future__ import annotations
@@ -59,6 +66,11 @@ START_SEED = 0
 DEFLATED_TOL = 0.1
 # OpenBLAS's limit on the BLAS threads of the calling thread alone
 _THREAD_LIMIT = "openblas_set_num_threads_local"
+# numpy's CBLAS symmetric matrix-vector product; numpy's wheels link an
+# ILP64 OpenBLAS whose CBLAS names carry this prefix and suffix
+_SYMV_NAME = "scipy_cblas_dsymv64_"
+# its CBLAS enums: row-major storage, read the lower triangle
+_ROW_MAJOR, _LOWER = 101, 122
 # extension modules that link numpy's and scipy's OpenBLAS
 _BLAS_MODULES = ("numpy._core._multiarray_umath", "scipy.linalg._fblas")
 
@@ -104,23 +116,32 @@ def _sort_order(values: np.ndarray, m: int) -> np.ndarray:
     return np.lexsort((idx, -values, tie))[:m]
 
 
-def _thread_limit(module: str):
-    """The per-thread limit (:data:`_THREAD_LIMIT`) of the OpenBLAS that
-    extension ``module`` links, looked up in its dependencies; it sets the
-    calling thread's BLAS thread count and returns the previous one. None
-    where the library lacks it."""
+def _blas_function(module: str, name: str, argtypes: list, restype):
+    """Function ``name`` of the OpenBLAS that extension ``module`` links,
+    looked up in its dependencies, with the given C signature; None where
+    the library lacks it."""
     try:
         library = ctypes.CDLL(importlib.import_module(module).__file__)
-        limit = getattr(library, _THREAD_LIMIT)
+        function = getattr(library, name)
     except (ImportError, OSError, AttributeError):
         return None
-    limit.argtypes, limit.restype = [ctypes.c_int], ctypes.c_int
-    return limit
+    function.argtypes, function.restype = argtypes, restype
+    return function
 
 
-# the per-thread limits of numpy's and of scipy's OpenBLAS, looked up once;
-# None where a library lacks it
-_LIMITS = tuple(_thread_limit(module) for module in _BLAS_MODULES)
+# the per-thread limits (:data:`_THREAD_LIMIT`) of numpy's and of scipy's
+# OpenBLAS, looked up once; each sets the calling thread's BLAS thread count
+# and returns the previous one; None where a library lacks it
+_LIMITS = tuple(_blas_function(module, _THREAD_LIMIT, [ctypes.c_int],
+                               ctypes.c_int)
+                for module in _BLAS_MODULES)
+# numpy's dsymv: (order, uplo, n, alpha, a, lda, x, incx, beta, y, incy),
+# y = alpha a x + beta y; None where numpy's library lacks it
+_SYMV = _blas_function(
+    _BLAS_MODULES[0], _SYMV_NAME,
+    [ctypes.c_int, ctypes.c_int, ctypes.c_int64, ctypes.c_double,
+     ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64,
+     ctypes.c_double, ctypes.c_void_p, ctypes.c_int64], None)
 
 
 def _limit_blas_threads() -> None:
@@ -152,12 +173,37 @@ def _arpack(op, k: int, tol: float):
             limit(previous)
 
 
+def _product(x):
+    """The product y -> x @ y of symmetric ``x`` that ARPACK asks for.
+
+    A square C-contiguous float64 array is read through its lower triangle
+    by numpy's dsymv (:data:`_SYMV`), outside the GIL; the function holds
+    ``x``, so its buffer outlives every call. Any other ``x``, or any ``x``
+    where the symbol is missing, takes ``x @ y``."""
+    if (_SYMV is None or not isinstance(x, np.ndarray) or x.dtype != float
+            or not x.flags.c_contiguous or x.ndim != 2
+            or x.shape[0] != x.shape[1]):
+        return lambda y: x @ y
+    n = x.shape[0]
+
+    def symv(y):
+        y = np.ascontiguousarray(y, dtype=float).reshape(n)
+        out = np.empty(n)
+        _SYMV(_ROW_MAJOR, _LOWER, n, 1.0, x.ctypes.data, n, y.ctypes.data, 1,
+              0.0, out.ctypes.data, 1)
+        return out
+
+    return symv
+
+
 def top_eigenpairs(x, m: int) -> Spectrum:
     """The ``m`` eigenpairs of largest eigenvalue magnitude of symmetric
     ``x``, a dense array or a scipy sparse matrix.
 
     ARPACK (implicitly restarted Lanczos) computes them to machine
-    precision from a fixed start vector. A dense symmetric eigendecomposition
+    precision from a fixed start vector. It reads a dense ``x`` through its
+    lower triangle (:func:`_product`), so a dense ``x`` must be exactly
+    symmetric. A dense symmetric eigendecomposition
     stands in only where ARPACK cannot run: for ``m >= n - 1``, or when ARPACK
     fails (for instance on the zero matrix, where every start vector maps to
     zero) or returns columns that are not orthonormal (as on entries of
@@ -167,8 +213,8 @@ def top_eigenpairs(x, m: int) -> Spectrum:
     n = x.shape[0]
     if not 1 <= m <= n:
         raise ValueError(f"m must lie in [1, {n}], got {m}")
-    op = scipy.sparse.linalg.LinearOperator(
-        x.shape, matvec=lambda y: x @ y, dtype=float)
+    op = scipy.sparse.linalg.LinearOperator(x.shape, matvec=_product(x),
+                                            dtype=float)
     found = _arpack(op, m, 0)
     if found is None or not _orthonormal(found[1]):
         found = np.linalg.eigh(x.toarray() if scipy.sparse.issparse(x) else x)
@@ -197,10 +243,11 @@ def deflated_ritz(x, spec: Spectrum) -> tuple[float, float] | None:
     """
     x = as_matrix(x)
     v, d = spec.vectors, spec.values
+    product = _product(x)
 
     def matvec(y):
         y = np.ravel(y)
-        return x @ y - v @ (d * (v.T @ y))
+        return product(y) - v @ (d * (v.T @ y))
 
     op = scipy.sparse.linalg.LinearOperator(x.shape, matvec=matvec,
                                             dtype=float)

@@ -1,3 +1,4 @@
+import ctypes
 import pickle
 import sys
 import threading
@@ -262,8 +263,8 @@ def _limited():
 def _without_thread_limits(monkeypatch):
     """Rebuild the table of per-thread limits as the lookup reads it from
     libraries that lack the limit: None for each."""
-    monkeypatch.setattr(spectra, "_THREAD_LIMIT", "no_such_symbol")
-    limits = tuple(spectra._thread_limit(module)
+    limits = tuple(spectra._blas_function(module, "no_such_symbol",
+                                          [ctypes.c_int], ctypes.c_int)
                    for module in spectra._BLAS_MODULES)
     assert limits == (None, None)
     monkeypatch.setattr(spectra, "_LIMITS", limits)

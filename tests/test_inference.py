@@ -250,6 +250,35 @@ def test_non_integer_nodes_rejected_before_the_fit(karate, monkeypatch):
         == npt.test_T(fitted, 6, 12).statistic
 
 
+def test_non_integer_k_rejected_before_any_solve(karate, monkeypatch):
+    # a float K reached ARPACK as SystemError, a bool K as TypeError
+    expected = npt.test_T(karate, 6, 12, k_override=2).statistic
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before checking k")
+
+    for name in ("top_eigenpairs", "grow_spectrum"):
+        monkeypatch.setattr(npt.estimation, name, no_solve)
+    calls = [lambda k: npt.test_T(karate, 1, 2, k_override=k),
+             lambda k: npt.test_G(karate, 1, 2, k_override=k),
+             lambda k: npt.pvalue_matrix(karate, [1, 2, 3], k_override=k),
+             lambda k: npt.fit(karate, k)]
+    for call in calls:
+        for k in (2.5, 2.0, np.float64(3.0), True, np.True_, "2"):
+            with pytest.raises(ValueError, match="k must be an integer"):
+                call(k)
+    monkeypatch.undo()
+    # numpy integers are integers
+    assert npt.test_T(karate, 6, 12, k_override=np.int64(2)).statistic \
+        == expected
+
+
+@pytest.mark.parametrize("method", [None, 1, ["T"], b"T"])
+def test_a_method_that_is_not_a_string_is_unknown(karate, method):
+    with pytest.raises(ValueError, match="unknown method"):
+        npt.pvalue_matrix(karate, [1, 2], method=method)
+
+
 # ------------------------------------------------------------- invariances
 
 def _flip_columns(spec, signs):

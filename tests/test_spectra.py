@@ -221,25 +221,66 @@ def test_deflated_ritz_bounds_the_next_eigenvalue():
     assert deflated_ritz(small, npt.top_eigenpairs(small, 1)) is None
 
 
-class _CountedProducts:
-    """``x`` as ``deflated_ritz`` reads it, counting its products."""
-
-    def __init__(self, x):
-        self.x, self.shape, self.products = x, x.shape, 0
-
-    def __matmul__(self, y):
-        self.products += 1
-        return self.x @ y
-
-
 def test_deflated_ritz_stops_after_one_arpack_pass(certified, monkeypatch):
     # one pass of ARPACK's 20-vector basis takes 21 products of x and the
     # residual one more, 22 in all; a stop at 1e-3 takes 42
     spec = npt.top_eigenpairs(certified, 3)
-    counted = _CountedProducts(certified)
-    monkeypatch.setattr(spectra, "as_matrix", lambda x: x)
-    assert deflated_ritz(counted, spec) == deflated_ritz(certified, spec)
-    assert counted.products <= 25
+    expected = deflated_ritz(certified, spec)
+    build, products = spectra._product, []
+
+    def counted(x):
+        product = build(x)
+
+        def count(y):
+            products.append(y)
+            return product(y)
+
+        return count
+
+    monkeypatch.setattr(spectra, "_product", counted)
+    assert deflated_ritz(certified, spec) == expected
+    assert len(products) <= 25
+
+
+@pytest.mark.parametrize("n", [2, 3, 40, 301])
+def test_dense_product_matches_matmul(n):
+    # dsymv reads the lower triangle and sums in its own order: equal to
+    # x @ y up to rounding, for any layout of y
+    x = _random_symmetric(n, n)
+    product = spectra._product(x)
+    ys = np.random.default_rng(n).standard_normal((n, 3))
+    for y in (ys[:, 0], ys[:, 1].copy(), ys[:, 2:]):
+        want = x @ y.ravel()
+        got = product(y)
+        assert got.shape == (n,)
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+    if spectra._SYMV is not None:
+        # the upper triangle is not read
+        upper = x + np.triu(np.ones((n, n)), 1)
+        assert np.array_equal(spectra._product(upper)(ys[:, 0]),
+                              product(ys[:, 0]))
+    # sparse input and non-arrays keep x @ y
+    csr = scipy.sparse.csr_array(x)
+    assert np.array_equal(spectra._product(csr)(ys[:, 0]), csr @ ys[:, 0])
+
+
+def test_without_the_dense_product_the_fallback_agrees(certified,
+                                                       monkeypatch):
+    # where numpy's BLAS lacks dsymv every product is x @ y: the same
+    # spectrum and fit up to rounding
+    fast_spec, fast_fit = npt.top_eigenpairs(certified, 3), npt.fit(certified)
+    monkeypatch.setattr(spectra, "_SYMV", None)
+    spec, fitted = npt.top_eigenpairs(certified, 3), npt.fit(certified)
+    for a, b in ((spec.values, fast_spec.values),
+                 (fitted.spectrum.values, fast_fit.spectrum.values),
+                 (fitted.d_tilde, fast_fit.d_tilde)):
+        assert np.allclose(a, b, rtol=1e-12, atol=0)
+    for a, b in ((spec.vectors, fast_spec.vectors),
+                 (fitted.spectrum.vectors, fast_fit.spectrum.vectors)):
+        assert np.allclose(a, b, rtol=0, atol=1e-12)
+    assert fitted.k == fast_fit.k == 3
+    assert fitted.k_estimate.next_bound == pytest.approx(
+        fast_fit.k_estimate.next_bound, rel=1e-12)
 
 
 def test_sort_order_ties_put_the_positive_value_first():

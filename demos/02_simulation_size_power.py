@@ -15,7 +15,7 @@ GRID = (0.3, 0.6, 0.9)
 
 def study(model):
     label = "theta" if model == 1 else "r^2"
-    stat = "T" if model == 1 else "G"
+    stat = npt.models.MODEL_TESTS[model]
     print(f"\nmodel {model} (n={N}, {REPS} replications, statistic {stat})")
     print(f"{label:>6}  {'size':>7}  {'power':>7}")
     size_report = npt.run_size_power(npt.ExperimentConfig(

@@ -21,14 +21,19 @@ from . import __version__
 from .estimation import DegenerateNodeError, degenerate_node, grow_spectrum
 from .graph_io import GraphFormatError, load_edge_list, max_degree
 from .harness import (
-    TRUE_K,
     ExperimentConfig,
     null_histogram,
     run_k_accuracy,
     run_size_power,
 )
 from .inference import TEST_FAILURES, pvalue_matrix, test_G, test_T
-from .models import build_mean_matrix, design_params, sample_adjacency
+from .models import (
+    DESIGN_K,
+    MODEL_TESTS,
+    build_mean_matrix,
+    design_params,
+    sample_adjacency,
+)
 from .oracle import RootBracketError, covariance_trend
 from .spectra import top_eigenpairs
 
@@ -36,6 +41,10 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
+
+# oracle-check's metric: the covariance of each test, Sigma_1 of T and
+# Sigma_2 of G, as estimation.estimate_sigma1 and estimate_sigma2 name them
+TREND_METRICS = {"T": "sigma1_trend", "G": "sigma2_trend"}
 
 FULL_GRID = tuple(round(0.2 + 0.1 * i, 1) for i in range(8))
 
@@ -70,7 +79,8 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="sample a network from a model")
-    sim.add_argument("--model", type=int, choices=(1, 2), required=True)
+    sim.add_argument("--model", type=int, choices=tuple(MODEL_TESTS),
+                     required=True)
     sim.add_argument("--n", type=int, required=True)
     sim.add_argument("--n0", type=int, required=True)
     sim.add_argument("--rho", type=float, default=0.2)
@@ -120,7 +130,8 @@ def _build_parser() -> _Parser:
 
     oc = sub.add_parser("oracle-check",
                         help="ground-truth covariance trend metrics")
-    oc.add_argument("--model", type=int, choices=(1, 2), default=1)
+    oc.add_argument("--model", type=int, choices=tuple(MODEL_TESTS),
+                    default=1)
     oc.add_argument("--signal", type=float, default=0.9,
                     help="theta (model 1) or r^2 (model 2)")
     oc.add_argument("--sizes", default="500,1000,2000")
@@ -253,8 +264,9 @@ def _cmd_mc(args) -> int:
         cfg = config("size", k_mode="estimated_k")
         report = run_k_accuracy(cfg)
         for pt in report.points:
-            correct = pt.k_hat_counts.get(TRUE_K, 0)
-            under = sum(c for k, c in pt.k_hat_counts.items() if k <= TRUE_K)
+            correct = pt.k_hat_counts.get(DESIGN_K, 0)
+            under = sum(c for k, c in pt.k_hat_counts.items()
+                        if k <= DESIGN_K)
             rows.append(f"{cfg.model},{cfg.n},{pt.signal},p_k_correct,"
                         f"{correct / pt.replications:.6f},{pt.replications},0")
             rows.append(f"{cfg.model},{cfg.n},{pt.signal},p_k_at_most,"
@@ -277,7 +289,7 @@ def _cmd_oracle_check(args) -> int:
     sizes = [int(tok) for tok in args.sizes.split(",")]
     trend = covariance_trend(args.model, args.signal, sizes, args.reps,
                              args.seed)
-    metric = "sigma1_trend" if args.model == 1 else "sigma2_trend"
+    metric = TREND_METRICS[MODEL_TESTS[args.model]]
     rows = [f"# netpairtest {__version__} oracle-check model={args.model} "
             f"seed={args.seed}", "n,metric,value"]
     rows += [f"{n},{metric},{err:.6f}" for n, err in zip(sizes, trend)]

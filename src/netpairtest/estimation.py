@@ -41,7 +41,7 @@ import numpy as np
 import scipy.sparse
 
 from .graph_io import as_matrix, max_degree
-from .spectra import Spectrum, deflated_ritz, top_eigenpairs
+from .spectra import Spectrum, _integer_count, deflated_ritz, top_eigenpairs
 
 __all__ = [
     "MIN_K",
@@ -246,8 +246,8 @@ def grow_spectrum(x, m: int = 3) -> tuple[Spectrum, KEstimate]:
     """
     x = as_matrix(x)
     n = x.shape[0]
+    m = min(_integer_count(m, "m"), n)
     dmax = max_degree(x)
-    m = min(m, n)
     while True:
         spec = top_eigenpairs(x, m)
         est = estimate_k_from_values(spec.values, n, dmax)
@@ -309,6 +309,7 @@ def fit(x, k: int | None = None, *, spectrum: Spectrum | None = None,
     ``k`` fixes the community count; when omitted it is estimated by
     thresholding the spectrum with :func:`grow_spectrum` and floored at
     ``floor``; the tests pass the least K they accept, ``MIN_K[method]``.
+    A floor above the pairs the estimate solved has them solved to it.
     For a fixed ``k``, ``spectrum`` may supply precomputed eigenpairs of
     ``x``; by default the top max(k, 1) pairs are computed. The refinement
     costs O(nnz k); no n x n matrix is formed.
@@ -316,21 +317,27 @@ def fit(x, k: int | None = None, *, spectrum: Spectrum | None = None,
     Raises
     ------
     ValueError
-        If ``k`` is not an integer (:func:`_integer_k`) or lies outside
-        [0, n], or ``spectrum`` is given without ``k``.
+        If ``k``, or ``floor`` where K is estimated, is not an integer
+        (:func:`~.spectra._integer_count`) or lies outside [0, n], or
+        ``spectrum`` is given without ``k``.
     ZeroDivisionError
         If one of the top ``k`` eigenvalues is zero to working precision.
     """
     x = as_matrix(x)
     n = x.shape[0]
-    if k is not None and not 0 <= _integer_k(k) <= n:
+    if k is not None and not 0 <= _integer_count(k, "k") <= n:
         raise ValueError(f"k must lie in [0, {n}], got {k}")
     est = None
     if k is None:
         if spectrum is not None:
             raise ValueError("a supplied spectrum needs a fixed k")
+        floor = _integer_count(floor, "floor")
+        if not 0 <= floor <= n:
+            raise ValueError(f"floor must lie in [0, {n}], got {floor}")
         spectrum, est = grow_spectrum(x)
         k = max(est.k_hat, floor)
+        if k > spectrum.m:
+            spectrum = top_eigenpairs(x, k)
     elif spectrum is None:
         spectrum = top_eigenpairs(x, max(k, 1))
     d_tilde = refine_eigenvalues(spectrum, diag_residual_square(x, spectrum, k),
@@ -340,8 +347,8 @@ def fit(x, k: int | None = None, *, spectrum: Spectrum | None = None,
 
 def check_k(k: int, method: str) -> None:
     """Raise ``ValueError`` unless ``k`` is an integer
-    (:func:`_integer_k`) of at least ``MIN_K[method]``."""
-    if _integer_k(k) < MIN_K[method]:
+    (:func:`~.spectra._integer_count`) of at least ``MIN_K[method]``."""
+    if _integer_count(k, "k") < MIN_K[method]:
         raise ValueError(f"the {method} test needs k >= {MIN_K[method]}")
 
 
@@ -362,14 +369,6 @@ def _integer_nodes(nodes) -> np.ndarray:
             for v in np.asarray(nodes, dtype=object).flat):
         raise ValueError("nodes must be integers, got a bool")
     return arr
-
-
-def _integer_k(k) -> int:
-    """``k`` as an int; ``ValueError`` for anything but a Python or numpy
-    integer, a bool included, before it can reach the eigensolver."""
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
-        raise ValueError(f"k must be an integer, got {k!r}")
-    return int(k)
 
 
 def check_nodes(nodes, n: int) -> None:

@@ -242,9 +242,13 @@ def as_matrix(x):
 
 
 def max_degree(x) -> int:
-    """Maximum row sum of a symmetric binary matrix, dense or sparse."""
+    """Maximum row sum of a symmetric binary matrix, dense or sparse;
+    ValueError where a row sum, and so an entry, is not finite."""
     if x.ndim != 2 or x.shape[0] != x.shape[1]:
         raise ValueError("adjacency matrix must be square")
     if x.shape[0] == 0:
         return 0
-    return int(np.max(x.sum(axis=1)))
+    sums = x.sum(axis=1)
+    if not np.isfinite(sums).all():
+        raise ValueError("adjacency matrix entries must be finite")
+    return int(np.max(sums))

@@ -3,7 +3,12 @@ accuracy, and null-distribution sampling.
 
 Both studies run one loop and differ only in what a replication does with
 its network, drawn from :func:`~.models.design_params`: test the pair of
-:func:`~.models.study_pair`, or only estimate K.
+:func:`~.models.study_pair` with the model's test
+(:data:`~.models.MODEL_TESTS`) at the design's K
+(:data:`~.models.DESIGN_K`) or at its estimate, or only estimate K. A
+study's design is checked whole when its :class:`ExperimentConfig` is
+made, by building the parameters of every grid point, so a bad signal,
+layout or rho fails before the first replication runs.
 
 Replication r at grid point g always draws its randomness from the seed
 sequence (master_seed, spawn_key=(g, r, 0)), so reports are bit-reproducible
@@ -43,7 +48,14 @@ import scipy.stats
 from . import spectra
 from .estimation import MIN_K, fit, grow_spectrum
 from .inference import TEST_FAILURES, _pair_test, reject
-from .models import _sample_into, build_mean_matrix, design_params, study_pair
+from .models import (
+    DESIGN_K,
+    MODEL_TESTS,
+    _sample_into,
+    build_mean_matrix,
+    design_params,
+    study_pair,
+)
 
 __all__ = [
     "ExperimentConfig",
@@ -54,7 +66,6 @@ __all__ = [
     "null_histogram",
 ]
 
-TRUE_K = 3
 FAILURE_FRACTION_LIMIT = 0.01
 # where a replication's time goes; the K estimate counts as part of the fit
 STAGES = ("sample", "fit", "test")
@@ -68,6 +79,9 @@ class ExperimentConfig:
     ``pair_mode`` selects the node pair of :func:`~.models.study_pair`:
     "size" tests two nodes of the first mixed group (a true null), "power"
     tests a first-mixed-group node against a pure community-2 node.
+    Construction builds each grid point's parameters
+    (:func:`~.models.design_params`, with a fixed seed, then discarded), so
+    a bad model, layout, rho or signal raises ValueError here.
     """
 
     model: int
@@ -82,9 +96,7 @@ class ExperimentConfig:
     pair_mode: str = "size"
 
     def __post_init__(self):
-        if self.model not in (1, 2):
-            raise ValueError("model must be 1 or 2")
-        if self.replications < 1:
+        if spectra._integer_count(self.replications, "replications") < 1:
             raise ValueError("need at least one replication")
         if not 0 < self.alpha < 1:
             raise ValueError("alpha must lie in (0, 1)")
@@ -94,11 +106,13 @@ class ExperimentConfig:
             raise ValueError("k_mode must be true_k or estimated_k")
         if self.pair_mode not in ("size", "power"):
             raise ValueError("pair_mode must be size or power")
+        for signal in self.signal_grid:
+            design_params(self.model, self.n, self.n0, self.rho, signal, 0)
 
     @property
     def method(self) -> str:
-        """The test that matches the model: T for model 1, G for model 2."""
-        return "T" if self.model == 1 else "G"
+        """The test of the model (:data:`~.models.MODEL_TESTS`)."""
+        return MODEL_TESTS[self.model]
 
 
 @dataclass(frozen=True)
@@ -163,7 +177,7 @@ def _replicate(cfg: ExperimentConfig, x: np.ndarray, i: int, j: int,
     try:
         with clock("fit"):
             if cfg.k_mode == "true_k":
-                fitted = fit(x, TRUE_K)
+                fitted = fit(x, DESIGN_K)
             else:
                 spec, est = grow_spectrum(x)
                 k_hat = est.k_hat
@@ -276,15 +290,15 @@ def run_k_accuracy(cfg: ExperimentConfig) -> ExperimentReport:
 def null_histogram(cfg: ExperimentConfig) -> dict:
     """Null-statistic samples at the first grid point plus their
     Kolmogorov-Smirnov distance to the limiting chi-square law. Every
-    sample is tested at K = :data:`TRUE_K`, so that they share that law's
-    degrees of freedom: ``k_mode`` must be "true_k"."""
+    sample is tested at the design's K (:data:`~.models.DESIGN_K`), so that
+    they share that law's degrees of freedom: ``k_mode`` must be "true_k"."""
     if cfg.pair_mode != "size":
         raise ValueError("null sampling requires pair_mode='size'")
     if cfg.k_mode != "true_k":
         raise ValueError("null sampling requires k_mode='true_k'")
     report = run_size_power(cfg)
     samples = report.points[0].statistics
-    df = TRUE_K - MIN_K[cfg.method] + 1
+    df = DESIGN_K - MIN_K[cfg.method] + 1
     ks = scipy.stats.kstest(samples, scipy.stats.chi2(df).cdf)
     return {
         "samples": samples,

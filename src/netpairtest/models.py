@@ -10,11 +10,15 @@ used throughout ship as two deterministic constructors:
 * :func:`model2_params` -- same membership layout with random per-node degree
   parameters 1/theta_i ~ Uniform[1/r, 2/r].
 
-The studies (``harness``, ``oracle``, ``simulate``) take their parameters
-from :func:`design_params` and their node pair from :func:`study_pair`. A
-parameter set is rebuilt by calling its constructor again with the same
-arguments (and, for model 2, the same seed); ``simulate`` writes them into
-the header of its edge-list file.
+This module states each design once, for the studies (``harness``,
+``oracle``, ``simulate``): which models exist and the test each is studied
+with (:data:`MODEL_TESTS`), their community count (:data:`DESIGN_K`), their
+node layout (:func:`pure_and_mixed_indices`, the one checked layout that
+the constructors and :func:`study_pair` read), their parameters at a signal
+(:func:`design_params`) and the node pair a study tests
+(:func:`study_pair`). A parameter set is rebuilt by calling its constructor
+again with the same arguments (and, for model 2, the same seed);
+``simulate`` writes them into the header of its edge-list file.
 
 Neither :func:`build_mean_matrix` nor :func:`sample_adjacency` holds more
 than its n x n result and a few blocks of rows: H is symmetrised in place,
@@ -23,8 +27,8 @@ one pair of square tiles at a time, and the network is drawn
 Monte Carlo worker reuses from one replication to the next
 (:func:`_sample_into`). The range of H is checked once where it enters:
 :func:`build_mean_matrix` checks and clips the H it builds, and
-:func:`sample_adjacency` checks its ``h`` before the first uniform is
-drawn, so the worker's draw from a built H checks nothing.
+:func:`sample_adjacency` checks the shape and range of its ``h`` before the
+first uniform is drawn, so the worker's draw from a built H checks nothing.
 """
 
 from __future__ import annotations
@@ -32,6 +36,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .spectra import _integer_count
 
 __all__ = [
     "DCMMParams",
@@ -50,6 +56,11 @@ SIMPLEX_TOL = 1e-12
 TILE = 128
 SAMPLE_ROWS = 128
 
+# community count of both simulation designs
+DESIGN_K = 3
+# the simulation models and the test each is studied with: T for model 1's
+# common degree level, G for model 2's per-node degrees
+MODEL_TESTS = {1: "T", 2: "G"}
 # mixed-group membership vectors, fixed across both simulation models
 MIXED_GROUPS = (
     (0.2, 0.6, 0.2),
@@ -141,11 +152,13 @@ def sample_adjacency(h: np.ndarray, seed, self_loops: bool = False) -> np.ndarra
     The same seed reproduces the sample bit for bit. The draw is the
     row-major stream of one (n, n) block of uniforms, of which only the
     strict upper triangle (and the diagonal, with ``self_loops``) is used,
-    so a generator passed as ``seed`` advances by n * n uniforms. An entry
-    of ``h`` outside [0, 1], NaN included, raises ValueError before any
-    draw.
+    so a generator passed as ``seed`` advances by n * n uniforms. An ``h``
+    that is not a square matrix, or has an entry outside [0, 1], NaN
+    included, raises ValueError before any draw.
     """
     h = np.asarray(h, dtype=float)
+    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+        raise ValueError("mean matrix must be square")
     # min and max propagate NaN, which fails both comparisons
     if not (h.min(initial=0) >= 0 and h.max(initial=1) <= 1):
         raise ValueError("mean matrix entries must lie in [0, 1]")
@@ -179,26 +192,20 @@ def _sample_into(out: np.ndarray, h: np.ndarray, seed,
 
 
 def _model_memberships(n: int, n0: int) -> np.ndarray:
-    if n < 1 or n0 < 0:
-        raise ValueError(f"need n >= 1 and n0 >= 0, got n={n}, n0={n0}")
-    if n - 3 * n0 < 0 or (n - 3 * n0) % 4 != 0:
-        raise ValueError(
-            f"n - 3*n0 = {n - 3 * n0} must be nonnegative and divisible by 4"
-        )
-    m = (n - 3 * n0) // 4
-    pi = np.zeros((n, 3))
-    for k in range(3):
-        pi[k * n0:(k + 1) * n0, k] = 1.0
-    for g, vec in enumerate(MIXED_GROUPS):
-        start = 3 * n0 + g * m
-        pi[start:start + m] = vec
+    layout = pure_and_mixed_indices(n, n0)
+    pi = np.zeros((n, DESIGN_K))
+    for k, first in enumerate(layout["pure"]):
+        pi[first:first + n0, k] = 1.0
+    m = layout["group_size"]
+    for first, vec in zip(layout["mixed"], MIXED_GROUPS):
+        pi[first:first + m] = vec
     return pi
 
 
 def _model_mixing(rho: float) -> np.ndarray:
-    p = np.eye(3)
-    for i in range(3):
-        for j in range(3):
+    p = np.eye(DESIGN_K)
+    for i in range(DESIGN_K):
+        for j in range(DESIGN_K):
             if i != j:
                 p[i, j] = rho / abs(i - j)
     return p
@@ -212,7 +219,7 @@ def model1_params(n: int, n0: int, rho: float, theta: float) -> DCMMParams:
         raise ValueError("theta must lie in (0, 1]")
     pi = _model_memberships(n, n0)
     return DCMMParams(
-        n=n, K=3,
+        n=n, K=DESIGN_K,
         theta=np.full(n, np.sqrt(theta)),
         pi=pi,
         p_matrix=_model_mixing(rho),
@@ -228,7 +235,7 @@ def model2_params(n: int, n0: int, rho: float, r: float, seed) -> DCMMParams:
     rng = np.random.default_rng(seed)
     inv_theta = rng.uniform(1.0 / r, 2.0 / r, size=n)
     return DCMMParams(
-        n=n, K=3,
+        n=n, K=DESIGN_K,
         theta=1.0 / inv_theta,
         pi=pi,
         p_matrix=_model_mixing(rho),
@@ -236,12 +243,23 @@ def model2_params(n: int, n0: int, rho: float, r: float, seed) -> DCMMParams:
 
 
 def pure_and_mixed_indices(n: int, n0: int) -> dict:
-    """First node index of each pure block and mixed group in the
-    deterministic layout used by the simulation designs."""
-    m = (n - 3 * n0) // 4
+    """First node index of each pure block and mixed group, and the mixed
+    groups' size, in the deterministic layout of the simulation designs:
+    :data:`DESIGN_K` pure blocks of ``n0`` nodes, then one equal group per
+    vector of :data:`MIXED_GROUPS`. ValueError unless ``n`` and ``n0`` are
+    integers (:func:`~.spectra._integer_count`) and ``n`` nodes have that
+    layout."""
+    if _integer_count(n, "n") < 1 or _integer_count(n0, "n0") < 0:
+        raise ValueError(f"need n >= 1 and n0 >= 0, got n={n}, n0={n0}")
+    first_mixed = DESIGN_K * n0
+    mixed, groups = n - first_mixed, len(MIXED_GROUPS)
+    if mixed < 0 or mixed % groups != 0:
+        raise ValueError(f"n - {DESIGN_K}*n0 = {mixed} must be nonnegative "
+                         f"and divisible by {groups}")
+    m = mixed // groups
     return {
-        "pure": [k * n0 for k in range(3)],
-        "mixed": [3 * n0 + g * m for g in range(4)],
+        "pure": [k * n0 for k in range(DESIGN_K)],
+        "mixed": [first_mixed + g * m for g in range(groups)],
         "group_size": m,
     }
 
@@ -251,30 +269,38 @@ def design_params(model: int, n: int, n0: int, rho: float, signal: float,
     """Parameters of simulation model 1 or 2 at degree signal ``signal``:
     model 1 at theta = signal, model 2 at r = sqrt(signal) with its degree
     parameters drawn from ``seed`` (unused by model 1). A model-2 signal
-    r2 is checked against (0, 1] before its root is taken."""
+    r2 is checked against (0, 1] before its root is taken; a model outside
+    :data:`MODEL_TESTS` raises ValueError."""
+    if model not in MODEL_TESTS:
+        raise ValueError(f"model must be "
+                         f"{' or '.join(map(str, MODEL_TESTS))}, got {model}")
     if model == 1:
         return model1_params(n, n0, rho, signal)
-    if model == 2:
-        if not 0 < signal <= 1:
-            raise ValueError("r2 must lie in (0, 1]")
-        return model2_params(n, n0, rho, float(np.sqrt(signal)), seed)
-    raise ValueError(f"model must be 1 or 2, got {model}")
+    if not 0 < signal <= 1:
+        raise ValueError("r2 must lie in (0, 1]")
+    return model2_params(n, n0, rho, float(np.sqrt(signal)), seed)
 
 
 def study_pair(n: int, n0: int, pair_mode: str) -> tuple[int, int]:
     """The pair a study tests: two nodes of the first mixed group ("size",
     a true null), or the first mixed node and the first node of pure
     community 2 ("power"). ValueError, starting ``size {n} ``, when the
-    layout of ``n`` nodes with pure blocks of ``n0`` has no such pair."""
+    layout of ``n`` nodes with pure blocks of ``n0``
+    (:func:`pure_and_mixed_indices`) has no such pair."""
     if pair_mode not in ("size", "power"):
         raise ValueError("pair_mode must be size or power")
     size = pair_mode == "size"
     min_n0, per_group, need = (
         (0, 2, "two nodes in the first mixed group") if size
         else (1, 1, "a node in the first mixed group and n0 >= 1"))
-    mixed = n - 3 * n0  # nodes in the four equal mixed groups
-    if n0 < min_n0 or mixed % 4 or mixed < 4 * per_group:
+    try:
+        layout = pure_and_mixed_indices(n, n0)
+        found = n0 >= min_n0 and layout["group_size"] >= per_group
+    except ValueError:
+        found = False
+    if not found:
         raise ValueError(f"size {n} with n0 = {n0} has no {pair_mode} pair: "
                          f"it needs {need}")
-    first_mixed = 3 * n0
-    return (first_mixed, first_mixed + 1) if size else (first_mixed, n0)
+    first_mixed = layout["mixed"][0]
+    return ((first_mixed, first_mixed + 1) if size
+            else (first_mixed, layout["pure"][1]))

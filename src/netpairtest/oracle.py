@@ -9,9 +9,10 @@ the noise moments from closed forms. A :class:`GroundTruth` answers the
 questions a fit answers, so the population covariance matrices of the two
 test statistics come from ``estimation.estimate_sigma1`` and
 ``estimation.estimate_sigma2`` evaluated on it. :func:`covariance_trend`
-takes its designs from ``models.design_params`` and its pair from
-``models.study_pair``. These are consumed by verification code, not by end
-users analyzing observed networks.
+takes its designs from ``models.design_params``, its pair from
+``models.study_pair`` and each model's test from ``models.MODEL_TESTS``.
+These are consumed by verification code, not by end users analyzing
+observed networks.
 """
 
 from __future__ import annotations
@@ -21,8 +22,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.optimize
 
-from .estimation import estimate_sigma1, estimate_sigma2, fit
+from .estimation import _covariance, fit
 from .models import (
+    MODEL_TESTS,
     DCMMParams,
     build_mean_matrix,
     design_params,
@@ -248,8 +250,9 @@ def compute_tk(gt: GroundTruth, k: int,
 def covariance_trend(model: int, signal: float, sizes, reps: int,
                      seed=0) -> list[float]:
     """Mean over ``reps`` samples, at each n in ``sizes``, of the scaled
-    2-norm error of the plug-in covariance of model 1's T test (scale
-    n^2 theta) or model 2's G test (scale n min(theta)^2).
+    2-norm error of the plug-in covariance of the model's test
+    (:data:`~.models.MODEL_TESTS`): model 1's T test at scale n^2 theta,
+    model 2's G test at scale n min(theta)^2.
 
     The design (:func:`~.models.design_params`) has n0 = n // 5, rho = 0.2
     and degree level ``signal`` (theta, or r^2 for model 2); the pair is the
@@ -266,11 +269,12 @@ def covariance_trend(model: int, signal: float, sizes, reps: int,
     for n, (i, j) in zip(sizes, pairs):
         params = design_params(model, n, n // 5, 0.2, signal, seed)
         gt = ground_truth(params)
+        method = MODEL_TESTS[model]
         if model == 1:
-            scale, sigma = n**2 * signal, estimate_sigma1
-        else:
+            scale = n**2 * signal
+        else:  # model 2's G test reads the eigenvalue locations
             gt = with_tk(gt)
-            scale, sigma = n * float(params.theta.min()) ** 2, estimate_sigma2
+            scale = n * float(params.theta.min()) ** 2
         errs = []
         ss = np.random.SeedSequence(entropy=seed, spawn_key=(n,))
         for rep_ss in ss.spawn(reps):
@@ -278,7 +282,8 @@ def covariance_trend(model: int, signal: float, sizes, reps: int,
                          gt.k)
             flips = np.einsum("ik,ik->k", fitted.vectors, gt.v) < 0
             aligned = replace(gt, v=np.where(flips, -gt.v, gt.v))
-            err = sigma(fitted, i, j).matrix - sigma(aligned, i, j).matrix
+            err = (_covariance(fitted, i, j, method).matrix
+                   - _covariance(aligned, i, j, method).matrix)
             errs.append(scale * np.linalg.norm(err, 2))
         means.append(float(np.mean(errs)))
     return means

@@ -144,6 +144,15 @@ _SYMV = _blas_function(
      ctypes.c_double, ctypes.c_void_p, ctypes.c_int64], None)
 
 
+def _integer_count(count, name: str) -> int:
+    """``count`` as an int; ``ValueError``, naming it ``name``, for anything
+    but a Python or numpy integer, a bool included, before it can reach the
+    eigensolver."""
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {count!r}")
+    return int(count)
+
+
 def _limit_blas_threads() -> None:
     """Run the calling thread's BLAS calls on that thread alone, in both
     libraries, through both limits of :data:`_LIMITS`, which must be
@@ -207,17 +216,23 @@ def top_eigenpairs(x, m: int) -> Spectrum:
     stands in only where ARPACK cannot run: for ``m >= n - 1``, or when ARPACK
     fails (for instance on the zero matrix, where every start vector maps to
     zero) or returns columns that are not orthonormal (as on entries of
-    magnitude near 1e-300).
+    magnitude near 1e-300). ``m`` must be an integer
+    (:func:`_integer_count`) in [1, n]. A non-finite entry of ``x`` raises
+    ValueError on the dense path, which ARPACK's output on such an ``x``
+    always takes.
     """
     x = as_matrix(x)
     n = x.shape[0]
-    if not 1 <= m <= n:
+    if not 1 <= _integer_count(m, "m") <= n:
         raise ValueError(f"m must lie in [1, {n}], got {m}")
     op = scipy.sparse.linalg.LinearOperator(x.shape, matvec=_product(x),
                                             dtype=float)
     found = _arpack(op, m, 0)
     if found is None or not _orthonormal(found[1]):
-        found = np.linalg.eigh(x.toarray() if scipy.sparse.issparse(x) else x)
+        dense = x.toarray() if scipy.sparse.issparse(x) else x
+        if not np.isfinite(dense).all():
+            raise ValueError("adjacency matrix entries must be finite")
+        found = np.linalg.eigh(dense)
     vals, vecs = found
     order = _sort_order(vals, m)
     values = vals[order]

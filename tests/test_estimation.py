@@ -327,6 +327,31 @@ def test_fit_rejects_k_outside_the_node_range(karate, karate_csr):
         npt.pvalue_matrix(karate, [0, 1, 2], method="G", k_override=40)
 
 
+def test_fit_checks_the_floor_before_the_solve(karate, karate_csr,
+                                             monkeypatch):
+    # floor=True gave a Fit whose k was True, 1.5 a TypeError from a slice,
+    # 40 the retained-spectrum error and -3 K = 0 on karate
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before checking floor")
+
+    monkeypatch.setattr(estimation, "grow_spectrum", no_solve)
+    for x in (karate, karate_csr):
+        for floor in (True, np.True_, 1.5, np.float64(2.0), "2", None):
+            with pytest.raises(ValueError, match="floor must be an integer"):
+                npt.fit(x, floor=floor)
+        for floor in (-3, -1, 35, 40):
+            with pytest.raises(ValueError) as exc:
+                npt.fit(x, floor=floor)
+            assert str(exc.value) == f"floor must lie in [0, 34], got {floor}"
+    monkeypatch.undo()
+    # karate's estimate is 0; a floor past the pairs it solved solves them
+    assert npt.fit(karate).k_estimate.k_hat == 0
+    fitted = npt.fit(karate, floor=np.int64(5))
+    assert fitted.k == 5 and type(fitted.k) is int
+    assert fitted.spectrum.m == 5
+    assert fitted.d_tilde.tobytes() == npt.fit(karate, 5).d_tilde.tobytes()
+
+
 def _one_edge(n):
     x = np.zeros((n, n))
     x[0, 1] = x[1, 0] = 1.0

@@ -5,6 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -57,6 +58,17 @@ def test_max_degree(karate):
     assert npt.max_degree(np.zeros((3, 3))) == 0
     with pytest.raises(ValueError):
         npt.max_degree(np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_max_degree_rejects_a_non_finite_entry(karate, karate_csr, bad):
+    # int() of the row sum raised OverflowError, or a ValueError on NaN
+    dense = karate.copy()
+    dense[3, 4] = dense[4, 3] = bad
+    for x in (dense, scipy.sparse.csr_array(dense)):
+        with pytest.raises(ValueError) as exc:
+            npt.max_degree(x)
+        assert str(exc.value) == "adjacency matrix entries must be finite"
 
 
 def test_load_dedup_and_comments(tmp_path):

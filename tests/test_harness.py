@@ -34,6 +34,28 @@ def test_config_validation():
         npt.ExperimentConfig(**{**TINY1, "pair_mode": "both"})
 
 
+@pytest.mark.parametrize("bad, message", [
+    (dict(model=1, signal_grid=(0.9, 1.2)), r"theta must lie in \(0, 1\]"),
+    (dict(model=2, signal_grid=(0.9, 0.0)), r"r2 must lie in \(0, 1\]"),
+    (dict(n=601, n0=100), "n - 3\\*n0 = 301 must be nonnegative"),
+    (dict(rho=1.5), r"mixing matrix entries must lie in \[0, 1\]"),
+    (dict(model=3), "model must be 1 or 2, got 3"),
+])
+def test_config_checks_the_whole_design_before_any_replication(
+        monkeypatch, bad, message):
+    # the design was checked grid point by grid point, so a bad last signal
+    # failed only after every earlier point had run its replications
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a replication ran before the design was checked")
+
+    monkeypatch.setattr(harness, "_sample_into", no_draw)
+    calls = _counting_build(monkeypatch)
+    with pytest.raises(ValueError, match=message):
+        npt.ExperimentConfig(**{**dict(model=1, n=1500, n0=300, rho=0.2,
+                                       signal_grid=(0.9,)), **bad})
+    assert calls == []
+
+
 def test_node_pair_layout(monkeypatch):
     n, n0 = TINY1["n"], TINY1["n0"]
     assert study_pair(n, n0, "size") == (72, 73)  # two first-mixed-group nodes

@@ -5,10 +5,13 @@ from hypothesis import strategies as st
 
 import netpairtest as npt
 from netpairtest.models import (
+    DESIGN_K,
     MIXED_GROUPS,
+    MODEL_TESTS,
     DCMMParams,
     design_params,
     pure_and_mixed_indices,
+    study_pair,
 )
 
 
@@ -24,6 +27,45 @@ def test_layout_indices():
     assert layout["pure"] == [0, 20, 40]
     assert layout["group_size"] == 20
     assert layout["mixed"] == [60, 80, 100, 120]
+
+
+@pytest.mark.parametrize("n, n0", [(10, 5), (601, 100), (141, 20)])
+def test_layout_indices_check_the_layout(n, n0):
+    # (10, 5) gave mixed starts [15, 13, 11, 9] with group size -2, and
+    # (601, 100) a layout that the constructors reject
+    message = (f"n - 3\\*n0 = {n - 3 * n0} must be nonnegative and "
+               "divisible by 4")
+    for call in (lambda: pure_and_mixed_indices(n, n0),
+                 lambda: npt.model1_params(n, n0, 0.2, 0.5),
+                 lambda: npt.model2_params(n, n0, 0.2, 0.5, 0)):
+        with pytest.raises(ValueError, match=message):
+            call()
+    with pytest.raises(ValueError, match=f"got n=0, n0={n0}"):
+        pure_and_mixed_indices(0, n0)
+
+
+def test_memberships_and_pairs_follow_the_layout():
+    n, n0 = 140, 20
+    layout = pure_and_mixed_indices(n, n0)
+    pi = npt.model1_params(n, n0, 0.2, 0.5).pi
+    assert pi.shape == (n, DESIGN_K) and len(layout["pure"]) == DESIGN_K
+    for k, first in enumerate(layout["pure"]):
+        assert np.all(pi[first:first + n0, k] == 1.0)
+    for first, vec in zip(layout["mixed"], MIXED_GROUPS):
+        assert np.all(pi[first:first + layout["group_size"]] == vec)
+    first_mixed = layout["mixed"][0]
+    assert study_pair(n, n0, "size") == (first_mixed, first_mixed + 1)
+    assert study_pair(n, n0, "power") == (first_mixed, layout["pure"][1])
+
+
+def test_each_model_has_a_test_and_the_design_k():
+    assert MODEL_TESTS == {1: "T", 2: "G"}
+    for model in MODEL_TESTS:
+        params = design_params(model, 140, 20, 0.2, 0.5, seed=3)
+        assert params.K == DESIGN_K
+        assert npt.ExperimentConfig(model=model, n=140, n0=20, rho=0.2,
+                                    signal_grid=(0.5,)).method \
+            == MODEL_TESTS[model]
 
 
 def test_design_params_maps_the_signal_to_each_model():
@@ -214,6 +256,15 @@ def test_bad_probabilities_raise_before_any_draw(bad):
     rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
     with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
         npt.sample_adjacency(h, rng)
+    assert rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("shape", [(4,), (4, 3), (2, 2, 2), (), (0, 3)])
+def test_non_square_h_raises_before_any_draw(shape):
+    # a 1-D h raised IndexError from the first block of rows
+    rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
+    with pytest.raises(ValueError, match="mean matrix must be square"):
+        npt.sample_adjacency(np.full(shape, 0.5), rng)
     assert rng.random() == ref_rng.random()
 
 

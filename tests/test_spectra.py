@@ -330,6 +330,44 @@ def test_m_bounds():
         npt.top_eigenpairs(x, 6)
 
 
+def test_non_integer_m_rejected_before_any_solve(karate, monkeypatch):
+    # a float m reached ARPACK as SystemError, a bool m as TypeError
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before checking m")
+
+    monkeypatch.setattr(spectra, "_arpack", no_solve)
+    for m in (2.0, 2.5, np.float64(3.0), True, np.True_, "2"):
+        for call in (npt.top_eigenpairs, npt.grow_spectrum):
+            with pytest.raises(ValueError, match="m must be an integer"):
+                call(karate, m)
+    monkeypatch.undo()
+    # numpy integers are integers
+    assert npt.top_eigenpairs(karate, np.int64(2)).values.tobytes() == \
+        npt.top_eigenpairs(karate, 2).values.tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("form", ["dense", "csr"])
+def test_non_finite_entry_raises_before_the_dense_solver(karate, form, bad,
+                                                         monkeypatch):
+    # ARPACK's vectors on such a matrix are not orthonormal, and the dense
+    # fallback returned a NaN spectrum
+    x = karate.copy()
+    x[0, 1] = x[1, 0] = bad
+    if form == "csr":
+        x = scipy.sparse.csr_array(x)
+
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("eigh ran on a non-finite matrix")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    for call in (lambda: npt.top_eigenpairs(x, 2), lambda: npt.fit(x, 2),
+                 lambda: npt.fit(x)):
+        with pytest.raises(ValueError,
+                           match="adjacency matrix entries must be finite"):
+            call()
+
+
 def test_orient_signs_idempotent():
     x = _random_symmetric(4, 12)
     spec = npt.top_eigenpairs(x, 5)

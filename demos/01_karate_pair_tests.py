@@ -22,10 +22,10 @@ def main():
     print(f"karate club: {x.shape[0]} nodes, {x.nnz // 2} edges, "
           f"max degree {npt.max_degree(x)}")
 
-    est = npt.grow_spectrum(x)[1]
+    spec, est = npt.grow_spectrum(x)
     print(f"\nestimated community count: {est.k_hat} "
           f"(threshold {est.threshold:.1f} vs top |eigenvalue|^2 "
-          f"{est.eigenvalues[0] ** 2:.1f})")
+          f"{spec.values[0] ** 2:.1f})")
     print("the theoretical threshold is conservative on a 34-node network, "
           "so we fix K = 2 below\n")
 

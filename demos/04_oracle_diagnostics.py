@@ -29,9 +29,9 @@ def eigenvalue_locations():
     print(f"{'k':>3} {'d_k':>10} {'t_k':>10} {'mean emp':>10} "
           f"{'|emp/t-1|':>10} {'|emp/d-1|':>10}")
     for k in range(3):
-        print(f"{k + 1:>3} {gt.d[k]:>10.3f} {gt.t[k]:>10.3f} "
+        print(f"{k + 1:>3} {gt.values[k]:>10.3f} {gt.t[k]:>10.3f} "
               f"{mean_emp[k]:>10.3f} {abs(mean_emp[k] / gt.t[k] - 1):>10.5f} "
-              f"{abs(mean_emp[k] / gt.d[k] - 1):>10.5f}")
+              f"{abs(mean_emp[k] / gt.values[k] - 1):>10.5f}")
 
 
 def covariance_consistency():

@@ -217,12 +217,12 @@ def _cmd_pvalue_matrix(args) -> int:
 def _cmd_estimate_k(args) -> int:
     x = _load_graph(args)
     # at least min(n, 50) magnitudes are printed, not only those K needs
-    est = grow_spectrum(x, 50)[1]
+    spec, est = grow_spectrum(x, 50)
     print(f"k_hat {est.k_hat}")
     print(f"threshold {est.threshold:.6f}")
     print(f"max_degree {max_degree(x)}")
     print("eigenvalue_magnitudes " +
-          ",".join(f"{abs(v):.4f}" for v in est.eigenvalues))
+          ",".join(f"{abs(v):.4f}" for v in spec.values))
     return EXIT_OK
 
 

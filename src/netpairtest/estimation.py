@@ -7,7 +7,8 @@ threshold decides the count, so :func:`grow_spectrum` solves the top pairs to
 machine precision and, when all of them clear the threshold, bounds the next
 eigenvalue by one loose solve on the deflated matrix, widened by
 :data:`RITZ_BOUND_MARGIN`, instead of converging more pairs; only a bound
-too close to the threshold to decide costs a doubled solve.
+too close to the threshold to decide costs a doubled solve. The count is
+taken on the values of the spectrum that :func:`grow_spectrum` returns.
 
 Noise variances come from a one-step refinement: deflate the adjacency
 matrix by its leading eigenpairs, shrink the eigenvalues using the diagonal
@@ -81,8 +82,8 @@ class DegenerateNodeError(ValueError):
 
 @dataclass(frozen=True)
 class KEstimate:
-    """Community-count estimate: ``k_hat`` eigenvalues of ``eigenvalues``
-    (the retained ones, by nonincreasing magnitude) have a square above
+    """Community-count estimate: ``k_hat`` values of the spectrum
+    :func:`grow_spectrum` returns with it have a square above
     ``threshold``. ``next_bound`` bounds |d_{k_hat+1}| from above, so
     |d_{k_hat}| / next_bound bounds the eigen-gap from below: the retained
     value |d_{k_hat+1}| itself, the bound (|theta| + ||r||) *
@@ -92,7 +93,6 @@ class KEstimate:
 
     k_hat: int
     threshold: float
-    eigenvalues: np.ndarray
     next_bound: float
 
 
@@ -207,20 +207,18 @@ def estimate_k_from_values(values: np.ndarray, n: int, dmax: int) -> KEstimate:
     the community-count estimate only if it stops short of ``len(values)``
     or ``values`` is the whole spectrum (see :func:`grow_spectrum`).
     """
-    values = np.asarray(values)
     thr = k_threshold(n, dmax)
     k_hat = int(np.sum(np.abs(values) ** 2 > thr))
     if k_hat < len(values):
         bound = float(abs(values[k_hat]))
     else:
         bound = 0.0 if len(values) == n else np.inf
-    return KEstimate(k_hat=k_hat, threshold=thr, eigenvalues=values,
-                     next_bound=bound)
+    return KEstimate(k_hat=k_hat, threshold=thr, next_bound=bound)
 
 
 def grow_spectrum(x, m: int = 3) -> tuple[Spectrum, KEstimate]:
     """Top eigenpairs of ``x``, at least min(m, n) of them and just enough
-    to estimate K.
+    to estimate K, and the estimate counted on their values.
 
     The top ``m`` pairs are solved to machine precision. If one of them
     falls below the counting threshold, it decides the count. If all of
@@ -345,10 +343,13 @@ def fit(x, k: int | None = None, *, spectrum: Spectrum | None = None,
     return Fit(x=x, spectrum=spectrum, k=k, d_tilde=d_tilde, k_estimate=est)
 
 
-def check_k(k: int, method: str) -> None:
-    """Raise ``ValueError`` unless ``k`` is an integer
+def check_k(k: int | None, method: str) -> None:
+    """Raise ``ValueError`` unless ``method`` is a key of :data:`MIN_K` and
+    ``k`` is None (to be estimated) or an integer
     (:func:`~.spectra._integer_count`) of at least ``MIN_K[method]``."""
-    if _integer_count(k, "k") < MIN_K[method]:
+    if not isinstance(method, str) or method not in MIN_K:
+        raise ValueError(f"unknown method {method!r}")
+    if k is not None and _integer_count(k, "k") < MIN_K[method]:
         raise ValueError(f"the {method} test needs k >= {MIN_K[method]}")
 
 

@@ -225,7 +225,8 @@ def _csr_adjacency(ends, path, n) -> scipy.sparse.csr_array:
 def as_matrix(x):
     """``x`` as a float64 CSR matrix in canonical format (sorted indices,
     one stored entry per position) if it is sparse, else as a C-contiguous
-    float64 dense array, copied at most once.
+    float64 dense array, copied at most once; ValueError unless it is a
+    square matrix.
 
     The products of :mod:`~.spectra` then see one layout, so a copy made
     here leaves the results independent of the input's memory layout to the
@@ -237,15 +238,18 @@ def as_matrix(x):
         if not csr.has_canonical_format:
             csr = csr.copy() if csr is x else csr
             csr.sum_duplicates()
-        return csr
-    return np.ascontiguousarray(x, dtype=float)
+        x = csr
+    else:
+        x = np.ascontiguousarray(x, dtype=float)
+    if x.ndim != 2 or x.shape[0] != x.shape[1]:
+        raise ValueError("adjacency matrix must be square")
+    return x
 
 
 def max_degree(x) -> int:
     """Maximum row sum of a symmetric binary matrix, dense or sparse;
-    ValueError where a row sum, and so an entry, is not finite."""
-    if x.ndim != 2 or x.shape[0] != x.shape[1]:
-        raise ValueError("adjacency matrix must be square")
+    ValueError where it is not square (:func:`as_matrix`) or not finite."""
+    x = as_matrix(x)
     if x.shape[0] == 0:
         return 0
     sums = x.sum(axis=1)

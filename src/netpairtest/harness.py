@@ -79,9 +79,10 @@ class ExperimentConfig:
     ``pair_mode`` selects the node pair of :func:`~.models.study_pair`:
     "size" tests two nodes of the first mixed group (a true null), "power"
     tests a first-mixed-group node against a pure community-2 node.
-    Construction builds each grid point's parameters
-    (:func:`~.models.design_params`, with a fixed seed, then discarded), so
-    a bad model, layout, rho or signal raises ValueError here.
+    Construction checks the counts (:func:`~.spectra._integer_count`) and
+    builds each grid point's parameters (:func:`~.models.design_params`,
+    with a fixed seed, then discarded), so a bad count, model, layout, rho
+    or signal raises ValueError here.
     """
 
     model: int
@@ -96,8 +97,8 @@ class ExperimentConfig:
     pair_mode: str = "size"
 
     def __post_init__(self):
-        if spectra._integer_count(self.replications, "replications") < 1:
-            raise ValueError("need at least one replication")
+        spectra._integer_count(self.replications, "replications", 1)
+        spectra._integer_count(self.master_seed, "master_seed", 0)
         if not 0 < self.alpha < 1:
             raise ValueError("alpha must lie in (0, 1)")
         if not self.signal_grid:
@@ -117,15 +118,24 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class GridPointReport:
+    """One grid point's results. ``failures`` sums ``failure_counts`` (by
+    exception name); at most :data:`FAILURE_FRACTION_LIMIT` x
+    ``replications`` of them leave the point ``valid``."""
+
     signal: float
     rejection_rate: float
     replications: int
-    failures: int
     statistics: np.ndarray
     k_hat_counts: dict = field(default_factory=dict)
-    valid: bool = True
-    # name of each failure's exception -> its count; sums to ``failures``
     failure_counts: dict = field(default_factory=dict)
+
+    @property
+    def failures(self) -> int:
+        return sum(self.failure_counts.values())
+
+    @property
+    def valid(self) -> bool:
+        return self.failures <= FAILURE_FRACTION_LIMIT * self.replications
 
 
 @dataclass(frozen=True)
@@ -260,14 +270,12 @@ def _study(cfg: ExperimentConfig, replicate) -> ExperimentReport:
                 elif stat is not None:
                     stats.append(stat)
                     rejects.append(rej)
-            failures = sum(causes.values())
-            valid = failures <= FAILURE_FRACTION_LIMIT * cfg.replications
             rate = float(np.mean(rejects)) if rejects else np.nan
             points.append(GridPointReport(
                 signal=signal, rejection_rate=rate,
-                replications=cfg.replications, failures=failures,
+                replications=cfg.replications,
                 statistics=np.asarray(stats), k_hat_counts=k_counts,
-                valid=valid, failure_counts=causes))
+                failure_counts=causes))
     return ExperimentReport(config=cfg, points=tuple(points),
                             wall_seconds=perf_counter() - start,
                             stage_seconds=clock.seconds, workers=workers)

@@ -45,6 +45,7 @@ from .estimation import (
     fit,
     node_moments,
 )
+from .graph_io import as_matrix
 
 __all__ = [
     "TEST_FAILURES",
@@ -108,14 +109,16 @@ def chi2_sf(x, df: int):
 def _fitted_moments(x, nodes, method: str, k_override: int | None):
     """(fit, NodeMoments of ``nodes``, their rows) of ``x`` for ``method``,
     nodes checked before any fit; a supplied :class:`Fit` fixes K and must
-    meet the same least K as ``k_override``."""
+    meet the same least K as ``k_override``; any other ``x`` is converted
+    (:func:`~.graph_io.as_matrix`), which checks that it is square."""
     given = isinstance(x, Fit)
-    check_nodes(nodes, np.shape(x.x if given else x)[0])
+    if not given:
+        x = as_matrix(x)
+    check_nodes(nodes, (x.x if given else x).shape[0])
     if given and k_override is not None:
         raise ValueError("a Fit already fixes k")
     k = x.k if given else k_override
-    if k is not None:
-        check_k(k, method)
+    check_k(k, method)
     fitted = x if given else fit(x, k, floor=MIN_K[method])
     moments = node_moments(fitted, nodes, method)
     return fitted, moments, moments.positions(nodes)
@@ -232,8 +235,7 @@ def pvalue_matrix(x: np.ndarray | Fit, nodes, method: str = "T",
         raise ValueError("need at least two distinct nodes")
     if isinstance(method, str):
         method = method.upper()
-    if not isinstance(method, str) or method not in MIN_K:
-        raise ValueError(f"unknown method {method!r}")
+    check_k(None, method)
     m = len(nodes)
     out = np.ones((m, m))
     try:

@@ -76,26 +76,25 @@ class DCMMParams:
 
     ``theta`` holds the per-node degree parameters (for the equal-degree
     special case every entry equals sqrt of the scalar degree level, so that
-    diag(theta)^2 = theta * I).
+    diag(theta)^2 = theta * I). The node count ``n`` is read from ``theta``
+    and the community count ``K`` from ``p_matrix``.
     """
 
-    n: int
-    K: int
     theta: np.ndarray
     pi: np.ndarray
     p_matrix: np.ndarray
 
     def __post_init__(self):
-        theta = np.asarray(self.theta, dtype=float)
-        pi = np.asarray(self.pi, dtype=float)
-        p = np.asarray(self.p_matrix, dtype=float)
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "pi", pi)
-        object.__setattr__(self, "p_matrix", p)
-
+        for name in ("theta", "pi", "p_matrix"):
+            object.__setattr__(self, name,
+                               np.asarray(getattr(self, name), dtype=float))
+        theta, pi, p = self.theta, self.pi, self.p_matrix
+        if p.ndim != 2 or p.shape[0] != p.shape[1] \
+                or not np.allclose(p, p.T, atol=0):
+            raise ValueError("mixing matrix must be symmetric K x K")
         if self.K < 1:
             raise ValueError("community count K must be >= 1")
-        if theta.shape != (self.n,):
+        if theta.ndim != 1:
             raise ValueError("theta must have one entry per node")
         # each range check is written so that NaN fails it
         if not np.all((theta > 0) & (theta <= 1)):
@@ -105,12 +104,18 @@ class DCMMParams:
         if not (np.all(pi >= 0)
                 and np.all(np.abs(pi.sum(axis=1) - 1.0) <= SIMPLEX_TOL)):
             raise ValueError("membership rows must lie on the simplex")
-        if p.shape != (self.K, self.K) or not np.allclose(p, p.T, atol=0):
-            raise ValueError("mixing matrix must be symmetric K x K")
         if not np.all((p >= 0) & (p <= 1)):
             raise ValueError("mixing matrix entries must lie in [0, 1]")
-        if self.K > 0 and abs(np.linalg.det(p)) < 1e-14:
+        if abs(np.linalg.det(p)) < 1e-14:
             raise ValueError("mixing matrix must be nonsingular")
+
+    @property
+    def n(self) -> int:
+        return len(self.theta)
+
+    @property
+    def K(self) -> int:
+        return len(self.p_matrix)
 
 
 def build_mean_matrix(params: DCMMParams) -> np.ndarray:
@@ -218,12 +223,8 @@ def model1_params(n: int, n0: int, rho: float, theta: float) -> DCMMParams:
     if not 0 < theta <= 1:
         raise ValueError("theta must lie in (0, 1]")
     pi = _model_memberships(n, n0)
-    return DCMMParams(
-        n=n, K=DESIGN_K,
-        theta=np.full(n, np.sqrt(theta)),
-        pi=pi,
-        p_matrix=_model_mixing(rho),
-    )
+    return DCMMParams(theta=np.full(n, np.sqrt(theta)), pi=pi,
+                      p_matrix=_model_mixing(rho))
 
 
 def model2_params(n: int, n0: int, rho: float, r: float, seed) -> DCMMParams:
@@ -232,14 +233,9 @@ def model2_params(n: int, n0: int, rho: float, r: float, seed) -> DCMMParams:
     if not 0 < r <= 1:
         raise ValueError("r must lie in (0, 1]")
     pi = _model_memberships(n, n0)
-    rng = np.random.default_rng(seed)
-    inv_theta = rng.uniform(1.0 / r, 2.0 / r, size=n)
-    return DCMMParams(
-        n=n, K=DESIGN_K,
-        theta=1.0 / inv_theta,
-        pi=pi,
-        p_matrix=_model_mixing(rho),
-    )
+    inv_theta = np.random.default_rng(seed).uniform(1.0 / r, 2.0 / r, size=n)
+    return DCMMParams(theta=1.0 / inv_theta, pi=pi,
+                      p_matrix=_model_mixing(rho))
 
 
 def pure_and_mixed_indices(n: int, n0: int) -> dict:

@@ -5,14 +5,15 @@ the mean matrix, the true Bernoulli noise variances, and the deterministic
 locations of the leading empirical eigenvalues (roots of the resolvent-series
 equation, truncated after the fourth noise moment). These draw no random
 numbers: the eigenpairs come from the rank-K factor of the mean matrix and
-the noise moments from closed forms. A :class:`GroundTruth` answers the
-questions a fit answers, so the population covariance matrices of the two
-test statistics come from ``estimation.estimate_sigma1`` and
-``estimation.estimate_sigma2`` evaluated on it. :func:`covariance_trend`
-takes its designs from ``models.design_params``, its pair from
-``models.study_pair`` and each model's test from ``models.MODEL_TESTS``.
-These are consumed by verification code, not by end users analyzing
-observed networks.
+the noise moments from closed forms. A :class:`GroundTruth` holds H and
+its eigenpairs, and reads the variances h(1 - h) of the rows asked for
+from H. It answers the questions a fit answers, so the population
+covariance matrices of the two test statistics come from
+``estimation.estimate_sigma1`` and ``estimation.estimate_sigma2``
+evaluated on it. :func:`covariance_trend` takes its designs from
+``models.design_params``, its pair from ``models.study_pair`` and each
+model's test from ``models.MODEL_TESTS``. These are consumed by
+verification code, not by end users analyzing observed networks.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .models import (
     sample_adjacency,
     study_pair,
 )
-from .spectra import TIE_REL_TOL, top_eigenpairs
+from .spectra import TIE_REL_TOL, _integer_count, top_eigenpairs
 
 __all__ = [
     "GroundTruth",
@@ -51,7 +52,7 @@ class RootBracketError(ArithmeticError):
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """Exact eigenstructure and noise variances of a simulation model.
+    """Exact top-K eigenpairs of a simulation model's mean matrix ``h``.
 
     ``t`` holds the deterministic eigenvalue locations once computed (None
     until :func:`compute_tk` results are attached via :func:`with_tk`).
@@ -61,9 +62,8 @@ class GroundTruth:
     """
 
     h: np.ndarray
-    v: np.ndarray
-    d: np.ndarray
-    var_w: np.ndarray
+    vectors: np.ndarray
+    values: np.ndarray
     self_loops: bool
     t: np.ndarray | None = None
 
@@ -73,15 +73,7 @@ class GroundTruth:
 
     @property
     def k(self) -> int:
-        return len(self.d)
-
-    @property
-    def vectors(self) -> np.ndarray:
-        return self.v
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.d
+        return len(self.values)
 
     @property
     def locations(self) -> np.ndarray:
@@ -90,12 +82,19 @@ class GroundTruth:
         return self.t
 
     def sigma2_rows(self, nodes) -> np.ndarray:
-        return self.var_w[nodes]
+        """Rows ``nodes`` of the noise variances h (1 - h), m x n; without
+        self loops the diagonal noise is the constant -h_ii, of variance 0."""
+        nodes = np.atleast_1d(nodes)
+        h = self.h[nodes]
+        var = h * (1.0 - h)
+        if not self.self_loops:
+            var[np.arange(len(nodes)), nodes] = 0.0
+        return var
 
 
 def ground_truth(params: DCMMParams, self_loops: bool = False) -> GroundTruth:
-    """Exact top-K eigenpairs of the mean matrix, plus the Bernoulli
-    variance of every noise entry.
+    """Exact top-K eigenpairs of the mean matrix, whose noise variances
+    :meth:`GroundTruth.sigma2_rows` reads from H itself.
 
     The eigenpairs come from the rank-K factor H = A P A^T, A = diag(theta)
     Pi: with A = QR, H = Q (R P R^T) Q^T, so the K x K eigendecomposition
@@ -109,14 +108,9 @@ def ground_truth(params: DCMMParams, self_loops: bool = False) -> GroundTruth:
     vals, vecs = vals[order], vecs[:, order]
     rank = int(np.sum(np.abs(vals) > RANK_REL_TOL * np.abs(vals[0])))
     if rank < params.K:
-        raise ValueError(
-            f"mean matrix has numerical rank {rank} < K={params.K}"
-        )
-    var_w = h * (1.0 - h)
-    if not self_loops:
-        # diagonal noise is deterministic (-h_ii) without self loops
-        np.fill_diagonal(var_w, 0.0)
-    return GroundTruth(h=h, v=q @ vecs, d=vals, var_w=var_w,
+        raise ValueError(f"mean matrix has numerical rank {rank} < "
+                         f"K={params.K}")
+    return GroundTruth(h=h, vectors=q @ vecs, values=vals,
                        self_loops=self_loops)
 
 
@@ -132,7 +126,7 @@ def eigen_gap_constant(gt: GroundTruth) -> float:
     """Ratio-gap constant implied by the instance's eigenvalues: the smallest
     magnitude ratio between consecutive-in-magnitude eigenvalues (skipping
     +/- pairs, tied to :data:`~.spectra.TIE_REL_TOL`), minus one."""
-    d = gt.d
+    d = gt.values
     best = np.inf
     for i in range(gt.k):
         for j in range(i + 1, gt.k):
@@ -144,12 +138,6 @@ def eigen_gap_constant(gt: GroundTruth) -> float:
     if best <= 1.0 + 1e-12:
         raise ValueError("eigenvalue magnitudes too close; no ratio gap")
     return best - 1.0
-
-
-def _bracket(d_k: float, c0: float) -> tuple[float, float]:
-    if d_k > 0:
-        return d_k / (1.0 + c0 / 2.0), (1.0 + c0 / 2.0) * d_k
-    return (1.0 + c0 / 2.0) * d_k, d_k / (1.0 + c0 / 2.0)
 
 
 def noise_moments(gt: GroundTruth) -> dict[int, np.ndarray]:
@@ -173,7 +161,7 @@ def noise_moments(gt: GroundTruth) -> dict[int, np.ndarray]:
 
     (products of vectors entrywise, sigma times a vector a matrix product).
     """
-    v, h, sigma = gt.v, gt.h, gt.var_w
+    v, h, sigma = gt.vectors, gt.h, gt.sigma2_rows(np.arange(gt.n))
     delta = np.zeros(gt.n) if gt.self_loops else -np.diag(h)
     s = sigma.sum(axis=1)
     sigma_sq = np.einsum("ab,ab->a", sigma, sigma)  # rowsum(sigma^2)
@@ -215,12 +203,13 @@ def compute_tk(gt: GroundTruth, k: int,
     bracket (1 +- c0/2) d_k, as for model 2 below n of about 300, where the
     root lies past the bracket.
     """
-    if gt.d[k] == 0:
+    if gt.values[k] == 0:
         raise ZeroDivisionError("zero population eigenvalue")
     c0 = eigen_gap_constant(gt)
-    a, b = _bracket(gt.d[k], c0)
+    a, b = sorted((gt.values[k] / (1.0 + c0 / 2.0),
+                   (1.0 + c0 / 2.0) * gt.values[k]))
     rest = [m for m in range(gt.k) if m != k]
-    d_rest = gt.d[rest]
+    d_rest = gt.values[rest]
 
     def objective(z: float) -> float:
         r = _resolvent_series(moments, gt.k, z)
@@ -230,7 +219,7 @@ def compute_tk(gt: GroundTruth, k: int,
             r_rr = r[np.ix_(rest, rest)]
             inner = np.linalg.solve(np.diag(1.0 / d_rest) + r_rr, r_kr)
             r_kk = r_kk - r_kr @ inner
-        return 1.0 + gt.d[k] * r_kk
+        return 1.0 + gt.values[k] * r_kk
 
     fa, fb = objective(a), objective(b)
     if fa == 0.0:
@@ -240,10 +229,9 @@ def compute_tk(gt: GroundTruth, k: int,
     if np.sign(fa) == np.sign(fb):
         raise RootBracketError(
             f"no sign change on bracket [{a:.6g}, {b:.6g}] for eigenvalue "
-            f"{k}; f(a)={fa:.3g}, f(b)={fb:.3g}"
-        )
+            f"{k}; f(a)={fa:.3g}, f(b)={fb:.3g}")
     return float(scipy.optimize.brentq(objective, a, b,
-                                       xtol=1e-12 * abs(gt.d[k]),
+                                       xtol=1e-12 * abs(gt.values[k]),
                                        rtol=8.9e-16))
 
 
@@ -260,10 +248,11 @@ def covariance_trend(model: int, signal: float, sizes, reps: int,
     group. Sample r at size n is seeded by SeedSequence(seed, spawn_key=(n,))
     .spawn(reps)[r]. The exact covariance is the same covariance function
     evaluated on the ground truth, taken in each sample's fitted sign basis.
-    Every size is checked (ValueError) before any is sampled.
+    ``reps`` (>= 1), ``seed`` (>= 0) and every size are checked
+    (ValueError) before any size is sampled.
     """
-    if reps < 1:
-        raise ValueError("reps must be at least 1")
+    _integer_count(reps, "reps", 1)
+    _integer_count(seed, "seed", 0)
     pairs = [study_pair(n, n // 5, "size") for n in sizes]
     means = []
     for n, (i, j) in zip(sizes, pairs):
@@ -280,8 +269,8 @@ def covariance_trend(model: int, signal: float, sizes, reps: int,
         for rep_ss in ss.spawn(reps):
             fitted = fit(sample_adjacency(gt.h, np.random.default_rng(rep_ss)),
                          gt.k)
-            flips = np.einsum("ik,ik->k", fitted.vectors, gt.v) < 0
-            aligned = replace(gt, v=np.where(flips, -gt.v, gt.v))
+            flips = np.einsum("ik,ik->k", fitted.vectors, gt.vectors) < 0
+            aligned = replace(gt, vectors=np.where(flips, -1, 1) * gt.vectors)
             err = (_covariance(fitted, i, j, method).matrix
                    - _covariance(aligned, i, j, method).matrix)
             errs.append(scale * np.linalg.norm(err, 2))
@@ -298,7 +287,7 @@ def expansion_residual(gt: GroundTruth, x_samples, k: int, i: int) -> dict:
     |residual| * sqrt(n) across samples.
     """
     t_k = gt.locations[k]
-    v_k = gt.v[:, k]
+    v_k = gt.vectors[:, k]
     scaled = []
     for x in x_samples:
         w = x - gt.h
@@ -309,8 +298,5 @@ def expansion_residual(gt: GroundTruth, x_samples, k: int, i: int) -> dict:
         r = t_k * (vhat[i] - v_k[i]) - (w @ v_k)[i]
         scaled.append(abs(r) * np.sqrt(gt.n))
     scaled = np.asarray(scaled)
-    return {
-        "median": float(np.median(scaled)),
-        "p95": float(np.percentile(scaled, 95)),
-        "samples": scaled,
-    }
+    return {"median": float(np.median(scaled)),
+            "p95": float(np.percentile(scaled, 95)), "samples": scaled}

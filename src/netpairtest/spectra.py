@@ -144,12 +144,14 @@ _SYMV = _blas_function(
      ctypes.c_double, ctypes.c_void_p, ctypes.c_int64], None)
 
 
-def _integer_count(count, name: str) -> int:
+def _integer_count(count, name: str, least: int | None = None) -> int:
     """``count`` as an int; ``ValueError``, naming it ``name``, for anything
     but a Python or numpy integer, a bool included, before it can reach the
-    eigensolver."""
+    eigensolver, and for a count below ``least``."""
     if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {count!r}")
+    if least is not None and count < least:
+        raise ValueError(f"{name} must be at least {least}, got {count}")
     return int(count)
 
 

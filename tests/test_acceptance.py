@@ -165,14 +165,14 @@ def test_criterion_7_eigenvalue_locations():
     pi = np.zeros((n, 2))
     pi[:4, 0] = 1.0
     pi[4:, 1] = 1.0
-    params = DCMMParams(n=n, K=2, theta=np.ones(n), pi=pi,
+    params = DCMMParams(theta=np.ones(n), pi=pi,
                         p_matrix=np.eye(2))
     gt0 = with_tk(npt.ground_truth(params, self_loops=True))
-    zero_noise_rel = float(np.max(np.abs(gt0.t / gt0.d - 1.0)))
+    zero_noise_rel = float(np.max(np.abs(gt0.t / gt0.values - 1.0)))
 
     params = npt.model1_params(2000, 400, 0.2, 0.9)
     gt = with_tk(npt.ground_truth(params))
-    drift = np.abs(gt.t / gt.d - 1.0)
+    drift = np.abs(gt.t / gt.values - 1.0)
 
     ok = zero_noise_rel < 1e-10 and bool(np.all(drift < 0.05))
     assert verdict("criterion 7: deterministic eigenvalue locations", ok,

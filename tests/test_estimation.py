@@ -205,9 +205,7 @@ def test_grow_spectrum_is_bit_reproducible():
     assert spec1.values.tobytes() == spec2.values.tobytes()
     assert spec1.vectors.tobytes() == spec2.vectors.tobytes()
     assert spec1.residuals.tobytes() == spec2.residuals.tobytes()
-    assert (est1.k_hat, est1.threshold, est1.next_bound) \
-        == (est2.k_hat, est2.threshold, est2.next_bound)
-    assert est1.eigenvalues.tobytes() == est2.eigenvalues.tobytes()
+    assert est1 == est2
 
 
 def test_grow_spectrum_and_the_residual_copy_their_input_once(monkeypatch):
@@ -532,7 +530,7 @@ def test_zero_pairs_are_an_empty_stack(karate_csr, sigma, method):
     fitted = npt.fit(karate_csr, 3)
     truth = npt.ground_truth(npt.model1_params(120, 24, 0.2, 0.9))
     r = 3 - estimation.MIN_K[method] + 1
-    for model in (fitted, replace(truth, t=truth.d),
+    for model in (fitted, replace(truth, t=truth.values),
                   estimation.node_moments(fitted, [0, 6], method)):
         for empty in ([], np.array([], dtype=int)):
             cov = sigma(model, empty, empty)

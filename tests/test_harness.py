@@ -40,6 +40,12 @@ def test_config_validation():
     (dict(n=601, n0=100), "n - 3\\*n0 = 301 must be nonnegative"),
     (dict(rho=1.5), r"mixing matrix entries must lie in \[0, 1\]"),
     (dict(model=3), "model must be 1 or 2, got 3"),
+    # a seed that is not a nonnegative integer failed at the first
+    # replication's SeedSequence, or (True) ran as seed 1
+    (dict(master_seed="a"), "master_seed must be an integer"),
+    (dict(master_seed=1.5), "master_seed must be an integer"),
+    (dict(master_seed=True), "master_seed must be an integer, got True"),
+    (dict(master_seed=-1), "master_seed must be at least 0"),
 ])
 def test_config_checks_the_whole_design_before_any_replication(
         monkeypatch, bad, message):
@@ -152,9 +158,21 @@ def test_null_histogram_output():
 
 
 def test_gridpoint_invalid_flag():
+    # failures and validity are read from the failure counts, so they
+    # cannot disagree with them
     pt = GridPointReport(signal=0.5, rejection_rate=0.1, replications=10,
-                         failures=5, statistics=np.empty(0), valid=False)
+                         statistics=np.empty(0),
+                         failure_counts={"ZeroDivisionError": 5})
+    assert pt.failures == 5
     assert not pt.valid
+    for failed, valid in ((0, True), (1, True), (2, False)):
+        pt = GridPointReport(signal=0.5, rejection_rate=0.1,
+                             replications=100, statistics=np.empty(0),
+                             failure_counts={"A": failed} if failed else {})
+        assert (pt.failures, pt.valid) == (failed, valid)
+    with pytest.raises(TypeError):
+        GridPointReport(signal=0.5, rejection_rate=0.1, replications=10,
+                        failures=5, statistics=np.empty(0), valid=True)
 
 
 def _counting_build(monkeypatch):

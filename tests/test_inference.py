@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import netpairtest as npt
-from netpairtest import oracle
+from netpairtest import estimation, oracle
 from netpairtest.estimation import estimate_k_from_values
 from netpairtest.inference import CONDITION_LIMIT, SingularCovarianceError
 from netpairtest.spectra import Spectrum
@@ -216,7 +216,7 @@ def test_nodes_outside_the_graph_rejected(karate, i, j):
         npt.pvalue_matrix(karate, [0, i, j], k_override=2)
     # the covariances check their nodes too, on a fit and on the truth
     truth = npt.ground_truth(npt.model1_params(34, 10, 0.2, 0.9))
-    truth = oracle.replace(truth, t=truth.d)
+    truth = oracle.replace(truth, t=truth.values)
     for model in (fitted, truth):
         for sigma in (npt.estimate_sigma1, npt.estimate_sigma2):
             with pytest.raises(ValueError,
@@ -277,6 +277,25 @@ def test_non_integer_k_rejected_before_any_solve(karate, monkeypatch):
 def test_a_method_that_is_not_a_string_is_unknown(karate, method):
     with pytest.raises(ValueError, match="unknown method"):
         npt.pvalue_matrix(karate, [1, 2], method=method)
+
+
+@pytest.mark.parametrize("method", ["x", "t", None, ["T"]])
+def test_node_moments_share_the_method_rule(karate, method):
+    # node_moments raised KeyError (TypeError for a list) from MIN_K[method]
+    fitted = npt.fit(karate, 2)
+    with pytest.raises(ValueError, match="unknown method"):
+        estimation.node_moments(fitted, [0, 1], method)
+
+
+@pytest.mark.parametrize("x", [None, 3.0, True, [[0.0, 1.0, 1.0]],
+                               np.zeros((3, 2)), np.zeros((2, 2, 2))])
+def test_pair_entry_points_need_a_square_matrix(x):
+    # a scalar x raised IndexError from np.shape(x)[0]; the shape is checked
+    # before the nodes, so node 5 is not what a non-square x reports
+    for run in (lambda: npt.test_T(x, 0, 5), lambda: npt.test_G(x, 0, 5),
+                lambda: npt.pvalue_matrix(x, [0, 5])):
+        with pytest.raises(ValueError, match="adjacency matrix must be square"):
+            run()
 
 
 # ------------------------------------------------------------- invariances

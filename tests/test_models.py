@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -268,31 +270,54 @@ def test_non_square_h_raises_before_any_draw(shape):
     assert rng.random() == ref_rng.random()
 
 
+def test_params_read_n_and_k_from_their_arrays():
+    # n and K were fields checked only against the arrays' shapes, so
+    # DCMMParams(n=4.0, K=True, ...) constructed
+    params = npt.model1_params(120, 24, 0.2, 0.9)
+    assert (params.n, params.K) == (120, DESIGN_K)
+    assert [f.name for f in dataclasses.fields(DCMMParams)] \
+        == ["theta", "pi", "p_matrix"]
+    with pytest.raises(AttributeError):
+        params.n = 4
+    n = 4
+    with pytest.raises(TypeError):
+        DCMMParams(n=4.0, K=True, theta=np.full(n, 0.5),
+                   pi=np.ones((n, 1)), p_matrix=np.eye(1))
+
+
 def test_params_validation():
     n = 6
     pi = np.tile([0.5, 0.5], (n, 1))
     p = np.eye(2)
     theta = np.full(n, 0.5)
-    DCMMParams(n=n, K=2, theta=theta, pi=pi, p_matrix=p)
+    DCMMParams(theta=theta, pi=pi, p_matrix=p)
     with pytest.raises(ValueError, match="degree parameters"):
-        DCMMParams(n=n, K=2, theta=np.full(n, 1.5), pi=pi, p_matrix=p)
+        DCMMParams(theta=np.full(n, 1.5), pi=pi, p_matrix=p)
     with pytest.raises(ValueError, match="simplex"):
-        DCMMParams(n=n, K=2, theta=theta, pi=pi * 2, p_matrix=p)
+        DCMMParams(theta=theta, pi=pi * 2, p_matrix=p)
     with pytest.raises(ValueError, match="symmetric"):
-        DCMMParams(n=n, K=2, theta=theta, pi=pi,
+        DCMMParams(theta=theta, pi=pi,
                    p_matrix=np.array([[1.0, 0.2], [0.3, 1.0]]))
     with pytest.raises(ValueError, match="nonsingular"):
-        DCMMParams(n=n, K=2, theta=theta, pi=pi,
+        DCMMParams(theta=theta, pi=pi,
                    p_matrix=np.array([[0.5, 0.5], [0.5, 0.5]]))
     with pytest.raises(ValueError, match="one entry per node"):
-        DCMMParams(n=n, K=2, theta=theta[:-1], pi=pi, p_matrix=p)
+        DCMMParams(theta=np.tile(theta, (2, 1)), pi=pi, p_matrix=p)
+    # n is theta's length and K the side of P, so a theta one node short,
+    # or a P of another K, disagrees with the membership matrix
+    with pytest.raises(ValueError, match="membership matrix must be n x K"):
+        DCMMParams(theta=theta[:-1], pi=pi, p_matrix=p)
+    with pytest.raises(ValueError, match="membership matrix must be n x K"):
+        DCMMParams(theta=theta, pi=pi, p_matrix=np.eye(3))
+    with pytest.raises(ValueError, match="community count K must be >= 1"):
+        DCMMParams(theta=theta, pi=np.empty((n, 0)), p_matrix=np.empty((0, 0)))
     # NaN fails every range check
     nan_theta = theta.copy()
     nan_theta[2] = np.nan
     with pytest.raises(ValueError, match="degree parameters"):
-        DCMMParams(n=n, K=2, theta=nan_theta, pi=pi, p_matrix=p)
+        DCMMParams(theta=nan_theta, pi=pi, p_matrix=p)
     nan_pi = pi.copy()
     nan_pi[3] = np.nan
     with pytest.raises(ValueError, match="simplex"):
-        DCMMParams(n=n, K=2, theta=theta, pi=nan_pi, p_matrix=p)
+        DCMMParams(theta=theta, pi=nan_pi, p_matrix=p)
 

@@ -1,6 +1,6 @@
-"""Counts and shapes given to the library fail with typed errors: every call
-returns, or raises ValueError, TypeError or one of the pair tests' numerical
-failures, whatever it is given."""
+"""Counts, shapes and the pair tests' inputs given to the library fail with
+typed errors: every call returns, or raises ValueError, TypeError or one of
+the pair tests' numerical failures, whatever it is given."""
 
 import numpy as np
 import scipy.sparse
@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import netpairtest as npt
+from netpairtest import oracle
 from netpairtest.inference import TEST_FAILURES
 
 TYPED = (ValueError, TypeError, *TEST_FAILURES)
@@ -69,3 +70,59 @@ def test_experiment_configs_fail_typed(model, n, n0, rho, signal_grid,
                                        replications):
     _call(npt.ExperimentConfig, model=model, n=n, n0=n0, rho=rho,
           signal_grid=signal_grid, replications=replications)
+
+
+# anything a caller might pass: the values above, nested lists of them and
+# nodes of karate (34 nodes) or just outside it
+_VALUE = st.one_of(
+    _ANY,
+    st.recursive(st.one_of(st.integers(-2, 40), st.floats(-1.0, 1.0),
+                           st.none(), st.booleans()),
+                 lambda inner: st.lists(inner, max_size=3), max_leaves=6),
+)
+_NODE = st.one_of(st.integers(-2, 36), _VALUE)
+# a graph of the fixtures, by name, or any value in its place
+_X = st.one_of(st.sampled_from(["dense", "sparse", "fit"]).map(lambda g: (g,)),
+               _VALUE)
+_METHOD = st.one_of(st.sampled_from(["T", "G", "t", "g", "x"]), _VALUE)
+
+
+def _graph(x, karate, karate_csr):
+    if isinstance(x, tuple):
+        return {"dense": karate, "sparse": karate_csr,
+                "fit": npt.fit(karate, 3)}[x[0]]
+    return x
+
+
+@settings(max_examples=80, deadline=None)
+@given(x=_X, i=_NODE, j=_NODE, nodes=st.one_of(st.lists(_NODE, max_size=4),
+                                                _VALUE),
+       method=_METHOD, k_override=st.one_of(st.none(), _SMALL),
+       entry=st.sampled_from(["T", "G", "matrix"]))
+def test_pair_tests_fail_typed(karate, karate_csr, x, i, j, nodes, method,
+                               k_override, entry):
+    # a scalar or string x raised IndexError, and an unknown method reached
+    # node_moments as KeyError
+    x = _graph(x, karate, karate_csr)
+    if entry == "matrix":
+        _call(npt.pvalue_matrix, x, nodes, method, k_override)
+    else:
+        _call(npt.test_T if entry == "T" else npt.test_G, x, i, j,
+              k_override)
+
+
+@settings(max_examples=60, deadline=None)
+@given(i=_NODE, j=_NODE, truth=st.booleans(), second=st.booleans())
+def test_covariances_fail_typed(karate, i, j, truth, second):
+    if truth:
+        gt = npt.ground_truth(npt.model1_params(34, 10, 0.2, 0.9))
+        model = oracle.replace(gt, t=gt.values)
+    else:
+        model = npt.fit(karate, 3)
+    _call(npt.estimate_sigma2 if second else npt.estimate_sigma1, model, i, j)
+
+
+@settings(max_examples=40, deadline=None)
+@given(alpha=st.one_of(st.floats(-1.0, 2.0), _VALUE))
+def test_reject_fails_typed(karate, alpha):
+    _call(npt.reject, npt.test_T(karate, 0, 33, k_override=2), alpha)

@@ -259,25 +259,45 @@ def grow_spectrum(x, m: int = 3) -> tuple[Spectrum, KEstimate]:
         m = min(2 * m, n)
 
 
+def _check_spectrum(spec: Spectrum, n: int, k: int) -> None:
+    """Raise unless ``spec`` is a :class:`~.spectra.Spectrum` of an n-node
+    matrix with at least ``k`` pairs: ``TypeError`` for any other object,
+    ``ValueError`` "spectrum vectors must be n x m, got shape ..." or
+    "spectrum products must be n x m, got shape ..." where either is not
+    n x m for its m values, and "k=... exceeds retained spectrum size m"."""
+    if not isinstance(spec, Spectrum):
+        raise TypeError(f"spectrum must be a Spectrum, got "
+                        f"{type(spec).__name__}")
+    for name in ("vectors", "products"):
+        shape = np.shape(getattr(spec, name))
+        if shape != (n, spec.m):
+            raise ValueError(f"spectrum {name} must be {n} x {spec.m}, got "
+                             f"shape {shape}")
+    if k > spec.m:
+        raise ValueError(f"k={k} exceeds retained spectrum size {spec.m}")
+
+
 def diag_residual_square(x, spec: Spectrum, k: int) -> np.ndarray:
     """diag(W0^2) of the initial residual W0 = X - V diag(d) V^T over the top
     ``k`` pairs of symmetric ``x``, without forming W0.
 
     With orthonormal V, row i of W0 has squared norm
-    sum_l x_il^2 - 2 sum_k d_k (X V)_ik v_ik + sum_k d_k^2 v_ik^2, which
-    costs one product ``x @ V`` with an n x k block.
+    sum_l x_il^2 - 2 sum_k d_k (X V)_ik v_ik + sum_k d_k^2 v_ik^2. The
+    product X V is the one the spectrum holds (``spec.products``), so the
+    only pass over ``x`` here squares its entries. ``spec`` must be a
+    spectrum of ``x`` that holds at least ``k`` pairs
+    (:func:`_check_spectrum`).
     """
-    if k > spec.m:
-        raise ValueError(f"k={k} exceeds retained spectrum size {spec.m}")
     x = as_matrix(x)
+    _check_spectrum(spec, x.shape[0], k)
     v, d = spec.vectors[:, :k], spec.values[:k]
     if scipy.sparse.issparse(x):  # CSR: square the stored entries only
         row_sq = scipy.sparse.csr_array((x.data * x.data, x.indices, x.indptr),
                                         shape=x.shape) @ np.ones(x.shape[0])
     else:
         row_sq = np.einsum("ij,ij->i", x, x)
-    return row_sq - 2.0 * np.einsum("ik,ik->i", x @ v, v * d) \
-        + (v * v) @ (d * d)
+    xv = spec.products[:, :k]
+    return row_sq - 2.0 * np.einsum("ik,ik->i", xv, v * d) + (v * v) @ (d * d)
 
 
 def refine_eigenvalues(spec: Spectrum, w0_sq_diag: np.ndarray,
@@ -316,8 +336,12 @@ def fit(x, k: int | None = None, *, spectrum: Spectrum | None = None,
     ------
     ValueError
         If ``k``, or ``floor`` where K is estimated, is not an integer
-        (:func:`~.spectra._integer_count`) or lies outside [0, n], or
-        ``spectrum`` is given without ``k``.
+        (:func:`~.spectra._integer_count`) or lies outside [0, n],
+        ``spectrum`` is given without ``k``, or ``spectrum`` is not one of
+        an n-node matrix with at least ``k`` pairs and their products
+        (:func:`_check_spectrum`).
+    TypeError
+        If ``spectrum`` is not a :class:`~.spectra.Spectrum`.
     ZeroDivisionError
         If one of the top ``k`` eigenvalues is zero to working precision.
     """

@@ -248,11 +248,13 @@ def as_matrix(x):
 
 def max_degree(x) -> int:
     """Maximum row sum of a symmetric binary matrix, dense or sparse;
-    ValueError where it is not square (:func:`as_matrix`) or not finite."""
+    ValueError where it is not square (:func:`as_matrix`) or not finite.
+    The sums are the product with a vector of ones, one BLAS pass over a
+    dense ``x``, which is exact on 0/1 entries."""
     x = as_matrix(x)
     if x.shape[0] == 0:
         return 0
-    sums = x.sum(axis=1)
+    sums = x @ np.ones(x.shape[0])
     if not np.isfinite(sums).all():
         raise ValueError("adjacency matrix entries must be finite")
     return int(np.max(sums))

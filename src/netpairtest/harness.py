@@ -43,7 +43,6 @@ from functools import partial
 from time import perf_counter
 
 import numpy as np
-import scipy.stats
 
 from . import spectra
 from .estimation import MIN_K, fit, grow_spectrum
@@ -299,7 +298,11 @@ def null_histogram(cfg: ExperimentConfig) -> dict:
     """Null-statistic samples at the first grid point plus their
     Kolmogorov-Smirnov distance to the limiting chi-square law. Every
     sample is tested at the design's K (:data:`~.models.DESIGN_K`), so that
-    they share that law's degrees of freedom: ``k_mode`` must be "true_k"."""
+    they share that law's degrees of freedom: ``k_mode`` must be "true_k".
+    ``scipy.stats``, which takes longer to import than the rest of the
+    package, is imported here, on first use."""
+    import scipy.stats
+
     if cfg.pair_mode != "size":
         raise ValueError("null sampling requires pair_mode='size'")
     if cfg.k_mode != "true_k":

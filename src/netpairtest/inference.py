@@ -19,10 +19,10 @@ factors each covariance on its own, and decided by its chi-square tail:
 Every pair test enters through one function, which checks the nodes before
 any fit, fixes K, fits and reads the nodes' :class:`~.estimation.NodeMoments`
 and rows once. One stacked core tests pairs of those rows:
-:func:`pvalue_matrix` runs it one output row at a time, :func:`test_T`,
-:func:`test_G` and the Monte Carlo harness on one pair. A pair that fails
-(degenerate node, singular covariance) fails alone; only the one-pair test
-raises.
+:func:`pvalue_matrix` runs it on blocks of whole output rows, as few as
+the graph's size allows, :func:`test_T`, :func:`test_G` and the Monte Carlo
+harness on one pair. A pair that fails (degenerate node, singular
+covariance) fails alone; only the one-pair test raises.
 """
 
 from __future__ import annotations
@@ -239,14 +239,21 @@ def pvalue_matrix(x: np.ndarray | Fit, nodes, method: str = "T",
     m = len(nodes)
     out = np.ones((m, m))
     try:
-        _, moments, rows = _fitted_moments(x, nodes, method, k_override)
+        fitted, moments, rows = _fitted_moments(x, nodes, method, k_override)
     except TEST_FAILURES:
         # a zero eigenvalue among the top K fails every pair alike
         out[~np.eye(m, dtype=bool)] = np.nan
         return PValueMatrix(nodes=tuple(nodes), matrix=out, method=method)
-    # one output row at a time, node s against the later nodes, so that the
-    # temporaries of a row stay O(m k^2)
-    for s in range(m - 1):
-        out[s, s + 1:] = out[s + 1:, s] = _test_pairs(
-            moments, np.full(m - 1 - s, rows[s]), rows[s + 1:]).p_value
+    # the upper-triangle pairs, output row by output row, in stacked blocks
+    # of whole rows holding at most n pairs each (a row holds fewer), so
+    # that a block's temporaries stay O(n k^2)
+    first, second = np.triu_indices(m, 1)
+    ends = np.cumsum(np.arange(m - 1, 0, -1))  # pairs up to each row's end
+    start = 0
+    while start < len(first):
+        stop = ends[np.searchsorted(ends, start + fitted.x.shape[0],
+                                    "right") - 1]
+        s, t = first[start:stop], second[start:stop]
+        out[s, t] = out[t, s] = _test_pairs(moments, rows[s], rows[t]).p_value
+        start = stop
     return PValueMatrix(nodes=tuple(nodes), matrix=out, method=method)

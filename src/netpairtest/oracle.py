@@ -290,12 +290,11 @@ def expansion_residual(gt: GroundTruth, x_samples, k: int, i: int) -> dict:
     v_k = gt.vectors[:, k]
     scaled = []
     for x in x_samples:
-        w = x - gt.h
         spec = top_eigenpairs(x, k + 1)
         vhat = spec.vectors[:, k]
         if vhat @ v_k < 0:
             vhat = -vhat
-        r = t_k * (vhat[i] - v_k[i]) - (w @ v_k)[i]
+        r = t_k * (vhat[i] - v_k[i]) - (x[i] - gt.h[i]) @ v_k
         scaled.append(abs(r) * np.sqrt(gt.n))
     scaled = np.asarray(scaled)
     return {"median": float(np.median(scaled)),

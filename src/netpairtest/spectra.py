@@ -22,6 +22,10 @@ moves half the memory of ``x @ y`` per Lanczos step. A dense ``x`` must
 therefore be exactly symmetric. The product is called through ``ctypes``,
 which releases the GIL, so Monte Carlo worker threads solve side by side;
 like ``x @ y`` it is bit-reproducible for a fixed build and thread count.
+The same product forms X V, column by column, once per solve; a
+:class:`Spectrum` keeps it for its residual norms and for the refinement
+(:func:`~.estimation.diag_residual_square`), so a fit reads ``x`` for it
+once.
 A sparse ``x``, and any ``x`` where numpy's library lacks the symbol, takes
 ``x @ y``. Where the two libraries each bundle their own OpenBLAS, each
 keeps its own pool of worker threads, and a solve that woke both pools at
@@ -77,16 +81,19 @@ _BLAS_MODULES = ("numpy._core._multiarray_umath", "scipy.linalg._fblas")
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Top-m eigenpairs of a symmetric matrix.
+    """Top-m eigenpairs of a symmetric matrix X.
 
     ``values`` is sorted by nonincreasing magnitude, ``vectors`` holds the
     matching orthonormal eigenvectors as columns, ``residuals`` the per-pair
-    norms ||X v - d v|| recorded at construction time.
+    norms ||X v - d v|| recorded at construction time and ``products`` the
+    n x m product X V they were read from, each column with the sign of its
+    eigenvector, so that later steps need not multiply by X again.
     """
 
     values: np.ndarray
     vectors: np.ndarray
     residuals: np.ndarray
+    products: np.ndarray
 
     @property
     def m(self) -> int:
@@ -221,13 +228,16 @@ def top_eigenpairs(x, m: int) -> Spectrum:
     magnitude near 1e-300). ``m`` must be an integer
     (:func:`_integer_count`) in [1, n]. A non-finite entry of ``x`` raises
     ValueError on the dense path, which ARPACK's output on such an ``x``
-    always takes.
+    always takes. The product X V of the ``m`` pairs is formed once, one
+    column at a time through :func:`_product`, and kept as the spectrum's
+    ``products``.
     """
     x = as_matrix(x)
     n = x.shape[0]
     if not 1 <= _integer_count(m, "m") <= n:
         raise ValueError(f"m must lie in [1, {n}], got {m}")
-    op = scipy.sparse.linalg.LinearOperator(x.shape, matvec=_product(x),
+    product = _product(x)
+    op = scipy.sparse.linalg.LinearOperator(x.shape, matvec=product,
                                             dtype=float)
     found = _arpack(op, m, 0)
     if found is None or not _orthonormal(found[1]):
@@ -239,9 +249,12 @@ def top_eigenpairs(x, m: int) -> Spectrum:
     order = _sort_order(vals, m)
     values = vals[order]
     vectors = vecs[:, order]
-    residuals = np.linalg.norm(x @ vectors - vectors * values, axis=0)
+    products = np.empty_like(vectors)
+    for a in range(m):
+        products[:, a] = product(vectors[:, a])
+    residuals = np.linalg.norm(products - vectors * values, axis=0)
     return orient_signs(Spectrum(values=values, vectors=vectors,
-                                 residuals=residuals))
+                                 residuals=residuals, products=products))
 
 
 def deflated_ritz(x, spec: Spectrum) -> tuple[float, float] | None:
@@ -276,15 +289,17 @@ def deflated_ritz(x, spec: Spectrum) -> tuple[float, float] | None:
 
 
 def orient_signs(spec: Spectrum) -> Spectrum:
-    """Flip eigenvector columns so the largest-magnitude entry is positive.
+    """Flip eigenvector columns so the largest-magnitude entry is positive,
+    and each flipped column's product with it.
 
     Idempotent; ties resolve to the smallest index (first argmax).
     """
-    vectors = spec.vectors.copy()
+    vectors, products = spec.vectors.copy(), spec.products.copy()
     for k in range(spec.m):
         col = vectors[:, k]
         lead = int(np.argmax(np.abs(col)))
         if col[lead] < 0:
             vectors[:, k] = -col
+            products[:, k] = -products[:, k]
     return Spectrum(values=spec.values, vectors=vectors,
-                    residuals=spec.residuals)
+                    residuals=spec.residuals, products=products)

@@ -185,9 +185,10 @@ def test_criterion_8_property_suite(karate):
 
     # sign-flip invariance of both statistics
     spec = npt.top_eigenpairs(karate, 3)
-    flipped = Spectrum(values=spec.values,
-                       vectors=spec.vectors * np.array([-1.0, 1.0, -1.0]),
-                       residuals=spec.residuals)
+    signs = np.array([-1.0, 1.0, -1.0])
+    flipped = Spectrum(values=spec.values, vectors=spec.vectors * signs,
+                       residuals=spec.residuals,
+                       products=spec.products * signs)
     ok = True
     for runner in (npt.test_T, npt.test_G):
         base = runner(npt.fit(karate, 3, spectrum=spec), 6, 12).statistic

@@ -254,6 +254,58 @@ def test_residual_matrix_rank_removal():
         npt.diag_residual_square(x, spec, 4)
 
 
+def test_the_residual_reads_the_spectrum_product(karate, karate_csr):
+    # diag(W0^2) from the spectrum's X V equals the formula that forms
+    # x @ V again
+    simulated = npt.sample_adjacency(npt.build_mean_matrix(
+        npt.model2_params(300, 60, 0.2, 0.9, seed=1)), seed=2)
+    for x in (karate, karate_csr, simulated,
+              scipy.sparse.csr_array(simulated)):
+        spec = npt.top_eigenpairs(x, 4)
+        dense = x.toarray() if scipy.sparse.issparse(x) else x
+        for k in (1, 2, 3, 4):
+            v, d = spec.vectors[:, :k], spec.values[:k]
+            want = np.einsum("ij,ij->i", dense, dense) \
+                - 2.0 * np.einsum("ik,ik->i", x @ v, v * d) + (v * v) @ (d * d)
+            got = npt.diag_residual_square(x, spec, k)
+            assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+
+def _spectrum_errors():
+    """(fit's k, spectrum) pairs of karate that ``fit`` must refuse, with
+    the start of each message."""
+    spec = npt.top_eigenpairs(npt.load_edge_list(
+        npt.karate_club_path(), indexing="one_based"), 3)
+    other = npt.top_eigenpairs(np.ones((30, 30)) - np.eye(30), 3)
+    return [
+        (2, other, "spectrum vectors must be 34 x 3, got shape (30, 3)"),
+        (3, replace(spec, values=spec.values[:2]),
+         "spectrum vectors must be 34 x 2, got shape (34, 3)"),
+        (3, replace(spec, values=spec.values[:2], vectors=spec.vectors[:, :2],
+                    products=spec.products[:, :2]),
+         "k=3 exceeds retained spectrum size 2"),
+        (2, replace(spec, products=spec.products[:, :2]),
+         "spectrum products must be 34 x 3, got shape (34, 2)"),
+        (2, replace(spec, products=spec.products.T),
+         "spectrum products must be 34 x 3, got shape (3, 34)"),
+        (2, replace(spec, products=None),
+         "spectrum products must be 34 x 3, got shape ()"),
+    ]
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_fit_checks_a_supplied_spectrum(karate, karate_csr, case):
+    # a spectrum of another graph failed with numpy's matmul message; each
+    # of these now fails with the message fit documents
+    k, spec, message = _spectrum_errors()[case]
+    for x in (karate, karate_csr):
+        with pytest.raises(ValueError) as exc:
+            npt.fit(x, k, spectrum=spec)
+        assert str(exc.value) == message
+    with pytest.raises(TypeError, match="spectrum must be a Spectrum"):
+        npt.fit(karate, 2, spectrum=spec.vectors)
+
+
 def test_refine_eigenvalues_closed_form():
     # single eigenvector e1, eigenvalue 2, residual row sum of squares s:
     # refined value is 1 / (1/2 + s/8)

@@ -60,6 +60,22 @@ def test_max_degree(karate):
         npt.max_degree(np.zeros((2, 3)))
 
 
+def test_max_degree_is_the_largest_row_sum(karate, karate_csr):
+    # the sums are a product with ones, exact on 0/1 entries: the degree
+    # the row reduction gives, on dense and CSR input alike
+    rng = np.random.default_rng(3)
+    upper = np.triu(rng.random((500, 500)) < 0.3, 1)
+    dense = (upper | upper.T).astype(float)
+    for graph in (karate, dense):
+        want = int(graph.sum(axis=1).max())
+        for x in (graph, np.asfortranarray(graph),
+                  scipy.sparse.csr_array(graph),
+                  scipy.sparse.csr_matrix(graph)):
+            degree = npt.max_degree(x)
+            assert type(degree) is int and degree == want
+    assert npt.max_degree(karate_csr) == 17
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_max_degree_rejects_a_non_finite_entry(karate, karate_csr, bad):
     # int() of the row sum raised OverflowError, or a ValueError on NaN

@@ -1,8 +1,10 @@
 import ctypes
 import pickle
+import subprocess
 import sys
 import threading
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -442,3 +444,14 @@ def test_without_a_per_thread_limit_the_study_runs_on_one_worker(
     assert size.points[0].statistics.tobytes() == stats.tobytes()
     assert size.points[0].failure_counts == failures
     assert k_study.points[0].k_hat_counts == k_counts
+
+
+def test_the_package_imports_without_scipy_stats():
+    # scipy.stats took most of the package's import time; only
+    # null_histogram uses it, and imports it when called
+    src = str(Path(npt.__file__).parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import netpairtest; "
+            "print(sorted(m for m in sys.modules if 'scipy.stats' in m))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import netpairtest as npt
-from netpairtest import estimation, oracle
+from netpairtest import estimation, inference, oracle
 from netpairtest.estimation import estimate_k_from_values
 from netpairtest.inference import CONDITION_LIMIT, SingularCovarianceError
 from netpairtest.spectra import Spectrum
@@ -301,9 +301,9 @@ def test_pair_entry_points_need_a_square_matrix(x):
 # ------------------------------------------------------------- invariances
 
 def _flip_columns(spec, signs):
-    return Spectrum(values=spec.values,
-                    vectors=spec.vectors * np.asarray(signs)[None, :],
-                    residuals=spec.residuals)
+    signs = np.asarray(signs)[None, :]
+    return Spectrum(values=spec.values, vectors=spec.vectors * signs,
+                    residuals=spec.residuals, products=spec.products * signs)
 
 
 def test_sign_flip_invariance(karate):
@@ -443,6 +443,58 @@ def test_pvalue_matrix_entries_are_one_pair_tests_at_every_width(
                     assert pm[s, t] == runner(fitted, a, b).p_value
 
 
+def _row_loop(fitted, nodes, method):
+    """p-values of every pair of ``nodes`` on ``fitted``, one output row at
+    a time: node s against the later nodes in one stack."""
+    mom = npt.estimation.node_moments(fitted, nodes, method)
+    rows = mom.positions(nodes)
+    out = np.ones((len(nodes), len(nodes)))
+    for s in range(len(nodes) - 1):
+        out[s, s + 1:] = out[s + 1:, s] = inference._test_pairs(
+            mom, np.full(len(nodes) - 1 - s, rows[s]), rows[s + 1:]).p_value
+    return out
+
+
+@pytest.mark.parametrize("graph,nodes,blocks", [
+    # 12 nodes of a 12-node graph: 66 pairs, at most 12 a block
+    ("n12", list(range(12)), [11, 10, 9, 8, 7, 11, 10]),
+    # all of karate: 561 pairs in blocks of at most 34
+    ("karate", list(range(34)), None),
+    # 20 nodes of a 300-node graph: 190 pairs, one block
+    ("n300", list(range(0, 300, 15)), [190]),
+])
+@pytest.mark.parametrize("method", ["T", "G"])
+def test_pvalue_matrix_is_the_row_by_row_loop(karate, monkeypatch, graph,
+                                              nodes, blocks, method):
+    # the stacked blocks of whole output rows give the bits of one stack
+    # per output row, in blocks of at most n pairs
+    if graph == "karate":
+        x = karate
+    else:
+        n = int(graph[1:])
+        rng = np.random.default_rng(n)
+        upper = np.triu(rng.random((n, n)) < 0.5, 1)
+        x = (upper | upper.T).astype(float)
+    fitted = npt.fit(x, 3)
+    sizes = []
+    stacked = inference._test_pairs
+
+    def counted(mom, p, q):
+        sizes.append(len(p))
+        return stacked(mom, p, q)
+
+    monkeypatch.setattr(inference, "_test_pairs", counted)
+    got = npt.pvalue_matrix(fitted, nodes, method).matrix
+    monkeypatch.undo()
+    m = len(nodes)
+    assert sum(sizes) == m * (m - 1) // 2 and max(sizes) <= x.shape[0]
+    if blocks is not None:
+        assert sizes == blocks
+    want = _row_loop(fitted, nodes, method)
+    assert np.isfinite(want).sum() > m
+    assert got.tobytes() == want.tobytes()
+
+
 def test_statistics_do_not_depend_on_the_retained_spectrum_width(karate):
     # a fit that keeps more eigenpairs than K reads a strided view of them;
     # every node's moment is summed over its own contiguous basis V B_i, so
@@ -451,7 +503,8 @@ def test_statistics_do_not_depend_on_the_retained_spectrum_width(karate):
     for k in (1, 2, 3):
         narrow = Spectrum(values=wide.values[:k].copy(),
                           vectors=wide.vectors[:, :k].copy(),
-                          residuals=wide.residuals[:k].copy())
+                          residuals=wide.residuals[:k].copy(),
+                          products=wide.products[:, :k].copy())
         for method in ("T", "G")[:1 if k == 1 else 2]:
             a, b = (npt.pvalue_matrix(npt.fit(karate, k, spectrum=spec),
                                       range(34), method).matrix
@@ -507,7 +560,8 @@ def test_pvalue_matrix_matches_a_brute_per_pair_loop(seed, n, k, method,
     vectors = fitted.spectrum.vectors.copy()
     vectors[degenerate, 0] = 0.0
     spectrum = Spectrum(values=fitted.spectrum.values, vectors=vectors,
-                        residuals=fitted.spectrum.residuals)
+                        residuals=fitted.spectrum.residuals,
+                        products=x @ vectors)
     # a singular pair: rows a and b of the refined residual vanish but for
     # the entry they share, so their covariance has rank one
     v = vectors[:, :k]

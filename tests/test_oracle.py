@@ -205,6 +205,22 @@ def test_expansion_residual_bounded():
     assert len(out["samples"]) == 20
 
 
+def test_expansion_residual_reads_one_row_of_the_noise():
+    # (X_i - H_i) v_k is row i of the n x n W v_k, up to rounding
+    gt = with_tk(npt.ground_truth(npt.model1_params(300, 60, 0.2, 0.9)))
+    rng = np.random.default_rng(10)
+    samples = [npt.sample_adjacency(gt.h, rng) for _ in range(3)]
+    for k in (0, 2):
+        got = npt.expansion_residual(gt, samples, k=k, i=5)["samples"]
+        t_k, v_k = gt.locations[k], gt.vectors[:, k]
+        for x, scaled in zip(samples, got):
+            vhat = npt.top_eigenpairs(x, k + 1).vectors[:, k]
+            vhat = -vhat if vhat @ v_k < 0 else vhat
+            r = t_k * (vhat[5] - v_k[5]) - ((x - gt.h) @ v_k)[5]
+            assert scaled == pytest.approx(abs(r) * np.sqrt(300), rel=0,
+                                           abs=1e-12)
+
+
 def test_covariance_trend_ignores_the_exact_eigenvector_signs(monkeypatch):
     # the exact covariance is aligned to each fitted basis, so flipping the
     # population eigenvectors leaves the errors as they are

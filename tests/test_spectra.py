@@ -103,10 +103,11 @@ def _fit_bits(x):
     ``top_eigenpairs`` return for ``x``."""
     spec, est = npt.grow_spectrum(x)
     fitted, top = npt.fit(x), npt.top_eigenpairs(x, 5)
-    arrays = [spec.values, spec.vectors, spec.residuals,
+    arrays = [spec.values, spec.vectors, spec.residuals, spec.products,
               np.array([est.threshold, est.next_bound]), fitted.d_tilde,
               fitted.spectrum.vectors, fitted.spectrum.residuals,
-              top.values, top.vectors, top.residuals]
+              fitted.spectrum.products, top.values, top.vectors,
+              top.residuals, top.products]
     return [a.tobytes() for a in arrays]
 
 
@@ -382,9 +383,39 @@ def test_orient_signs_fixes_flip():
     x = _random_symmetric(5, 12)
     spec = npt.top_eigenpairs(x, 4)
     flipped = Spectrum(values=spec.values, vectors=-spec.vectors,
-                       residuals=spec.residuals)
+                       residuals=spec.residuals, products=-spec.products)
     fixed = orient_signs(flipped)
     assert np.allclose(fixed.vectors, spec.vectors)
+    assert np.array_equal(fixed.products, spec.products)
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "csr"])
+def test_products_are_the_matrix_times_the_vectors(certified, karate,
+                                                   layout):
+    # the one X V of a solve, read by its residuals and by the refinement,
+    # equals x @ V up to rounding whatever the input's layout
+    for graph in (certified, karate):
+        x = {"C": graph, "F": np.asfortranarray(graph),
+             "csr": scipy.sparse.csr_array(graph)}[layout]
+        spec = npt.top_eigenpairs(x, 4)
+        want = graph @ spec.vectors
+        assert spec.products.shape == want.shape
+        assert np.all(np.linalg.norm(spec.products - want, axis=0)
+                      <= 1e-12 * np.linalg.norm(want, axis=0))
+        assert np.array_equal(spec.residuals, np.linalg.norm(
+            spec.products - spec.vectors * spec.values, axis=0))
+
+
+def test_orient_signs_flips_the_products_with_their_vectors(certified):
+    spec = npt.top_eigenpairs(certified, 3)
+    signs = np.array([-1.0, 1.0, -1.0])
+    flipped = Spectrum(values=spec.values, vectors=spec.vectors * signs,
+                       residuals=spec.residuals,
+                       products=spec.products * signs)
+    fixed = orient_signs(flipped)
+    assert fixed.vectors.tobytes() == spec.vectors.tobytes()
+    assert fixed.products.tobytes() == spec.products.tobytes()
+    assert fixed.residuals is spec.residuals
 
 
 def test_degeneracy_threshold_scale(karate_spectrum):

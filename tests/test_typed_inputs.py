@@ -1,8 +1,12 @@
-"""Counts, shapes and the pair tests' inputs given to the library fail with
-typed errors: every call returns, or raises ValueError, TypeError or one of
-the pair tests' numerical failures, whatever it is given."""
+"""Counts, shapes, a supplied spectrum and the pair tests' inputs given to
+the library fail with typed errors: every call returns, or raises
+ValueError, TypeError or one of the pair tests' numerical failures,
+whatever it is given."""
+
+from dataclasses import replace
 
 import numpy as np
+import pytest
 import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -109,6 +113,57 @@ def test_pair_tests_fail_typed(karate, karate_csr, x, i, j, nodes, method,
     else:
         _call(npt.test_T if entry == "T" else npt.test_G, x, i, j,
               k_override)
+
+
+def _spectrum(name, karate):
+    """A spectrum for karate's ``fit``, by name: its own top 3 pairs, those
+    of another graph, too few pairs, or products of another shape."""
+    spec = npt.top_eigenpairs(karate, 3)
+    if name == "own":
+        return spec
+    if name == "other n":
+        return npt.top_eigenpairs(np.ones((30, 30)) - np.eye(30), 3)
+    if name == "one pair":
+        return replace(spec, values=spec.values[:1],
+                       vectors=spec.vectors[:, :1],
+                       products=spec.products[:, :1])
+    if name == "short values":
+        return replace(spec, values=spec.values[:2])
+    if name == "short products":
+        return replace(spec, products=spec.products[:, :2])
+    return replace(spec, products=spec.products.T)
+
+
+_SPECTRA = ["own", "other n", "one pair", "short values", "short products",
+            "transposed products"]
+# messages of a supplied spectrum that fit refuses (fit's Raises section)
+_SPECTRUM_MESSAGES = r"^(spectrum (vectors|products) must be \d+ x \d+, got " \
+    r"shape \(.*\)|k=\d+ exceeds retained spectrum size \d+)$"
+
+
+@settings(max_examples=60, deadline=None)
+@given(x=_X, k=st.one_of(st.integers(0, 4), _SMALL),
+       spectrum=st.one_of(st.sampled_from(_SPECTRA).map(lambda s: (s,)),
+                          _VALUE))
+def test_fit_fails_typed(karate, karate_csr, x, k, spectrum):
+    x = _graph(x, karate, karate_csr)
+    if isinstance(spectrum, tuple):
+        spectrum = _spectrum(spectrum[0], karate)
+    _call(npt.fit, x, k, spectrum=spectrum)
+
+
+@settings(max_examples=40, deadline=None)
+@given(sparse=st.booleans(), k=st.integers(0, 34),
+       name=st.sampled_from(_SPECTRA[1:]))
+def test_fit_refuses_a_spectrum_of_another_shape(karate, karate_csr, sparse,
+                                                 k, name):
+    # a spectrum of another n failed with numpy's matmul message; each
+    # spectrum that does not fit karate at k fails with fit's own message
+    if name == "one pair" and k <= 1:
+        k = 2
+    with pytest.raises(ValueError, match=_SPECTRUM_MESSAGES):
+        npt.fit(karate_csr if sparse else karate, k,
+                spectrum=_spectrum(name, karate))
 
 
 @settings(max_examples=60, deadline=None)

@@ -63,7 +63,7 @@ __all__ = [
 K_THRESHOLD_CONSTANT = 2.01
 # relative widening of the deflated check's |theta| + ||r||: a Ritz residual
 # bounds the distance to some eigenvalue, not to the largest one, and the
-# bare sum fell short of |d_{K+1}| by up to 2.59% on the graphs measured
+# bare sum fell short of |d_{K+1}| by up to 1.30% on the graphs measured
 RITZ_BOUND_MARGIN = 0.1
 # least K of each test: the floor of an estimated K, the least k_override;
 # the test has K - MIN_K + 1 degrees of freedom
@@ -233,10 +233,11 @@ def grow_spectrum(x, m: int = 3) -> tuple[Spectrum, KEstimate]:
     The residual bounds the distance from theta to some eigenvalue of the
     deflated matrix, not to the largest one, so the bare |theta| + ||r||
     is no bound on |d_{m+1}|. Against the dense eigenvalues it fell short
-    on 9 of 156 simulated graphs (n = 400 to 3000) at the solve's loose
-    stop, by up to 2.59% (model 1, n = 400); at a 1e-3 stop it still fell
-    short, 22.0810 against 22.0845 on an n = 2000 model-1 graph. The
-    margin covers these shortfalls four times over. As the m-pair solve
+    on 7 of the 154 simulated graphs (models 1 and 2, n = 400 to 3000) on
+    which the check ran, by up to 1.30% (model 1, n = 400); at a 1e-3 stop
+    on ARPACK's default basis it still fell short, 22.0810 against
+    22.0845 on an n = 2000 model-1 graph. The margin covers these
+    shortfalls seven times over. As the m-pair solve
     trusts ARPACK to find the top m, the check trusts it to come within
     the margin of the largest remaining eigenvalue; with that, the
     estimate equals the one from the whole spectrum. ``x`` is converted

@@ -81,7 +81,8 @@ class ExperimentConfig:
     Construction checks the counts (:func:`~.spectra._integer_count`) and
     builds each grid point's parameters (:func:`~.models.design_params`,
     with a fixed seed, then discarded), so a bad count, model, layout, rho
-    or signal raises ValueError here.
+    or signal raises ValueError here, and a ``signal_grid`` that is not a
+    sequence TypeError.
     """
 
     model: int

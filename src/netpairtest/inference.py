@@ -198,6 +198,16 @@ def test_T(x: np.ndarray | Fit, i: int, j: int,
     When ``k_override`` is omitted, K is estimated from the spectrum by
     thresholding (floored at ``MIN_K["T"]`` = 1). ``i`` and ``j`` are
     distinct 0-based node indices.
+
+    Raises ValueError, before any fit: "adjacency matrix must be square"
+    for an ``x`` that is not a square matrix; "node ... outside the node
+    range [0, n)", "nodes must be distinct" or "nodes must be integers,
+    ..." for the nodes; "a Fit already fixes k" for a ``k_override`` with
+    a :class:`Fit`; "k must be an integer, got ..." or "the T test needs
+    k >= 1" for a ``k_override`` that is not a count of at least
+    ``MIN_K["T"]``, and "k must lie in [0, n], got ..." for one above n.
+    Where K is estimated, a non-finite entry raises "adjacency matrix
+    entries must be finite".
     """
     return _pair_test(x, i, j, "T", k_override)
 
@@ -207,16 +217,19 @@ def test_G(x: np.ndarray | Fit, i: int, j: int,
     """Ratio-difference test of whether nodes ``i`` and ``j`` share a
     membership profile under degree heterogeneity.
 
-    ``x`` is an adjacency matrix or a :class:`Fit`, as for :func:`test_T`.
-    K defaults to the thresholding estimate floored at ``MIN_K["G"]`` = 2;
-    degrees of freedom are K-1.
+    ``x`` is an adjacency matrix or a :class:`Fit`, as for :func:`test_T`,
+    and fails as it does, with "the G test needs k >= 2". K defaults to
+    the thresholding estimate floored at ``MIN_K["G"]`` = 2; degrees of
+    freedom are K-1.
     """
     return _pair_test(x, i, j, "G", k_override)
 
 
 def reject(result: TestResult, alpha: float) -> bool:
     """True iff the p-value lies below ``alpha``: the statistic exceeds the
-    upper-alpha chi-square quantile."""
+    upper-alpha chi-square quantile. ValueError "alpha must lie in (0, 1)"
+    unless 0 < alpha < 1; TypeError for an ``alpha`` that does not compare
+    with a number."""
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie in (0, 1)")
     return bool(result.p_value < alpha)
@@ -229,7 +242,13 @@ def pvalue_matrix(x: np.ndarray | Fit, nodes, method: str = "T",
     ``x`` is an adjacency matrix, or a :class:`Fit` of one (then
     ``k_override`` must be omitted), as for :func:`test_T`. Beyond the fit,
     m nodes cost O(m n k^2) for their moments and O(k^3) per pair, in
-    O(m n + m^2) memory."""
+    O(m n + m^2) memory.
+
+    Raises ValueError "need at least two distinct nodes" for fewer than
+    two, "unknown method ..." for a ``method`` other than "T" or "G" in
+    either case, and the errors of the pair tests' checks (``x``, the
+    nodes, ``k_override``) as :func:`test_T` does; TypeError for ``nodes``
+    that are not iterable."""
     nodes = list(nodes)
     if len(nodes) < 2:
         raise ValueError("need at least two distinct nodes")

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.optimize
 
 from .estimation import _covariance, fit
 from .models import (
@@ -201,8 +200,11 @@ def compute_tk(gt: GroundTruth, k: int,
     equation reduces to 1 - d_k/z = 0 and the root is d_k itself. Raises
     :class:`RootBracketError` when the equation has no sign change on the
     bracket (1 +- c0/2) d_k, as for model 2 below n of about 300, where the
-    root lies past the bracket.
+    root lies past the bracket. ``scipy.optimize``, which nothing else in
+    the package uses, is imported here, on first use.
     """
+    import scipy.optimize
+
     if gt.values[k] == 0:
         raise ZeroDivisionError("zero population eigenvalue")
     c0 = eigen_gap_constant(gt)

@@ -4,16 +4,17 @@ The top eigenpairs come from restarted Lanczos (ARPACK, through
 ``scipy.sparse.linalg.eigsh``) on a dense array or a sparse matrix, with a
 fixed start vector and a fixed generator for restarts, so results are
 bit-reproducible for a fixed BLAS build and thread count, whatever the
-input's memory layout. :func:`deflated_ritz` solves the same way, loosely,
-for the largest eigenvalue left once the top pairs are removed: enough to
-bound the next eigenvalue without converging it. Eigenpairs are sorted by
-eigenvalue magnitude and carry a deterministic, data-only sign convention:
-in every eigenvector the entry of largest absolute value is positive (ties
-broken by smallest index). Both downstream test statistics are invariant
-to column sign flips, so any fixed convention works; this one needs no
-ground truth. The module computes eigenpairs only: the domain of each
-pair-test covariance (the least K, the degenerate-node rule) is defined in
-:mod:`~.estimation`.
+input's memory layout. :func:`deflated_ritz` solves the same way, loosely
+and on a Lanczos basis of :data:`DEFLATED_NCV` vectors in place of
+ARPACK's default 20, for the largest eigenvalue left once the top pairs are
+removed: enough to bound the next eigenvalue without converging it.
+Eigenpairs are sorted by eigenvalue magnitude and carry a deterministic,
+data-only sign convention: in every eigenvector the entry of largest
+absolute value is positive (ties broken by smallest index). Both
+downstream test statistics are invariant to column sign flips, so any
+fixed convention works; this one needs no ground truth. The module
+computes eigenpairs only: the domain of each pair-test covariance (the
+least K, the degenerate-node rule) is defined in :mod:`~.estimation`.
 
 ARPACK's own BLAS calls run on scipy's OpenBLAS. The products of ``x`` it
 asks for run on numpy's: for a dense ``x``, the BLAS symmetric product
@@ -27,12 +28,14 @@ The same product forms X V, column by column, once per solve; a
 (:func:`~.estimation.diag_residual_square`), so a fit reads ``x`` for it
 once.
 A sparse ``x``, and any ``x`` where numpy's library lacks the symbol, takes
-``x @ y``. Where the two libraries each bundle their own OpenBLAS, each
-keeps its own pool of worker threads, and a solve that woke both pools at
-every Lanczos step left one pool's idle workers spinning on the cores the
-other needed. So :func:`_arpack` limits scipy's OpenBLAS to the calling
-thread for the solve, and gives the thread back its setting after it, where
-scipy's library has that per-thread limit. The product and both libraries'
+``x @ y``; a sparse ``x`` forms X V as one product ``x @ V``, equal to the
+bit to its columns' products. Where the two libraries each bundle their
+own OpenBLAS, each keeps its own pool of worker threads, and a solve that
+woke both pools at every Lanczos step left one pool's idle workers
+spinning on the cores the other needed. So :func:`_arpack` limits
+scipy's OpenBLAS to the calling thread for the solve, and gives the thread
+back its setting after it, where scipy's library has that per-thread
+limit. The product and both libraries'
 per-thread limits are looked up once, at import (:data:`_SYMV`,
 :data:`_LIMITS`); the Monte Carlo harness reads the same table of limits to
 limit its workers (:func:`_limit_blas_threads`).
@@ -65,9 +68,12 @@ TIE_REL_TOL = 1e-12
 START_SEED = 0
 # relative ARPACK tolerance of deflated_ritz: its residual, not its Ritz
 # value, enters the bound on the next eigenvalue, and a margin covers what
-# a loose residual misses (estimation.RITZ_BOUND_MARGIN), so one pass of
-# ARPACK's 20-vector basis is enough
+# a loose residual misses (estimation.RITZ_BOUND_MARGIN)
 DEFLATED_TOL = 0.1
+# Lanczos basis size of deflated_ritz: ARPACK tests convergence only once
+# its basis is full, and one pass of 8 vectors met DEFLATED_TOL on the
+# graphs measured, in 10 products of x against 22 for eigsh's default 20
+DEFLATED_NCV = 8
 # OpenBLAS's limit on the BLAS threads of the calling thread alone
 _THREAD_LIMIT = "openblas_set_num_threads_local"
 # numpy's CBLAS symmetric matrix-vector product; numpy's wheels link an
@@ -170,11 +176,13 @@ def _limit_blas_threads() -> None:
         limit(1)
 
 
-def _arpack(op, k: int, tol: float):
+def _arpack(op, k: int, tol: float, ncv: int | None = None):
     """``eigsh`` for the ``k`` largest-magnitude eigenpairs of ``op``, from
-    the fixed start vector and restart generator; None where ARPACK cannot
-    run (k >= n - 1) or fails. scipy's OpenBLAS runs on the calling thread
-    alone during the solve, where it has a per-thread limit."""
+    the fixed start vector and restart generator, on a Lanczos basis of
+    ``ncv`` vectors (eigsh's default where None; eigsh takes at most n);
+    None where ARPACK cannot run (k >= n - 1) or fails. scipy's OpenBLAS
+    runs on the calling thread alone during the solve, where it has a
+    per-thread limit."""
     n = op.shape[0]
     if k >= n - 1:
         return None
@@ -183,7 +191,8 @@ def _arpack(op, k: int, tol: float):
     previous = limit(1) if limit is not None else None
     try:
         return scipy.sparse.linalg.eigsh(
-            op, k=k, which="LM", tol=tol, v0=rng.standard_normal(n), rng=rng)
+            op, k=k, which="LM", tol=tol, v0=rng.standard_normal(n), rng=rng,
+            ncv=ncv)
     except scipy.sparse.linalg.ArpackError:
         return None
     finally:
@@ -229,7 +238,8 @@ def top_eigenpairs(x, m: int) -> Spectrum:
     (:func:`_integer_count`) in [1, n]. A non-finite entry of ``x`` raises
     ValueError on the dense path, which ARPACK's output on such an ``x``
     always takes. The product X V of the ``m`` pairs is formed once, one
-    column at a time through :func:`_product`, and kept as the spectrum's
+    column at a time through :func:`_product` for a dense ``x`` and as one
+    sparse product for a sparse ``x``, and kept as the spectrum's
     ``products``.
     """
     x = as_matrix(x)
@@ -249,9 +259,12 @@ def top_eigenpairs(x, m: int) -> Spectrum:
     order = _sort_order(vals, m)
     values = vals[order]
     vectors = vecs[:, order]
-    products = np.empty_like(vectors)
-    for a in range(m):
-        products[:, a] = product(vectors[:, a])
+    if scipy.sparse.issparse(x):
+        products = x @ vectors
+    else:
+        products = np.empty_like(vectors)
+        for a in range(m):
+            products[:, a] = product(vectors[:, a])
     residuals = np.linalg.norm(products - vectors * values, axis=0)
     return orient_signs(Spectrum(values=values, vectors=vectors,
                                  residuals=residuals, products=products))
@@ -268,8 +281,10 @@ def deflated_ritz(x, spec: Spectrum) -> tuple[float, float] | None:
     |theta| + ||r|| may fall short of |d_{m+1}| (see
     :func:`~.estimation.grow_spectrum`). ARPACK runs to the loose relative
     tolerance :data:`DEFLATED_TOL` from the start vector of
-    :func:`top_eigenpairs`, which it meets after one pass of its 20-vector
-    basis on the graphs measured. None where ARPACK cannot run or fails.
+    :func:`top_eigenpairs`, on a basis of :data:`DEFLATED_NCV` vectors
+    (at most n), which met it after one pass, 10 products of ``x`` with
+    the residual's, on every graph measured. None where ARPACK cannot run
+    or fails.
     """
     x = as_matrix(x)
     v, d = spec.vectors, spec.values
@@ -281,7 +296,7 @@ def deflated_ritz(x, spec: Spectrum) -> tuple[float, float] | None:
 
     op = scipy.sparse.linalg.LinearOperator(x.shape, matvec=matvec,
                                             dtype=float)
-    found = _arpack(op, 1, DEFLATED_TOL)
+    found = _arpack(op, 1, DEFLATED_TOL, DEFLATED_NCV)
     if found is None:
         return None
     theta, u = float(found[0][0]), found[1][:, 0]

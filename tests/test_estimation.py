@@ -147,6 +147,26 @@ def test_grown_k_equals_the_dense_k(design):
         _assert_bounds_next(est, x)
 
 
+# (model, n, signal, seed) of graphs from weak to strong signal; the two
+# seeded 23 and 16 gave the largest bare shortfalls of |theta| + ||r||
+# below |d_4| (1.30% and 1.05%) in a sweep of 215 graphs
+BOUND_GRAPHS = [(1, 400, 0.2, 0), (1, 400, 0.9, 23), (1, 800, 0.5, 16),
+                (1, 800, 0.9, 0), (2, 400, 0.5, 0), (2, 400, 0.9, 0),
+                (2, 800, 0.5, 0), (2, 800, 0.9, 0)]
+
+
+@pytest.mark.parametrize("model, n, signal, seed", BOUND_GRAPHS)
+def test_next_bound_is_not_below_the_dense_next_eigenvalue(model, n, signal,
+                                                          seed):
+    # where the deflated check decides K, its widened bound lies above the
+    # dense |d_{k+1}|, and the count is the whole spectrum's
+    x = npt.sample_adjacency(npt.build_mean_matrix(design_params(
+        model, n, n // 5, 0.2, signal, 1000 + seed)), seed=2000 + seed)
+    spec, est = npt.grow_spectrum(x)
+    assert est.k_hat == _dense_k_hat(x)
+    _assert_bounds_next(est, x)
+
+
 def _rotated(values, seed):
     # symmetric matrix with the given eigenvalues; the first eigenvector is
     # constant, so every row sums to values[0]

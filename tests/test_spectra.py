@@ -217,14 +217,19 @@ def test_deflated_ritz_bounds_the_next_eigenvalue():
     assert deflated_ritz(x, spec) == (theta, resid)
     theta_csr, resid_csr = deflated_ritz(scipy.sparse.csr_array(x), spec)
     assert abs(theta_csr - 5.0) <= resid_csr < 0.05
-    # n = 2 is too small for ARPACK
+    # n = 2 is too small for ARPACK; below DEFLATED_NCV the basis is n
     small = np.diag([3.0, 1.0])
     assert deflated_ritz(small, npt.top_eigenpairs(small, 1)) is None
+    for n in (3, spectra.DEFLATED_NCV - 1):
+        small = np.diag(np.arange(n, 0.0, -1.0))
+        theta, resid = deflated_ritz(small, npt.top_eigenpairs(small, 1))
+        assert theta == pytest.approx(n - 1.0, rel=1e-12) and resid < 1e-12
 
 
 def test_deflated_ritz_stops_after_one_arpack_pass(certified, monkeypatch):
-    # one pass of ARPACK's 20-vector basis takes 21 products of x and the
-    # residual one more, 22 in all; a stop at 1e-3 takes 42
+    # one pass of the 8-vector basis (DEFLATED_NCV) takes 9 products of x
+    # and the residual one more, 10 in all; ARPACK's default 20-vector basis
+    # took 22
     spec = npt.top_eigenpairs(certified, 3)
     expected = deflated_ritz(certified, spec)
     build, products = spectra._product, []
@@ -240,7 +245,7 @@ def test_deflated_ritz_stops_after_one_arpack_pass(certified, monkeypatch):
 
     monkeypatch.setattr(spectra, "_product", counted)
     assert deflated_ritz(certified, spec) == expected
-    assert len(products) <= 25
+    assert len(products) <= 12
 
 
 @pytest.mark.parametrize("n", [2, 3, 40, 301])
@@ -404,6 +409,19 @@ def test_products_are_the_matrix_times_the_vectors(certified, karate,
                       <= 1e-12 * np.linalg.norm(want, axis=0))
         assert np.array_equal(spec.residuals, np.linalg.norm(
             spec.products - spec.vectors * spec.values, axis=0))
+
+
+@pytest.mark.parametrize("form", [scipy.sparse.csr_array,
+                                  scipy.sparse.csr_matrix])
+def test_sparse_products_are_the_column_products(certified, karate_csr,
+                                                 form):
+    # a sparse x forms X V as one x @ V, equal to the bit to one CSR
+    # product per column
+    for graph, m in ((karate_csr, 3), (certified, 3), (certified, 20)):
+        x = form(graph)
+        spec = npt.top_eigenpairs(x, m)
+        columns = np.column_stack([x @ spec.vectors[:, a] for a in range(m)])
+        assert spec.products.tobytes() == columns.tobytes()
 
 
 def test_orient_signs_flips_the_products_with_their_vectors(certified):

@@ -1,7 +1,8 @@
 """Counts, shapes, a supplied spectrum and the pair tests' inputs given to
 the library fail with typed errors: every call returns, or raises
 ValueError, TypeError or one of the pair tests' numerical failures,
-whatever it is given."""
+whatever it is given, and each error the library raises carries its
+documented message."""
 
 from dataclasses import replace
 
@@ -181,3 +182,133 @@ def test_covariances_fail_typed(karate, i, j, truth, second):
 @given(alpha=st.one_of(st.floats(-1.0, 2.0), _VALUE))
 def test_reject_fails_typed(karate, alpha):
     _call(npt.reject, npt.test_T(karate, 0, 33, k_override=2), alpha)
+
+
+def _config(**changes):
+    """An ExperimentConfig of a valid small design, with ``changes``."""
+    settings_ = dict(model=1, n=40, n0=4, rho=0.2, signal_grid=(0.5,),
+                     replications=2)
+    return npt.ExperimentConfig(**{**settings_, **changes})
+
+
+def _with_nan(karate):
+    x = karate.copy()
+    x[0, 1] = x[1, 0] = np.nan
+    return x
+
+
+# (call on karate, error, its documented message); each call fails with
+# exactly that message, as the docstrings and README state it; a supplied
+# spectrum's shapes are in test_fit_refuses_a_spectrum_of_another_shape, a
+# study's design (model, layout, rho, signals, master_seed) in
+# test_harness.py::test_config_checks_the_whole_design_before_any_replication
+_MESSAGES = {
+    "m-float": (lambda g: npt.top_eigenpairs(g, 2.0), ValueError,
+                r"m must be an integer, got 2\.0"),
+    "m-bool": (lambda g: npt.top_eigenpairs(g, True), ValueError,
+               r"m must be an integer, got True"),
+    "m-range": (lambda g: npt.top_eigenpairs(g, 35), ValueError,
+                r"m must lie in \[1, 34\], got 35"),
+    "m-string": (lambda g: npt.grow_spectrum(g, "3"), ValueError,
+                 r"m must be an integer, got '3'"),
+    "m-zero": (lambda g: npt.grow_spectrum(g, 0), ValueError,
+               r"m must lie in \[1, 34\], got 0"),
+    "k-range": (lambda g: npt.fit(g, 35), ValueError,
+                r"k must lie in \[0, 34\], got 35"),
+    "k-negative": (lambda g: npt.fit(g, -1), ValueError,
+                   r"k must lie in \[0, 34\], got -1"),
+    "k-float": (lambda g: npt.fit(g, 2.5), ValueError,
+                r"k must be an integer, got 2\.5"),
+    "floor-range": (lambda g: npt.fit(g, floor=35), ValueError,
+                    r"floor must lie in \[0, 34\], got 35"),
+    "floor-none": (lambda g: npt.fit(g, floor=None), ValueError,
+                   r"floor must be an integer, got None"),
+    "spectrum-without-k": (
+        lambda g: npt.fit(g, spectrum=npt.top_eigenpairs(g, 3)), ValueError,
+        r"a supplied spectrum needs a fixed k"),
+    "spectrum-type": (lambda g: npt.fit(g, 3, spectrum="spec"), TypeError,
+                      r"spectrum must be a Spectrum, got str"),
+    "x-none": (lambda g: npt.test_T(None, 0, 1), ValueError,
+               r"adjacency matrix must be square"),
+    "x-3d": (lambda g: npt.pvalue_matrix(np.zeros((3, 3, 3)), [0, 1]),
+             ValueError, r"adjacency matrix must be square"),
+    "x-string": (lambda g: npt.test_G("ab", 0, 1), ValueError,
+                 r"could not convert string to float: 'ab'"),
+    "x-nan": (lambda g: npt.test_T(_with_nan(g), 0, 1), ValueError,
+              r"adjacency matrix entries must be finite"),
+    "node-outside": (lambda g: npt.test_T(g, -1, 1), ValueError,
+                     r"node -1 outside the node range \[0, 34\)"),
+    "node-past-end": (lambda g: npt.pvalue_matrix(g, [0, 34]), ValueError,
+                      r"node 34 outside the node range \[0, 34\)"),
+    "node-twice": (lambda g: npt.test_G(g, 3, 3), ValueError,
+                   r"nodes must be distinct"),
+    "node-float": (lambda g: npt.test_T(g, 1.5, 2), ValueError,
+                   r"nodes must be integers, got dtype float64"),
+    "node-bools": (lambda g: npt.test_G(g, True, False), ValueError,
+                   r"nodes must be integers, got dtype bool"),
+    "node-bool": (lambda g: npt.test_G(g, True, 2), ValueError,
+                  r"nodes must be integers, got a bool"),
+    "node-bool-among-ints": (
+        lambda g: npt.pvalue_matrix(g, [0, True, 2]), ValueError,
+        r"nodes must be integers, got a bool"),
+    "nodes-one": (lambda g: npt.pvalue_matrix(g, [0]), ValueError,
+                  r"need at least two distinct nodes"),
+    "nodes-not-iterable": (lambda g: npt.pvalue_matrix(g, 5), TypeError,
+                           r"'int' object is not iterable"),
+    "method": (lambda g: npt.pvalue_matrix(g, [0, 1], "x"), ValueError,
+               r"unknown method 'X'"),
+    "method-list": (lambda g: npt.pvalue_matrix(g, [0, 1], [None]),
+                    ValueError, r"unknown method \[None\]"),
+    "k-override-least": (lambda g: npt.test_G(g, 0, 1, k_override=1),
+                         ValueError, r"the G test needs k >= 2"),
+    "k-override-float": (lambda g: npt.test_T(g, 0, 1, k_override=1.0),
+                         ValueError, r"k must be an integer, got 1\.0"),
+    "k-override-range": (lambda g: npt.test_T(g, 0, 1, k_override=35),
+                         ValueError, r"k must lie in \[0, 34\], got 35"),
+    "k-override-on-fit": (
+        lambda g: npt.test_T(npt.fit(g, 3), 0, 1, k_override=2), ValueError,
+        r"a Fit already fixes k"),
+    "pair-shapes": (
+        lambda g: npt.estimate_sigma1(npt.fit(g, 3), [0, 1], [2]),
+        ValueError, r"i and j must be nodes or equal-length node arrays"),
+    "covariance-node": (
+        lambda g: npt.estimate_sigma2(npt.fit(g, 3), 0, 34), ValueError,
+        r"node 34 outside the node range \[0, 34\)"),
+    "alpha": (lambda g: npt.reject(npt.test_T(g, 0, 33, k_override=2), 1.0),
+              ValueError, r"alpha must lie in \(0, 1\)"),
+    "alpha-list": (
+        lambda g: npt.reject(npt.test_T(g, 0, 33, k_override=2), [0.5]),
+        TypeError, r"'<' not supported between instances of 'int' and "
+                   r"'list'"),
+    "mean-matrix-shape": (
+        lambda g: npt.sample_adjacency(np.full((2, 3), 0.5), 0), ValueError,
+        r"mean matrix must be square"),
+    "mean-matrix-range": (
+        lambda g: npt.sample_adjacency(np.full((2, 2), 1.5), 0), ValueError,
+        r"mean matrix entries must lie in \[0, 1\]"),
+    "replications-least": (lambda g: _config(replications=0), ValueError,
+                           r"replications must be at least 1, got 0"),
+    "replications-float": (lambda g: _config(replications=2.0), ValueError,
+                           r"replications must be an integer, got 2\.0"),
+    "config-alpha": (lambda g: _config(alpha=1), ValueError,
+                     r"alpha must lie in \(0, 1\)"),
+    "signal-grid-empty": (lambda g: _config(signal_grid=()), ValueError,
+                          r"signal grid must be nonempty"),
+    "signal-grid-scalar": (lambda g: _config(signal_grid=0.5), TypeError,
+                           r"'float' object is not iterable"),
+    "k-mode": (lambda g: _config(k_mode="x"), ValueError,
+               r"k_mode must be true_k or estimated_k"),
+    "pair-mode": (lambda g: _config(pair_mode="x"), ValueError,
+                  r"pair_mode must be size or power"),
+    "design-n": (lambda g: _config(n="40"), ValueError,
+                 r"n must be an integer, got '40'"),
+    "design-counts": (lambda g: _config(n0=-1), ValueError,
+                      r"need n >= 1 and n0 >= 0, got n=40, n0=-1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MESSAGES))
+def test_typed_errors_carry_their_documented_messages(karate, case):
+    call, error, message = _MESSAGES[case]
+    with pytest.raises(error, match=f"^{message}$"):
+        call(karate)

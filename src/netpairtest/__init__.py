@@ -14,7 +14,7 @@ from .models import (
     model2_params,
     sample_adjacency,
 )
-from .spectra import Spectrum, orient_signs, top_eigenpairs
+from .spectra import Spectrum, top_eigenpairs
 from .estimation import (
     CovarianceEstimate,
     Fit,

@@ -46,7 +46,7 @@ import numpy as np
 
 from . import spectra
 from .estimation import MIN_K, fit, grow_spectrum
-from .inference import TEST_FAILURES, _pair_test, reject
+from .inference import TEST_FAILURES, _check_alpha, _pair_test, reject
 from .models import (
     DESIGN_K,
     MODEL_TESTS,
@@ -81,8 +81,9 @@ class ExperimentConfig:
     Construction checks the counts (:func:`~.spectra._integer_count`) and
     builds each grid point's parameters (:func:`~.models.design_params`,
     with a fixed seed, then discarded), so a bad count, model, layout, rho
-    or signal raises ValueError here, and a ``signal_grid`` that is not a
-    sequence TypeError.
+    or signal raises ValueError here, and an ``alpha`` that is not a number
+    (:func:`~.inference._check_alpha`) or a ``signal_grid`` that is not a
+    sequence TypeError "signal_grid must be a sequence of signals, got ...".
     """
 
     model: int
@@ -99,15 +100,19 @@ class ExperimentConfig:
     def __post_init__(self):
         spectra._integer_count(self.replications, "replications", 1)
         spectra._integer_count(self.master_seed, "master_seed", 0)
-        if not 0 < self.alpha < 1:
-            raise ValueError("alpha must lie in (0, 1)")
-        if not self.signal_grid:
+        _check_alpha(self.alpha)
+        try:
+            signals = list(self.signal_grid)
+        except TypeError:
+            raise TypeError(f"signal_grid must be a sequence of signals, got "
+                            f"{self.signal_grid!r}") from None
+        if not signals:
             raise ValueError("signal grid must be nonempty")
         if self.k_mode not in ("true_k", "estimated_k"):
             raise ValueError("k_mode must be true_k or estimated_k")
         if self.pair_mode not in ("size", "power"):
             raise ValueError("pair_mode must be size or power")
-        for signal in self.signal_grid:
+        for signal in signals:
             design_params(self.model, self.n, self.n0, self.rho, signal, 0)
 
     @property

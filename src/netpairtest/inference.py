@@ -19,10 +19,10 @@ factors each covariance on its own, and decided by its chi-square tail:
 Every pair test enters through one function, which checks the nodes before
 any fit, fixes K, fits and reads the nodes' :class:`~.estimation.NodeMoments`
 and rows once. One stacked core tests pairs of those rows:
-:func:`pvalue_matrix` runs it on blocks of whole output rows, as few as
-the graph's size allows, :func:`test_T`, :func:`test_G` and the Monte Carlo
-harness on one pair. A pair that fails (degenerate node, singular
-covariance) fails alone; only the one-pair test raises.
+:func:`pvalue_matrix` runs it on blocks of n pairs, :func:`test_T`,
+:func:`test_G` and the Monte Carlo harness on one pair. A pair that fails
+(degenerate node, singular covariance) fails alone; only the one-pair test
+raises.
 """
 
 from __future__ import annotations
@@ -206,8 +206,8 @@ def test_T(x: np.ndarray | Fit, i: int, j: int,
     a :class:`Fit`; "k must be an integer, got ..." or "the T test needs
     k >= 1" for a ``k_override`` that is not a count of at least
     ``MIN_K["T"]``, and "k must lie in [0, n], got ..." for one above n.
-    Where K is estimated, a non-finite entry raises "adjacency matrix
-    entries must be finite".
+    A non-finite entry of ``x`` raises "adjacency matrix entries must be
+    finite".
     """
     return _pair_test(x, i, j, "T", k_override)
 
@@ -225,13 +225,21 @@ def test_G(x: np.ndarray | Fit, i: int, j: int,
     return _pair_test(x, i, j, "G", k_override)
 
 
+def _check_alpha(alpha) -> None:
+    """ValueError unless 0 < alpha < 1; TypeError for a non-number."""
+    try:
+        inside = 0 < alpha < 1
+    except TypeError:
+        raise TypeError(f"alpha must be a number, got {alpha!r}") from None
+    if not inside:
+        raise ValueError("alpha must lie in (0, 1)")
+
+
 def reject(result: TestResult, alpha: float) -> bool:
     """True iff the p-value lies below ``alpha``: the statistic exceeds the
-    upper-alpha chi-square quantile. ValueError "alpha must lie in (0, 1)"
-    unless 0 < alpha < 1; TypeError for an ``alpha`` that does not compare
-    with a number."""
-    if not 0 < alpha < 1:
-        raise ValueError("alpha must lie in (0, 1)")
+    upper-alpha chi-square quantile. ``alpha`` is checked first
+    (:func:`_check_alpha`)."""
+    _check_alpha(alpha)
     return bool(result.p_value < alpha)
 
 
@@ -247,9 +255,14 @@ def pvalue_matrix(x: np.ndarray | Fit, nodes, method: str = "T",
     Raises ValueError "need at least two distinct nodes" for fewer than
     two, "unknown method ..." for a ``method`` other than "T" or "G" in
     either case, and the errors of the pair tests' checks (``x``, the
-    nodes, ``k_override``) as :func:`test_T` does; TypeError for ``nodes``
-    that are not iterable."""
-    nodes = list(nodes)
+    nodes, ``k_override``) as :func:`test_T` does; TypeError "nodes must be
+    a sequence of node indices, got ..." for ``nodes`` that are not
+    iterable."""
+    try:
+        nodes = list(nodes)
+    except TypeError:
+        raise TypeError(f"nodes must be a sequence of node indices, got "
+                        f"{nodes!r}") from None
     if len(nodes) < 2:
         raise ValueError("need at least two distinct nodes")
     if isinstance(method, str):
@@ -263,16 +276,12 @@ def pvalue_matrix(x: np.ndarray | Fit, nodes, method: str = "T",
         # a zero eigenvalue among the top K fails every pair alike
         out[~np.eye(m, dtype=bool)] = np.nan
         return PValueMatrix(nodes=tuple(nodes), matrix=out, method=method)
-    # the upper-triangle pairs, output row by output row, in stacked blocks
-    # of whole rows holding at most n pairs each (a row holds fewer), so
-    # that a block's temporaries stay O(n k^2)
+    # the upper-triangle pairs in stacked blocks of n, so that a block's
+    # temporaries stay O(n k^2); each pair is solved on its own matrix, so
+    # the bits do not depend on the blocks
     first, second = np.triu_indices(m, 1)
-    ends = np.cumsum(np.arange(m - 1, 0, -1))  # pairs up to each row's end
-    start = 0
-    while start < len(first):
-        stop = ends[np.searchsorted(ends, start + fitted.x.shape[0],
-                                    "right") - 1]
-        s, t = first[start:stop], second[start:stop]
+    n = fitted.x.shape[0]
+    for start in range(0, len(first), n):
+        s, t = first[start:start + n], second[start:start + n]
         out[s, t] = out[t, s] = _test_pairs(moments, rows[s], rows[t]).p_value
-        start = stop
     return PValueMatrix(nodes=tuple(nodes), matrix=out, method=method)

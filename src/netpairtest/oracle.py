@@ -31,7 +31,7 @@ from .models import (
     sample_adjacency,
     study_pair,
 )
-from .spectra import TIE_REL_TOL, _integer_count, top_eigenpairs
+from .spectra import _integer_count, _sort_order, _tie_groups, top_eigenpairs
 
 __all__ = [
     "GroundTruth",
@@ -103,7 +103,7 @@ def ground_truth(params: DCMMParams, self_loops: bool = False) -> GroundTruth:
     h = build_mean_matrix(params)
     q, r = np.linalg.qr(params.theta[:, None] * params.pi)
     vals, vecs = np.linalg.eigh(r @ params.p_matrix @ r.T)
-    order = np.argsort(-np.abs(vals), kind="stable")
+    order = _sort_order(vals, len(vals))
     vals, vecs = vals[order], vecs[:, order]
     rank = int(np.sum(np.abs(vals) > RANK_REL_TOL * np.abs(vals[0])))
     if rank < params.K:
@@ -123,17 +123,17 @@ def with_tk(gt: GroundTruth) -> GroundTruth:
 
 def eigen_gap_constant(gt: GroundTruth) -> float:
     """Ratio-gap constant implied by the instance's eigenvalues: the smallest
-    magnitude ratio between consecutive-in-magnitude eigenvalues (skipping
-    +/- pairs, tied to :data:`~.spectra.TIE_REL_TOL`), minus one."""
-    d = gt.values
-    best = np.inf
-    for i in range(gt.k):
-        for j in range(i + 1, gt.k):
-            if abs(d[i] + d[j]) < TIE_REL_TOL * abs(d[i]):
-                continue
-            best = min(best, abs(d[i]) / abs(d[j]))
-    if not np.isfinite(best):
-        return 1.0  # single eigenvalue (or only +/- pairs); any bracket works
+    magnitude ratio between consecutive tied groups of magnitudes
+    (:func:`~.spectra._tie_groups`), minus one. A group may hold a +/- pair,
+    not two values of one sign."""
+    tie = _tie_groups(gt.values)
+    groups = [gt.values[tie == g] for g in range(tie.max(initial=-1) + 1)]
+    if any(len(np.unique(np.sign(g))) < len(g) for g in groups):
+        raise ValueError("eigenvalue magnitudes too close; no ratio gap")
+    if len(groups) < 2:
+        return 1.0  # single eigenvalue (or a +/- pair); any bracket works
+    best = min(np.abs(upper).min() / np.abs(lower).max()
+               for upper, lower in zip(groups, groups[1:]))
     if best <= 1.0 + 1e-12:
         raise ValueError("eigenvalue magnitudes too close; no ratio gap")
     return best - 1.0

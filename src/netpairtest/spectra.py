@@ -8,13 +8,14 @@ input's memory layout. :func:`deflated_ritz` solves the same way, loosely
 and on a Lanczos basis of :data:`DEFLATED_NCV` vectors in place of
 ARPACK's default 20, for the largest eigenvalue left once the top pairs are
 removed: enough to bound the next eigenvalue without converging it.
-Eigenpairs are sorted by eigenvalue magnitude and carry a deterministic,
-data-only sign convention: in every eigenvector the entry of largest
-absolute value is positive (ties broken by smallest index). Both
-downstream test statistics are invariant to column sign flips, so any
-fixed convention works; this one needs no ground truth. The module
-computes eigenpairs only: the domain of each pair-test covariance (the
-least K, the degenerate-node rule) is defined in :mod:`~.estimation`.
+Eigenpairs are sorted by eigenvalue magnitude, a tied +/- pair positive
+first (:func:`_sort_order`, which :func:`~.oracle.ground_truth` shares),
+and carry a deterministic, data-only sign convention: in every eigenvector
+the entry of largest absolute value is positive (ties broken by smallest
+index). Both downstream test statistics are invariant to column sign
+flips, so any fixed convention works; this one needs no ground truth. The
+module computes eigenpairs only: the domain of each pair-test covariance
+(the least K, the degenerate-node rule) is defined in :mod:`~.estimation`.
 
 ARPACK's own BLAS calls run on scipy's OpenBLAS. The products of ``x`` it
 asks for run on numpy's: for a dense ``x``, the BLAS symmetric product
@@ -24,18 +25,17 @@ therefore be exactly symmetric. The product is called through ``ctypes``,
 which releases the GIL, so Monte Carlo worker threads solve side by side;
 like ``x @ y`` it is bit-reproducible for a fixed build and thread count.
 The same product forms X V, column by column, once per solve; a
-:class:`Spectrum` keeps it for its residual norms and for the refinement
-(:func:`~.estimation.diag_residual_square`), so a fit reads ``x`` for it
-once.
-A sparse ``x``, and any ``x`` where numpy's library lacks the symbol, takes
-``x @ y``; a sparse ``x`` forms X V as one product ``x @ V``, equal to the
-bit to its columns' products. Where the two libraries each bundle their
-own OpenBLAS, each keeps its own pool of worker threads, and a solve that
-woke both pools at every Lanczos step left one pool's idle workers
-spinning on the cores the other needed. So :func:`_arpack` limits
-scipy's OpenBLAS to the calling thread for the solve, and gives the thread
-back its setting after it, where scipy's library has that per-thread
-limit. The product and both libraries'
+:class:`Spectrum` keeps it, reads its residual norms from it and hands it
+to the refinement (:func:`~.estimation.diag_residual_square`), so a fit
+reads ``x`` for it once. A sparse ``x``, and any ``x`` where numpy's
+library lacks the symbol, takes ``x @ y``; a sparse ``x`` forms X V as one
+product ``x @ V``, equal to the bit to its columns' products. Where the two
+libraries each bundle their own OpenBLAS, each keeps its own pool of worker
+threads, and a solve that woke both pools at every Lanczos step left one
+pool's idle workers spinning on the cores the other needed. So
+:func:`_arpack` limits scipy's OpenBLAS to the calling thread for the
+solve, and gives the thread back its setting after it, where scipy's
+library has that per-thread limit. The product and both libraries'
 per-thread limits are looked up once, at import (:data:`_SYMV`,
 :data:`_LIMITS`); the Monte Carlo harness reads the same table of limits to
 limit its workers (:func:`_limit_blas_threads`).
@@ -57,7 +57,6 @@ __all__ = [
     "Spectrum",
     "top_eigenpairs",
     "deflated_ritz",
-    "orient_signs",
 ]
 
 ORTHONORMALITY_TOL = 1e-8
@@ -90,20 +89,26 @@ class Spectrum:
     """Top-m eigenpairs of a symmetric matrix X.
 
     ``values`` is sorted by nonincreasing magnitude, ``vectors`` holds the
-    matching orthonormal eigenvectors as columns, ``residuals`` the per-pair
-    norms ||X v - d v|| recorded at construction time and ``products`` the
-    n x m product X V they were read from, each column with the sign of its
-    eigenvector, so that later steps need not multiply by X again.
+    matching orthonormal eigenvectors as columns, each with the sign
+    convention of the module, and ``products`` the n x m product X V, so
+    that later steps need not multiply by X again.
     """
 
     values: np.ndarray
     vectors: np.ndarray
-    residuals: np.ndarray
     products: np.ndarray
 
     @property
     def m(self) -> int:
         return len(self.values)
+
+    @property
+    def residuals(self) -> np.ndarray:
+        """Per-pair norms ||X v - d v||, read from ``products``, each
+        summed down a contiguous (F-ordered) column."""
+        return np.linalg.norm(np.subtract(self.products,
+                                          self.vectors * self.values,
+                                          order="F"), axis=0)
 
 
 def _orthonormal(vectors: np.ndarray) -> bool:
@@ -114,10 +119,9 @@ def _orthonormal(vectors: np.ndarray) -> bool:
                 <= ORTHONORMALITY_TOL)
 
 
-def _sort_order(values: np.ndarray, m: int) -> np.ndarray:
-    # magnitude descending; magnitudes within TIE_REL_TOL of the largest one
-    # of their run are tied and put the larger signed value first, so a +/-
-    # pair comes out positive first from any solver; then by index
+def _tie_groups(values: np.ndarray) -> np.ndarray:
+    # magnitude group of each value, 0 for the largest; magnitudes within
+    # TIE_REL_TOL of the largest one of their run are tied
     mags = np.abs(values)
     tie = np.empty(len(values), dtype=np.int64)
     group, lead = -1, np.inf
@@ -125,8 +129,15 @@ def _sort_order(values: np.ndarray, m: int) -> np.ndarray:
         if mags[pos] < lead * (1.0 - TIE_REL_TOL):
             group, lead = group + 1, mags[pos]
         tie[pos] = group
+    return tie
+
+
+def _sort_order(values: np.ndarray, m: int) -> np.ndarray:
+    # magnitude descending; tied magnitudes (_tie_groups) put the larger
+    # signed value first, so a +/- pair comes out positive first from any
+    # solver; then by index
     idx = np.arange(len(values))
-    return np.lexsort((idx, -values, tie))[:m]
+    return np.lexsort((idx, -values, _tie_groups(values)))[:m]
 
 
 def _blas_function(module: str, name: str, argtypes: list, restype):
@@ -166,6 +177,12 @@ def _integer_count(count, name: str, least: int | None = None) -> int:
     if least is not None and count < least:
         raise ValueError(f"{name} must be at least {least}, got {count}")
     return int(count)
+
+
+def _check_finite(x) -> None:
+    """ValueError where ``x``, dense or sparse, has a non-finite entry."""
+    if not np.isfinite(x.data if scipy.sparse.issparse(x) else x).all():
+        raise ValueError("adjacency matrix entries must be finite")
 
 
 def _limit_blas_threads() -> None:
@@ -230,44 +247,52 @@ def top_eigenpairs(x, m: int) -> Spectrum:
     ARPACK (implicitly restarted Lanczos) computes them to machine
     precision from a fixed start vector. It reads a dense ``x`` through its
     lower triangle (:func:`_product`), so a dense ``x`` must be exactly
-    symmetric. A dense symmetric eigendecomposition
-    stands in only where ARPACK cannot run: for ``m >= n - 1``, or when ARPACK
-    fails (for instance on the zero matrix, where every start vector maps to
-    zero) or returns columns that are not orthonormal (as on entries of
-    magnitude near 1e-300). ``m`` must be an integer
-    (:func:`_integer_count`) in [1, n]. A non-finite entry of ``x`` raises
-    ValueError on the dense path, which ARPACK's output on such an ``x``
-    always takes. The product X V of the ``m`` pairs is formed once, one
-    column at a time through :func:`_product` for a dense ``x`` and as one
-    sparse product for a sparse ``x``, and kept as the spectrum's
-    ``products``.
+    symmetric. A dense symmetric eigendecomposition stands in only where
+    ARPACK cannot run: for ``m >= n - 1``, or when ARPACK fails (for
+    instance on the zero matrix, where every start vector maps to zero) or
+    returns columns that are not orthonormal (as on entries of magnitude
+    near 1e-300). ``m`` must be an integer (:func:`_integer_count`) in
+    [1, n]. A non-finite entry of ``x`` raises ValueError before ARPACK
+    reads a product: it makes the first one non-finite, as the start vector
+    has no zero entry. Each eigenvector is signed before the product X V of
+    the ``m`` pairs is formed, once: one column at a time through
+    :func:`_product` for a dense ``x``, as one sparse product for a sparse
+    ``x``. It is kept as the spectrum's ``products``.
     """
     x = as_matrix(x)
     n = x.shape[0]
     if not 1 <= _integer_count(m, "m") <= n:
         raise ValueError(f"m must lie in [1, {n}], got {m}")
     product = _product(x)
-    op = scipy.sparse.linalg.LinearOperator(x.shape, matvec=product,
+
+    def matvec(y):
+        out = product(y)
+        if not np.isfinite(out).all():
+            _check_finite(x)
+        return out
+
+    op = scipy.sparse.linalg.LinearOperator(x.shape, matvec=matvec,
                                             dtype=float)
     found = _arpack(op, m, 0)
     if found is None or not _orthonormal(found[1]):
-        dense = x.toarray() if scipy.sparse.issparse(x) else x
-        if not np.isfinite(dense).all():
-            raise ValueError("adjacency matrix entries must be finite")
-        found = np.linalg.eigh(dense)
+        _check_finite(x)
+        found = np.linalg.eigh(x.toarray() if scipy.sparse.issparse(x) else x)
     vals, vecs = found
     order = _sort_order(vals, m)
-    values = vals[order]
+    # fresh contiguous columns, flipped in place and multiplied by x
+    # without a copy; the bits of later products with V follow the layout,
+    # so the spectrum keeps C-ordered copies
     vectors = vecs[:, order]
+    lead = np.argmax(np.abs(vectors), axis=0)
+    vectors[:, vectors[lead, np.arange(m)] < 0] *= -1.0
     if scipy.sparse.issparse(x):
         products = x @ vectors
     else:
         products = np.empty_like(vectors)
         for a in range(m):
             products[:, a] = product(vectors[:, a])
-    residuals = np.linalg.norm(products - vectors * values, axis=0)
-    return orient_signs(Spectrum(values=values, vectors=vectors,
-                                 residuals=residuals, products=products))
+    return Spectrum(values=vals[order], vectors=vectors.copy(order="C"),
+                    products=products.copy(order="C"))
 
 
 def deflated_ritz(x, spec: Spectrum) -> tuple[float, float] | None:
@@ -302,19 +327,3 @@ def deflated_ritz(x, spec: Spectrum) -> tuple[float, float] | None:
     theta, u = float(found[0][0]), found[1][:, 0]
     return theta, float(np.linalg.norm(matvec(u) - theta * u))
 
-
-def orient_signs(spec: Spectrum) -> Spectrum:
-    """Flip eigenvector columns so the largest-magnitude entry is positive,
-    and each flipped column's product with it.
-
-    Idempotent; ties resolve to the smallest index (first argmax).
-    """
-    vectors, products = spec.vectors.copy(), spec.products.copy()
-    for k in range(spec.m):
-        col = vectors[:, k]
-        lead = int(np.argmax(np.abs(col)))
-        if col[lead] < 0:
-            vectors[:, k] = -col
-            products[:, k] = -products[:, k]
-    return Spectrum(values=spec.values, vectors=vectors,
-                    residuals=spec.residuals, products=products)

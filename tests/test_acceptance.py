@@ -187,7 +187,6 @@ def test_criterion_8_property_suite(karate):
     spec = npt.top_eigenpairs(karate, 3)
     signs = np.array([-1.0, 1.0, -1.0])
     flipped = Spectrum(values=spec.values, vectors=spec.vectors * signs,
-                       residuals=spec.residuals,
                        products=spec.products * signs)
     ok = True
     for runner in (npt.test_T, npt.test_G):

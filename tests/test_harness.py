@@ -48,6 +48,8 @@ def test_config_validation():
     (dict(master_seed=1.5), "master_seed must be an integer"),
     (dict(master_seed=True), "master_seed must be an integer, got True"),
     (dict(master_seed=-1), "master_seed must be at least 0"),
+    # an array grid raised numpy's "truth value ... is ambiguous"
+    (dict(signal_grid=np.array([0.9, 1.2])), r"theta must lie in \(0, 1\]"),
 ])
 def test_config_checks_the_whole_design_before_any_replication(
         monkeypatch, bad, message):

@@ -303,7 +303,7 @@ def test_pair_entry_points_need_a_square_matrix(x):
 def _flip_columns(spec, signs):
     signs = np.asarray(signs)[None, :]
     return Spectrum(values=spec.values, vectors=spec.vectors * signs,
-                    residuals=spec.residuals, products=spec.products * signs)
+                    products=spec.products * signs)
 
 
 def test_sign_flip_invariance(karate):
@@ -456,8 +456,8 @@ def _row_loop(fitted, nodes, method):
 
 
 @pytest.mark.parametrize("graph,nodes,blocks", [
-    # 12 nodes of a 12-node graph: 66 pairs, at most 12 a block
-    ("n12", list(range(12)), [11, 10, 9, 8, 7, 11, 10]),
+    # 12 nodes of a 12-node graph: 66 pairs, 12 a block
+    ("n12", list(range(12)), [12, 12, 12, 12, 12, 6]),
     # all of karate: 561 pairs in blocks of at most 34
     ("karate", list(range(34)), None),
     # 20 nodes of a 300-node graph: 190 pairs, one block
@@ -466,8 +466,8 @@ def _row_loop(fitted, nodes, method):
 @pytest.mark.parametrize("method", ["T", "G"])
 def test_pvalue_matrix_is_the_row_by_row_loop(karate, monkeypatch, graph,
                                               nodes, blocks, method):
-    # the stacked blocks of whole output rows give the bits of one stack
-    # per output row, in blocks of at most n pairs
+    # the stacked blocks of n pairs give the bits of one stack per output
+    # row
     if graph == "karate":
         x = karate
     else:
@@ -503,7 +503,6 @@ def test_statistics_do_not_depend_on_the_retained_spectrum_width(karate):
     for k in (1, 2, 3):
         narrow = Spectrum(values=wide.values[:k].copy(),
                           vectors=wide.vectors[:, :k].copy(),
-                          residuals=wide.residuals[:k].copy(),
                           products=wide.products[:, :k].copy())
         for method in ("T", "G")[:1 if k == 1 else 2]:
             a, b = (npt.pvalue_matrix(npt.fit(karate, k, spectrum=spec),
@@ -560,7 +559,6 @@ def test_pvalue_matrix_matches_a_brute_per_pair_loop(seed, n, k, method,
     vectors = fitted.spectrum.vectors.copy()
     vectors[degenerate, 0] = 0.0
     spectrum = Spectrum(values=fitted.spectrum.values, vectors=vectors,
-                        residuals=fitted.spectrum.residuals,
                         products=x @ vectors)
     # a singular pair: rows a and b of the refined residual vanish but for
     # the entry they share, so their covariance has rank one

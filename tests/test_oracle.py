@@ -277,8 +277,26 @@ def test_eigen_gap_constant_skips_pairs_and_needs_a_gap():
     # one eigenvalue, or only a +/- pair, leaves nothing to compare
     assert eigen_gap_constant(_truth([3.0])) == 1.0
     assert eigen_gap_constant(_truth([3.0, -3.0])) == 1.0
-    with pytest.raises(ValueError, match="no ratio gap"):
-        eigen_gap_constant(_truth([2.0, 2.0]))
+    # a group's smallest magnitude over the next group's largest
+    tied = 4.0 * (1.0 - 1e-13)
+    assert eigen_gap_constant(_truth([4.0, -tied, 2.0])) == tied / 2.0 - 1.0
+    for values in ([2.0, 2.0], [4.0, -4.0, 4.0], [-4.0, 4.0, -tied]):
+        with pytest.raises(ValueError, match="no ratio gap"):
+            eigen_gap_constant(_truth(values))
+
+
+def test_ground_truth_orders_a_plus_minus_pair_as_the_fit_does():
+    # two blocks with edges only between them: H and every sample have
+    # eigenvalues in +/- pairs, and both put the positive member first,
+    # so their columns match
+    pi = np.repeat(np.eye(2), 20, axis=0)
+    gt = npt.ground_truth(DCMMParams(theta=np.full(40, 0.9), pi=pi,
+                                     p_matrix=np.array([[0, .5], [.5, 0]])))
+    spec = npt.top_eigenpairs(npt.sample_adjacency(gt.h, seed=0), 2)
+    assert gt.values[0] > 0 > gt.values[1]
+    assert spec.values[0] > 0 > spec.values[1]
+    overlap = np.abs(np.einsum("ik,ik->k", spec.vectors, gt.vectors))
+    assert np.all(overlap > 0.9)
 
 
 def test_compute_tk_rejects_a_zero_eigenvalue():

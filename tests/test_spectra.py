@@ -12,7 +12,7 @@ from netpairtest import spectra
 from netpairtest.estimation import degeneracy_threshold
 from netpairtest.graph_io import as_matrix
 from netpairtest.spectra import (TIE_REL_TOL, Spectrum, _orthonormal,
-                                 _sort_order, deflated_ritz, orient_signs)
+                                 _product, _sort_order, deflated_ritz)
 
 RESIDUAL_TOL = 1e-6
 
@@ -355,9 +355,10 @@ def test_non_integer_m_rejected_before_any_solve(karate, monkeypatch):
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("form", ["dense", "csr"])
 def test_non_finite_entry_raises_before_the_dense_solver(karate, form, bad,
-                                                         monkeypatch):
-    # ARPACK's vectors on such a matrix are not orthonormal, and the dense
-    # fallback returned a NaN spectrum
+                                                         monkeypatch, capfd):
+    # the first product of the Lanczos solve is not finite, and raises
+    # before ARPACK reads it: LAPACK printed an illegal-value message for
+    # it, and the dense fallback returned a NaN spectrum
     x = karate.copy()
     x[0, 1] = x[1, 0] = bad
     if form == "csr":
@@ -372,26 +373,23 @@ def test_non_finite_entry_raises_before_the_dense_solver(karate, form, bad,
         with pytest.raises(ValueError,
                            match="adjacency matrix entries must be finite"):
             call()
+    assert capfd.readouterr() == ("", "")
 
 
-def test_orient_signs_idempotent():
-    x = _random_symmetric(4, 12)
-    spec = npt.top_eigenpairs(x, 5)
-    again = orient_signs(spec)
-    assert np.array_equal(spec.vectors, again.vectors)
-    for k in range(spec.m):
-        col = spec.vectors[:, k]
-        assert col[np.argmax(np.abs(col))] > 0
-
-
-def test_orient_signs_fixes_flip():
-    x = _random_symmetric(5, 12)
-    spec = npt.top_eigenpairs(x, 4)
-    flipped = Spectrum(values=spec.values, vectors=-spec.vectors,
-                       residuals=spec.residuals, products=-spec.products)
-    fixed = orient_signs(flipped)
-    assert np.allclose(fixed.vectors, spec.vectors)
-    assert np.array_equal(fixed.products, spec.products)
+@pytest.mark.parametrize("form", ["dense", "csr"])
+@pytest.mark.parametrize("m", [3, 33, 34])
+def test_columns_are_signed_before_they_are_multiplied(karate, form, m):
+    # ARPACK below m = n - 1 = 33, the dense eigendecomposition from there;
+    # each returned column has its largest entry positive, and its product
+    # is that of the returned column itself, signed zeros included
+    x = karate if form == "dense" else scipy.sparse.csr_array(karate)
+    spec = npt.top_eigenpairs(x, m)
+    lead = np.argmax(np.abs(spec.vectors), axis=0)
+    assert np.all(spec.vectors[lead, np.arange(m)] > 0)
+    product = _product(karate) if form == "dense" else (lambda y: x @ y)
+    columns = np.column_stack([product(spec.vectors[:, a])
+                               for a in range(m)])
+    assert spec.products.tobytes() == columns.tobytes()
 
 
 @pytest.mark.parametrize("layout", ["C", "F", "csr"])
@@ -422,18 +420,6 @@ def test_sparse_products_are_the_column_products(certified, karate_csr,
         spec = npt.top_eigenpairs(x, m)
         columns = np.column_stack([x @ spec.vectors[:, a] for a in range(m)])
         assert spec.products.tobytes() == columns.tobytes()
-
-
-def test_orient_signs_flips_the_products_with_their_vectors(certified):
-    spec = npt.top_eigenpairs(certified, 3)
-    signs = np.array([-1.0, 1.0, -1.0])
-    flipped = Spectrum(values=spec.values, vectors=spec.vectors * signs,
-                       residuals=spec.residuals,
-                       products=spec.products * signs)
-    fixed = orient_signs(flipped)
-    assert fixed.vectors.tobytes() == spec.vectors.tobytes()
-    assert fixed.products.tobytes() == spec.products.tobytes()
-    assert fixed.residuals is spec.residuals
 
 
 def test_degeneracy_threshold_scale(karate_spectrum):

@@ -253,8 +253,9 @@ _MESSAGES = {
         r"nodes must be integers, got a bool"),
     "nodes-one": (lambda g: npt.pvalue_matrix(g, [0]), ValueError,
                   r"need at least two distinct nodes"),
-    "nodes-not-iterable": (lambda g: npt.pvalue_matrix(g, 5), TypeError,
-                           r"'int' object is not iterable"),
+    "nodes-not-iterable": (
+        lambda g: npt.pvalue_matrix(g, 5), TypeError,
+        r"nodes must be a sequence of node indices, got 5"),
     "method": (lambda g: npt.pvalue_matrix(g, [0, 1], "x"), ValueError,
                r"unknown method 'X'"),
     "method-list": (lambda g: npt.pvalue_matrix(g, [0, 1], [None]),
@@ -278,8 +279,7 @@ _MESSAGES = {
               ValueError, r"alpha must lie in \(0, 1\)"),
     "alpha-list": (
         lambda g: npt.reject(npt.test_T(g, 0, 33, k_override=2), [0.5]),
-        TypeError, r"'<' not supported between instances of 'int' and "
-                   r"'list'"),
+        TypeError, r"alpha must be a number, got \[0\.5\]"),
     "mean-matrix-shape": (
         lambda g: npt.sample_adjacency(np.full((2, 3), 0.5), 0), ValueError,
         r"mean matrix must be square"),
@@ -292,10 +292,13 @@ _MESSAGES = {
                            r"replications must be an integer, got 2\.0"),
     "config-alpha": (lambda g: _config(alpha=1), ValueError,
                      r"alpha must lie in \(0, 1\)"),
+    "config-alpha-list": (lambda g: _config(alpha=[0.5]), TypeError,
+                          r"alpha must be a number, got \[0\.5\]"),
     "signal-grid-empty": (lambda g: _config(signal_grid=()), ValueError,
                           r"signal grid must be nonempty"),
     "signal-grid-scalar": (lambda g: _config(signal_grid=0.5), TypeError,
-                           r"'float' object is not iterable"),
+                           r"signal_grid must be a sequence of signals, got "
+                           r"0\.5"),
     "k-mode": (lambda g: _config(k_mode="x"), ValueError,
                r"k_mode must be true_k or estimated_k"),
     "pair-mode": (lambda g: _config(pair_mode="x"), ValueError,

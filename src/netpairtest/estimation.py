@@ -26,12 +26,12 @@ vector v_i[1:] / v_i[0] for G, with the map of its first-order move, its
 scale and which nodes are degenerate (:func:`degeneracy_threshold`).
 :func:`node_moments` reads the rows of m nodes once (O(m n k^2) time,
 O(m n) memory) and keeps each node's contrast and moment plus the m x m
-variances between the nodes, so that the covariance of any pair among them
-costs O(k^3). One body gives both covariances, :func:`estimate_sigma1` and
-:func:`estimate_sigma2`, on a :class:`Fit` for the plug-in estimate or on
-an oracle ground truth for the exact one, or on its :class:`NodeMoments`,
-for one pair or a stack of pairs, an empty one included;
-:func:`check_nodes` checks every node.
+variances between the nodes, in the order given, so that the covariance of
+any pair of its rows costs O(k^3). One body gives both covariances,
+:func:`estimate_sigma1` and :func:`estimate_sigma2`, at two nodes of a
+:class:`Fit` (the plug-in estimate) or of an oracle ground truth (the exact
+one), or at two rows of its :class:`NodeMoments`, for one pair or a stack
+of pairs, an empty one included; :func:`check_nodes` checks every node.
 """
 
 from __future__ import annotations
@@ -166,8 +166,8 @@ class CovarianceEstimate:
 
 @dataclass(frozen=True)
 class NodeMoments:
-    """What the covariances of the ``method`` test of pairs among ``nodes``
-    read from a :class:`Fit` or an oracle ``GroundTruth``, one row per node.
+    """What the covariances of the ``method`` test read from a :class:`Fit`
+    or an oracle ``GroundTruth``, one row per node in the order given.
 
     A node's ``contrast`` c_i moves to first order by B_i^T (W V)_i / s,
     with its map B_i (``maps``) and the ``scale`` s (:func:`_contrast`);
@@ -178,7 +178,6 @@ class NodeMoments:
     """
 
     method: str
-    nodes: np.ndarray
     contrast: np.ndarray
     maps: np.ndarray
     rows: np.ndarray
@@ -186,14 +185,6 @@ class NodeMoments:
     degenerate: np.ndarray
     moments: np.ndarray
     cross: np.ndarray
-
-    def positions(self, nodes) -> np.ndarray:
-        """Rows of the per-node arrays that hold ``nodes``."""
-        pos = np.minimum(np.searchsorted(self.nodes, nodes),
-                         len(self.nodes) - 1)
-        if not np.array_equal(self.nodes[pos], nodes):
-            raise ValueError("a node has no moments here")
-        return pos
 
 
 def k_threshold(n: int, dmax: int) -> float:
@@ -397,16 +388,25 @@ def _integer_nodes(nodes) -> np.ndarray:
     return arr
 
 
-def check_nodes(nodes, n: int) -> None:
-    """Raise ``ValueError`` unless ``nodes`` are distinct integers in
-    [0, n) (:func:`_integer_nodes`)."""
+def check_nodes(nodes, n: int) -> np.ndarray:
+    """``nodes`` as an integer array (:func:`_integer_nodes`); ``ValueError``
+    unless they are one-dimensional, distinct and in [0, n)."""
     nodes = _integer_nodes(nodes)
+    if nodes.ndim != 1:
+        raise ValueError(f"nodes must be one-dimensional, got shape "
+                         f"{nodes.shape}")
     if len(np.unique(nodes)) != len(nodes):
         raise ValueError("nodes must be distinct")
-    outside = (nodes < 0) | (nodes >= n)
+    _check_range(nodes, n, "node")
+    return nodes
+
+
+def _check_range(index: np.ndarray, n: int, name: str) -> None:
+    """``ValueError`` at the first entry of ``index`` outside [0, n)."""
+    outside = (index < 0) | (index >= n)
     if outside.any():
-        raise ValueError(f"node {nodes[np.argmax(outside)]} outside the node "
-                         f"range [0, {n})")
+        raise ValueError(f"{name} {index[np.argmax(outside)]} outside the "
+                         f"{name} range [0, {n})")
 
 
 def degenerate_node(node, label=None) -> DegenerateNodeError:
@@ -454,18 +454,18 @@ def _ratio_maps(rows: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 def node_moments(model, nodes, method: str) -> NodeMoments:
     """The :class:`NodeMoments` of the ``method`` test of ``model`` at
-    ``nodes``, from one call of ``model.sigma2_rows``: O(m n k^2) time and
-    O(m n) memory for m nodes.
+    ``nodes``, checked (:func:`check_nodes`) and kept in the order given,
+    from one call of ``model.sigma2_rows``: O(m n k^2) time and O(m n)
+    memory for m nodes; no bit of a node's row depends on the others.
 
     Each node's moment is summed in its own contrast basis A_i, not formed
     as B_i^T (V^T diag(sigma2[i, :]) V) B_i: the columns of V B_i nearly
     cancel where the two eigenvectors of a ratio move together, and the
     V basis loses that many digits.
     """
-    nodes = np.unique(nodes)
     check_k(model.k, method)
     v = model.vectors
-    check_nodes(nodes, len(v))
+    nodes = check_nodes(nodes, len(v))
     rows = v[nodes]
     contrast, maps, scale, degenerate = _contrast(model, rows, method)
     sigma2 = model.sigma2_rows(nodes)
@@ -474,10 +474,9 @@ def node_moments(model, nodes, method: str) -> NodeMoments:
     for r, (b, row) in enumerate(zip(maps, sigma2)):
         a = v @ b
         moments[r] = (a * row[:, None]).T @ a
-    return NodeMoments(method=method, nodes=nodes, contrast=contrast,
-                       maps=maps, rows=rows, scale=scale,
-                       degenerate=degenerate, moments=moments,
-                       cross=sigma2[:, nodes])
+    return NodeMoments(method=method, contrast=contrast, maps=maps,
+                       rows=rows, scale=scale, degenerate=degenerate,
+                       moments=moments, cross=sigma2[:, nodes])
 
 
 def _condition(mat: np.ndarray) -> float:
@@ -529,11 +528,13 @@ def _covariance(model, i, j, method: str) -> CovarianceEstimate:
     sigma2[i, j] (u - w)(u - w)^T.
     """
     i, j, scalar = _pair_arrays(i, j)
-    mom = model if isinstance(model, NodeMoments) else node_moments(
-        model, np.concatenate([i, j]), method)
-    if mom.method != method:
+    mom, p, q = model, i, j
+    if not isinstance(model, NodeMoments):
+        nodes, rows = np.unique(np.concatenate([i, j]), return_inverse=True)
+        mom, (p, q) = node_moments(model, nodes, method), rows.reshape(2, -1)
+    elif mom.method != method:
         raise ValueError(f"these are moments of the {mom.method} test")
-    p, q = mom.positions(i), mom.positions(j)
+    _check_range(np.concatenate([p, q]), len(mom.rows), "row")
     degenerate = mom.degenerate[p] | mom.degenerate[q]
     if degenerate.any():
         r = np.argmax(degenerate)
@@ -551,10 +552,10 @@ def estimate_sigma1(model, i, j) -> CovarianceEstimate:
 
     ``model`` is a :class:`Fit`, which gives the plug-in estimate, or an
     oracle ``GroundTruth``, which gives the exact covariance: both supply
-    ``k``, ``vectors``, ``values`` and ``sigma2_rows``. It may also be the
-    T test's :class:`NodeMoments` of either at the pair's nodes. ``i`` and
-    ``j`` may be equal-length node arrays; the estimate then stacks one
-    covariance per pair (i[r], j[r]).
+    ``k``, ``vectors``, ``values`` and ``sigma2_rows``, and ``i`` and ``j``
+    are their node ids. It may also be the T test's :class:`NodeMoments` of
+    either, and ``i`` and ``j`` are then its rows. They may be equal-length
+    arrays; the estimate then stacks one covariance per pair (i[r], j[r]).
     """
     return _covariance(model, i, j, "T")
 
@@ -565,9 +566,9 @@ def estimate_sigma2(model, i, j) -> CovarianceEstimate:
     s = t_1).
 
     ``model`` is as for :func:`estimate_sigma1`, with the G test's
-    :class:`NodeMoments`, and so are stacked ``i`` and ``j``. Its
-    ``locations`` are the eigenvalue locations t, which a fit estimates by
-    its empirical eigenvalues. A degenerate node has no ratio and raises
-    :class:`DegenerateNodeError`.
+    :class:`NodeMoments`, and so are ``i`` and ``j``, rows of ``model``.
+    Its ``locations`` are the eigenvalue locations t, which a fit estimates
+    by its empirical eigenvalues. A degenerate node has no ratio and raises
+    :class:`DegenerateNodeError`, which names the row of ``model``.
     """
     return _covariance(model, i, j, "G")

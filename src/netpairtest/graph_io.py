@@ -246,15 +246,31 @@ def as_matrix(x):
     return x
 
 
+def _check_finite(x) -> None:
+    """ValueError where ``x``, dense or sparse, has a non-finite entry."""
+    if not np.isfinite(x.data if scipy.sparse.issparse(x) else x).all():
+        raise ValueError("adjacency matrix entries must be finite")
+
+
+def _check_product(x, out: np.ndarray) -> None:
+    """ValueError where ``out``, a product of ``x``, is not finite: "adjacency
+    matrix entries must be finite" where an entry of ``x`` is not
+    (:func:`_check_finite`), else "adjacency matrix products overflow"."""
+    if not np.isfinite(out).all():
+        _check_finite(x)
+        raise ValueError("adjacency matrix products overflow")
+
+
 def max_degree(x) -> int:
     """Maximum row sum of a symmetric binary matrix, dense or sparse;
-    ValueError where it is not square (:func:`as_matrix`) or not finite.
-    The sums are the product with a vector of ones, one BLAS pass over a
-    dense ``x``, which is exact on 0/1 entries."""
+    ValueError where it is not square (:func:`as_matrix`) or a sum is not
+    finite (:func:`_check_product`). The sums are the product with a vector
+    of ones, one BLAS pass over a dense ``x``, which is exact on 0/1
+    entries."""
     x = as_matrix(x)
     if x.shape[0] == 0:
         return 0
-    sums = x @ np.ones(x.shape[0])
-    if not np.isfinite(sums).all():
-        raise ValueError("adjacency matrix entries must be finite")
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = x @ np.ones(x.shape[0])
+    _check_product(x, sums)
     return int(np.max(sums))

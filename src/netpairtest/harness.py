@@ -84,6 +84,8 @@ class ExperimentConfig:
     or signal raises ValueError here, and an ``alpha`` that is not a number
     (:func:`~.inference._check_alpha`) or a ``signal_grid`` that is not a
     sequence TypeError "signal_grid must be a sequence of signals, got ...".
+    The grid is stored as the tuple of its signals, so a generator grid is
+    not spent by the check.
     """
 
     model: int
@@ -102,10 +104,11 @@ class ExperimentConfig:
         spectra._integer_count(self.master_seed, "master_seed", 0)
         _check_alpha(self.alpha)
         try:
-            signals = list(self.signal_grid)
+            signals = tuple(self.signal_grid)
         except TypeError:
             raise TypeError(f"signal_grid must be a sequence of signals, got "
                             f"{self.signal_grid!r}") from None
+        object.__setattr__(self, "signal_grid", signals)
         if not signals:
             raise ValueError("signal grid must be nonempty")
         if self.k_mode not in ("true_k", "estimated_k"):

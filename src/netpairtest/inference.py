@@ -18,11 +18,11 @@ factors each covariance on its own, and decided by its chi-square tail:
 :class:`~.estimation.Fit` of one, so that many pairs share a single fit.
 Every pair test enters through one function, which checks the nodes before
 any fit, fixes K, fits and reads the nodes' :class:`~.estimation.NodeMoments`
-and rows once. One stacked core tests pairs of those rows:
-:func:`pvalue_matrix` runs it on blocks of n pairs, :func:`test_T`,
-:func:`test_G` and the Monte Carlo harness on one pair. A pair that fails
-(degenerate node, singular covariance) fails alone; only the one-pair test
-raises.
+once, one row per node in the order given. One stacked core tests pairs of
+those rows: :func:`pvalue_matrix` runs it on blocks of n pairs,
+:func:`test_T`, :func:`test_G` and the Monte Carlo harness on one pair. A
+pair that fails (degenerate node, singular covariance) fails alone; only
+the one-pair test raises.
 """
 
 from __future__ import annotations
@@ -107,7 +107,7 @@ def chi2_sf(x, df: int):
 
 
 def _fitted_moments(x, nodes, method: str, k_override: int | None):
-    """(fit, NodeMoments of ``nodes``, their rows) of ``x`` for ``method``,
+    """(fit, NodeMoments of ``nodes``, in order) of ``x`` for ``method``,
     nodes checked before any fit; a supplied :class:`Fit` fixes K and must
     meet the same least K as ``k_override``; any other ``x`` is converted
     (:func:`~.graph_io.as_matrix`), which checks that it is square."""
@@ -120,8 +120,7 @@ def _fitted_moments(x, nodes, method: str, k_override: int | None):
     k = x.k if given else k_override
     check_k(k, method)
     fitted = x if given else fit(x, k, floor=MIN_K[method])
-    moments = node_moments(fitted, nodes, method)
-    return fitted, moments, moments.positions(nodes)
+    return fitted, node_moments(fitted, nodes, method)
 
 
 @dataclass(frozen=True)
@@ -140,11 +139,12 @@ def _test_pairs(mom: NodeMoments, p: np.ndarray, q: np.ndarray) -> _PairTests:
     ``mom``, in stacked numpy calls: degeneracy mask, covariances, condition
     check against :data:`CONDITION_LIMIT`, solve and p-values.
 
-    The covariance estimators, given the pairs' node ids, are read from the
-    module globals at each call, so a replaced binding takes effect. A pair
-    fails alone and builds no error: a degenerate node (G), or a covariance
-    that is not finite or whose condition estimate exceeds the limit. The
-    test has as many degrees of freedom as its contrast has components.
+    The covariance estimators, given the pairs' rows, are read from the
+    module globals at each call, so a replaced binding (perfbench's wrong
+    covariance) takes effect. A pair fails alone and builds no error: a
+    degenerate node (G), or a covariance that is not finite or whose
+    condition estimate exceeds the limit. The test has as many degrees of
+    freedom as its contrast has components.
     ``np.linalg.solve`` runs LAPACK on each matrix of a stack, at every
     width, so a pair's statistic does not depend on the pairs tested with
     it. Every step takes an empty stack, so pairs that all fail take the
@@ -156,7 +156,7 @@ def _test_pairs(mom: NodeMoments, p: np.ndarray, q: np.ndarray) -> _PairTests:
     live = np.flatnonzero(~degenerate)
     a, b = p[live], q[live]
     sigma = estimate_sigma1 if mom.method == "T" else estimate_sigma2
-    cov = sigma(mom, mom.nodes[a], mom.nodes[b])
+    cov = sigma(mom, a, b)
     cond[live] = cov.condition_estimate
     ok = cond[live] <= CONDITION_LIMIT  # False for inf and NaN
     rhs = (mom.contrast[a] - mom.contrast[b])[ok]
@@ -172,13 +172,16 @@ def _test_pairs(mom: NodeMoments, p: np.ndarray, q: np.ndarray) -> _PairTests:
 def _pair_test(x: np.ndarray | Fit, i: int, j: int, method: str,
                k_override: int | None = None) -> TestResult:
     """The ``method`` test of nodes ``i`` and ``j`` of ``x``, a matrix or a
-    Fit: :func:`_test_pairs` of one pair, or its error."""
-    fitted, mom, rows = _fitted_moments(x, (i, j), method, k_override)
-    res = _test_pairs(mom, rows[:1], rows[1:])
+    Fit: :func:`_test_pairs` of their rows 0 and 1, or its error;
+    ``ValueError`` before any fit unless both are single nodes."""
+    if np.ndim(i) or np.ndim(j):
+        raise ValueError(f"i and j must be single nodes, got shapes "
+                         f"{np.shape(i)} and {np.shape(j)}")
+    fitted, mom = _fitted_moments(x, (i, j), method, k_override)
+    res = _test_pairs(mom, np.array([0]), np.array([1]))
     cond = res.condition[0]
-    degenerate = mom.degenerate[rows]
-    if degenerate.any():
-        raise degenerate_node(i if degenerate[0] else j)
+    if mom.degenerate.any():
+        raise degenerate_node(i if mom.degenerate[0] else j)
     if not cond <= CONDITION_LIMIT:
         raise SingularCovarianceError(
             f"covariance condition estimate {cond:.3g} "
@@ -202,12 +205,14 @@ def test_T(x: np.ndarray | Fit, i: int, j: int,
     Raises ValueError, before any fit: "adjacency matrix must be square"
     for an ``x`` that is not a square matrix; "node ... outside the node
     range [0, n)", "nodes must be distinct" or "nodes must be integers,
-    ..." for the nodes; "a Fit already fixes k" for a ``k_override`` with
+    ..." for the nodes, and "i and j must be single nodes, got shapes ..."
+    for an array; "a Fit already fixes k" for a ``k_override`` with
     a :class:`Fit`; "k must be an integer, got ..." or "the T test needs
     k >= 1" for a ``k_override`` that is not a count of at least
     ``MIN_K["T"]``, and "k must lie in [0, n], got ..." for one above n.
     A non-finite entry of ``x`` raises "adjacency matrix entries must be
-    finite".
+    finite", and a finite ``x`` whose products overflow "adjacency matrix
+    products overflow".
     """
     return _pair_test(x, i, j, "T", k_override)
 
@@ -271,7 +276,7 @@ def pvalue_matrix(x: np.ndarray | Fit, nodes, method: str = "T",
     m = len(nodes)
     out = np.ones((m, m))
     try:
-        fitted, moments, rows = _fitted_moments(x, nodes, method, k_override)
+        fitted, moments = _fitted_moments(x, nodes, method, k_override)
     except TEST_FAILURES:
         # a zero eigenvalue among the top K fails every pair alike
         out[~np.eye(m, dtype=bool)] = np.nan
@@ -283,5 +288,5 @@ def pvalue_matrix(x: np.ndarray | Fit, nodes, method: str = "T",
     n = fitted.x.shape[0]
     for start in range(0, len(first), n):
         s, t = first[start:start + n], second[start:start + n]
-        out[s, t] = out[t, s] = _test_pairs(moments, rows[s], rows[t]).p_value
+        out[s, t] = out[t, s] = _test_pairs(moments, s, t).p_value
     return PValueMatrix(nodes=tuple(nodes), matrix=out, method=method)

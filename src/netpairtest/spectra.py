@@ -51,7 +51,7 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .graph_io import as_matrix
+from .graph_io import _check_finite, _check_product, as_matrix
 
 __all__ = [
     "Spectrum",
@@ -179,12 +179,6 @@ def _integer_count(count, name: str, least: int | None = None) -> int:
     return int(count)
 
 
-def _check_finite(x) -> None:
-    """ValueError where ``x``, dense or sparse, has a non-finite entry."""
-    if not np.isfinite(x.data if scipy.sparse.issparse(x) else x).all():
-        raise ValueError("adjacency matrix entries must be finite")
-
-
 def _limit_blas_threads() -> None:
     """Run the calling thread's BLAS calls on that thread alone, in both
     libraries, through both limits of :data:`_LIMITS`, which must be
@@ -254,7 +248,9 @@ def top_eigenpairs(x, m: int) -> Spectrum:
     near 1e-300). ``m`` must be an integer (:func:`_integer_count`) in
     [1, n]. A non-finite entry of ``x`` raises ValueError before ARPACK
     reads a product: it makes the first one non-finite, as the start vector
-    has no zero entry. Each eigenvector is signed before the product X V of
+    has no zero entry. A non-finite product or dense spectrum of a finite
+    ``x`` raises "adjacency matrix products overflow"
+    (:func:`~.graph_io._check_product`). Each eigenvector is signed before the product X V of
     the ``m`` pairs is formed, once: one column at a time through
     :func:`_product` for a dense ``x``, as one sparse product for a sparse
     ``x``. It is kept as the spectrum's ``products``.
@@ -267,8 +263,7 @@ def top_eigenpairs(x, m: int) -> Spectrum:
 
     def matvec(y):
         out = product(y)
-        if not np.isfinite(out).all():
-            _check_finite(x)
+        _check_product(x, out)
         return out
 
     op = scipy.sparse.linalg.LinearOperator(x.shape, matvec=matvec,
@@ -277,6 +272,7 @@ def top_eigenpairs(x, m: int) -> Spectrum:
     if found is None or not _orthonormal(found[1]):
         _check_finite(x)
         found = np.linalg.eigh(x.toarray() if scipy.sparse.issparse(x) else x)
+        _check_product(x, found[0])
     vals, vecs = found
     order = _sort_order(vals, m)
     # fresh contiguous columns, flipped in place and multiplied by x

@@ -622,13 +622,17 @@ def test_zero_pairs_are_an_empty_stack(karate_csr, sigma, method):
 def test_node_moments_stand_in_for_their_fit(karate_csr, sigma, method):
     fitted = npt.fit(karate_csr, 3)
     i, j = np.array([6, 12, 0, 33]), np.array([12, 6, 33, 2])
-    mom = estimation.node_moments(fitted, np.concatenate([i, j]), method)
-    on_fit, on_moments = sigma(fitted, i, j), sigma(mom, i, j)
+    # node moments hold their nodes in the order given, and a pair of them
+    # is named by its rows: 12, 6, 33 and 2 at rows 1, 0, 3 and 4
+    nodes = [6, 12, 0, 33, 2]
+    p, q = np.array([0, 1, 2, 3]), np.array([1, 0, 3, 4])
+    mom = estimation.node_moments(fitted, nodes, method)
+    on_fit, on_moments = sigma(fitted, i, j), sigma(mom, p, q)
     assert np.array_equal(on_moments.matrix, on_fit.matrix)
     assert np.array_equal(on_moments.condition_estimate,
                           on_fit.condition_estimate)
     # the contrast is as wide as the test has degrees of freedom
-    assert mom.contrast.shape == (len(mom.nodes),
+    assert mom.contrast.shape == (len(nodes),
                                   fitted.k - estimation.MIN_K[method] + 1)
 
 
@@ -637,10 +641,12 @@ def test_node_moments_guards(karate_csr):
     mom = estimation.node_moments(fitted, [0, 6, 12], "T")
     with pytest.raises(ValueError, match="these are moments of the T test"):
         npt.estimate_sigma2(mom, 0, 6)
-    with pytest.raises(ValueError, match="a node has no moments here"):
-        npt.estimate_sigma1(mom, [0, 6], [12, 33])
-    with pytest.raises(ValueError, match="a node has no moments here"):
-        npt.estimate_sigma1(mom, 0, 1)
+    with pytest.raises(ValueError, match=r"^row 6 outside the row range "
+                                         r"\[0, 3\)$"):
+        npt.estimate_sigma1(mom, [0, 6], [1, 2])
+    with pytest.raises(ValueError, match=r"^row -1 outside the row range "
+                                         r"\[0, 3\)$"):
+        npt.estimate_sigma1(mom, 0, -1)
 
 
 def test_degenerate_nodes_are_never_divided_by():

@@ -66,6 +66,24 @@ def test_config_checks_the_whole_design_before_any_replication(
     assert calls == []
 
 
+def test_any_iterable_grid_is_kept_as_a_tuple():
+    # a generator grid was spent by the design check, and the study then
+    # ran no grid point at all
+    want = npt.run_size_power(npt.ExperimentConfig(
+        **{**TINY1, "signal_grid": (0.5, 0.9)}))
+    for grid in ((s for s in (0.5, 0.9)), np.array([0.5, 0.9])):
+        cfg = npt.ExperimentConfig(**{**TINY1, "signal_grid": grid})
+        assert cfg.signal_grid == (0.5, 0.9)
+        got = npt.run_size_power(cfg)
+        assert len(got.points) == 2
+        for a, b in zip(got.points, want.points):
+            assert (a.signal, a.rejection_rate, a.replications,
+                    a.k_hat_counts, a.failure_counts) == \
+                (b.signal, b.rejection_rate, b.replications, b.k_hat_counts,
+                 b.failure_counts)
+            assert a.statistics.tobytes() == b.statistics.tobytes()
+
+
 def test_node_pair_layout(monkeypatch):
     n, n0 = TINY1["n"], TINY1["n0"]
     assert study_pair(n, n0, "size") == (72, 73)  # two first-mixed-group nodes

@@ -51,17 +51,22 @@ def test_chi2_sf_bounds_and_errors():
 def test_condition_above_the_limit_fails_only_its_pair(karate, monkeypatch):
     right = npt.inference.estimate_sigma1
 
-    def ill_at_7(model, i, j):
-        cov = right(model, i, j)
-        at_7 = (np.asarray(i) == 7) | (np.asarray(j) == 7)
-        return type(cov)(matrix=cov.matrix, condition_estimate=np.where(
-            at_7, 1e13, cov.condition_estimate))
+    def ill_at(row_of_7):
+        # the pair tests pass rows of their node moments, which hold the
+        # nodes in the order given
+        def sigma(model, i, j):
+            cov = right(model, i, j)
+            at_7 = (np.asarray(i) == row_of_7) | (np.asarray(j) == row_of_7)
+            return type(cov)(matrix=cov.matrix, condition_estimate=np.where(
+                at_7, 1e13, cov.condition_estimate))
+        return sigma
 
-    monkeypatch.setattr(npt.inference, "estimate_sigma1", ill_at_7)
+    monkeypatch.setattr(npt.inference, "estimate_sigma1", ill_at(1))
     with pytest.raises(SingularCovarianceError,
                        match=r"^covariance condition estimate 1e\+13 "
                              r"exceeds 1e\+12$"):
         npt.test_T(karate, 12, 7, k_override=2)
+    monkeypatch.setattr(npt.inference, "estimate_sigma1", ill_at(2))
     pm = npt.pvalue_matrix(karate, [2, 6, 7, 12], "T", 2).matrix
     at_7 = np.zeros((4, 4), dtype=bool)
     at_7[2], at_7[:, 2] = True, True
@@ -250,6 +255,25 @@ def test_non_integer_nodes_rejected_before_the_fit(karate, monkeypatch):
         == npt.test_T(fitted, 6, 12).statistic
 
 
+def test_nodes_of_the_wrong_shape_are_refused_before_the_fit(karate,
+                                                            monkeypatch):
+    # distinct nodes of the wrong shape read "nodes must be distinct", and
+    # one-element arrays were fitted and then failed in the covariance
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fitted before checking the nodes")
+
+    monkeypatch.setattr(npt.inference, "fit", no_fit)
+    for runner in (npt.test_T, npt.test_G):
+        for i, j in (([0, 2], [1, 3]), (np.array([0]), np.array([1])),
+                     (0, [1]), (np.zeros((1, 1), int), 1)):
+            with pytest.raises(ValueError, match="^i and j must be single "
+                                                 "nodes, got shapes"):
+                runner(karate, i, j, k_override=2)
+    for nodes in ([[0, 1], [2, 3]], np.arange(6).reshape(3, 2)):
+        with pytest.raises(ValueError, match="^nodes must be one-dimensional"):
+            npt.pvalue_matrix(karate, nodes)
+
+
 def test_non_integer_k_rejected_before_any_solve(karate, monkeypatch):
     # a float K reached ARPACK as SystemError, a bool K as TypeError
     expected = npt.test_T(karate, 6, 12, k_override=2).statistic
@@ -395,33 +419,33 @@ def test_pvalue_matrix_fits_once(karate, karate_csr, monkeypatch):
                     getattr(module, name, None) is original:
                 count(module, name, original)
     count(npt.Fit, "sigma2_rows", npt.Fit.sigma2_rows)
-    count(npt.estimation.NodeMoments, "positions",
-          npt.estimation.NodeMoments.positions)
+    original = npt.estimation.node_moments
+    for module in (npt.estimation, npt.inference):
+        count(module, "node_moments", original)
     assert not hasattr(npt.estimation, "residual_matrix")
     nodes = [2, 6, 7, 8, 12]
     for x in (karate, karate_csr):
         for method in ("T", "G"):
             calls.clear()
             npt.pvalue_matrix(x, nodes, method=method)
-            # nodes map to rows once, then twice per output row at most
-            assert calls.pop("positions") <= 2 * len(nodes) - 1
+            # the nodes' moments are read once, and every pair is tested
+            # on their rows
             assert calls == {"fit": 1, "top_eigenpairs": 1, "max_degree": 1,
-                             "diag_residual_square": 1, "sigma2_rows": 1}
+                             "diag_residual_square": 1, "node_moments": 1,
+                             "sigma2_rows": 1}
             fitted = npt.fit(x, floor=npt.estimation.MIN_K[method])
             calls.clear()
             npt.pvalue_matrix(fitted, nodes, method=method)
-            assert calls.pop("positions") <= 2 * len(nodes) - 1
-            assert calls == {"sigma2_rows": 1}
-            # a one-pair test makes the same one pass: its two nodes map
-            # to rows once, and the covariance maps each node once more
+            assert calls == {"node_moments": 1, "sigma2_rows": 1}
+            # a one-pair test makes the same one pass
             runner = npt.test_T if method == "T" else npt.test_G
             one_fit = {"fit": 1, "top_eigenpairs": 1, "max_degree": 1,
                        "diag_residual_square": 1}
             for given, fitting in ((x, one_fit), (fitted, {})):
                 calls.clear()
                 runner(given, 6, 12)
-                assert calls.pop("positions") == 3
-                assert calls == {**fitting, "sigma2_rows": 1}
+                assert calls == {**fitting, "node_moments": 1,
+                                 "sigma2_rows": 1}
 
 
 @pytest.mark.parametrize("method,k", [("T", None), ("T", 1), ("T", 2),
@@ -447,7 +471,7 @@ def _row_loop(fitted, nodes, method):
     """p-values of every pair of ``nodes`` on ``fitted``, one output row at
     a time: node s against the later nodes in one stack."""
     mom = npt.estimation.node_moments(fitted, nodes, method)
-    rows = mom.positions(nodes)
+    rows = np.arange(len(nodes))
     out = np.ones((len(nodes), len(nodes)))
     for s in range(len(nodes) - 1):
         out[s, s + 1:] = out[s + 1:, s] = inference._test_pairs(

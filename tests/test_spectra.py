@@ -377,6 +377,25 @@ def test_non_finite_entry_raises_before_the_dense_solver(karate, form, bad,
 
 
 @pytest.mark.parametrize("form", ["dense", "csr"])
+def test_a_finite_matrix_whose_products_overflow_is_refused(form, capfd):
+    # ARPACK read the overflowing products, and LAPACK printed an
+    # illegal-value message for them; the dense solver returned inf, and the
+    # row sums of max_degree warned and then named the entries non-finite
+    x = np.full((50, 50), 1e308)
+    if form == "csr":
+        x = scipy.sparse.csr_array(x)
+    for call in (lambda: npt.top_eigenpairs(x, 2),
+                 lambda: npt.top_eigenpairs(x, 49),
+                 lambda: npt.max_degree(x),
+                 lambda: npt.test_T(x, 0, 1),
+                 lambda: npt.test_T(x, 0, 1, k_override=2)):
+        with pytest.raises(ValueError,
+                           match="^adjacency matrix products overflow$"):
+            call()
+    assert capfd.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("form", ["dense", "csr"])
 @pytest.mark.parametrize("m", [3, 33, 34])
 def test_columns_are_signed_before_they_are_multiplied(karate, form, m):
     # ARPACK below m = n - 1 = 33, the dense eigendecomposition from there;

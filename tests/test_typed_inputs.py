@@ -236,6 +236,8 @@ _MESSAGES = {
                  r"could not convert string to float: 'ab'"),
     "x-nan": (lambda g: npt.test_T(_with_nan(g), 0, 1), ValueError,
               r"adjacency matrix entries must be finite"),
+    "x-overflow": (lambda g: npt.fit(np.full((50, 50), 1e308), 2),
+                   ValueError, r"adjacency matrix products overflow"),
     "node-outside": (lambda g: npt.test_T(g, -1, 1), ValueError,
                      r"node -1 outside the node range \[0, 34\)"),
     "node-past-end": (lambda g: npt.pvalue_matrix(g, [0, 34]), ValueError,
@@ -251,6 +253,15 @@ _MESSAGES = {
     "node-bool-among-ints": (
         lambda g: npt.pvalue_matrix(g, [0, True, 2]), ValueError,
         r"nodes must be integers, got a bool"),
+    "nodes-2d": (lambda g: npt.pvalue_matrix(g, [[0, 1], [2, 3]]),
+                 ValueError, r"nodes must be one-dimensional, got shape "
+                             r"\(2, 2\)"),
+    "pair-node-arrays": (lambda g: npt.test_T(g, [0, 2], [1, 3]), ValueError,
+                         r"i and j must be single nodes, got shapes \(2,\) "
+                         r"and \(2,\)"),
+    "pair-node-array": (
+        lambda g: npt.test_G(g, np.array([0]), 1, k_override=2), ValueError,
+        r"i and j must be single nodes, got shapes \(1,\) and \(\)"),
     "nodes-one": (lambda g: npt.pvalue_matrix(g, [0]), ValueError,
                   r"need at least two distinct nodes"),
     "nodes-not-iterable": (

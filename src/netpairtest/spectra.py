@@ -24,10 +24,12 @@ moves half the memory of ``x @ y`` per Lanczos step. A dense ``x`` must
 therefore be exactly symmetric. The product is called through ``ctypes``,
 which releases the GIL, so Monte Carlo worker threads solve side by side;
 like ``x @ y`` it is bit-reproducible for a fixed build and thread count.
-The same product forms X V, column by column, once per solve; a
-:class:`Spectrum` keeps it, reads its residual norms from it and hands it
-to the refinement (:func:`~.estimation.diag_residual_square`), so a fit
-reads ``x`` for it once. A sparse ``x``, and any ``x`` where numpy's
+Both solves read ``x`` through one operator, :func:`_operator`, which
+checks each product before ARPACK reads it
+(:func:`~.graph_io._check_product`) and forms X V, column by column, once
+per solve; a :class:`Spectrum` keeps it, reads its residual norms from it
+and hands it to the refinement (:func:`~.estimation.diag_residual_square`),
+so a fit reads ``x`` for it once. A sparse ``x``, and any ``x`` where numpy's
 library lacks the symbol, takes ``x @ y``; a sparse ``x`` forms X V as one
 product ``x @ V``, equal to the bit to its columns' products. Where the two
 libraries each bundle their own OpenBLAS, each keeps its own pool of worker
@@ -212,15 +214,11 @@ def _arpack(op, k: int, tol: float, ncv: int | None = None):
 
 
 def _product(x):
-    """The product y -> x @ y of symmetric ``x`` that ARPACK asks for.
-
-    A square C-contiguous float64 array is read through its lower triangle
-    by numpy's dsymv (:data:`_SYMV`), outside the GIL; the function holds
-    ``x``, so its buffer outlives every call. Any other ``x``, or any ``x``
-    where the symbol is missing, takes ``x @ y``."""
-    if (_SYMV is None or not isinstance(x, np.ndarray) or x.dtype != float
-            or not x.flags.c_contiguous or x.ndim != 2
-            or x.shape[0] != x.shape[1]):
+    """y -> x @ y for ``x``, an :func:`~.graph_io.as_matrix` result: numpy's
+    dsymv (:data:`_SYMV`) on the lower triangle of a dense ``x``, outside
+    the GIL (the function holds ``x``, so its buffer outlives every call);
+    ``x @ y`` for a sparse ``x`` or where the symbol is missing."""
+    if _SYMV is None or scipy.sparse.issparse(x):
         return lambda y: x @ y
     n = x.shape[0]
 
@@ -232,6 +230,24 @@ def _product(x):
         return out
 
     return symv
+
+
+def _operator(x, spec: Spectrum | None = None):
+    """ARPACK's operator on ``x``, an :func:`~.graph_io.as_matrix` result:
+    y -> X y (:func:`_product`, checked by :func:`~.graph_io._check_product`)
+    less V (D (V^T y)) for the pairs of ``spec`` where one is given."""
+    product = _product(x)
+
+    def matvec(y):
+        y = np.ravel(y)
+        out = product(y)
+        _check_product(x, out)
+        if spec is not None:
+            out -= spec.vectors @ (spec.values * (spec.vectors.T @ y))
+        return out
+
+    return scipy.sparse.linalg.LinearOperator(x.shape, matvec=matvec,
+                                              dtype=float)
 
 
 def top_eigenpairs(x, m: int) -> Spectrum:
@@ -247,27 +263,19 @@ def top_eigenpairs(x, m: int) -> Spectrum:
     returns columns that are not orthonormal (as on entries of magnitude
     near 1e-300). ``m`` must be an integer (:func:`_integer_count`) in
     [1, n]. A non-finite entry of ``x`` raises ValueError before ARPACK
-    reads a product: it makes the first one non-finite, as the start vector
-    has no zero entry. A non-finite product or dense spectrum of a finite
-    ``x`` raises "adjacency matrix products overflow"
-    (:func:`~.graph_io._check_product`). Each eigenvector is signed before the product X V of
-    the ``m`` pairs is formed, once: one column at a time through
-    :func:`_product` for a dense ``x``, as one sparse product for a sparse
-    ``x``. It is kept as the spectrum's ``products``.
+    reads a product of :func:`_operator`: it makes the first one non-finite,
+    as the start vector has no zero entry. A non-finite product or dense
+    spectrum of a finite ``x`` raises "adjacency matrix products overflow"
+    (:func:`~.graph_io._check_product`). Each eigenvector is signed before
+    the product X V of the ``m`` pairs is formed, once: one column at a
+    time through the operator for a dense ``x``, as one sparse product for
+    a sparse ``x``. It is kept as the spectrum's ``products``.
     """
     x = as_matrix(x)
     n = x.shape[0]
     if not 1 <= _integer_count(m, "m") <= n:
         raise ValueError(f"m must lie in [1, {n}], got {m}")
-    product = _product(x)
-
-    def matvec(y):
-        out = product(y)
-        _check_product(x, out)
-        return out
-
-    op = scipy.sparse.linalg.LinearOperator(x.shape, matvec=matvec,
-                                            dtype=float)
+    op = _operator(x)
     found = _arpack(op, m, 0)
     if found is None or not _orthonormal(found[1]):
         _check_finite(x)
@@ -284,9 +292,7 @@ def top_eigenpairs(x, m: int) -> Spectrum:
     if scipy.sparse.issparse(x):
         products = x @ vectors
     else:
-        products = np.empty_like(vectors)
-        for a in range(m):
-            products[:, a] = product(vectors[:, a])
+        products = op.matmat(vectors)
     return Spectrum(values=vals[order], vectors=vectors.copy(order="C"),
                     products=products.copy(order="C"))
 
@@ -304,22 +310,15 @@ def deflated_ritz(x, spec: Spectrum) -> tuple[float, float] | None:
     tolerance :data:`DEFLATED_TOL` from the start vector of
     :func:`top_eigenpairs`, on a basis of :data:`DEFLATED_NCV` vectors
     (at most n), which met it after one pass, 10 products of ``x`` with
-    the residual's, on every graph measured. None where ARPACK cannot run
-    or fails.
+    the residual's, on every graph measured. Both read :func:`_operator`,
+    so a non-finite entry of ``x`` or an overflowing product raises
+    ValueError; None where ARPACK cannot run or fails.
     """
     x = as_matrix(x)
-    v, d = spec.vectors, spec.values
-    product = _product(x)
-
-    def matvec(y):
-        y = np.ravel(y)
-        return product(y) - v @ (d * (v.T @ y))
-
-    op = scipy.sparse.linalg.LinearOperator(x.shape, matvec=matvec,
-                                            dtype=float)
+    op = _operator(x, spec)
     found = _arpack(op, 1, DEFLATED_TOL, DEFLATED_NCV)
     if found is None:
         return None
     theta, u = float(found[0][0]), found[1][:, 0]
-    return theta, float(np.linalg.norm(matvec(u) - theta * u))
+    return theta, float(np.linalg.norm(op.matvec(u) - theta * u))
 

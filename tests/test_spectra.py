@@ -396,6 +396,28 @@ def test_a_finite_matrix_whose_products_overflow_is_refused(form, capfd):
 
 
 @pytest.mark.parametrize("form", ["dense", "csr"])
+def test_deflated_ritz_refuses_a_non_finite_matrix(karate, form, capfd):
+    # the deflated solve reads x through the checked product of the top-m
+    # solve: ARPACK read a NaN product, LAPACK printed an illegal-value
+    # message for it, and the solve returned None
+    spec = npt.top_eigenpairs(karate, 3)
+    cases = []
+    for bad in (np.nan, np.inf):
+        x = karate.copy()
+        x[0, 1] = x[1, 0] = bad
+        cases.append((x, spec, "adjacency matrix entries must be finite"))
+    cases.append((np.full((100, 100), 1e308),
+                  npt.top_eigenpairs(np.ones((100, 100)), 3),
+                  "adjacency matrix products overflow"))
+    for x, top, message in cases:
+        if form == "csr":
+            x = scipy.sparse.csr_array(x)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            deflated_ritz(x, top)
+    assert capfd.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("form", ["dense", "csr"])
 @pytest.mark.parametrize("m", [3, 33, 34])
 def test_columns_are_signed_before_they_are_multiplied(karate, form, m):
     # ARPACK below m = n - 1 = 33, the dense eigendecomposition from there;

@@ -35,7 +35,7 @@ from .models import (
     sample_adjacency,
 )
 from .oracle import RootBracketError, covariance_trend
-from .spectra import top_eigenpairs
+from .spectra import _integer_count, top_eigenpairs
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -172,6 +172,7 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def _cmd_simulate(args) -> int:
+    _integer_count(args.seed, "seed", 0)
     name, signal = ("theta", args.theta) if args.model == 1 else ("r2", args.r2)
     if signal is None:
         raise ValueError(f"--{name} is required for model {args.model}")

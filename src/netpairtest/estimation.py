@@ -13,7 +13,10 @@ taken on the values of the spectrum that :func:`grow_spectrum` returns.
 Noise variances come from a one-step refinement: deflate the adjacency
 matrix by its leading eigenpairs, shrink the eigenvalues using the diagonal
 of the squared residual, deflate again with the shrunken eigenvalues, and
-square the result entrywise.
+square the result entrywise. The statistics do not depend on the scale of
+the matrix as long as the K count's squares and the refinement's cubes of
+the eigenvalues are normal floats; outside that range the scale is refused
+by name (:func:`_check_powers`).
 
 Everything up to the shrunken eigenvalues depends on the graph, not on the
 pair, so :func:`fit` computes it once. No step forms an n x n matrix: the
@@ -196,8 +199,11 @@ def estimate_k_from_values(values: np.ndarray, n: int, dmax: int) -> KEstimate:
 
     ``values`` are the retained largest-magnitude eigenvalues; the count is
     the community-count estimate only if it stops short of ``len(values)``
-    or ``values`` is the whole spectrum (see :func:`grow_spectrum`).
+    or ``values`` is the whole spectrum (see :func:`grow_spectrum`). A
+    nonzero value whose square is no normal float raises ValueError
+    "adjacency matrix scale leaves the float range" (:func:`_check_powers`).
     """
+    _check_powers(values, 2)
     thr = k_threshold(n, dmax)
     k_hat = int(np.sum(np.abs(values) ** 2 > thr))
     if k_hat < len(values):
@@ -232,7 +238,9 @@ def grow_spectrum(x, m: int = 3) -> tuple[Spectrum, KEstimate]:
     trusts ARPACK to find the top m, the check trusts it to come within
     the margin of the largest remaining eigenvalue; with that, the
     estimate equals the one from the whole spectrum. ``x`` is converted
-    (:func:`~.graph_io.as_matrix`) once, not by every solve.
+    (:func:`~.graph_io.as_matrix`) once, not by every solve. The squares of
+    the values and of the bound follow the scale rule of
+    :func:`estimate_k_from_values`.
     """
     x = as_matrix(x)
     n = x.shape[0]
@@ -246,9 +254,23 @@ def grow_spectrum(x, m: int = 3) -> tuple[Spectrum, KEstimate]:
         ritz = deflated_ritz(x, spec)
         if ritz is not None:
             bound = (abs(ritz[0]) + ritz[1]) * (1.0 + RITZ_BOUND_MARGIN)
+            _check_powers(np.array([bound]), 2)
             if bound ** 2 < est.threshold:
                 return spec, replace(est, next_bound=bound)
         m = min(2 * m, n)
+
+
+def _check_powers(values: np.ndarray, power: int) -> None:
+    """ValueError "adjacency matrix scale leaves the float range" where the
+    ``power``-th power of a nonzero entry of ``values`` is no normal float:
+    the squares of the K count, the cubes of the refinement. Within that
+    range the statistics do not depend on the scale of ``x``; outside it
+    they came out wrong, with only a RuntimeWarning."""
+    with np.errstate(over="ignore", under="ignore"):
+        powers = np.abs(values[values != 0]) ** power
+    info = np.finfo(float)
+    if not np.all((powers >= info.smallest_normal) & (powers <= info.max)):
+        raise ValueError("adjacency matrix scale leaves the float range")
 
 
 def _check_spectrum(spec: Spectrum, n: int, k: int) -> None:
@@ -278,10 +300,12 @@ def diag_residual_square(x, spec: Spectrum, k: int) -> np.ndarray:
     product X V is the one the spectrum holds (``spec.products``), so the
     only pass over ``x`` here squares its entries. ``spec`` must be a
     spectrum of ``x`` that holds at least ``k`` pairs
-    (:func:`_check_spectrum`).
+    (:func:`_check_spectrum`), whose top ``k`` values pass the refinement's
+    scale rule (see :func:`refine_eigenvalues`) before any entry is squared.
     """
     x = as_matrix(x)
     _check_spectrum(spec, x.shape[0], k)
+    _check_powers(spec.values[:k], 3)
     v, d = spec.vectors[:, :k], spec.values[:k]
     if scipy.sparse.issparse(x):  # CSR: square the stored entries only
         row_sq = scipy.sparse.csr_array((x.data * x.data, x.indices, x.indptr),
@@ -299,12 +323,17 @@ def refine_eigenvalues(spec: Spectrum, w0_sq_diag: np.ndarray,
 
     ``w0_sq_diag`` is diag(W0^2), the row sums of squared residual entries
     (see :func:`diag_residual_square`). An eigenvalue of magnitude at most
-    n * eps * |d_1| is zero to working precision and cannot be refined.
+    n * eps * |d_1| is zero to working precision and cannot be refined
+    (ZeroDivisionError). A d whose cube is no normal float raises
+    ValueError "adjacency matrix scale leaves the float range"
+    (:func:`_check_powers`): d~ does not depend on the scale of ``x`` inside
+    that range, and came out wrong outside it.
     """
     d = spec.values[:k]
     n = spec.vectors.shape[0]
     if np.any(np.abs(d) <= n * np.finfo(float).eps * abs(spec.values[0])):
         raise ZeroDivisionError("cannot refine a zero eigenvalue")
+    _check_powers(d, 3)
     v = spec.vectors[:, :k]
     quad = np.einsum("ik,i,ik->k", v, w0_sq_diag, v)
     return 1.0 / (1.0 / d + quad / d**3)
@@ -331,7 +360,10 @@ def fit(x, k: int | None = None, *, spectrum: Spectrum | None = None,
         (:func:`~.spectra._integer_count`) or lies outside [0, n],
         ``spectrum`` is given without ``k``, or ``spectrum`` is not one of
         an n-node matrix with at least ``k`` pairs and their products
-        (:func:`_check_spectrum`).
+        (:func:`_check_spectrum`); "adjacency matrix scale leaves the float
+        range" where the scale of ``x`` takes the K count's squares or the
+        refinement's cubes out of the normal float range
+        (:func:`_check_powers`).
     TypeError
         If ``spectrum`` is not a :class:`~.spectra.Spectrum`.
     ZeroDivisionError

@@ -208,6 +208,10 @@ def _model_memberships(n: int, n0: int) -> np.ndarray:
 
 
 def _model_mixing(rho: float) -> np.ndarray:
+    """The designs' mixing matrix: 1 on the diagonal, rho / |i - j| off
+    it; ValueError, naming rho, for a rho that is NaN or outside [0, 1]."""
+    if not 0 <= rho <= 1:
+        raise ValueError(f"rho must lie in [0, 1], got {rho}")
     p = np.eye(DESIGN_K)
     for i in range(DESIGN_K):
         for j in range(DESIGN_K):

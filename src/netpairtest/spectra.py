@@ -310,9 +310,10 @@ def deflated_ritz(x, spec: Spectrum) -> tuple[float, float] | None:
     tolerance :data:`DEFLATED_TOL` from the start vector of
     :func:`top_eigenpairs`, on a basis of :data:`DEFLATED_NCV` vectors
     (at most n), which met it after one pass, 10 products of ``x`` with
-    the residual's, on every graph measured. Both read :func:`_operator`,
-    so a non-finite entry of ``x`` or an overflowing product raises
-    ValueError; None where ARPACK cannot run or fails.
+    the residual's, on every graph measured. The solve and its residual
+    read ``x`` through :func:`_operator`, so a non-finite entry or an
+    overflowing product raises ValueError; None where ARPACK cannot run or
+    fails.
     """
     x = as_matrix(x)
     op = _operator(x, spec)

@@ -96,6 +96,25 @@ def test_simulate_bad_r2_is_one_usage_error(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--seed", "-1"], "seed must be at least 0, got -1"),
+    (["--rho", "nan"], "rho must lie in [0, 1], got nan"),
+    (["--rho", "-1"], "rho must lie in [0, 1], got -1.0"),
+    (["--rho", "2"], "rho must lie in [0, 1], got 2.0"),
+])
+@pytest.mark.parametrize("signal", [["--model", "1", "--theta", "0.9"],
+                                    ["--model", "2", "--r2", "0.81"]])
+def test_simulate_names_a_bad_seed_or_rho(tmp_path, capsys, flags, message,
+                                          signal):
+    # a negative seed reached numpy ("expected non-negative integer"), and a
+    # NaN rho was named as a non-symmetric mixing matrix
+    code, _, err = run(["simulate", "--n", "120", "--n0", "24", *signal,
+                        *flags, "--out", str(tmp_path / "x.txt")], capsys)
+    assert code == cli.EXIT_USAGE
+    assert err.splitlines() == [f"error: {message}"]
+    assert list(tmp_path.iterdir()) == []
+
+
 # --------------------------------------------------------------- test-pair
 
 @pytest.fixture(scope="module")

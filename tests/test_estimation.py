@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -351,6 +352,63 @@ def test_refine_shrinks_magnitude():
             spec, npt.diag_residual_square(x, spec, 3), 3)
         assert np.all(np.abs(d_tilde) <= np.abs(spec.values[:3]) + 1e-12)
         assert np.all(np.sign(d_tilde) == np.sign(spec.values[:3]))
+
+
+def _kept(call):
+    """``call()``, or None where it refuses the scale of its matrix."""
+    try:
+        return call()
+    except ValueError as exc:
+        assert str(exc) == "adjacency matrix scale leaves the float range"
+        return None
+
+
+@pytest.mark.parametrize("form", ["dense", "csr"])
+def test_a_scaled_graph_keeps_its_statistics_or_is_refused(karate, form):
+    # at a fixed K, T and G do not change when X is scaled by c > 0; where
+    # the refinement's cubes or the K count's squares would leave the normal
+    # float range the call is refused by name: d**3 overflowed or underflowed
+    # with only a RuntimeWarning and a wrong statistic (T -61% and G +87% at
+    # c = 1e-110), and the deflated bound's square raised OverflowError. The
+    # K count is not scale-free (its threshold is linear in c), so a fit at
+    # estimated K is compared with the unscaled fit at the K it chose
+    stats = {name: getattr(npt, name)(karate, 0, 1, k_override=3).statistic
+             for name in ("test_T", "test_G")}
+    kept = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for e in range(-300, 301, 10):
+            c = 10.0 ** e
+            x = c * karate
+            if form == "csr":
+                x = scipy.sparse.csr_array(x)
+            for name, want in stats.items():
+                got = _kept(lambda: getattr(npt, name)(x, 0, 1, k_override=3))
+                if got is not None:
+                    assert got.statistic == pytest.approx(want, rel=1e-8)
+                    kept.append((e, name))
+            grown = _kept(lambda: npt.grow_spectrum(x))
+            if grown is None:
+                continue
+            spec, est = grown
+            ref = npt.top_eigenpairs(karate, spec.m).values
+            assert np.allclose(spec.values / c, ref, rtol=0,
+                               atol=1e-8 * ref[0])
+            k = max(est.k_hat, 1)
+            try:
+                fitted = _kept(lambda: npt.fit(x))
+            except ZeroDivisionError:  # a zero eigenvalue among the top k
+                with pytest.raises(ZeroDivisionError):
+                    npt.fit(karate, k)
+                continue
+            if fitted is not None:
+                assert fitted.k == k
+                assert np.allclose(fitted.d_tilde / c,
+                                   npt.fit(karate, k).d_tilde, rtol=1e-8,
+                                   atol=0)
+                kept.append((e, "fit"))
+    assert {(0, "test_T"), (0, "test_G"), (0, "fit")} <= set(kept)
+    assert not {e for e, _ in kept} & {-300, 300}
 
 
 def test_fit_refines_once_from_the_initial_residual(karate, karate_csr):

@@ -40,7 +40,7 @@ def test_config_validation():
     (dict(model=1, signal_grid=(0.9, 1.2)), r"theta must lie in \(0, 1\]"),
     (dict(model=2, signal_grid=(0.9, 0.0)), r"r2 must lie in \(0, 1\]"),
     (dict(n=601, n0=100), "n - 3\\*n0 = 301 must be nonnegative"),
-    (dict(rho=1.5), r"mixing matrix entries must lie in \[0, 1\]"),
+    (dict(rho=1.5), r"rho must lie in \[0, 1\], got 1\.5"),
     (dict(model=3), "model must be 1 or 2, got 3"),
     # a seed that is not a nonnegative integer failed at the first
     # replication's SeedSequence, or (True) ran as seed 1

@@ -238,6 +238,12 @@ _MESSAGES = {
               r"adjacency matrix entries must be finite"),
     "x-overflow": (lambda g: npt.fit(np.full((50, 50), 1e308), 2),
                    ValueError, r"adjacency matrix products overflow"),
+    "x-scale-small": (lambda g: npt.test_G(1e-110 * g, 0, 1, k_override=3),
+                      ValueError,
+                      r"adjacency matrix scale leaves the float range"),
+    "x-scale-large": (lambda g: npt.test_T(np.full((50, 50), 1e300), 0, 1),
+                      ValueError,
+                      r"adjacency matrix scale leaves the float range"),
     "node-outside": (lambda g: npt.test_T(g, -1, 1), ValueError,
                      r"node -1 outside the node range \[0, 34\)"),
     "node-past-end": (lambda g: npt.pvalue_matrix(g, [0, 34]), ValueError,
@@ -318,6 +324,12 @@ _MESSAGES = {
                  r"n must be an integer, got '40'"),
     "design-counts": (lambda g: _config(n0=-1), ValueError,
                       r"need n >= 1 and n0 >= 0, got n=40, n0=-1"),
+    "rho-nan": (lambda g: npt.model2_params(40, 4, np.nan, 0.9, 0),
+                ValueError, r"rho must lie in \[0, 1\], got nan"),
+    "rho-range": (lambda g: npt.model1_params(40, 4, 2.0, 0.9), ValueError,
+                  r"rho must lie in \[0, 1\], got 2\.0"),
+    "config-rho": (lambda g: _config(rho=np.nan), ValueError,
+                   r"rho must lie in \[0, 1\], got nan"),
 }
 
 

@@ -265,7 +265,7 @@ def _check_powers(values: np.ndarray, power: int) -> None:
     ``power``-th power of a nonzero entry of ``values`` is no normal float:
     the squares of the K count, the cubes of the refinement. Within that
     range the statistics do not depend on the scale of ``x``; outside it
-    they came out wrong, with only a RuntimeWarning."""
+    the powers overflow or lose digits, and the statistics are wrong."""
     with np.errstate(over="ignore", under="ignore"):
         powers = np.abs(values[values != 0]) ** power
     info = np.finfo(float)
@@ -327,7 +327,7 @@ def refine_eigenvalues(spec: Spectrum, w0_sq_diag: np.ndarray,
     (ZeroDivisionError). A d whose cube is no normal float raises
     ValueError "adjacency matrix scale leaves the float range"
     (:func:`_check_powers`): d~ does not depend on the scale of ``x`` inside
-    that range, and came out wrong outside it.
+    that range, and is wrong outside it.
     """
     d = spec.values[:k]
     n = spec.vectors.shape[0]

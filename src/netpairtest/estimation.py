@@ -39,7 +39,7 @@ of pairs, an empty one included; :func:`check_nodes` checks every node.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
@@ -85,14 +85,13 @@ class DegenerateNodeError(ValueError):
 
 @dataclass(frozen=True)
 class KEstimate:
-    """Community-count estimate: ``k_hat`` values of the spectrum
-    :func:`grow_spectrum` returns with it have a square above
+    """Community-count estimate, made by :func:`grow_spectrum` alone:
+    ``k_hat`` values of the spectrum it returns with it have a square above
     ``threshold``. ``next_bound`` bounds |d_{k_hat+1}| from above, so
     |d_{k_hat}| / next_bound bounds the eigen-gap from below: the retained
     value |d_{k_hat+1}| itself, the bound (|theta| + ||r||) *
-    (1 + :data:`RITZ_BOUND_MARGIN`) of the deflated check of
-    :func:`grow_spectrum`, 0 when no eigenvalue is left, and inf when
-    nothing bounds it."""
+    (1 + :data:`RITZ_BOUND_MARGIN`) of the deflated check, or 0 when no
+    eigenvalue is left."""
 
     k_hat: int
     threshold: float
@@ -190,36 +189,16 @@ class NodeMoments:
     cross: np.ndarray
 
 
-def k_threshold(n: int, dmax: int) -> float:
-    return K_THRESHOLD_CONSTANT * np.log(n) * dmax
-
-
-def estimate_k_from_values(values: np.ndarray, n: int, dmax: int) -> KEstimate:
-    """Count eigenvalues with square above the degree-based threshold.
-
-    ``values`` are the retained largest-magnitude eigenvalues; the count is
-    the community-count estimate only if it stops short of ``len(values)``
-    or ``values`` is the whole spectrum (see :func:`grow_spectrum`). A
-    nonzero value whose square is no normal float raises ValueError
-    "adjacency matrix scale leaves the float range" (:func:`_check_powers`).
-    """
-    _check_powers(values, 2)
-    thr = k_threshold(n, dmax)
-    k_hat = int(np.sum(np.abs(values) ** 2 > thr))
-    if k_hat < len(values):
-        bound = float(abs(values[k_hat]))
-    else:
-        bound = 0.0 if len(values) == n else np.inf
-    return KEstimate(k_hat=k_hat, threshold=thr, next_bound=bound)
-
-
 def grow_spectrum(x, m: int = 3) -> tuple[Spectrum, KEstimate]:
     """Top eigenpairs of ``x``, at least min(m, n) of them and just enough
     to estimate K, and the estimate counted on their values.
 
-    The top ``m`` pairs are solved to machine precision. If one of them
-    falls below the counting threshold, it decides the count. If all of
-    them clear it, one loose solve on the deflated matrix
+    The estimate K is the number of eigenvalues d whose square exceeds the
+    threshold :data:`K_THRESHOLD_CONSTANT` * log(n) * d_max, d_max being the
+    largest row sum (:func:`~.graph_io.max_degree`); the threshold is
+    computed once per call. The top ``m`` pairs are solved to machine
+    precision. If one of them falls below the threshold, it decides the
+    count. If all of them clear it, one loose solve on the deflated matrix
     (:func:`~.spectra.deflated_ritz`) gives a Ritz value theta of the next
     eigenvalue d_{m+1} with residual r. Its bound is
     (|theta| + ||r||) * (1 + :data:`RITZ_BOUND_MARGIN`); when it lies below
@@ -238,25 +217,29 @@ def grow_spectrum(x, m: int = 3) -> tuple[Spectrum, KEstimate]:
     trusts ARPACK to find the top m, the check trusts it to come within
     the margin of the largest remaining eigenvalue; with that, the
     estimate equals the one from the whole spectrum. ``x`` is converted
-    (:func:`~.graph_io.as_matrix`) once, not by every solve. The squares of
-    the values and of the bound follow the scale rule of
-    :func:`estimate_k_from_values`.
+    (:func:`~.graph_io.as_matrix`) once, not by every solve. Where the
+    square of a nonzero value or of the bound is no normal float, the count
+    would be wrong, and ValueError "adjacency matrix scale leaves the float
+    range" is raised (:func:`_check_powers`).
     """
     x = as_matrix(x)
     n = x.shape[0]
     m = min(_integer_count(m, "m"), n)
-    dmax = max_degree(x)
+    # log(1) keeps log(0)'s warning out where the solve refuses n = 0
+    threshold = K_THRESHOLD_CONSTANT * np.log(max(n, 1)) * max_degree(x)
     while True:
         spec = top_eigenpairs(x, m)
-        est = estimate_k_from_values(spec.values, n, dmax)
-        if est.k_hat < m or m == n:
-            return spec, est
+        _check_powers(spec.values, 2)
+        k_hat = int(np.sum(np.abs(spec.values) ** 2 > threshold))
+        if k_hat < m or m == n:
+            bound = float(abs(spec.values[k_hat])) if k_hat < m else 0.0
+            return spec, KEstimate(k_hat, threshold, bound)
         ritz = deflated_ritz(x, spec)
         if ritz is not None:
             bound = (abs(ritz[0]) + ritz[1]) * (1.0 + RITZ_BOUND_MARGIN)
             _check_powers(np.array([bound]), 2)
-            if bound ** 2 < est.threshold:
-                return spec, replace(est, next_bound=bound)
+            if bound ** 2 < threshold:
+                return spec, KEstimate(k_hat, threshold, bound)
         m = min(2 * m, n)
 
 

@@ -8,6 +8,7 @@ symmetric array, as it is.
 
 from __future__ import annotations
 
+import io
 import os
 from array import array
 
@@ -58,10 +59,11 @@ def load_edge_list(
     The result is the symmetric 0/1 adjacency matrix as a float64 CSR array
     with sorted indices; a self loop is one diagonal entry.
 
-    A plain file (see :func:`_plain_ends`) whose labels pass every check is
-    read in one vectorised pass; any other file is read line by line. Both
-    give the same matrix, and the line loop writes every message about a
-    line.
+    The file is read once, so a pipe, ``/dev/stdin`` or a FIFO loads as a
+    regular file does. A plain file (see :func:`_plain_ends`) whose labels
+    pass every check is parsed in one vectorised pass; any other file is
+    parsed line by line from the same bytes. Both give the same matrix, and
+    the line loop writes every message about a line.
 
     Parameters
     ----------
@@ -88,14 +90,16 @@ def load_edge_list(
     offset = 1 if indexing == "one_based" else 0
 
     with open(path, "rb") as fh:
-        ends = _plain_ends(fh.read())
+        data = fh.read()
+    ends = _plain_ends(data)
     if ends is not None:
         ends -= offset
         if ((ends < 0).any() or (n is not None and (ends >= n).any())
                 or (not self_loops and (ends[0::2] == ends[1::2]).any())):
             ends = None  # the line loop finds the line and says what is wrong
     if ends is None:
-        ends = _line_loop_ends(path, offset, indexing, self_loops, n)
+        ends = _line_loop_ends(data, path, offset, indexing, self_loops, n)
+    del data  # parsed: not held while the CSR is built
     return _csr_adjacency(ends, path, n)
 
 
@@ -158,12 +162,14 @@ def _plain_labels(chunk: bytes) -> np.ndarray | None:
     return np.fromstring(chunk, dtype=np.int64, sep=" ")
 
 
-def _line_loop_ends(path, offset, indexing, self_loops, n) -> np.ndarray:
-    """The 0-based u, v of each edge line in file order, read and checked
-    line by line: the reference reader, and the one that explains a
-    malformed file."""
+def _line_loop_ends(data, path, offset, indexing, self_loops,
+                    n) -> np.ndarray:
+    """The 0-based u, v of each edge line of ``data``, the bytes of the file
+    ``path``, in file order, read and checked line by line: the reference
+    reader, and the one that explains a malformed file. The lines are those
+    of a text-mode read (universal newlines, UTF-8 decoded as it is read)."""
     ends = array("q")
-    with open(path, "r", encoding="utf-8") as fh:
+    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as fh:
         for lineno, raw in enumerate(_text_lines(fh, path), start=1):
             line = raw.strip()
             if not line or line.startswith(_COMMENT_PREFIXES):
@@ -261,16 +267,18 @@ def _check_product(x, out: np.ndarray) -> None:
         raise ValueError("adjacency matrix products overflow")
 
 
-def max_degree(x) -> int:
-    """Maximum row sum of a symmetric binary matrix, dense or sparse;
-    ValueError where it is not square (:func:`as_matrix`) or a sum is not
-    finite (:func:`_check_product`). The sums are the product with a vector
-    of ones, one BLAS pass over a dense ``x``, which is exact on 0/1
-    entries."""
+def max_degree(x) -> int | float:
+    """Maximum row sum of a symmetric matrix, dense or sparse, binary or
+    weighted: an ``int`` where the sum is integral, as on a 0/1 graph, else
+    the float itself, never truncated; ValueError where ``x`` is not square
+    (:func:`as_matrix`) or a sum is not finite (:func:`_check_product`).
+    The sums are the product with a vector of ones, one BLAS pass over a
+    dense ``x``, which is exact on 0/1 entries."""
     x = as_matrix(x)
     if x.shape[0] == 0:
         return 0
     with np.errstate(over="ignore", invalid="ignore"):
         sums = x @ np.ones(x.shape[0])
     _check_product(x, sums)
-    return int(np.max(sums))
+    top = float(np.max(sums))
+    return int(top) if top.is_integer() else top

@@ -77,7 +77,11 @@ class DCMMParams:
     ``theta`` holds the per-node degree parameters (for the equal-degree
     special case every entry equals sqrt of the scalar degree level, so that
     diag(theta)^2 = theta * I). The node count ``n`` is read from ``theta``
-    and the community count ``K`` from ``p_matrix``.
+    and the community count ``K`` from ``p_matrix``, which must be exactly
+    symmetric: :func:`build_mean_matrix` symmetrises H and so reads
+    (P + P^T) / 2, while the oracle's ground truth eigendecomposes
+    R P R^T through one triangle, so any asymmetry would give the two
+    different eigenvalues.
     """
 
     theta: np.ndarray
@@ -90,7 +94,7 @@ class DCMMParams:
                                np.asarray(getattr(self, name), dtype=float))
         theta, pi, p = self.theta, self.pi, self.p_matrix
         if p.ndim != 2 or p.shape[0] != p.shape[1] \
-                or not np.allclose(p, p.T, atol=0):
+                or not np.array_equal(p, p.T):
             raise ValueError("mixing matrix must be symmetric K x K")
         if self.K < 1:
             raise ValueError("community count K must be >= 1")

@@ -250,11 +250,13 @@ def covariance_trend(model: int, signal: float, sizes, reps: int,
     group. Sample r at size n is seeded by SeedSequence(seed, spawn_key=(n,))
     .spawn(reps)[r]. The exact covariance is the same covariance function
     evaluated on the ground truth, taken in each sample's fitted sign basis.
+    ``sizes`` may be any iterable, a generator included; it is read once.
     ``reps`` (>= 1), ``seed`` (>= 0) and every size are checked
     (ValueError) before any size is sampled.
     """
     _integer_count(reps, "reps", 1)
     _integer_count(seed, "seed", 0)
+    sizes = tuple(sizes)
     pairs = [study_pair(n, n // 5, "size") for n in sizes]
     means = []
     for n, (i, j) in zip(sizes, pairs):

@@ -8,11 +8,7 @@ import scipy.sparse
 
 import netpairtest as npt
 from netpairtest import estimation
-from netpairtest.estimation import (
-    DegenerateNodeError,
-    estimate_k_from_values,
-    k_threshold,
-)
+from netpairtest.estimation import DegenerateNodeError
 from netpairtest.models import design_params
 from netpairtest.spectra import deflated_ritz
 
@@ -21,8 +17,14 @@ from brute import GivenModel, brute_sigma1, brute_sigma2, residual_matrix
 
 # ---------------------------------------------------------------- K estimate
 
-def test_k_threshold_formula():
-    assert k_threshold(100, 7) == pytest.approx(2.01 * np.log(100) * 7)
+def test_k_threshold_formula(karate):
+    # the paper's threshold, 2.01 log(n) d_max, to the bit
+    x = npt.sample_adjacency(npt.build_mean_matrix(
+        npt.model1_params(400, 80, 0.2, 0.9)), seed=0)
+    for graph in (karate, x, np.diag([20.0, -5.0, 1.0])):
+        _, est = npt.grow_spectrum(graph)
+        assert est.threshold == (2.01 * np.log(graph.shape[0])
+                                 * npt.max_degree(graph))
 
 
 def test_estimate_k_complete_graph():
@@ -37,8 +39,10 @@ def test_estimate_k_complete_graph():
 
 
 def test_estimate_k_floors(karate):
-    est = estimate_k_from_values(np.array([0.5, 0.1]), n=50, dmax=3)
-    assert est.k_hat == 0
+    # a spectrum 0.5, 0.1, 0, ... with every row summing to 0.5: no square
+    # clears 2.01 log(50) * 0.5
+    spec, est = npt.grow_spectrum(_rotated(np.r_[0.5, 0.1, np.zeros(48)], 0))
+    assert est.k_hat == 0 and spec.m == 3
     # no karate eigenvalue clears the threshold, so the fit floors K
     for floor in (1, 2):
         fitted = npt.fit(karate, floor=floor)
@@ -51,8 +55,23 @@ def test_estimate_k_floors(karate):
 
 
 def test_estimate_k_counts_every_value_above_the_threshold():
-    est = estimate_k_from_values(np.array([100.0, 90.0]), n=100, dmax=1)
-    assert est.k_hat == 2
+    # eigenvalues 100, 90, 0, ... on 100 nodes, d_max 100: both squares
+    # clear 2.01 log(100) * 100, found from two pairs or from three
+    x = np.diag(np.r_[100.0, 90.0, np.zeros(98)])
+    for m in (2, 3):
+        spec, est = npt.grow_spectrum(x, m)
+        assert est.k_hat == 2 and spec.m == m
+
+
+def test_a_graph_of_small_weights_counts_against_its_own_degree(karate):
+    # every row sum of 1e-10 * karate lies below 1: a truncated d_max of 0
+    # made the threshold 0, counted all 34 eigenvalues and ended the fit in
+    # ZeroDivisionError
+    x = 1e-10 * karate
+    fitted = npt.fit(x)
+    assert fitted.k_estimate.k_hat == 0 and fitted.k == 1
+    assert fitted.k_estimate.threshold == pytest.approx(
+        2.01 * np.log(34) * 1.7e-9, rel=1e-14)
 
 
 def test_estimate_k_on_simulated_block_model():
@@ -69,7 +88,7 @@ def _dense_magnitudes(x):
 
 def _dense_k_hat(x):
     return int(np.sum(_dense_magnitudes(x) ** 2
-                      > k_threshold(x.shape[0], npt.max_degree(x))))
+                      > 2.01 * np.log(x.shape[0]) * npt.max_degree(x)))
 
 
 def _assert_bounds_next(est, x):
@@ -182,14 +201,15 @@ def _rotated(values, seed):
 def test_undecided_bound_falls_back_to_the_doubled_solve(monkeypatch):
     # d_4 sits just below the threshold's root, closer than the loose
     # residual of the deflated solve can tell apart, so the top 6 pairs
-    # are solved at full precision and decide K = 3
-    n = 300
-    root = np.sqrt(k_threshold(n, 100))
+    # are solved at full precision and decide K = 3; every row sums to
+    # d_1, so d_max is d_1
+    n, dmax = 300, 100.5
+    root = np.sqrt(2.01 * np.log(n) * dmax)
     rng = np.random.default_rng(0)
-    values = np.concatenate([[100.5, 60.0, -50.0, root * (1 - 1e-9)],
+    values = np.concatenate([[dmax, 60.0, -50.0, root * (1 - 1e-9)],
                              rng.uniform(-0.9, 0.9, n - 4) * root])
     x = _rotated(values, 1)
-    assert npt.max_degree(x) == 100
+    assert npt.max_degree(x) == pytest.approx(dmax, rel=1e-12)
     seen = []
 
     def spy(x, spec):
@@ -206,14 +226,16 @@ def test_undecided_bound_falls_back_to_the_doubled_solve(monkeypatch):
 
 
 def test_next_bound_of_a_count():
-    # the retained value after the count, else nothing left (whole
-    # spectrum) or nothing known (more values may clear the threshold)
-    assert estimate_k_from_values(np.array([9.0, -5.0, 1.0]), 3, 20) \
-        .next_bound == 5.0
-    assert estimate_k_from_values(np.array([9.0, -5.0]), 2, 1) \
-        .next_bound == 0.0
-    assert estimate_k_from_values(np.array([9.0, -5.0]), 5, 1) \
-        .next_bound == np.inf
+    # the retained value after the count, else nothing left: d_max is 20,
+    # so -5 falls below 2.01 log(3) * 20 and bounds the next eigenvalue;
+    # with d_max 9 on 2 nodes, both values clear the threshold and no
+    # eigenvalue is left to bound
+    spec, est = npt.grow_spectrum(np.diag([20.0, -5.0, 1.0]))
+    assert est.k_hat == 1 and spec.m == 3
+    assert est.next_bound == 5.0
+    spec, est = npt.grow_spectrum(np.diag([9.0, -5.0]))
+    assert est.k_hat == spec.m == 2
+    assert est.next_bound == 0.0
 
 
 def test_grow_spectrum_is_bit_reproducible():

@@ -1,5 +1,7 @@
 import contextlib
 import io
+import os
+import threading
 from pathlib import Path
 from unittest import mock
 
@@ -74,6 +76,14 @@ def test_max_degree_is_the_largest_row_sum(karate, karate_csr):
             degree = npt.max_degree(x)
             assert type(degree) is int and degree == want
     assert npt.max_degree(karate_csr) == 17
+
+
+def test_max_degree_keeps_a_weighted_row_sum(karate, karate_csr):
+    # int() truncated the largest row sum, 8.5 to 8 and 1.7e-9 to 0
+    for x in (karate, karate_csr):
+        assert npt.max_degree(0.5 * x) == 8.5
+        assert npt.max_degree(1e-10 * x) == pytest.approx(1.7e-9, rel=1e-15)
+        assert type(npt.max_degree(2 * x)) is int
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -362,3 +372,41 @@ def test_plain_files_skip_the_line_loop(tmp_path, monkeypatch):
     assert npt.load_edge_list(npt.karate_club_path(),
                               indexing="one_based").nnz == 2 * 78
     assert npt.load_edge_list(out).nnz == 2 * edges
+
+
+def _load_through_a_pipe(data, **kwargs):
+    """:func:`_load` of /dev/fd/N, the read end of a pipe that a thread
+    fills with ``data``, and the path it read."""
+    read, write = os.pipe()
+
+    def feed():
+        with contextlib.suppress(BrokenPipeError), os.fdopen(write, "wb") as fh:
+            fh.write(data)
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    path = f"/dev/fd/{read}"
+    try:
+        return _load(path, **kwargs), path
+    finally:
+        os.close(read)  # a writer still blocked on a full pipe fails
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_a_pipe_is_read_once(tmp_path):
+    # a file that is not plain went to the line loop, which opened the path
+    # a second time and found the pipe drained: "no edges found" for a CRLF
+    # file, and for a malformed line instead of the line's own message
+    karate = Path(npt.karate_club_path()).read_bytes()
+    disk = tmp_path / "g.txt"
+    for data in (karate, karate.replace(b"\n", b"\r\n"),
+                 b"1 2\r\n1 x\r\n", b"1 2\n1 x\n"):
+        disk.write_bytes(data)
+        want = _load(disk, indexing="one_based")
+        got, path = _load_through_a_pipe(data, indexing="one_based")
+        if isinstance(want, str):
+            want = want.replace(str(disk), path)
+            assert want == f"{path}:2: non-integer token in '1 x'"
+        assert _same(got, want), (data, got, want)

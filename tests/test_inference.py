@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 import netpairtest as npt
 from netpairtest import estimation, inference, oracle
-from netpairtest.estimation import estimate_k_from_values
 from netpairtest.inference import CONDITION_LIMIT, SingularCovarianceError
 from netpairtest.spectra import Spectrum
 
@@ -107,9 +106,9 @@ def _per_pair_statistic(x, i, j, k, method):
     covariance from the whole variance matrix."""
     spec = npt.top_eigenpairs(x, min(x.shape[0], 50))
     if k is None:
-        est = estimate_k_from_values(spec.values, x.shape[0],
-                                     npt.max_degree(x))
-        k = max(est.k_hat, 1 if method == "T" else 2)
+        threshold = 2.01 * np.log(x.shape[0]) * npt.max_degree(x)
+        k_hat = int(np.sum(spec.values ** 2 > threshold))
+        k = max(k_hat, 1 if method == "T" else 2)
     v, d = spec.vectors[:, :k], spec.values[:k]
     w0 = x - (v * d[None, :]) @ v.T
     quad = np.einsum("ik,i,ik->k", v, np.sum(w0 * w0, axis=1), v)

@@ -298,6 +298,11 @@ def test_params_validation():
     with pytest.raises(ValueError, match="symmetric"):
         DCMMParams(theta=theta, pi=pi,
                    p_matrix=np.array([[1.0, 0.2], [0.3, 1.0]]))
+    # a relative asymmetry of 5e-6 passed allclose, and H, built from
+    # (P + P^T) / 2, then differed from the oracle's one-triangle truth
+    with pytest.raises(ValueError, match="mixing matrix must be symmetric"):
+        DCMMParams(theta=theta, pi=pi,
+                   p_matrix=np.array([[1.0, 0.2], [0.2 * (1 + 5e-6), 1.0]]))
     with pytest.raises(ValueError, match="nonsingular"):
         DCMMParams(theta=theta, pi=pi,
                    p_matrix=np.array([[0.5, 0.5], [0.5, 0.5]]))

@@ -233,6 +233,16 @@ def test_covariance_trend_ignores_the_exact_eigenvector_signs(monkeypatch):
         pytest.approx(base, rel=1e-9)
 
 
+def test_covariance_trend_reads_any_iterable_of_sizes(monkeypatch):
+    # the pair check spent a generator, and the loop then ran on nothing:
+    # [] with no error
+    want = covariance_trend(1, 0.9, [300], reps=1)
+    assert covariance_trend(1, 0.9, (n for n in [300]), reps=1) == want
+    monkeypatch.setattr(oracle, "sample_adjacency", None)  # must not be used
+    with pytest.raises(ValueError, match="size 25 "):
+        covariance_trend(1, 0.9, (n for n in [300, 25]), reps=1)
+
+
 @pytest.mark.parametrize("sizes", [[80, 4], [0], [-20], [25]])
 def test_covariance_trend_checks_every_size_before_sampling(monkeypatch,
                                                             sizes):

@@ -7,7 +7,9 @@ malformed or unreadable file), 3 numerical error (one of the failures in
 node, a zero eigenvalue -- or an eigenvalue-location equation with no root
 on its bracket, :class:`~.oracle.RootBracketError`). oracle-check only
 checks its arguments and formats :func:`~.oracle.covariance_trend` as CSV.
-Seeded invocations are deterministic end to end.
+The comma-separated ``--nodes`` and ``--sizes`` are parsed by argparse
+(:func:`_integers`), so a malformed list is a usage error that names its
+flag. Seeded invocations are deterministic end to end.
 """
 
 from __future__ import annotations
@@ -65,6 +67,17 @@ MC_PRESETS = {
 }
 
 
+def _integers(text: str) -> list[int]:
+    """A comma-separated list of integers, each read by ``int``; an
+    ``ArgumentTypeError``, which argparse prefixes with the flag, for any
+    other entry, an empty one included."""
+    try:
+        return [int(tok) for tok in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -106,7 +119,7 @@ def _build_parser() -> _Parser:
     pm = sub.add_parser("pvalue-matrix", help="pairwise p-value matrix")
     graph_flags(pm)
     pm.add_argument("--method", choices=("t", "g"), required=True)
-    pm.add_argument("--nodes", required=True,
+    pm.add_argument("--nodes", type=_integers, required=True,
                     help="comma-separated node labels")
     pm.add_argument("--k", type=int)
     pm.add_argument("--out", help="CSV output path (default: stdout)")
@@ -134,7 +147,7 @@ def _build_parser() -> _Parser:
                     default=1)
     oc.add_argument("--signal", type=float, default=0.9,
                     help="theta (model 1) or r^2 (model 2)")
-    oc.add_argument("--sizes", default="500,1000,2000")
+    oc.add_argument("--sizes", type=_integers, default="500,1000,2000")
     oc.add_argument("--reps", type=int, default=20)
     oc.add_argument("--seed", type=int, default=0)
     oc.add_argument("--out", help="CSV output path (default: stdout)")
@@ -205,11 +218,10 @@ def _cmd_test_pair(args) -> int:
 
 def _cmd_pvalue_matrix(args) -> int:
     x = _load_graph(args)
-    labels = [int(tok) for tok in args.nodes.split(",")]
-    nodes = _nodes(labels, args, x.shape[0])
+    nodes = _nodes(args.nodes, args, x.shape[0])
     pv = pvalue_matrix(x, nodes, method=args.method, k_override=args.k)
-    lines = ["node," + ",".join(str(l) for l in labels)]
-    for label, row in zip(labels, pv.matrix):
+    lines = ["node," + ",".join(str(l) for l in args.nodes)]
+    for label, row in zip(args.nodes, pv.matrix):
         lines.append(str(label) + "," + ",".join(f"{p:.4f}" for p in row))
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
@@ -287,13 +299,12 @@ def _cmd_mc(args) -> int:
 def _cmd_oracle_check(args) -> int:
     if args.reps < 1:
         raise ValueError("--reps must be at least 1")
-    sizes = [int(tok) for tok in args.sizes.split(",")]
-    trend = covariance_trend(args.model, args.signal, sizes, args.reps,
+    trend = covariance_trend(args.model, args.signal, args.sizes, args.reps,
                              args.seed)
     metric = TREND_METRICS[MODEL_TESTS[args.model]]
     rows = [f"# netpairtest {__version__} oracle-check model={args.model} "
             f"seed={args.seed}", "n,metric,value"]
-    rows += [f"{n},{metric},{err:.6f}" for n, err in zip(sizes, trend)]
+    rows += [f"{n},{metric},{err:.6f}" for n, err in zip(args.sizes, trend)]
     _emit("\n".join(rows) + "\n", args.out)
     return EXIT_OK
 

@@ -20,8 +20,8 @@ by name (:func:`_check_powers`).
 
 Everything up to the shrunken eigenvalues depends on the graph, not on the
 pair, so :func:`fit` computes it once. No step forms an n x n matrix: the
-adjacency matrix may be a dense array or a sparse matrix, and only products
-of it with n x k blocks are taken.
+adjacency matrix may be a dense array or a sparse matrix, and it is read
+only through the eigensolver's products, its squared entries and its rows.
 
 Both tests compare a per-node contrast, and besides :data:`MIN_K` only
 :func:`_contrast` tells them apart: the eigenvector row for T, the ratio
@@ -217,16 +217,23 @@ def grow_spectrum(x, m: int = 3) -> tuple[Spectrum, KEstimate]:
     trusts ARPACK to find the top m, the check trusts it to come within
     the margin of the largest remaining eigenvalue; with that, the
     estimate equals the one from the whole spectrum. ``x`` is converted
-    (:func:`~.graph_io.as_matrix`) once, not by every solve. Where the
-    square of a nonzero value or of the bound is no normal float, the count
-    would be wrong, and ValueError "adjacency matrix scale leaves the float
-    range" is raised (:func:`_check_powers`).
+    (:func:`~.graph_io.as_matrix`) once, not by every solve. A negative
+    d_max gives a negative threshold, under which every eigenvalue, zeros
+    included, would count, so ValueError "largest row sum must be
+    nonnegative to estimate K, got ..." is raised before any solve. Where
+    the square of a nonzero value or of the bound is no normal float, the
+    count would be wrong, and ValueError "adjacency matrix scale leaves the
+    float range" is raised (:func:`_check_powers`).
     """
     x = as_matrix(x)
     n = x.shape[0]
     m = min(_integer_count(m, "m"), n)
     # log(1) keeps log(0)'s warning out where the solve refuses n = 0
-    threshold = K_THRESHOLD_CONSTANT * np.log(max(n, 1)) * max_degree(x)
+    d_max = max_degree(x)
+    if d_max < 0:
+        raise ValueError(f"largest row sum must be nonnegative to estimate "
+                         f"K, got {d_max}")
+    threshold = K_THRESHOLD_CONSTANT * np.log(max(n, 1)) * d_max
     while True:
         spec = top_eigenpairs(x, m)
         _check_powers(spec.values, 2)
@@ -259,17 +266,16 @@ def _check_powers(values: np.ndarray, power: int) -> None:
 def _check_spectrum(spec: Spectrum, n: int, k: int) -> None:
     """Raise unless ``spec`` is a :class:`~.spectra.Spectrum` of an n-node
     matrix with at least ``k`` pairs: ``TypeError`` for any other object,
-    ``ValueError`` "spectrum vectors must be n x m, got shape ..." or
-    "spectrum products must be n x m, got shape ..." where either is not
-    n x m for its m values, and "k=... exceeds retained spectrum size m"."""
+    ``ValueError`` "spectrum vectors must be n x m, got shape ..." where its
+    vectors are not n x m for its m values, and "k=... exceeds retained
+    spectrum size m"."""
     if not isinstance(spec, Spectrum):
         raise TypeError(f"spectrum must be a Spectrum, got "
                         f"{type(spec).__name__}")
-    for name in ("vectors", "products"):
-        shape = np.shape(getattr(spec, name))
-        if shape != (n, spec.m):
-            raise ValueError(f"spectrum {name} must be {n} x {spec.m}, got "
-                             f"shape {shape}")
+    shape = np.shape(spec.vectors)
+    if shape != (n, spec.m):
+        raise ValueError(f"spectrum vectors must be {n} x {spec.m}, got "
+                         f"shape {shape}")
     if k > spec.m:
         raise ValueError(f"k={k} exceeds retained spectrum size {spec.m}")
 
@@ -280,8 +286,9 @@ def diag_residual_square(x, spec: Spectrum, k: int) -> np.ndarray:
 
     With orthonormal V, row i of W0 has squared norm
     sum_l x_il^2 - 2 sum_k d_k (X V)_ik v_ik + sum_k d_k^2 v_ik^2. The
-    product X V is the one the spectrum holds (``spec.products``), so the
-    only pass over ``x`` here squares its entries. ``spec`` must be a
+    pairs are eigenpairs, X V = V D, so (X V)_ik = d_k v_ik and the norm is
+    sum_l x_il^2 - sum_k d_k^2 v_ik^2: no product of ``x`` is formed, and
+    the only pass over ``x`` squares its entries. ``spec`` must be a
     spectrum of ``x`` that holds at least ``k`` pairs
     (:func:`_check_spectrum`), whose top ``k`` values pass the refinement's
     scale rule (see :func:`refine_eigenvalues`) before any entry is squared.
@@ -295,8 +302,7 @@ def diag_residual_square(x, spec: Spectrum, k: int) -> np.ndarray:
                                         shape=x.shape) @ np.ones(x.shape[0])
     else:
         row_sq = np.einsum("ij,ij->i", x, x)
-    xv = spec.products[:, :k]
-    return row_sq - 2.0 * np.einsum("ik,ik->i", xv, v * d) + (v * v) @ (d * d)
+    return row_sq - (v * v) @ (d * d)
 
 
 def refine_eigenvalues(spec: Spectrum, w0_sq_diag: np.ndarray,
@@ -334,7 +340,8 @@ def fit(x, k: int | None = None, *, spectrum: Spectrum | None = None,
     A floor above the pairs the estimate solved has them solved to it.
     For a fixed ``k``, ``spectrum`` may supply precomputed eigenpairs of
     ``x``; by default the top max(k, 1) pairs are computed. The refinement
-    costs O(nnz k); no n x n matrix is formed.
+    reads them as eigenpairs, X V = V D (:func:`diag_residual_square`), and
+    costs O(nnz k); no n x n matrix and no product of ``x`` is formed.
 
     Raises
     ------
@@ -342,11 +349,13 @@ def fit(x, k: int | None = None, *, spectrum: Spectrum | None = None,
         If ``k``, or ``floor`` where K is estimated, is not an integer
         (:func:`~.spectra._integer_count`) or lies outside [0, n],
         ``spectrum`` is given without ``k``, or ``spectrum`` is not one of
-        an n-node matrix with at least ``k`` pairs and their products
-        (:func:`_check_spectrum`); "adjacency matrix scale leaves the float
-        range" where the scale of ``x`` takes the K count's squares or the
-        refinement's cubes out of the normal float range
-        (:func:`_check_powers`).
+        an n-node matrix with at least ``k`` pairs
+        (:func:`_check_spectrum`); "largest row sum must be nonnegative to
+        estimate K, ..." where K is estimated on a graph whose row sums are
+        all negative (:func:`grow_spectrum`); "adjacency matrix scale
+        leaves the float range" where the scale of ``x`` takes the K
+        count's squares or the refinement's cubes out of the normal float
+        range (:func:`_check_powers`).
     TypeError
         If ``spectrum`` is not a :class:`~.spectra.Spectrum`.
     ZeroDivisionError

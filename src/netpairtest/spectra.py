@@ -26,15 +26,15 @@ which releases the GIL, so Monte Carlo worker threads solve side by side;
 like ``x @ y`` it is bit-reproducible for a fixed build and thread count.
 Both solves read ``x`` through one operator, :func:`_operator`, which
 checks each product before ARPACK reads it
-(:func:`~.graph_io._check_product`) and forms X V, column by column, once
-per solve; a :class:`Spectrum` keeps it, reads its residual norms from it
-and hands it to the refinement (:func:`~.estimation.diag_residual_square`),
-so a fit reads ``x`` for it once. A sparse ``x``, and any ``x`` where numpy's
-library lacks the symbol, takes ``x @ y``; a sparse ``x`` forms X V as one
-product ``x @ V``, equal to the bit to its columns' products. Where the two
-libraries each bundle their own OpenBLAS, each keeps its own pool of worker
-threads, and a solve that woke both pools at every Lanczos step left one
-pool's idle workers spinning on the cores the other needed. So
+(:func:`~.graph_io._check_product`). No product X V is formed after a
+solve: for eigenpairs X V = V D, so a :class:`Spectrum` is its values and
+vectors alone, and the refinement reads diag(W0^2) from them and the
+entries of ``x`` (:func:`~.estimation.diag_residual_square`). A sparse
+``x``, and any ``x`` where numpy's library lacks the symbol, takes
+``x @ y``. Where the two libraries each bundle their own OpenBLAS, each
+keeps its own pool of worker threads, and a solve that woke both pools at
+every Lanczos step left one pool's idle workers spinning on the cores the
+other needed. So
 :func:`_arpack` limits scipy's OpenBLAS to the calling thread for the
 solve, and gives the thread back its setting after it, where scipy's
 library has that per-thread limit. The product and both libraries'
@@ -90,27 +90,17 @@ _BLAS_MODULES = ("numpy._core._multiarray_umath", "scipy.linalg._fblas")
 class Spectrum:
     """Top-m eigenpairs of a symmetric matrix X.
 
-    ``values`` is sorted by nonincreasing magnitude, ``vectors`` holds the
-    matching orthonormal eigenvectors as columns, each with the sign
-    convention of the module, and ``products`` the n x m product X V, so
-    that later steps need not multiply by X again.
+    ``values`` is sorted by nonincreasing magnitude and ``vectors`` holds
+    the matching orthonormal eigenvectors as columns, each with the sign
+    convention of the module.
     """
 
     values: np.ndarray
     vectors: np.ndarray
-    products: np.ndarray
 
     @property
     def m(self) -> int:
         return len(self.values)
-
-    @property
-    def residuals(self) -> np.ndarray:
-        """Per-pair norms ||X v - d v||, read from ``products``, each
-        summed down a contiguous (F-ordered) column."""
-        return np.linalg.norm(np.subtract(self.products,
-                                          self.vectors * self.values,
-                                          order="F"), axis=0)
 
 
 def _orthonormal(vectors: np.ndarray) -> bool:
@@ -266,35 +256,26 @@ def top_eigenpairs(x, m: int) -> Spectrum:
     reads a product of :func:`_operator`: it makes the first one non-finite,
     as the start vector has no zero entry. A non-finite product or dense
     spectrum of a finite ``x`` raises "adjacency matrix products overflow"
-    (:func:`~.graph_io._check_product`). Each eigenvector is signed before
-    the product X V of the ``m`` pairs is formed, once: one column at a
-    time through the operator for a dense ``x``, as one sparse product for
-    a sparse ``x``. It is kept as the spectrum's ``products``.
+    (:func:`~.graph_io._check_product`). Each eigenvector is signed by the
+    module's convention; no product of ``x`` is formed after the solve.
     """
     x = as_matrix(x)
     n = x.shape[0]
     if not 1 <= _integer_count(m, "m") <= n:
         raise ValueError(f"m must lie in [1, {n}], got {m}")
-    op = _operator(x)
-    found = _arpack(op, m, 0)
+    found = _arpack(_operator(x), m, 0)
     if found is None or not _orthonormal(found[1]):
         _check_finite(x)
         found = np.linalg.eigh(x.toarray() if scipy.sparse.issparse(x) else x)
         _check_product(x, found[0])
     vals, vecs = found
     order = _sort_order(vals, m)
-    # fresh contiguous columns, flipped in place and multiplied by x
-    # without a copy; the bits of later products with V follow the layout,
-    # so the spectrum keeps C-ordered copies
+    # fresh columns, flipped in place; the bits of later products with V
+    # follow the layout, so the spectrum keeps a C-ordered copy
     vectors = vecs[:, order]
     lead = np.argmax(np.abs(vectors), axis=0)
     vectors[:, vectors[lead, np.arange(m)] < 0] *= -1.0
-    if scipy.sparse.issparse(x):
-        products = x @ vectors
-    else:
-        products = op.matmat(vectors)
-    return Spectrum(values=vals[order], vectors=vectors.copy(order="C"),
-                    products=products.copy(order="C"))
+    return Spectrum(values=vals[order], vectors=vectors.copy(order="C"))
 
 
 def deflated_ritz(x, spec: Spectrum) -> tuple[float, float] | None:

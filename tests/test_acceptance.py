@@ -186,8 +186,7 @@ def test_criterion_8_property_suite(karate):
     # sign-flip invariance of both statistics
     spec = npt.top_eigenpairs(karate, 3)
     signs = np.array([-1.0, 1.0, -1.0])
-    flipped = Spectrum(values=spec.values, vectors=spec.vectors * signs,
-                       products=spec.products * signs)
+    flipped = Spectrum(values=spec.values, vectors=spec.vectors * signs)
     ok = True
     for runner in (npt.test_T, npt.test_G):
         base = runner(npt.fit(karate, 3, spectrum=spec), 6, 12).statistic

@@ -349,6 +349,33 @@ def test_pvalue_matrix_file(karate_path, tmp_path, capsys):
     assert out.read_text().startswith("node,7,13")
 
 
+@pytest.mark.parametrize("argv, flag, value", [
+    (["pvalue-matrix", "--method", "t", "--nodes", "1,,2"], "nodes", "1,,2"),
+    (["pvalue-matrix", "--method", "t", "--nodes=1,x"], "nodes", "1,x"),
+    (["oracle-check", "--sizes", "300,x"], "sizes", "300,x"),
+    (["oracle-check", "--sizes="], "sizes", ""),
+], ids=["nodes-empty", "nodes-letter", "sizes-letter", "sizes-empty"])
+def test_a_malformed_list_names_its_flag(karate_path, capsys, argv, flag,
+                                         value):
+    # each exited 1 with Python's "invalid literal for int() with base 10"
+    if argv[0] == "pvalue-matrix":
+        argv = argv + ["--graph", karate_path]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == cli.EXIT_USAGE
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.endswith(f"error: argument --{flag}: expected "
+                            f"comma-separated integers, got {value!r}\n")
+
+
+def test_a_list_flag_keeps_the_int_forms(karate_path, capsys):
+    # the labels are read by int(), so blanks and a sign are kept
+    argv = ["pvalue-matrix", "--graph", karate_path, "--one-based",
+            "--method", "g", "--k", "2", "--nodes"]
+    assert run(argv + [" 7,+13"], capsys) == run(argv + ["7,13"], capsys)
+
+
 # ------------------------------------------------- estimate-k and spectrum
 
 def test_estimate_k(karate_path, capsys):
@@ -358,6 +385,19 @@ def test_estimate_k(karate_path, capsys):
     vals = _parse_kv(stdout)
     assert vals["k_hat"] == "0"
     assert vals["max_degree"] == "17"
+
+
+def test_estimate_k_refuses_a_negative_largest_row_sum(monkeypatch,
+                                                       karate_path, capsys):
+    # the file format has no weights, so the loaded graph is negated here
+    load = cli.load_edge_list
+    monkeypatch.setattr(cli, "load_edge_list", lambda *args: -load(*args))
+    code, stdout, err = run(["estimate-k", "--graph", karate_path,
+                             "--one-based"], capsys)
+    assert code == cli.EXIT_USAGE
+    assert err == ("error: largest row sum must be nonnegative to estimate "
+                   "K, got -1\n")
+    assert stdout == ""
 
 
 def test_spectrum(karate_path, tmp_path, capsys):

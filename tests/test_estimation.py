@@ -74,6 +74,30 @@ def test_a_graph_of_small_weights_counts_against_its_own_degree(karate):
         2.01 * np.log(34) * 1.7e-9, rel=1e-14)
 
 
+@pytest.mark.parametrize("form", ["dense", "csr"])
+def test_a_negative_largest_row_sum_is_refused_before_any_solve(
+        karate, form, monkeypatch):
+    # max_degree(-karate) is -1, and the negative threshold counted every
+    # eigenvalue: grow_spectrum solved all 34 pairs and read K = 34, fit and
+    # test_T ended in ZeroDivisionError, and pvalue_matrix returned NaN
+    x = -karate if form == "dense" else scipy.sparse.csr_array(-karate)
+
+    def solve(*args):
+        raise AssertionError("solved")
+
+    monkeypatch.setattr(estimation, "top_eigenpairs", solve)
+    for run in (lambda: npt.grow_spectrum(x), lambda: npt.fit(x),
+                lambda: npt.test_T(x, 0, 1),
+                lambda: npt.pvalue_matrix(x, [0, 1, 2])):
+        with pytest.raises(ValueError, match=r"^largest row sum must be "
+                           r"nonnegative to estimate K, got -1$"):
+            run()
+    monkeypatch.undo()
+    # a fixed K reads no row sum
+    assert np.allclose(npt.fit(x, 2).d_tilde, -npt.fit(karate, 2).d_tilde,
+                       rtol=1e-12, atol=0)
+
+
 def test_estimate_k_on_simulated_block_model():
     params = npt.model1_params(400, 80, 0.2, 0.9)
     x = npt.sample_adjacency(npt.build_mean_matrix(params), seed=0)
@@ -247,7 +271,6 @@ def test_grow_spectrum_is_bit_reproducible():
     assert est1.k_hat == spec1.m == 3  # decided by the deflated check
     assert spec1.values.tobytes() == spec2.values.tobytes()
     assert spec1.vectors.tobytes() == spec2.vectors.tobytes()
-    assert spec1.residuals.tobytes() == spec2.residuals.tobytes()
     assert est1 == est2
 
 
@@ -297,21 +320,25 @@ def test_residual_matrix_rank_removal():
         npt.diag_residual_square(x, spec, 4)
 
 
-def test_the_residual_reads_the_spectrum_product(karate, karate_csr):
-    # diag(W0^2) from the spectrum's X V equals the formula that forms
-    # x @ V again
+def test_the_residual_reads_the_spectrum_product(karate):
+    # diag(W0^2) read from the eigen-equation X V = V D, the spectrum's V D
+    # standing in for X V, equals the row sums of the squared n x n W0,
+    # whatever the layout, the solver (eigh from m = n - 1 = 33 on karate)
+    # or the signs of a supplied spectrum
     simulated = npt.sample_adjacency(npt.build_mean_matrix(
         npt.model2_params(300, 60, 0.2, 0.9, seed=1)), seed=2)
-    for x in (karate, karate_csr, simulated,
-              scipy.sparse.csr_array(simulated)):
-        spec = npt.top_eigenpairs(x, 4)
-        dense = x.toarray() if scipy.sparse.issparse(x) else x
-        for k in (1, 2, 3, 4):
-            v, d = spec.vectors[:, :k], spec.values[:k]
-            want = np.einsum("ij,ij->i", dense, dense) \
-                - 2.0 * np.einsum("ik,ik->i", x @ v, v * d) + (v * v) @ (d * d)
-            got = npt.diag_residual_square(x, spec, k)
-            assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+    signs = np.array([-1.0, 1.0, -1.0, 1.0])
+    for graph, widths in ((karate, (4, 33, 34)), (simulated, (4,))):
+        for x in (graph, np.asfortranarray(graph),
+                  scipy.sparse.csr_array(graph)):
+            spectra = [npt.top_eigenpairs(x, m) for m in widths]
+            spectra.append(npt.Spectrum(values=spectra[0].values,
+                                        vectors=spectra[0].vectors * signs))
+            for spec in spectra:
+                for k in (1, 2, 3, 4):
+                    want = np.sum(residual_matrix(x, spec, k) ** 2, axis=1)
+                    got = npt.diag_residual_square(x, spec, k)
+                    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 
 
 def _spectrum_errors():
@@ -324,15 +351,14 @@ def _spectrum_errors():
         (2, other, "spectrum vectors must be 34 x 3, got shape (30, 3)"),
         (3, replace(spec, values=spec.values[:2]),
          "spectrum vectors must be 34 x 2, got shape (34, 3)"),
-        (3, replace(spec, values=spec.values[:2], vectors=spec.vectors[:, :2],
-                    products=spec.products[:, :2]),
+        (3, replace(spec, values=spec.values[:2], vectors=spec.vectors[:, :2]),
          "k=3 exceeds retained spectrum size 2"),
-        (2, replace(spec, products=spec.products[:, :2]),
-         "spectrum products must be 34 x 3, got shape (34, 2)"),
-        (2, replace(spec, products=spec.products.T),
-         "spectrum products must be 34 x 3, got shape (3, 34)"),
-        (2, replace(spec, products=None),
-         "spectrum products must be 34 x 3, got shape ()"),
+        (2, replace(spec, vectors=spec.vectors[:, :2]),
+         "spectrum vectors must be 34 x 3, got shape (34, 2)"),
+        (2, replace(spec, vectors=spec.vectors.T),
+         "spectrum vectors must be 34 x 3, got shape (3, 34)"),
+        (2, replace(spec, vectors=spec.vectors[:, 0]),
+         "spectrum vectors must be 34 x 3, got shape (34,)"),
     ]
 
 

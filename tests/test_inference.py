@@ -325,8 +325,7 @@ def test_pair_entry_points_need_a_square_matrix(x):
 
 def _flip_columns(spec, signs):
     signs = np.asarray(signs)[None, :]
-    return Spectrum(values=spec.values, vectors=spec.vectors * signs,
-                    products=spec.products * signs)
+    return Spectrum(values=spec.values, vectors=spec.vectors * signs)
 
 
 def test_sign_flip_invariance(karate):
@@ -398,9 +397,9 @@ def test_pvalue_matrix_nan_for_failed_pairs(karate):
 
 def test_pvalue_matrix_fits_once(karate, karate_csr, monkeypatch):
     # every binding of each counted function, in every package module; the
-    # fit reads diag(W0^2) from products with n x k blocks, no n x n
-    # residual exists in the package to build, and the rows of sigma2 are
-    # read once for all pairs
+    # fit reads diag(W0^2) from the eigenpairs and the squared entries of x,
+    # no n x n residual exists in the package to build, and the rows of
+    # sigma2 are read once for all pairs
     calls = Counter()
 
     def count(owner, name, original):
@@ -525,8 +524,7 @@ def test_statistics_do_not_depend_on_the_retained_spectrum_width(karate):
     wide = npt.top_eigenpairs(karate, 4)
     for k in (1, 2, 3):
         narrow = Spectrum(values=wide.values[:k].copy(),
-                          vectors=wide.vectors[:, :k].copy(),
-                          products=wide.products[:, :k].copy())
+                          vectors=wide.vectors[:, :k].copy())
         for method in ("T", "G")[:1 if k == 1 else 2]:
             a, b = (npt.pvalue_matrix(npt.fit(karate, k, spectrum=spec),
                                       range(34), method).matrix
@@ -581,8 +579,7 @@ def test_pvalue_matrix_matches_a_brute_per_pair_loop(seed, n, k, method,
     # a degenerate node: a zero leading-eigenvector entry
     vectors = fitted.spectrum.vectors.copy()
     vectors[degenerate, 0] = 0.0
-    spectrum = Spectrum(values=fitted.spectrum.values, vectors=vectors,
-                        products=x @ vectors)
+    spectrum = Spectrum(values=fitted.spectrum.values, vectors=vectors)
     # a singular pair: rows a and b of the refined residual vanish but for
     # the entry they share, so their covariance has rank one
     v = vectors[:, :k]

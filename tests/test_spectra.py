@@ -12,21 +12,28 @@ from netpairtest import spectra
 from netpairtest.estimation import degeneracy_threshold
 from netpairtest.graph_io import as_matrix
 from netpairtest.spectra import (TIE_REL_TOL, Spectrum, _orthonormal,
-                                 _product, _sort_order, deflated_ritz)
+                                 _sort_order, deflated_ritz)
 
 RESIDUAL_TOL = 1e-6
 
 
-def _check(spec: Spectrum) -> None:
-    """Assert the structural invariants of ``spec`` (ordering,
-    orthonormality, residual bounds, sign convention)."""
+def _residuals(x, spec: Spectrum) -> np.ndarray:
+    """Per-pair eigen-residual norms ||X v - d v|| of ``spec``, a spectrum
+    of ``x``, from x @ V - V D formed here."""
+    return np.linalg.norm(as_matrix(x) @ spec.vectors
+                          - spec.vectors * spec.values, axis=0)
+
+
+def _check(x, spec: Spectrum) -> None:
+    """Assert the structural invariants of ``spec``, a spectrum of ``x``
+    (ordering, orthonormality, residual bounds, sign convention)."""
     mags = np.abs(spec.values)
     if spec.m and np.any(np.diff(mags) > TIE_REL_TOL * max(1.0, mags[0])):
         raise AssertionError("eigenvalue magnitudes not nonincreasing")
     if not _orthonormal(spec.vectors):
         raise AssertionError("eigenvectors not orthonormal")
     bound = RESIDUAL_TOL * max(1.0, mags[0] if spec.m else 1.0)
-    if np.any(spec.residuals > bound):
+    if np.any(_residuals(x, spec) > bound):
         raise AssertionError("eigen-residual exceeds tolerance")
     for k in range(spec.m):
         col = spec.vectors[:, k]
@@ -54,7 +61,7 @@ def test_known_eigenvalues():
 def test_invariants_random_matrix():
     x = _random_symmetric(1, 30)
     spec = npt.top_eigenpairs(x, 10)
-    _check(spec)
+    _check(x, spec)
     assert spec.m == 10
     # magnitudes nonincreasing
     assert np.all(np.diff(np.abs(spec.values)) <= 1e-12)
@@ -78,7 +85,7 @@ def test_top_eigenpairs_is_bit_identical_across_calls(karate_csr):
         a, b = npt.top_eigenpairs(x, 12), npt.top_eigenpairs(x, 12)
         assert np.array_equal(a.values, b.values)
         assert np.array_equal(a.vectors, b.vectors)
-        assert np.array_equal(a.residuals, b.residuals)
+        _check(x, a)
 
 
 def test_dense_and_sparse_input_agree(karate, karate_csr):
@@ -100,14 +107,14 @@ def certified():
 
 def _fit_bits(x):
     """The bytes of every array that ``fit``, ``grow_spectrum`` and
-    ``top_eigenpairs`` return for ``x``."""
+    ``top_eigenpairs`` return for ``x``, and of each spectrum's
+    eigen-residuals."""
     spec, est = npt.grow_spectrum(x)
     fitted, top = npt.fit(x), npt.top_eigenpairs(x, 5)
-    arrays = [spec.values, spec.vectors, spec.residuals, spec.products,
+    arrays = [spec.values, spec.vectors, _residuals(x, spec),
               np.array([est.threshold, est.next_bound]), fitted.d_tilde,
-              fitted.spectrum.vectors, fitted.spectrum.residuals,
-              fitted.spectrum.products, top.values, top.vectors,
-              top.residuals, top.products]
+              fitted.spectrum.vectors, _residuals(x, fitted.spectrum),
+              top.values, top.vectors, _residuals(x, top)]
     return [a.tobytes() for a in arrays]
 
 
@@ -421,46 +428,13 @@ def test_deflated_ritz_refuses_a_non_finite_matrix(karate, form, capfd):
 @pytest.mark.parametrize("m", [3, 33, 34])
 def test_columns_are_signed_before_they_are_multiplied(karate, form, m):
     # ARPACK below m = n - 1 = 33, the dense eigendecomposition from there;
-    # each returned column has its largest entry positive, and its product
-    # is that of the returned column itself, signed zeros included
+    # each returned column has its largest entry positive, and the signed
+    # columns are the eigenvectors: their products with x are V D
     x = karate if form == "dense" else scipy.sparse.csr_array(karate)
     spec = npt.top_eigenpairs(x, m)
     lead = np.argmax(np.abs(spec.vectors), axis=0)
     assert np.all(spec.vectors[lead, np.arange(m)] > 0)
-    product = _product(karate) if form == "dense" else (lambda y: x @ y)
-    columns = np.column_stack([product(spec.vectors[:, a])
-                               for a in range(m)])
-    assert spec.products.tobytes() == columns.tobytes()
-
-
-@pytest.mark.parametrize("layout", ["C", "F", "csr"])
-def test_products_are_the_matrix_times_the_vectors(certified, karate,
-                                                   layout):
-    # the one X V of a solve, read by its residuals and by the refinement,
-    # equals x @ V up to rounding whatever the input's layout
-    for graph in (certified, karate):
-        x = {"C": graph, "F": np.asfortranarray(graph),
-             "csr": scipy.sparse.csr_array(graph)}[layout]
-        spec = npt.top_eigenpairs(x, 4)
-        want = graph @ spec.vectors
-        assert spec.products.shape == want.shape
-        assert np.all(np.linalg.norm(spec.products - want, axis=0)
-                      <= 1e-12 * np.linalg.norm(want, axis=0))
-        assert np.array_equal(spec.residuals, np.linalg.norm(
-            spec.products - spec.vectors * spec.values, axis=0))
-
-
-@pytest.mark.parametrize("form", [scipy.sparse.csr_array,
-                                  scipy.sparse.csr_matrix])
-def test_sparse_products_are_the_column_products(certified, karate_csr,
-                                                 form):
-    # a sparse x forms X V as one x @ V, equal to the bit to one CSR
-    # product per column
-    for graph, m in ((karate_csr, 3), (certified, 3), (certified, 20)):
-        x = form(graph)
-        spec = npt.top_eigenpairs(x, m)
-        columns = np.column_stack([x @ spec.vectors[:, a] for a in range(m)])
-        assert spec.products.tobytes() == columns.tobytes()
+    _check(x, spec)
 
 
 def test_degeneracy_threshold_scale(karate_spectrum):
@@ -472,8 +446,9 @@ def test_degeneracy_threshold_scale(karate_spectrum):
 def test_tiny_magnitude_input_falls_back_to_the_dense_solver(m):
     # at entries near 1e-300 ARPACK returns d_1 = 7.3e-299 and a first
     # eigenvector of norm 0.14
-    spec = npt.top_eigenpairs(np.full((8, 8), 1e-300), m)
-    _check(spec)
+    x = np.full((8, 8), 1e-300)
+    spec = npt.top_eigenpairs(x, m)
+    _check(x, spec)
     assert spec.values[0] == pytest.approx(8e-300, rel=1e-12, abs=0)
     assert np.allclose(spec.vectors[:, 0], np.full(8, 8 ** -0.5),
                        rtol=0, atol=1e-12)
@@ -487,4 +462,4 @@ def test_tiny_magnitude_input_falls_back_to_the_dense_solver(m):
 def test_property_invariants(a, m):
     x = (a + a.T) / 2
     spec = npt.top_eigenpairs(x, m)
-    _check(spec)
+    _check(x, spec)

@@ -118,7 +118,7 @@ def test_pair_tests_fail_typed(karate, karate_csr, x, i, j, nodes, method,
 
 def _spectrum(name, karate):
     """A spectrum for karate's ``fit``, by name: its own top 3 pairs, those
-    of another graph, too few pairs, or products of another shape."""
+    of another graph, or too few pairs."""
     spec = npt.top_eigenpairs(karate, 3)
     if name == "own":
         return spec
@@ -126,20 +126,14 @@ def _spectrum(name, karate):
         return npt.top_eigenpairs(np.ones((30, 30)) - np.eye(30), 3)
     if name == "one pair":
         return replace(spec, values=spec.values[:1],
-                       vectors=spec.vectors[:, :1],
-                       products=spec.products[:, :1])
-    if name == "short values":
-        return replace(spec, values=spec.values[:2])
-    if name == "short products":
-        return replace(spec, products=spec.products[:, :2])
-    return replace(spec, products=spec.products.T)
+                       vectors=spec.vectors[:, :1])
+    return replace(spec, values=spec.values[:2])
 
 
-_SPECTRA = ["own", "other n", "one pair", "short values", "short products",
-            "transposed products"]
+_SPECTRA = ["own", "other n", "one pair", "short values"]
 # messages of a supplied spectrum that fit refuses (fit's Raises section)
-_SPECTRUM_MESSAGES = r"^(spectrum (vectors|products) must be \d+ x \d+, got " \
-    r"shape \(.*\)|k=\d+ exceeds retained spectrum size \d+)$"
+_SPECTRUM_MESSAGES = r"^(spectrum vectors must be \d+ x \d+, got shape " \
+    r"\(.*\)|k=\d+ exceeds retained spectrum size \d+)$"
 
 
 @settings(max_examples=60, deadline=None)
